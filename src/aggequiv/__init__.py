@@ -3,11 +3,10 @@ with negation, constants and order comparisons."""
 
 from .aggregation import (
     FUNCTIONS, AggregationFunction, Monoid, apply, apply_shifting,
-    is_singleton_determining,
 )
 from .engine import (
-    Counterexample, SymbolicDatabase, Verdict, bagset_equivalent, build_base,
-    equivalent, evaluate_symbolic, locally_equivalent, n_equivalent,
+    Counterexample, Verdict, bagset_equivalent, build_base, equivalent,
+    locally_equivalent, n_equivalent,
 )
 from .identity import IdentityVerdict, OrderedIdentity, decide
 from .model import (

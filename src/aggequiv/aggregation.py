@@ -121,6 +121,8 @@ class AggregationFunction:
     None for the two functions (cntd, avg) that are not monoid folds and
     are computed directly.  `prod_special` marks prod, whose monoid only
     covers the nonzero rationals and whose zero case is handled apart.
+    `singleton_determining` holds iff distinct singleton bags always yield
+    distinct values.
     """
 
     name: str
@@ -180,11 +182,6 @@ FUNCTIONS = {f.name: f for f in
 #: names admitted by the query grammar
 GRAMMAR_FUNCTIONS = ("count", "parity", "sum", "prod", "avg",
                      "max", "min", "cntd", "top2")
-
-
-def is_singleton_determining(func: AggregationFunction) -> bool:
-    """True iff distinct singleton bags always yield distinct values."""
-    return func.singleton_determining
 
 
 # ---------------------------------------------------------------------------

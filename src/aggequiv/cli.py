@@ -1,7 +1,8 @@
 """Command-line front end for the equivalence decision procedures.
 
 Exit codes: 0 equivalent (or valid / verified), 1 not equivalent (a
-counterexample was emitted), 2 error or unsupported input, 64 usage.
+counterexample was emitted), 2 error, internal error or unsupported
+input, 64 usage.
 """
 
 from __future__ import annotations
@@ -208,11 +209,11 @@ def _guardrail(q: Query, q2: Query, n: int, config: RunConfig):
             f"exponential. Pass --force to run anyway.", config))
 
 
-def _fail(message: str, config: RunConfig) -> int:
+def _fail(message: str, config: RunConfig, status: str = "error") -> int:
     if config.json_output:
-        print(json.dumps({"status": "error", "reason": message}))
+        print(json.dumps({"status": status, "reason": message}))
     else:
-        print(f"error: {message}", file=sys.stderr)
+        print(f"{status.replace('_', ' ')}: {message}", file=sys.stderr)
     return 2
 
 
@@ -418,6 +419,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     except (ParseError, ValidationError, ValueError, OSError) as exc:
         return _fail(str(exc), config)
+    except (AssertionError, RuntimeError) as exc:
+        # a broken invariant is no verdict: keep it off exit code 1
+        return _fail(str(exc), config, status="internal_error")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,9 @@ BASE and a complete ordering L of the terms.  Each pair stands for the
 infinitely many concrete databases obtained by instantiating S with an
 assignment satisfying L; the queries are evaluated symbolically over it
 and each shared group leaves an ordered identity for the identity
-deciders.  The first failure is instantiated into a concrete
+deciders.  No identity relates two different heads (function or grouping
+arity), so those are compared on the instance of the ordering's canonical
+assignment instead.  The first failure is instantiated into a concrete
 counterexample database and re-verified against the concrete evaluator
 before being reported.
 
@@ -29,7 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
-from . import oracle
+from . import identity, oracle
 from .aggregation import FUNCTIONS, apply
 from .model import (
     Comparison, Database, Query, RATIONALS, Var, term_size_pair,
@@ -46,14 +48,6 @@ UNSUPPORTED = "unsupported"
 
 #: functions whose equivalence problem reduces to local equivalence
 DECOMPOSABLE = ("count", "parity", "sum", "max", "min", "top2", "bot2")
-
-
-@dataclass(frozen=True)
-class SymbolicDatabase:
-    """A subset of BASE together with a complete ordering of its terms."""
-
-    atoms: frozenset  # of (predicate, tuple of Term)
-    ordering: CompleteOrdering
 
 
 @dataclass(frozen=True)
@@ -77,7 +71,7 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# BASE and symbolic evaluation
+# BASE
 # ---------------------------------------------------------------------------
 
 def merged_predicates(q: Query, q2: Query) -> dict:
@@ -106,47 +100,6 @@ def build_base(q: Query, q2: Query, n: int):
     return terms, atoms
 
 
-def evaluate_symbolic(q: Query, sdb: SymbolicDatabase) -> dict:
-    """Group the symbolic satisfying assignments of `q` over `sdb`.
-
-    Returns {instantiated grouping tuple: bag of aggregate-argument
-    tuples}, all entries being terms of the ordering.  Labeled-assignment
-    semantics: an assignment satisfying several disjuncts contributes one
-    bag element per disjunct.
-    """
-    ordering = sdb.ordering
-    terms = sorted(ordering.terms(), key=term_sort_key)
-    groups: dict = {}
-    for cond in q.disjuncts:
-        variables = sorted(cond.variables(), key=term_sort_key)
-        for values in itertools.product(terms, repeat=len(variables)):
-            gamma = dict(zip(variables, values))
-            if not _satisfied_symbolically(cond, gamma, sdb):
-                continue
-            key = tuple(gamma.get(t, t) for t in q.grouping)
-            bag = groups.setdefault(key, [])
-            if q.aggregate is not None:
-                bag.append(tuple(gamma.get(t, t)
-                                 for t in q.aggregate.args))
-            else:
-                bag.append(())
-    return groups
-
-
-def _satisfied_symbolically(cond, gamma: dict, sdb: SymbolicDatabase) -> bool:
-    for atom in cond.atoms:
-        instantiated = (atom.predicate,
-                        tuple(gamma.get(t, t) for t in atom.args))
-        if atom.positive != (instantiated in sdb.atoms):
-            return False
-    for c in cond.comparisons:
-        lhs = gamma.get(c.lhs, c.lhs)
-        rhs = gamma.get(c.rhs, c.rhs)
-        if not entails(sdb.ordering, Comparison(lhs, c.op, rhs)):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # The (S, L) search
 # ---------------------------------------------------------------------------
@@ -154,11 +107,6 @@ def _satisfied_symbolically(cond, gamma: dict, sdb: SymbolicDatabase) -> bool:
 def _subsets(atoms: list) -> Iterator[tuple]:
     for size in range(len(atoms) + 1):
         yield from itertools.combinations(atoms, size)
-
-
-def _orderings_for(terms, domain) -> list:
-    return list(enumerate_complete_orderings(terms, domain,
-                                             injective_only=True))
 
 
 def _prepare_assignments(q: Query, ordering: CompleteOrdering, terms: list,
@@ -205,53 +153,60 @@ def _collect_groups(prepared: list, mask: int) -> dict:
     return groups
 
 
-def _pair_counterexample(q: Query, q2: Query, subset, ordering,
-                         prep=None) -> Optional[Counterexample]:
+def _pair_counterexample(q: Query, q2: Query, subset, mask: int,
+                         ordering: CompleteOrdering, prep1: list,
+                         prep2: list) -> Optional[Counterexample]:
     """Check one (S, L) unit of work; None means no disagreement."""
-    sdb = SymbolicDatabase(frozenset(subset), ordering)
-    if prep is None:
-        groups1 = evaluate_symbolic(q, sdb)
-        groups2 = evaluate_symbolic(q2, sdb)
-    else:
-        prep1, prep2, atom_bit = prep
-        mask = 0
-        for atom in subset:
-            mask |= atom_bit[atom]
-        groups1 = _collect_groups(prep1, mask)
-        groups2 = _collect_groups(prep2, mask)
+    groups1 = _collect_groups(prep1, mask)
+    groups2 = _collect_groups(prep2, mask)
     keys1, keys2 = set(groups1), set(groups2)
+    func = q.aggregate.function
+    if (func.name != q2.aggregate.function.name
+            or len(q.grouping) != len(q2.grouping)):
+        # no identity relates different heads: compare the instance of the
+        # ordering's canonical assignment, one-sided groups first, each set
+        # in the order of its concrete keys
+        witness = satisfying_assignment(ordering)
+
+        def concrete(key):
+            return assign_tuple(witness, key)
+        keys = sorted(keys1 ^ keys2, key=concrete) or [
+            key for key in sorted(keys1, key=concrete)
+            if _value(q, groups1[key], witness)
+            != _value(q2, groups2[key], witness)]
+        if keys:
+            return _materialize(q, q2, subset, keys[0], groups1, groups2,
+                                witness)
+        return None
     if keys1 != keys2:
         key = min(keys1 ^ keys2, key=lambda k: tuple(term_sort_key(t) for t in k))
         witness = satisfying_assignment(ordering)
-        return _materialize(q, q2, sdb, key, groups1, groups2, witness)
-    func = q.aggregate.function
-    from .identity import OrderedIdentity, decide
+        return _materialize(q, q2, subset, key, groups1, groups2, witness)
     for key in sorted(keys1, key=lambda k: tuple(term_sort_key(t) for t in k)):
         left, right = groups1[key], groups2[key]
         if Counter(left) == Counter(right):
             continue
-        verdict = decide(OrderedIdentity(ordering, tuple(left), tuple(right),
-                                         func))
+        verdict = identity.decide(identity.OrderedIdentity(
+            ordering, tuple(left), tuple(right), func))
         if not verdict.valid:
-            return _materialize(q, q2, sdb, key, groups1, groups2,
+            return _materialize(q, q2, subset, key, groups1, groups2,
                                 verdict.witness)
     return None
 
 
-def _materialize(q: Query, q2: Query, sdb: SymbolicDatabase, key,
-                 groups1, groups2, witness: Assignment) -> Counterexample:
+def _value(q: Query, bag: list, witness: Assignment):
+    return apply(q.aggregate.function,
+                 [assign_tuple(witness, t) for t in bag])
+
+
+def _materialize(q: Query, q2: Query, subset, key, groups1, groups2,
+                 witness: Assignment) -> Counterexample:
     database = Database(frozenset(
-        (pred, assign_tuple(witness, args)) for pred, args in sdb.atoms))
-    group = assign_tuple(witness, key)
-    left = right = None
-    if q.aggregate is not None:
-        if key in groups1:
-            left = apply(q.aggregate.function,
-                         [assign_tuple(witness, t) for t in groups1[key]])
-        if key in groups2:
-            right = apply(q2.aggregate.function,
-                          [assign_tuple(witness, t) for t in groups2[key]])
-    counterexample = Counterexample(database, group, left, right)
+        (pred, assign_tuple(witness, args)) for pred, args in subset))
+    left = _value(q, groups1[key], witness) if key in groups1 else None
+    right = _value(q2, groups2[key], witness) if key in groups2 else None
+    counterexample = Counterexample(database, assign_tuple(witness, key),
+                                    left, right)
     _verify_counterexample(q, q2, counterexample)
     return counterexample
 
@@ -275,10 +230,6 @@ def n_equivalent(q: Query, q2: Query, n: int, workers: int = 1) -> Verdict:
         raise ValueError("queries range over different domains")
     if q.aggregate is None or q2.aggregate is None:
         raise ValueError("n_equivalent expects aggregate queries")
-    if (q.aggregate.function.name != q2.aggregate.function.name
-            or len(q.grouping) != len(q2.grouping)):
-        return _head_mismatch(q, q2, n)
-
     if workers > 1:
         ce = _parallel_scan(q, q2, n, workers)
     else:
@@ -293,18 +244,20 @@ def _scan_chunk(args):
     """One worker's stride over the (S, L) stream, in the global order."""
     q, q2, n, workers, offset = args
     base_terms, base = build_base(q, q2, n)
-    orderings = _orderings_for(base_terms, q.domain)
     atom_bit = {atom: 1 << i for i, atom in enumerate(base)}
     preps = [
-        (_prepare_assignments(q, ordering, base_terms, atom_bit),
-         _prepare_assignments(q2, ordering, base_terms, atom_bit),
-         atom_bit)
-        for ordering in orderings]
+        (ordering,
+         _prepare_assignments(q, ordering, base_terms, atom_bit),
+         _prepare_assignments(q2, ordering, base_terms, atom_bit))
+        for ordering in enumerate_complete_orderings(base_terms, q.domain,
+                                                     injective_only=True)]
     index = 0
     for subset in _subsets(base):
-        for ordering, prep in zip(orderings, preps):
+        mask = sum(atom_bit[atom] for atom in subset)
+        for ordering, prep1, prep2 in preps:
             if index % workers == offset:
-                ce = _pair_counterexample(q, q2, subset, ordering, prep)
+                ce = _pair_counterexample(q, q2, subset, mask, ordering,
+                                          prep1, prep2)
                 if ce is not None:
                     return index, ce
             index += 1
@@ -320,29 +273,6 @@ def _parallel_scan(q: Query, q2: Query, n: int,
         return None
     # the lowest global index wins, so scheduling cannot change the output
     return min(results, key=lambda r: r[0])[1]
-
-
-def _head_mismatch(q: Query, q2: Query, n: int) -> Verdict:
-    """Different function or grouping arity: hunt for a concrete database
-    where the result sets differ; if the bounded search finds none, the
-    queries agree vacuously at this bound."""
-    terms, base = build_base(q, q2, n)
-    orderings = _orderings_for(terms, q.domain)
-    for subset in _subsets(base):
-        for ordering in orderings:
-            witness = satisfying_assignment(ordering)
-            database = Database(frozenset(
-                (pred, assign_tuple(witness, args)) for pred, args in subset))
-            left = dict(oracle.eval_concrete(q, database))
-            right = dict(oracle.eval_concrete(q2, database))
-            if left != right:
-                keys = sorted(set(left) ^ set(right)) or sorted(
-                    k for k in left if left[k] != right.get(k))
-                key = keys[0]
-                ce = Counterexample(database, key, left.get(key),
-                                    right.get(key))
-                return Verdict(NOT_EQUIVALENT, counterexample=ce, n_used=n)
-    return Verdict(EQUIVALENT, n_used=n)
 
 
 # ---------------------------------------------------------------------------

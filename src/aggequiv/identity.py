@@ -296,19 +296,17 @@ def _strictly_positive(ordering: CompleteOrdering, var_coeffs: dict,
     if total_sup <= 0:
         return None
     # rational witness: slide from the canonical interior point toward the
-    # (possibly degenerate) packing until the form turns positive
-    current = constant + sum(c * base[p] for p, c in var_coeffs.items())
-    if current > 0:
+    # (possibly degenerate) packing, where the form is total_sup > 0.  The
+    # form is affine along the slide, so the first lam = 1 - 2**-k past its
+    # zero lam0 has k = bit length of floor(1 / (1 - lam0)).
+    at_base = constant + sum(c * base[p] for p, c in var_coeffs.items())
+    if at_base > 0:
         return base
-    lam = Fraction(1, 2)
-    for _ in range(64):
-        values = [b + lam * (v - b) for b, v in zip(base, vertex)]
-        current = constant + sum(c * values[p]
-                                 for p, c in var_coeffs.items())
-        if current > 0:
-            return values
-        lam = (1 + lam) / 2
-    raise AssertionError("rational witness slide failed to converge")
+    at_vertex = constant + sum(c * vertex[p] for p, c in var_coeffs.items())
+    lam0 = Fraction(-at_base) / (at_vertex - at_base)
+    k = max(1, int(1 / (1 - lam0)).bit_length())
+    lam = 1 - Fraction(1, 2 ** k)
+    return [b + lam * (v - b) for b, v in zip(base, vertex)]
 
 
 def _class_value_vector(ordering: CompleteOrdering) -> list:

@@ -57,17 +57,30 @@ def _entailed_substitution(cond: Condition, domain: str,
     comparisons = list(cond.comparisons)
     if not comparisons:
         return {}
+    terms = {t for c in comparisons for t in c.terms()}
     if domain == INTEGERS and any(c.op == "!=" for c in comparisons):
         # disequality holes can pin integer variables in ways the
-        # difference-bound core cannot see; enumerate orderings instead
-        return _entailed_substitution_enum(cond, domain, protected)
-    system = ComparisonSystem(comparisons, domain)
-    variables = sorted({t for c in comparisons for t in c.terms()
-                        if is_var(t)}, key=term_sort_key)
+        # difference-bound core cannot see; read both facts off the
+        # consistent orderings instead
+        orderings = list(consistent_orderings(terms, comparisons, domain))
+        if not orderings:
+            raise ValueError("unsatisfiable disjunct")
+
+        def forced_value(x):
+            bounds = {o.class_bounds(o.position(x)) for o in orderings}
+            lo, hi = bounds.pop()
+            return lo if not bounds and lo is not None and lo == hi else None
+
+        def forced_equal(x, y):
+            return all(o.position(x) == o.position(y) for o in orderings)
+    else:
+        system = ComparisonSystem(comparisons, domain)
+        forced_value, forced_equal = system.forced_value, system.forced_equal
+    variables = sorted((t for t in terms if is_var(t)), key=term_sort_key)
 
     subst = {}
     for x in variables:
-        value = system.forced_value(x)
+        value = forced_value(x)
         if value is not None:
             subst[x] = Const(value)
     merged = set(subst)
@@ -76,7 +89,7 @@ def _entailed_substitution(cond: Condition, domain: str,
             continue
         group = [x]
         for y in variables[i + 1:]:
-            if y not in merged and system.forced_equal(x, y):
+            if y not in merged and forced_equal(x, y):
                 group.append(y)
         if len(group) > 1:
             merged.update(group)
@@ -87,45 +100,6 @@ def _entailed_substitution(cond: Condition, domain: str,
                     subst[v] = rep
     # a protected (head) variable keeps its name: different disjuncts could
     # force different values onto it
-    return {k: v for k, v in subst.items() if k not in protected}
-
-
-def _entailed_substitution_enum(cond: Condition, domain: str,
-                                protected: set) -> dict:
-    terms = {t for c in cond.comparisons for t in c.terms()}
-    orderings = list(consistent_orderings(terms, cond.comparisons, domain))
-    if not orderings:
-        raise ValueError("unsatisfiable disjunct")
-    variables = sorted((t for t in terms if is_var(t)), key=term_sort_key)
-
-    subst = {}
-    for x in variables:
-        value = None
-        for ordering in orderings:
-            lo, hi = ordering.class_bounds(ordering.position(x))
-            if lo is None or lo != hi or (value is not None and lo != value):
-                value = None
-                break
-            value = lo
-        if value is not None:
-            subst[x] = Const(value)
-    merged = set(subst)
-    for i, x in enumerate(variables):
-        if x in merged:
-            continue
-        group = [x]
-        for y in variables[i + 1:]:
-            if y in merged:
-                continue
-            if all(o.position(x) == o.position(y) for o in orderings):
-                group.append(y)
-        if len(group) > 1:
-            merged.update(group)
-            protected_members = [v for v in group if v in protected]
-            rep = protected_members[0] if protected_members else group[0]
-            for v in group:
-                if v != rep:
-                    subst[v] = rep
     return {k: v for k, v in subst.items() if k not in protected}
 
 

@@ -21,7 +21,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from .model import (
-    INTEGERS, Comparison, Const, Term, is_const, is_var, term_sort_key,
+    FLIPPED_OP, INTEGERS, Comparison, Const, Term, is_const, is_var,
+    term_sort_key,
 )
 
 #: an assignment maps every term of an ordering to a constant;
@@ -180,7 +181,6 @@ def _injective_interleavings(constants: list, variables: list):
         # place variables (in every order) into chosen slots, constants fill
         # the rest in numeric order
         order: list = [None] * n
-        ok = True
         for t, p in zip(variables, var_positions):
             order[p] = t
         it = iter(constants)
@@ -196,8 +196,6 @@ def entails(ordering: CompleteOrdering, cmp: Comparison) -> bool:
     Both sides must be terms of the ordering or constants (constants not
     occurring in the ordering are compared through class bounds).
     """
-    from .model import FLIPPED_OP
-
     lhs, rhs = cmp.lhs, cmp.rhs
     if is_const(lhs) and is_const(rhs):
         return cmp.holds(lhs.value, rhs.value)

@@ -6,7 +6,6 @@ import pytest
 from aggequiv.aggregation import (
     BOT2_MONOID, EmptyBagError, FUNCTIONS, MAX_MONOID, MIN_MONOID, RAT_ADD,
     RATNZ_MUL, TOP2_MONOID, Z2_ADD, apply, apply_shifting, format_value,
-    is_singleton_determining,
 )
 
 F = Fraction
@@ -88,15 +87,15 @@ def test_apply_shifting():
 
 
 def test_singleton_determining_classification():
-    assert is_singleton_determining(FUNCTIONS["max"])
-    assert is_singleton_determining(FUNCTIONS["top2"])
-    assert is_singleton_determining(FUNCTIONS["sum"])
-    assert is_singleton_determining(FUNCTIONS["prod"])
-    assert is_singleton_determining(FUNCTIONS["avg"])
+    assert FUNCTIONS["max"].singleton_determining
+    assert FUNCTIONS["top2"].singleton_determining
+    assert FUNCTIONS["sum"].singleton_determining
+    assert FUNCTIONS["prod"].singleton_determining
+    assert FUNCTIONS["avg"].singleton_determining
     # nullary functions have a single-point domain, hence trivially so
-    assert is_singleton_determining(FUNCTIONS["count"])
-    assert is_singleton_determining(FUNCTIONS["parity"])
-    assert not is_singleton_determining(FUNCTIONS["cntd"])
+    assert FUNCTIONS["count"].singleton_determining
+    assert FUNCTIONS["parity"].singleton_determining
+    assert not FUNCTIONS["cntd"].singleton_determining
 
 
 def test_property_table():

@@ -59,6 +59,20 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error" in err
 
 
+def test_internal_error_is_not_a_verdict(count_pair, capsys, monkeypatch):
+    from aggequiv import engine
+
+    def broken(*args, **kwargs):
+        raise AssertionError("counterexample failed concrete re-verification")
+    monkeypatch.setattr(engine, "n_equivalent", broken)
+    a, b = count_pair
+    assert main(["nequiv", a, b, "--n", "1", "--json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "internal_error"
+    assert main(["nequiv", a, b, "--n", "1"]) == 2
+    assert "internal error" in capsys.readouterr().err
+
+
 def test_usage_errors():
     assert main(["nequiv"]) == 64
     assert main(["unknown-command"]) == 64

@@ -36,56 +36,36 @@ def test_build_base_examples():
     assert base == []
 
 
+def collect_groups(q, ordering, subset):
+    """The groups the (S, L) scan collects for `q` on one unit whose
+    ordering holds only fresh variables."""
+    terms, base = engine.build_base(q, q, len(ordering.terms()))
+    atom_bit = {atom: 1 << i for i, atom in enumerate(base)}
+    prepared = engine._prepare_assignments(q, ordering, terms, atom_bit)
+    return engine._collect_groups(prepared,
+                                  sum(atom_bit[atom] for atom in subset))
+
+
 def test_evaluate_symbolic_counts_assignments():
     q = parse_query("q(; count()) :- p(X)")
     u1, u2 = Var("u1"), Var("u2")
-    sdb = engine.SymbolicDatabase(
-        frozenset({("p", (u1,)), ("p", (u2,))}),
-        CompleteOrdering.of([[u1], [u2]], "rat"))
-    groups = engine.evaluate_symbolic(q, sdb)
+    groups = collect_groups(q, CompleteOrdering.of([[u1], [u2]], "rat"),
+                            {("p", (u1,)), ("p", (u2,))})
     assert groups == {(): [(), ()]}
 
 
 def test_evaluate_symbolic_labeled_copies():
     q = parse_query("q(; count()) :- p(X) | p(X)")
     u1 = Var("u1")
-    sdb = engine.SymbolicDatabase(
-        frozenset({("p", (u1,))}),
-        CompleteOrdering.of([[u1]], "rat"))
-    assert engine.evaluate_symbolic(q, sdb) == {(): [(), ()]}
+    assert collect_groups(q, CompleteOrdering.of([[u1]], "rat"),
+                          {("p", (u1,))}) == {(): [(), ()]}
 
 
 def test_evaluate_symbolic_negation_blocks():
     q = parse_query("q(X; max(Y)) :- e(X, Y), !b(X)")
     u1, u2 = Var("u1"), Var("u2")
-    sdb = engine.SymbolicDatabase(
-        frozenset({("e", (u1, u2)), ("b", (u1,))}),
-        CompleteOrdering.of([[u1], [u2]], "rat"))
-    assert engine.evaluate_symbolic(q, sdb) == {}
-
-
-def test_prepared_scan_matches_evaluate_symbolic():
-    """The bitmask fast path and the plain symbolic evaluator must build
-    identical groups for every subset and ordering."""
-    rng = random.Random(5150)
-    q = parse_query("q(X; sum(Y)) :- p(X, Y), Y > 0 | p(Y, X), !b(X)")
-    q2 = parse_query("q(X; sum(Y)) :- p(X, Y), !b(Y), X != Y")
-    terms, base = engine.build_base(q, q2, 2)
-    atom_bit = {atom: 1 << i for i, atom in enumerate(base)}
-    orderings = engine._orderings_for(terms, q.domain)
-    for ordering in orderings:
-        prep1 = engine._prepare_assignments(q, ordering, terms, atom_bit)
-        prep2 = engine._prepare_assignments(q2, ordering, terms, atom_bit)
-        for _ in range(20):
-            subset = frozenset(a for a in base if rng.random() < 0.5)
-            mask = 0
-            for atom in subset:
-                mask |= atom_bit[atom]
-            sdb = engine.SymbolicDatabase(subset, ordering)
-            assert engine._collect_groups(prep1, mask) == \
-                engine.evaluate_symbolic(q, sdb)
-            assert engine._collect_groups(prep2, mask) == \
-                engine.evaluate_symbolic(q2, sdb)
+    assert collect_groups(q, CompleteOrdering.of([[u1], [u2]], "rat"),
+                          {("e", (u1, u2)), ("b", (u1,))}) == {}
 
 
 def test_reflexivity():
@@ -205,9 +185,31 @@ def test_head_mismatch():
     assert left != right
     # grouping arity mismatch
     q3 = parse_query("q(X; count()) :- p(X)")
-    assert engine.n_equivalent(q, q3, 1).status == engine.NOT_EQUIVALENT
+    sequential = engine.n_equivalent(q, q3, 1)
+    assert sequential.status == engine.NOT_EQUIVALENT
+    assert engine.n_equivalent(q, q3, 1, workers=2) == sequential
     assert engine.equivalent(q, q3).status in (engine.NOT_EQUIVALENT,
                                                engine.UNSUPPORTED)
+
+
+def test_head_mismatch_counterexamples_are_pinned():
+    """Differing heads are compared on the ordering's canonical instance;
+    the first disagreement found is fixed, whatever the worker count."""
+    cases = [
+        ("q(; count()) :- p(X)", "q(; sum(Y)) :- p(Y)", 2,
+         {("p", (F(0),))}, (), 1, F(0)),
+        ("q(; max(Y)) :- p(Y)", "q(; min(Y)) :- p(Y)", 3,
+         {("p", (F(0),)), ("p", (F(1),))}, (), F(1), F(0)),
+        ("q(X; max(Y)) :- e(X, Y)", "q(X; min(Y)) :- e(X, Y), !b(X)", 2,
+         {("b", (F(0),)), ("e", (F(0), F(0)))}, (F(0),), F(0), None),
+    ]
+    for text1, text2, n, facts, group, left, right in cases:
+        q, q2 = parse_query(text1), parse_query(text2)
+        for workers in (1, 2):
+            verdict = engine.n_equivalent(q, q2, n, workers=workers)
+            verify_ce(q, q2, verdict)
+            assert verdict.counterexample == engine.Counterexample(
+                Database(frozenset(facts)), group, left, right)
 
 
 def test_integer_vs_rational_domain_changes_the_verdict():

@@ -5,7 +5,7 @@ import pytest
 
 from aggequiv.aggregation import AggregationFunction, FUNCTIONS, apply
 from aggequiv.identity import (
-    OrderedIdentity, decide, decide_shiftable, instantiate_bag,
+    OrderedIdentity, _refutes, decide, decide_shiftable, instantiate_bag,
 )
 from aggequiv.model import Comparison, Const, INTEGERS, RATIONALS, Var
 from aggequiv.orderings import CompleteOrdering, entails
@@ -135,6 +135,17 @@ def test_sum_unbounded_direction():
     # sum x+y vs 2x: y > x makes the difference positive, always refutable
     identity = ident(order, [(x,), (y,)], [(x,), (x,)], "sum")
     assert_witness_refutes(identity, decide(identity))
+
+
+def test_sum_rational_witness_close_to_the_boundary():
+    # x + y < 2 - 2**-80 holds almost everywhere on 0 < x < y < 1; the
+    # witness must sit within 2**-80 of x = y = 1
+    bound = C(2 - F(1, 2 ** 80))
+    order = L([[C(0)], [x], [y], [C(1)], [bound]])
+    identity = ident(order, [(x,), (y,)], [(bound,)], "sum")
+    verdict = decide(identity)
+    assert_witness_refutes(identity, verdict)
+    assert _refutes(identity, verdict.witness)
 
 
 def test_sum_no_constants_balanced():

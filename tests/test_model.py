@@ -175,6 +175,21 @@ def test_reduce_integer_squeeze_introduces_head_constant():
     assert reduce_query(q_rat).grouping == (Var("X"),)
 
 
+def test_reduce_integer_disequality_pins_a_value():
+    # 0 < X < 3 leaves {1, 2}; X != 1 removes the hole's only other value
+    q = parse_query("q(; count()) :- p(X), 0 < X, X < 3, X != 1",
+                    domain=INTEGERS)
+    reduced = reduce_query(q)
+    assert reduced.disjuncts[0].atoms[0].args == (Const(F(2)),)
+    assert reduced.disjuncts[0].comparisons == ()
+    q = parse_query("q(; sum(Y)) :- p(X, Y), 0 < X, X < 3, X != 1, "
+                    "Y <= X, X <= Y", domain=INTEGERS)
+    reduced = reduce_query(q)
+    assert reduced.aggregate.args == (Const(F(2)),)
+    assert reduced.disjuncts[0].atoms[0].args == (Const(F(2)), Const(F(2)))
+    assert reduced.disjuncts[0].comparisons == ()
+
+
 def test_reduce_is_a_fixpoint():
     q = parse_query("q(X; max(Y)) :- p(X, Y), X < Y")
     assert reduce_query(q) == q
@@ -216,6 +231,8 @@ def test_reduce_preserves_semantics_on_random_databases():
                     domain=INTEGERS),
         parse_query("q(X; max(Y)) :- p(X, Y), !b(X), X <= Y"),
         parse_query("q(; avg(Y)) :- p(X, Y), X = 2"),
+        parse_query("q(; sum(Y)) :- p(X, Y), 0 < X, X < 3, X != 1, "
+                    "Y <= X, X <= Y", domain=INTEGERS),
     ]
     for q in queries:
         reduced = reduce_query(q)

@@ -214,25 +214,32 @@ def test_inclusion_exclusion_rejects_nondecomposable():
 # ---------------------------------------------------------------------------
 
 def test_symbolic_and_concrete_evaluators_agree():
+    """The groups the (S, L) scan collects, instantiated under the
+    ordering's canonical assignment, are the concrete evaluator's."""
     rng = random.Random(31)
     queries = [
         parse_query("q(X; sum(Y)) :- p(X, Y), Y > 0"),
         parse_query("q(; count()) :- p(X, Y), !b(X) | p(X, X)"),
         parse_query("q(X; max(Y)) :- p(X, Y), X <= Y | p(Y, X), b(Y)"),
         parse_query("q(; cntd(Y)) :- p(Y, Y) | b(Y), Y != 1"),
+        parse_query("q(X; sum(Y)) :- p(X, Y), Y > 0 | p(Y, X), !b(X)"),
+        parse_query("q(X; sum(Y)) :- p(X, Y), !b(Y), X != Y"),
     ]
     for q in queries:
         terms, base = engine.build_base(q, q, 2)
+        atom_bit = {atom: 1 << i for i, atom in enumerate(base)}
         orderings = list(enumerate_complete_orderings(terms, q.domain,
                                                       injective_only=True))
         for _ in range(25):
             subset = frozenset(a for a in base if rng.random() < 0.5)
             ordering = rng.choice(orderings)
-            sdb = engine.SymbolicDatabase(subset, ordering)
+            prepared = engine._prepare_assignments(q, ordering, terms,
+                                                   atom_bit)
+            symbolic = engine._collect_groups(
+                prepared, sum(atom_bit[atom] for atom in subset))
             delta = satisfying_assignment(ordering)
             concrete = Database(frozenset(
                 (pred, assign_tuple(delta, args)) for pred, args in subset))
-            symbolic = engine.evaluate_symbolic(q, sdb)
             expected = {}
             for key, bag in symbolic.items():
                 values = [assign_tuple(delta, t) for t in bag]
