@@ -201,11 +201,11 @@ def _report_verdict(verdict, config: RunConfig, started: float) -> int:
 
 
 def _guardrail(q: Query, q2: Query, n: int, config: RunConfig):
-    _, base = engine.build_base(q, q2, n)
-    if not config.force and (len(base) > MAX_BASE or n > MAX_N):
+    size = engine.base_size(q, q2, n)
+    if not config.force and (size > MAX_BASE or n > MAX_N):
         raise SystemExit(_fail(
-            f"refusing a search over 2^{len(base)} atom subsets "
-            f"(|BASE| = {len(base)}, N = {n}); the cost is doubly "
+            f"refusing a search over 2^{size} atom subsets "
+            f"(|BASE| = {size}, N = {n}); the cost is doubly "
             f"exponential. Pass --force to run anyway.", config))
 
 

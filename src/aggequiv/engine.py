@@ -18,6 +18,26 @@ describe is also described by a smaller subset with an injective
 ordering, and injectivity is what makes symbolic group keys and negated
 atoms behave like their concrete counterparts.
 
+Two more kinds of unit are skipped because a unit the scan checks
+anyway stands for them:
+
+- Only orderings with the fresh variables in increasing order
+  (u1 < u2 < ... < uN) are walked.  The queries never mention the fresh
+  variables, so renaming them maps BASE onto itself, and (S, L) has the
+  same groups and identities as (pi S, pi L) for the renaming pi that
+  puts L's fresh variables in order; both describe the same concrete
+  databases.  This is lex-leader symmetry breaking.  It keeps every
+  verdict, but not always the counterexample: a walk over all orderings
+  can fail first at a non-canonical (S, L), whose canonical renaming
+  comes later, so the first canonical failure may be another database.
+- Under one ordering, an atom that occurs in no prepared assignment of
+  either query (say p(u1) when both queries read p(Y) only with Y = 1) is
+  idle: a subset S holding it has the same groups and identities as S
+  without it.  That smaller subset comes earlier in the scan, so units
+  whose subset holds an idle atom are skipped, their global index still
+  counted.  This skip changes neither the first counterexample nor the
+  lowest-index merge of a parallel scan.
+
 Full equivalence reduces to N-equivalence at the pair's term size for
 the decomposable functions (count, sum, max, min, parity, top2) and for
 prod over the rationals; avg and cntd are reported unsupported.
@@ -87,12 +107,23 @@ def fresh_variables(n: int) -> list:
     return [Var(f"u{i}") for i in range(1, n + 1)]
 
 
+def _base_terms(q: Query, q2: Query, n: int) -> list:
+    """The query constants in order, then n fresh variables."""
+    constants = sorted(q.constants() | q2.constants(), key=term_sort_key)
+    return constants + fresh_variables(n)
+
+
+def base_size(q: Query, q2: Query, n: int) -> int:
+    """|BASE| without building it: one atom per predicate and tuple of
+    terms."""
+    terms = len(_base_terms(q, q2, n))
+    return sum(terms ** arity for arity in merged_predicates(q, q2).values())
+
+
 def build_base(q: Query, q2: Query, n: int):
     """Terms (query constants plus n fresh variables) and all atoms over
     them, deterministically ordered."""
-    constants = sorted({t for t in q.constants() | q2.constants()},
-                       key=term_sort_key)
-    terms = constants + fresh_variables(n)
+    terms = _base_terms(q, q2, n)
     predicates = merged_predicates(q, q2)
     atoms = [(pred, combo)
              for pred in sorted(predicates)
@@ -154,20 +185,25 @@ def _collect_groups(prepared: list, mask: int) -> dict:
 
 
 def _pair_counterexample(q: Query, q2: Query, subset, mask: int,
-                         ordering: CompleteOrdering, prep1: list,
-                         prep2: list) -> Optional[Counterexample]:
-    """Check one (S, L) unit of work; None means no disagreement."""
+                         ordering: CompleteOrdering, witness: Assignment,
+                         prep1: list, prep2: list
+                         ) -> Optional[Counterexample]:
+    """Check one (S, L) unit of work; None means no disagreement.
+
+    `witness` is the ordering's canonical satisfying assignment.
+    """
     groups1 = _collect_groups(prep1, mask)
     groups2 = _collect_groups(prep2, mask)
-    keys1, keys2 = set(groups1), set(groups2)
     func = q.aggregate.function
-    if (func.name != q2.aggregate.function.name
-            or len(q.grouping) != len(q2.grouping)):
+    same_head = (func.name == q2.aggregate.function.name
+                 and len(q.grouping) == len(q2.grouping))
+    if same_head and groups1 == groups2:
+        return None  # the same bags in the same order: no identity can fail
+    keys1, keys2 = set(groups1), set(groups2)
+    if not same_head:
         # no identity relates different heads: compare the instance of the
         # ordering's canonical assignment, one-sided groups first, each set
         # in the order of its concrete keys
-        witness = satisfying_assignment(ordering)
-
         def concrete(key):
             return assign_tuple(witness, key)
         keys = sorted(keys1 ^ keys2, key=concrete) or [
@@ -180,7 +216,6 @@ def _pair_counterexample(q: Query, q2: Query, subset, mask: int,
         return None
     if keys1 != keys2:
         key = min(keys1 ^ keys2, key=lambda k: tuple(term_sort_key(t) for t in k))
-        witness = satisfying_assignment(ordering)
         return _materialize(q, q2, subset, key, groups1, groups2, witness)
     for key in sorted(keys1, key=lambda k: tuple(term_sort_key(t) for t in k)):
         left, right = groups1[key], groups2[key]
@@ -245,19 +280,24 @@ def _scan_chunk(args):
     q, q2, n, workers, offset = args
     base_terms, base = build_base(q, q2, n)
     atom_bit = {atom: 1 << i for i, atom in enumerate(base)}
-    preps = [
-        (ordering,
-         _prepare_assignments(q, ordering, base_terms, atom_bit),
-         _prepare_assignments(q2, ordering, base_terms, atom_bit))
-        for ordering in enumerate_complete_orderings(base_terms, q.domain,
-                                                     injective_only=True)]
+    every_atom = (1 << len(base)) - 1
+    preps = []
+    for ordering in enumerate_complete_orderings(base_terms, q.domain,
+                                                 injective_only=True):
+        prep1 = _prepare_assignments(q, ordering, base_terms, atom_bit)
+        prep2 = _prepare_assignments(q2, ordering, base_terms, atom_bit)
+        used = 0
+        for positive, negated, _, _ in prep1 + prep2:
+            used |= positive | negated
+        preps.append((ordering, satisfying_assignment(ordering), prep1, prep2,
+                      every_atom & ~used))
     index = 0
     for subset in _subsets(base):
         mask = sum(atom_bit[atom] for atom in subset)
-        for ordering, prep1, prep2 in preps:
-            if index % workers == offset:
+        for ordering, witness, prep1, prep2, idle in preps:
+            if index % workers == offset and not mask & idle:
                 ce = _pair_counterexample(q, q2, subset, mask, ordering,
-                                          prep1, prep2)
+                                          witness, prep1, prep2)
                 if ce is not None:
                     return index, ce
             index += 1

@@ -157,8 +157,11 @@ def enumerate_complete_orderings(terms: Iterable[Term], domain: str,
 
     Constants keep their numeric order and never share a class; over the
     integers, orders without enough room between constants are dropped.
-    With `injective_only` every class is a single term (used by the
-    bounded-equivalence search, where merged variables are redundant).
+    With `injective_only` every class is a single term and the variables
+    keep their sorted order too: one strict order per orbit under renaming
+    the variables (the lex-leader).  The bounded-equivalence search uses
+    it, where merged variables are redundant and the fresh variables are
+    interchangeable.
     """
     items = sorted(set(terms), key=term_sort_key)
     if injective_only:
@@ -175,11 +178,11 @@ def enumerate_complete_orderings(terms: Iterable[Term], domain: str,
 
 
 def _injective_interleavings(constants: list, variables: list):
-    """All strict orders keeping `constants` in their given order."""
+    """All strict orders keeping both `constants` and `variables` in their
+    given order."""
     n = len(constants) + len(variables)
-    for var_positions in itertools.permutations(range(n), len(variables)):
-        # place variables (in every order) into chosen slots, constants fill
-        # the rest in numeric order
+    for var_positions in itertools.combinations(range(n), len(variables)):
+        # variables take the chosen slots in order, constants fill the rest
         order: list = [None] * n
         for t, p in zip(variables, var_positions):
             order[p] = t
@@ -399,12 +402,10 @@ def witness_pair(ordering: CompleteOrdering, x: Term,
 # Orderings constrained by comparison conjunctions
 # ---------------------------------------------------------------------------
 
-def consistent_orderings(terms: Iterable[Term], comparisons, domain: str,
-                         injective_only: bool = False
+def consistent_orderings(terms: Iterable[Term], comparisons, domain: str
                          ) -> Iterator[CompleteOrdering]:
     """Complete orderings of `terms` entailing every given comparison."""
-    for ordering in enumerate_complete_orderings(terms, domain,
-                                                 injective_only=injective_only):
+    for ordering in enumerate_complete_orderings(terms, domain):
         if all(entails(ordering, c) for c in comparisons):
             yield ordering
 

@@ -88,7 +88,10 @@ def test_guardrail_and_force(tmp_path, capsys):
               "q(; count()) :- p(X, Y), r(X, Y), s(X, Y)\n")
     assert main(["nequiv", a, a, "--n", "3"]) == 2
     err = capsys.readouterr().err
-    assert "--force" in err and "BASE" in err
+    assert err == (
+        "error: refusing a search over 2^27 atom subsets (|BASE| = 27, "
+        "N = 3); the cost is doubly exponential. Pass --force to run "
+        "anyway.\n")
     assert main(["nequiv", a, a, "--n", "6"]) == 2
     # small instance passes without force
     b = write(tmp_path, "small.q", "q(; count()) :- p(X)\n")

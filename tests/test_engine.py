@@ -5,7 +5,7 @@ import pytest
 
 from aggequiv import engine, oracle
 from aggequiv.model import Const, Database, INTEGERS, Var, term_size_pair
-from aggequiv.orderings import CompleteOrdering
+from aggequiv.orderings import CompleteOrdering, enumerate_complete_orderings
 from aggequiv.parsing import parse_query
 
 F = Fraction
@@ -34,6 +34,14 @@ def test_build_base_examples():
 
     terms, base = engine.build_base(q, q, 0)
     assert base == []
+
+    # |BASE| without building it
+    q3 = parse_query("q(X; sum(Y)) :- p(X, Y), Y > 3 | p(Y, X), !b(X)")
+    q4 = parse_query("q(; count()) :- b(X), X = 1")
+    for first, second in ((q, q), (q2, q2), (q, q2), (q3, q3), (q3, q4)):
+        for n in range(4):
+            assert engine.base_size(first, second, n) == len(
+                engine.build_base(first, second, n)[1])
 
 
 def collect_groups(q, ordering, subset):
@@ -210,6 +218,111 @@ def test_head_mismatch_counterexamples_are_pinned():
             verify_ce(q, q2, verdict)
             assert verdict.counterexample == engine.Counterexample(
                 Database(frozenset(facts)), group, left, right)
+
+
+def test_early_counterexamples_are_pinned():
+    """The first counterexample of pairs with many orderings and an early
+    hit, fixed across the lex-leader ordering filter and the idle-atom
+    skip, whatever the worker count."""
+    p, b, e = "p", "b", "e"
+    cases = [
+        ("q(; max(Y)) :- p(Y), Y < 1", "q(; max(Y)) :- p(Y), Y <= 0",
+         "rat", 5, {(p, (F(1, 2),))}, (), F(1, 2), None),
+        ("q(; cntd(Y)) :- p(Y), 0 < Y, Y < 3",
+         "q(; cntd(Y)) :- p(Y), 0 < Y, Y < 2 | p(Y), 2 < Y, Y < 3",
+         "rat", 4, {(p, (F(2),))}, (), 1, None),
+        ("q(; sum(Y)) :- p(Y), Y > 2 | p(Y), Y < 0",
+         "q(; sum(Y)) :- p(Y), Y != 1",
+         "rat", 4, {(p, (F(0),))}, (), None, F(0)),
+        ("q(; avg(Y)) :- p(Y)", "q(; avg(Y)) :- p(Y), Y > 0",
+         "rat", 5, {(p, (F(0),))}, (), F(0), None),
+        ("q(; prod(Y)) :- p(Y), Y > 1", "q(; prod(Y)) :- p(Y), Y >= 1",
+         "rat", 4, {(p, (F(1),))}, (), None, F(1)),
+        ("q(; top2(Y)) :- p(Y), Y > 1", "q(; top2(Y)) :- p(Y), Y >= 1",
+         INTEGERS, 4, {(p, (F(1),))}, (), None, (F(1), None)),
+        ("q(; count()) :- p(X), !b(X)", "q(; count()) :- p(X)",
+         "rat", 4, {(b, (F(0),)), (p, (F(0),))}, (), None, 1),
+        ("q(X; max(Y)) :- e(X, Y), !b(X)", "q(X; max(Y)) :- e(X, Y)",
+         "rat", 3, {(b, (F(0),)), (e, (F(0), F(0)))}, (F(0),), None, F(0)),
+    ]
+    for text1, text2, domain, n, facts, group, left, right in cases:
+        q = parse_query(text1, domain=domain)
+        q2 = parse_query(text2, domain=domain)
+        for workers in (1, 2):
+            verdict = engine.n_equivalent(q, q2, n, workers=workers)
+            verify_ce(q, q2, verdict)
+            assert verdict.counterexample == engine.Counterexample(
+                Database(frozenset(facts)), group, left, right)
+
+
+def test_first_counterexample_is_the_first_canonical_failure():
+    """A walk over every ordering fails first at u2 < u1 < 0 and reports
+    {e(-1, -2)}; the lex-leader walk never visits that ordering and fails
+    first at 0 < u1 < u2 on the same subset."""
+    q = parse_query("q(; count()) :- e(X, Y), Y < X, X < 0"
+                    " | e(X, Y), 0 < X, X < Y | e(X, X)")
+    q2 = parse_query("q(; count()) :- e(X, X)")
+    for workers in (1, 2):
+        verdict = engine.n_equivalent(q, q2, 2, workers=workers)
+        verify_ce(q, q2, verdict)
+        assert verdict.counterexample == engine.Counterexample(
+            Database(frozenset({("e", (F(1), F(2)))})), (), 1, None)
+
+
+def test_idle_atoms_keep_verdicts_exact(monkeypatch):
+    """Pairs whose comparisons leave atoms unread under some orderings:
+    the scan skips units holding them, and its verdicts still match the
+    concrete brute-force search over a pool with values around every
+    constant."""
+    checked = []
+    pair_counterexample = engine._pair_counterexample
+
+    def counting(*args):
+        checked.append(args)
+        return pair_counterexample(*args)
+    monkeypatch.setattr(engine, "_pair_counterexample", counting)
+    pairs = [
+        ("q(; max(Y)) :- p(Y), Y = 1", "q(; min(Y)) :- p(Y), Y = 1",
+         "rat", 3),
+        ("q(; max(Y)) :- p(Y), Y = 1", "q(; min(Y)) :- p(Y), Y = 2",
+         "rat", 2),
+        ("q(; sum(Y)) :- p(Y), Y > 1", "q(; sum(Y)) :- p(Y), 1 < Y",
+         "rat", 3),
+        ("q(; max(Y)) :- p(Y), Y < 1", "q(; max(Y)) :- p(Y), Y <= 0",
+         INTEGERS, 3),
+        ("q(; max(Y)) :- p(Y), Y < 1", "q(; max(Y)) :- p(Y), Y <= 0",
+         "rat", 3),
+        ("q(; sum(Y)) :- p(Y), 0 < Y, Y < 2", "q(; sum(Y)) :- p(Y), Y = 1",
+         INTEGERS, 2),
+        ("q(; sum(Y)) :- p(Y), 0 < Y, Y < 2", "q(; sum(Y)) :- p(Y), Y = 1",
+         "rat", 2),
+        ("q(; count()) :- p(X), X > 0, !b(X)", "q(; count()) :- p(X), X > 0",
+         "rat", 2),
+        ("q(; count()) :- p(X), X > 0, !b(X) | p(X), X > 0, b(X)",
+         "q(; count()) :- p(X), 0 < X", "rat", 2),
+        ("q(; count()) :- e(X, X)", "q(; count()) :- e(X, Y), X = Y",
+         "rat", 2),
+        ("q(; count()) :- e(X, X)", "q(; count()) :- e(X, Y), X <= Y",
+         "rat", 2),
+    ]
+    for text1, text2, domain, n in pairs:
+        q = parse_query(text1, domain=domain)
+        q2 = parse_query(text2, domain=domain)
+        checked.clear()
+        verdict = engine.n_equivalent(q, q2, n)
+        terms, base = engine.build_base(q, q2, n)
+        units = 2 ** len(base) * len(list(enumerate_complete_orderings(
+            terms, domain, injective_only=True)))
+        if verdict.status == engine.EQUIVALENT:
+            assert len(checked) < units  # the scan skipped idle units
+        constants = sorted(t.value for t in q.constants() | q2.constants())
+        pool = {F(v) for v in range(-1, 7)} if domain == INTEGERS else {
+            c + F(k, 2) for c in constants or [F(0)] for k in range(-2, 3)}
+        if q.predicates().get("e") == 2:
+            pool = {F(0), F(1)}
+        found = oracle.brute_force_check(q, q2, pool=sorted(pool))
+        assert (verdict.status == engine.EQUIVALENT) == (found is None), (
+            text1, text2, domain)
 
 
 def test_integer_vs_rational_domain_changes_the_verdict():

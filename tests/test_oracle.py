@@ -228,8 +228,8 @@ def test_symbolic_and_concrete_evaluators_agree():
     for q in queries:
         terms, base = engine.build_base(q, q, 2)
         atom_bit = {atom: 1 << i for i, atom in enumerate(base)}
-        orderings = list(enumerate_complete_orderings(terms, q.domain,
-                                                      injective_only=True))
+        orderings = [o for o in enumerate_complete_orderings(terms, q.domain)
+                     if o.is_injective()]
         for _ in range(25):
             subset = frozenset(a for a in base if rng.random() < 0.5)
             ordering = rng.choice(orderings)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -60,6 +61,50 @@ def test_integer_room_filter():
     assert "0 < x < 2" in [
         str(o) for o in enumerate_complete_orderings([x, C(0), C(2)],
                                                      INTEGERS)]
+
+
+def rename(ordering, renaming):
+    return L([[renaming.get(t, t) for t in cls] for cls in ordering.classes],
+             ordering.domain)
+
+
+CONSTANT_SETS = ([], [C(1)], [C(0), C(1)], [C(-1), C(2)], [C(0), C(2), C(5)])
+
+
+def test_injective_orderings_give_one_per_renaming_orbit():
+    """Every strict ordering is a renaming of the variables of exactly one
+    injective-only ordering, and those keep the variables in order."""
+    for domain in (RATIONALS, INTEGERS):
+        for constants in CONSTANT_SETS:
+            for n in range(5):
+                variables = [Var(f"u{i}") for i in range(1, n + 1)]
+                terms = constants + variables
+                every = [o for o in enumerate_complete_orderings(terms, domain)
+                         if o.is_injective()]
+                leaders = list(enumerate_complete_orderings(
+                    terms, domain, injective_only=True))
+                assert len(set(leaders)) == len(leaders)
+                assert set(leaders) == {
+                    o for o in every
+                    if [t for (t,) in o.classes if t in variables]
+                    == variables}
+                renamings = [dict(zip(variables, perm))
+                             for perm in itertools.permutations(variables)]
+                leader_set = set(leaders)
+                for ordering in every:
+                    images = {rename(ordering, r) for r in renamings}
+                    assert len(images & leader_set) == 1
+
+
+def test_injective_orderings_count_is_binomial():
+    # over the rationals every interleaving is satisfiable, so the
+    # lex-leaders are the C(c + n, n) choices of the variables' slots
+    for constants in CONSTANT_SETS:
+        for n in range(5):
+            terms = constants + [Var(f"u{i}") for i in range(1, n + 1)]
+            leaders = list(enumerate_complete_orderings(
+                terms, RATIONALS, injective_only=True))
+            assert len(leaders) == math.comb(len(constants) + n, n)
 
 
 def test_entailment_examples():
