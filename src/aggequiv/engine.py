@@ -18,8 +18,8 @@ describe is also described by a smaller subset with an injective
 ordering, and injectivity is what makes symbolic group keys and negated
 atoms behave like their concrete counterparts.
 
-Two more kinds of unit are skipped because a unit the scan checks
-anyway stands for them:
+Three more kinds of unit are skipped because a unit the scan checks
+anyway stands for them, or because no check of theirs can fail:
 
 - Only orderings with the fresh variables in increasing order
   (u1 < u2 < ... < uN) are walked.  The queries never mention the fresh
@@ -37,6 +37,14 @@ anyway stands for them:
   whose subset holds an idle atom are skipped, their global index still
   counted.  This skip changes neither the first counterexample nor the
   lowest-index merge of a parallel scan.
+- When the heads match, a unit can separate the queries only if some
+  prepared assignment that one query has more often than the other
+  fires on S (its positive atoms in S, its negated atoms not).  On any
+  other unit both queries collect the same multiset of bags per group,
+  so every identity holds; those units are skipped with their global
+  index counted, and an ordering under which both queries prepare the
+  same assignments is dropped.  Differing heads are never skipped this
+  way: equal bags can still disagree under two functions (max and min).
 
 Full equivalence reduces to N-equivalence at the pair's term size for
 the decomposable functions (count, sum, max, min, parity, top2) and for
@@ -45,11 +53,12 @@ prod over the rationals; avg and cntd are reported unsupported.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from . import identity, oracle
 from .aggregation import FUNCTIONS, apply
@@ -185,18 +194,19 @@ def _collect_groups(prepared: list, mask: int) -> dict:
 
 
 def _pair_counterexample(q: Query, q2: Query, subset, mask: int,
-                         ordering: CompleteOrdering, witness: Assignment,
+                         ordering: CompleteOrdering,
+                         witness: Callable[[], Assignment],
                          prep1: list, prep2: list
                          ) -> Optional[Counterexample]:
     """Check one (S, L) unit of work; None means no disagreement.
 
-    `witness` is the ordering's canonical satisfying assignment.
+    `witness()` returns the ordering's canonical satisfying assignment;
+    it is called only for differing heads and for one-sided groups.
     """
     groups1 = _collect_groups(prep1, mask)
     groups2 = _collect_groups(prep2, mask)
     func = q.aggregate.function
-    same_head = (func.name == q2.aggregate.function.name
-                 and len(q.grouping) == len(q2.grouping))
+    same_head = _same_head(q, q2)
     if same_head and groups1 == groups2:
         return None  # the same bags in the same order: no identity can fail
     keys1, keys2 = set(groups1), set(groups2)
@@ -204,19 +214,21 @@ def _pair_counterexample(q: Query, q2: Query, subset, mask: int,
         # no identity relates different heads: compare the instance of the
         # ordering's canonical assignment, one-sided groups first, each set
         # in the order of its concrete keys
+        assignment = witness()
+
         def concrete(key):
-            return assign_tuple(witness, key)
+            return assign_tuple(assignment, key)
         keys = sorted(keys1 ^ keys2, key=concrete) or [
             key for key in sorted(keys1, key=concrete)
-            if _value(q, groups1[key], witness)
-            != _value(q2, groups2[key], witness)]
+            if _value(q, groups1[key], assignment)
+            != _value(q2, groups2[key], assignment)]
         if keys:
             return _materialize(q, q2, subset, keys[0], groups1, groups2,
-                                witness)
+                                assignment)
         return None
     if keys1 != keys2:
         key = min(keys1 ^ keys2, key=lambda k: tuple(term_sort_key(t) for t in k))
-        return _materialize(q, q2, subset, key, groups1, groups2, witness)
+        return _materialize(q, q2, subset, key, groups1, groups2, witness())
     for key in sorted(keys1, key=lambda k: tuple(term_sort_key(t) for t in k)):
         left, right = groups1[key], groups2[key]
         if Counter(left) == Counter(right):
@@ -227,6 +239,28 @@ def _pair_counterexample(q: Query, q2: Query, subset, mask: int,
             return _materialize(q, q2, subset, key, groups1, groups2,
                                 verdict.witness)
     return None
+
+
+def _same_head(q: Query, q2: Query) -> bool:
+    """Same aggregate function and grouping arity."""
+    return (q.aggregate.function.name == q2.aggregate.function.name
+            and len(q.grouping) == len(q2.grouping))
+
+
+def _differing_masks(prep1: list, prep2: list) -> set:
+    """(positive, negated) masks of the prepared assignments that one
+    query prepares more often than the other."""
+    balance = Counter(prep1)
+    balance.subtract(prep2)
+    return {(positive, negated)
+            for (positive, negated, _, _), surplus in balance.items()
+            if surplus}
+
+
+def _fires(masks, mask: int) -> bool:
+    """Does an assignment with one of `masks` fire on the subset `mask`?"""
+    return any(positive & mask == positive and not negated & mask
+               for positive, negated in masks)
 
 
 def _value(q: Query, bag: list, witness: Assignment):
@@ -281,26 +315,38 @@ def _scan_chunk(args):
     base_terms, base = build_base(q, q2, n)
     atom_bit = {atom: 1 << i for i, atom in enumerate(base)}
     every_atom = (1 << len(base)) - 1
+    same_head = _same_head(q, q2)
     preps = []
-    for ordering in enumerate_complete_orderings(base_terms, q.domain,
-                                                 injective_only=True):
+    orderings = enumerate_complete_orderings(base_terms, q.domain,
+                                             injective_only=True)
+    for position, ordering in enumerate(orderings):
         prep1 = _prepare_assignments(q, ordering, base_terms, atom_bit)
         prep2 = _prepare_assignments(q2, ordering, base_terms, atom_bit)
+        differing = _differing_masks(prep1, prep2) if same_head else None
+        if differing is not None and not differing:
+            continue  # both queries collect the same bags on every subset
         used = 0
         for positive, negated, _, _ in prep1 + prep2:
             used |= positive | negated
-        preps.append((ordering, satisfying_assignment(ordering), prep1, prep2,
-                      every_atom & ~used))
-    index = 0
-    for subset in _subsets(base):
+        # the canonical assignment is built when a unit first needs it
+        witness = functools.cache(functools.partial(satisfying_assignment,
+                                                    ordering))
+        preps.append((position, ordering, witness, prep1, prep2,
+                      every_atom & ~used, differing))
+    if not preps:
+        return None
+    per_subset = position + 1  # units per subset, dropped orderings too
+    for first, subset in zip(itertools.count(0, per_subset), _subsets(base)):
         mask = sum(atom_bit[atom] for atom in subset)
-        for ordering, witness, prep1, prep2, idle in preps:
-            if index % workers == offset and not mask & idle:
-                ce = _pair_counterexample(q, q2, subset, mask, ordering,
-                                          witness, prep1, prep2)
-                if ce is not None:
-                    return index, ce
-            index += 1
+        for position, ordering, witness, prep1, prep2, idle, differing in preps:
+            index = first + position
+            if (index % workers != offset or mask & idle
+                    or differing is not None and not _fires(differing, mask)):
+                continue
+            ce = _pair_counterexample(q, q2, subset, mask, ordering,
+                                      witness, prep1, prep2)
+            if ce is not None:
+                return index, ce
     return None
 
 
@@ -335,8 +381,7 @@ def equivalent(q: Query, q2: Query, workers: int = 1) -> Verdict:
         raise ValueError("equivalent expects aggregate queries; "
                          "use bagset_equivalent for plain ones")
     func = q.aggregate.function
-    if (func.name != q2.aggregate.function.name
-            or len(q.grouping) != len(q2.grouping)):
+    if not _same_head(q, q2):
         # the local-equivalence reduction needs matching heads; a local
         # counterexample still disproves equivalence outright
         verdict = locally_equivalent(q, q2, workers=workers)

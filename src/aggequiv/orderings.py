@@ -43,16 +43,18 @@ class CompleteOrdering:
         return CompleteOrdering(canon, domain)
 
     def terms(self) -> set:
-        return set(self._positions())
+        return set(self._positions)
 
     def position(self, t: Term) -> int:
         try:
-            return self._positions()[t]
+            return self._positions[t]
         except KeyError:
             raise KeyError(f"term {t} not in ordering") from None
 
+    @functools.cached_property
     def _positions(self) -> dict:
-        return _position_map(self)
+        """Class index of every term, built once per ordering."""
+        return {t: i for i, cls in enumerate(self.classes) for t in cls}
 
     def class_constant(self, i: int) -> Optional[Fraction]:
         for t in self.classes[i]:
@@ -93,11 +95,6 @@ class CompleteOrdering:
     def __str__(self):
         return " < ".join(" = ".join(str(t) for t in cls)
                           for cls in self.classes)
-
-
-@functools.lru_cache(maxsize=4096)
-def _position_map(ordering: CompleteOrdering) -> dict:
-    return {t: i for i, cls in enumerate(ordering.classes) for t in cls}
 
 
 def _constants_consistent(classes) -> bool:
@@ -202,19 +199,18 @@ def entails(ordering: CompleteOrdering, cmp: Comparison) -> bool:
     lhs, rhs = cmp.lhs, cmp.rhs
     if is_const(lhs) and is_const(rhs):
         return cmp.holds(lhs.value, rhs.value)
-    in_order = ordering.terms()
-    for t in (lhs, rhs):
-        if is_var(t) and t not in in_order:
+    positions = ordering._positions
+    i, j = positions.get(lhs), positions.get(rhs)
+    for t, p in ((lhs, i), (rhs, j)):
+        if p is None and is_var(t):
             raise KeyError(f"unknown term {t}")
-    if lhs in in_order and rhs in in_order:
-        i, j = ordering.position(lhs), ordering.position(rhs)
+    if i is not None and j is not None:
         rel = "=" if i == j else ("<" if i < j else ">")
         return _relation_implies(rel, cmp.op)
     # one side is a constant that does not occur in the ordering
-    if lhs in in_order:
-        return _bounds_entail(ordering, ordering.position(lhs), cmp.op, rhs.value)
-    return _bounds_entail(ordering, ordering.position(rhs),
-                          FLIPPED_OP[cmp.op], lhs.value)
+    if i is not None:
+        return _bounds_entail(ordering, i, cmp.op, rhs.value)
+    return _bounds_entail(ordering, j, FLIPPED_OP[cmp.op], lhs.value)
 
 
 def _relation_implies(rel: str, op: str) -> bool:
@@ -389,7 +385,7 @@ def witness_pair(ordering: CompleteOrdering, x: Term,
     da = pinned_assignment(ordering, x, c1)
     db = pinned_assignment(ordering, x, c2)
     px = ordering.position(x)
-    positions = ordering._positions()
+    positions = ordering._positions
     low, high = {}, {}
     for t in ordering.terms():
         lo_side = positions[t] <= px

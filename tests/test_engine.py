@@ -5,7 +5,9 @@ import pytest
 
 from aggequiv import engine, oracle
 from aggequiv.model import Const, Database, INTEGERS, Var, term_size_pair
-from aggequiv.orderings import CompleteOrdering, enumerate_complete_orderings
+from aggequiv.orderings import (
+    CompleteOrdering, enumerate_complete_orderings, satisfying_assignment,
+)
 from aggequiv.parsing import parse_query
 
 F = Fraction
@@ -269,18 +271,25 @@ def test_first_counterexample_is_the_first_canonical_failure():
             Database(frozenset({("e", (F(1), F(2)))})), (), 1, None)
 
 
-def test_idle_atoms_keep_verdicts_exact(monkeypatch):
+@pytest.fixture
+def checked(monkeypatch):
+    """The units the scan checks: the arguments of every
+    `_pair_counterexample` call in this process."""
+    units = []
+    pair_counterexample = engine._pair_counterexample
+
+    def counting(*args):
+        units.append(args)
+        return pair_counterexample(*args)
+    monkeypatch.setattr(engine, "_pair_counterexample", counting)
+    return units
+
+
+def test_idle_atoms_keep_verdicts_exact(checked):
     """Pairs whose comparisons leave atoms unread under some orderings:
     the scan skips units holding them, and its verdicts still match the
     concrete brute-force search over a pool with values around every
     constant."""
-    checked = []
-    pair_counterexample = engine._pair_counterexample
-
-    def counting(*args):
-        checked.append(args)
-        return pair_counterexample(*args)
-    monkeypatch.setattr(engine, "_pair_counterexample", counting)
     pairs = [
         ("q(; max(Y)) :- p(Y), Y = 1", "q(; min(Y)) :- p(Y), Y = 1",
          "rat", 3),
@@ -323,6 +332,74 @@ def test_idle_atoms_keep_verdicts_exact(monkeypatch):
         found = oracle.brute_force_check(q, q2, pool=sorted(pool))
         assert (verdict.status == engine.EQUIVALENT) == (found is None), (
             text1, text2, domain)
+
+
+def test_units_where_no_prepared_assignment_differs_are_not_checked(checked):
+    """Both queries prepare the same assignments under every ordering, so
+    no unit can separate them and none is checked."""
+    reflexive = "q(X; sum(Y)) :- p(X, Y), Y > 3 | p(Y, X), !b(X)"
+    pairs = [
+        (reflexive, reflexive, 2),
+        ("q(; count()) :- p(X)",
+         "q(; count()) :- p(X), X != 0 | p(X), X = 0", 4),
+    ]
+    for text1, text2, n in pairs:
+        q, q2 = parse_query(text1), parse_query(text2)
+        assert engine.n_equivalent(q, q2, n).status == engine.EQUIVALENT
+    assert checked == []
+
+
+def test_differential_skip_is_sound():
+    """Random pairs with matching heads: on every unit where no prepared
+    assignment that one query has more often than the other fires, the
+    full check of the unit finds no disagreement."""
+    rng = random.Random(97)
+    functions = ["count", "parity", "sum", "prod", "avg", "max", "min",
+                 "cntd", "top2"]
+
+    def random_disjunct(grouped):
+        lits = ["p(Y)", "g(X)"] if grouped else ["p(Y)"]
+        if rng.random() < 0.4:
+            lits.append(rng.choice(["!b(Y)", "b(Y)"]))
+        if rng.random() < 0.6:
+            op = rng.choice(["<", "<=", ">", ">=", "!=", "="])
+            lits.append(f"Y {op} {rng.choice(('0', '1'))}")
+        return ", ".join(lits)
+
+    skipped = partly_skipped = 0
+    for func in functions * 6:
+        domain = rng.choice([INTEGERS, "rat"])
+        agg = func + ("()" if func in ("count", "parity") else "(Y)")
+        grouped = rng.random() < 0.3
+        head = f"q({'X' if grouped else ''}; {agg}) :- "
+        # shared disjuncts make most prepared assignments agree
+        shared = [random_disjunct(grouped)
+                  for _ in range(rng.randint(1, 2))]
+        q = parse_query(head + " | ".join(
+            shared + [random_disjunct(grouped)] * rng.randint(0, 1)),
+            domain=domain)
+        q2 = parse_query(head + " | ".join(
+            shared + [random_disjunct(grouped)] * rng.randint(0, 2)),
+            domain=domain)
+        n = 1 if grouped else rng.randint(1, 2)
+        terms, base = engine.build_base(q, q2, n)
+        atom_bit = {atom: 1 << i for i, atom in enumerate(base)}
+        for ordering in enumerate_complete_orderings(terms, domain,
+                                                     injective_only=True):
+            prep1 = engine._prepare_assignments(q, ordering, terms, atom_bit)
+            prep2 = engine._prepare_assignments(q2, ordering, terms, atom_bit)
+            differing = engine._differing_masks(prep1, prep2)
+            for subset in engine._subsets(base):
+                mask = sum(atom_bit[atom] for atom in subset)
+                if engine._fires(differing, mask):
+                    continue
+                skipped += 1
+                partly_skipped += bool(differing)
+                assert engine._pair_counterexample(
+                    q, q2, subset, mask, ordering,
+                    lambda: satisfying_assignment(ordering), prep1,
+                    prep2) is None, (str(q), str(q2), str(ordering), subset)
+    assert partly_skipped > 0 and skipped > partly_skipped
 
 
 def test_integer_vs_rational_domain_changes_the_verdict():
