@@ -46,6 +46,17 @@ anyway stands for them, or because no check of theirs can fail:
   same assignments is dropped.  Differing heads are never skipped this
   way: equal bags can still disagree under two functions (max and min).
 
+Across subsets and orderings the same bags recur over the same order of
+the terms they mention, so one scan keeps the identities it has decided
+valid under a key (`_identity_key`: the function, the domain, the
+ordering projected onto the constants and the fresh variables the bags
+mention, and the renamed bags) and does not decide them again.  Over the
+integers a fresh variable the bags do not mention still holds its place
+in the key when it lies between two constants, since it can pin its
+neighbours.  Only valid verdicts are kept: a failing identity is always
+decided on its unit's own ordering, so the counterexample is the one the
+scan would report without the memo.
+
 Full equivalence reduces to N-equivalence at the pair's term size for
 the decomposable functions (count, sum, max, min, parity, top2) and for
 prod over the rationals; avg and cntd are reported unsupported.
@@ -63,8 +74,8 @@ from typing import Callable, Iterator, Optional
 from . import identity, oracle
 from .aggregation import FUNCTIONS, apply
 from .model import (
-    Comparison, Database, Query, RATIONALS, Var, term_size_pair,
-    term_sort_key,
+    INTEGERS, Comparison, Database, Query, RATIONALS, Var, is_const,
+    term_size_pair, term_sort_key,
 )
 from .orderings import (
     Assignment, CompleteOrdering, assign_tuple, enumerate_complete_orderings,
@@ -196,17 +207,25 @@ def _collect_groups(prepared: list, mask: int) -> dict:
 def _pair_counterexample(q: Query, q2: Query, subset, mask: int,
                          ordering: CompleteOrdering,
                          witness: Callable[[], Assignment],
-                         prep1: list, prep2: list
+                         prep1: list, prep2: list,
+                         same_head: Optional[bool] = None,
+                         memo: Optional[tuple] = None
                          ) -> Optional[Counterexample]:
     """Check one (S, L) unit of work; None means no disagreement.
 
     `witness()` returns the ordering's canonical satisfying assignment;
     it is called only for differing heads and for one-sided groups.
+    `memo`, when given, is `(valid, key)`: the keys of the identities the
+    scan has decided valid, and this ordering's `key(left, right)`.  An
+    identity whose key is in `valid` is not decided again; one that fails
+    is always decided on the unit's own ordering, so the counterexample
+    does not depend on the memo.
     """
     groups1 = _collect_groups(prep1, mask)
     groups2 = _collect_groups(prep2, mask)
     func = q.aggregate.function
-    same_head = _same_head(q, q2)
+    if same_head is None:
+        same_head = _same_head(q, q2)
     if same_head and groups1 == groups2:
         return None  # the same bags in the same order: no identity can fail
     keys1, keys2 = set(groups1), set(groups2)
@@ -233,12 +252,72 @@ def _pair_counterexample(q: Query, q2: Query, subset, mask: int,
         left, right = groups1[key], groups2[key]
         if Counter(left) == Counter(right):
             continue
+        if memo is not None:
+            valid, identity_key = memo
+            known = identity_key(left, right)
+            if known in valid:
+                continue
         verdict = identity.decide(identity.OrderedIdentity(
             ordering, tuple(left), tuple(right), func))
         if not verdict.valid:
             return _materialize(q, q2, subset, key, groups1, groups2,
                                 verdict.witness)
+        if memo is not None:
+            valid.add(known)
     return None
+
+
+def _projection(ordering: CompleteOrdering, index: dict) -> tuple:
+    """A strict ordering as (base-term index, constant, slot) triples,
+    lowest term first, for `_identity_key`.
+
+    `slot` marks an integer variable between two constants: it takes up
+    one of the finitely many integers there and can pin its neighbours
+    (0 < u1 < u2 < 3 forces u2 = 2, 0 < u2 < 3 does not).
+    """
+    terms = [cls[0] for cls in ordering.classes]
+    anchors = [p for p, t in enumerate(terms) if is_const(t)]
+    bounded = (range(anchors[0] + 1, anchors[-1])
+               if anchors and ordering.domain == INTEGERS else range(0))
+    return tuple((index[t], is_const(t), p in bounded)
+                 for p, t in enumerate(terms))
+
+
+def _identity_key(function: str, domain: str, projection: tuple,
+                  index: dict, left, right) -> tuple:
+    """A key under which the ordered identities of one scan share their
+    verdict.
+
+    The ordering is projected onto the constants and the fresh variables
+    the bags mention, the variables renamed in their order there; a
+    variable the bags do not mention stays as an anonymous placeholder
+    only where `_projection` marks a slot.  The scan's orderings are
+    strict, and renaming terms keeps a verdict.  A dropped rational
+    variable always fits into its dense gap.  A dropped integer variable
+    outside the constants only narrows a gap that is unbounded anyway:
+    shiftable verdicts depend on the order of the terms alone, and the
+    sum, avg and prod identities are polynomial identities, which hold on
+    an unbounded integer cone only if they hold identically.  Terms are
+    base-term indexes, so the key hashes ints.
+    """
+    left = [tuple(index[t] for t in tup) for tup in left]
+    right = [tuple(index[t] for t in tup) for tup in right]
+    used = {i for tup in left + right for i in tup}
+    names: dict = {}
+    chain = []
+    for i, constant, slot in projection:
+        if constant:
+            chain.append(i)
+        elif i in used:
+            names[i] = len(index) + len(names)  # apart from every base index
+            chain.append(names[i])
+        elif slot:
+            chain.append(None)
+
+    def bag(tuples):
+        return tuple(sorted(tuple(names.get(i, i) for i in tup)
+                            for tup in tuples))
+    return function, domain, tuple(chain), bag(left), bag(right)
 
 
 def _same_head(q: Query, q2: Query) -> bool:
@@ -316,6 +395,8 @@ def _scan_chunk(args):
     atom_bit = {atom: 1 << i for i, atom in enumerate(base)}
     every_atom = (1 << len(base)) - 1
     same_head = _same_head(q, q2)
+    index = {t: i for i, t in enumerate(base_terms)}
+    valid: set = set()  # keys of the identities this scan decided valid
     preps = []
     orderings = enumerate_complete_orderings(base_terms, q.domain,
                                              injective_only=True)
@@ -331,22 +412,26 @@ def _scan_chunk(args):
         # the canonical assignment is built when a unit first needs it
         witness = functools.cache(functools.partial(satisfying_assignment,
                                                     ordering))
+        memo = (valid, functools.partial(
+            _identity_key, q.aggregate.function.name, q.domain,
+            _projection(ordering, index), index))
         preps.append((position, ordering, witness, prep1, prep2,
-                      every_atom & ~used, differing))
+                      every_atom & ~used, differing, memo))
     if not preps:
         return None
     per_subset = position + 1  # units per subset, dropped orderings too
     for first, subset in zip(itertools.count(0, per_subset), _subsets(base)):
         mask = sum(atom_bit[atom] for atom in subset)
-        for position, ordering, witness, prep1, prep2, idle, differing in preps:
-            index = first + position
-            if (index % workers != offset or mask & idle
+        for (position, ordering, witness, prep1, prep2, idle, differing,
+             memo) in preps:
+            unit = first + position
+            if (unit % workers != offset or mask & idle
                     or differing is not None and not _fires(differing, mask)):
                 continue
             ce = _pair_counterexample(q, q2, subset, mask, ordering,
-                                      witness, prep1, prep2)
+                                      witness, prep1, prep2, same_head, memo)
             if ce is not None:
-                return index, ce
+                return unit, ce
     return None
 
 
