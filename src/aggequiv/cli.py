@@ -8,6 +8,7 @@ input, 64 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -57,7 +58,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and kept for the process:
+    building it costs more than most decisions."""
     parser = _Parser(prog="aggequiv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

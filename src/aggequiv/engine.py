@@ -57,6 +57,17 @@ neighbours.  Only valid verdicts are kept: a failing identity is always
 decided on its unit's own ordering, so the counterexample is the one the
 scan would report without the memo.
 
+Preparation is compiled once per scan (`_compile`): every assignment of
+a query's variables to base terms, with its atoms as bitmasks and its
+group key and aggregate item as tuples of base-term indexes.  The
+comparisons no strict ordering can change are settled there: a term
+against itself, two constants, and = or != between distinct terms.  Each
+other comparison becomes a pair of terms the ordering must put in that
+order, so per ordering preparation is a filter on term positions.
+Groups, bags and memo keys hold ints; terms come back only for the
+identity deciders, for a counterexample and for comparing differing
+heads.
+
 Full equivalence reduces to N-equivalence at the pair's term size for
 the decomposable functions (count, sum, max, min, parity, top2) and for
 prod over the rationals; avg and cntd are reported unsupported.
@@ -79,8 +90,11 @@ from .model import (
 )
 from .orderings import (
     Assignment, CompleteOrdering, assign_tuple, enumerate_complete_orderings,
-    entails, satisfying_assignment,
+    satisfying_assignment,
 )
+# not called here: bench/tracing.py traces the comparison layer under the
+# name engine.entails, so it stays importable (and reads 0 calls)
+from .orderings import entails  # noqa: F401
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
@@ -160,24 +174,44 @@ def _subsets(atoms: list) -> Iterator[tuple]:
         yield from itertools.combinations(atoms, size)
 
 
-def _prepare_assignments(q: Query, ordering: CompleteOrdering, terms: list,
-                         atom_bit: dict) -> list:
-    """Satisfying assignments of `q` over the full BASE under one ordering,
-    with their positive and negated atoms as bitmasks.
+def _settle(terms: list, comparison: Comparison, a: int, b: int):
+    """`comparison` with base terms `a` and `b` for its sides, under every
+    strict ordering of BASE: True or False where no ordering can change
+    it, else the pair (x, y) of terms it needs x before y."""
+    op = comparison.op
+    if a == b:
+        return op in ("=", "<=", ">=")
+    if is_const(terms[a]) and is_const(terms[b]):
+        return comparison.holds(terms[a].value, terms[b].value)
+    if op in ("=", "!="):
+        return op == "!="  # distinct terms are never equal in a strict order
+    return (a, b) if op in ("<", "<=") else (b, a)
 
-    Comparisons depend only on the ordering, so they are settled here once;
-    per subset S only the two mask tests remain.
+
+def _compile(q: Query, terms: list, atom_bit: dict) -> list:
+    """The assignments of `q`'s variables to base terms, as
+    `(before, prepared)` in the scan's order; those failing a comparison
+    no ordering can change, or needing an atom both present and absent,
+    are left out.
+
+    `prepared` is `(positive, negated, key, item)`: the positive and
+    negated atoms as bitmasks, the group key and the aggregate item as
+    tuples of base-term indexes.  `before` holds the pairs (a, b) of
+    indexes an ordering must put a before b; every other comparison is
+    settled here, once per scan.
     """
-    prepared = []
+    index = {t: i for i, t in enumerate(terms)}
+    compiled = []
     for cond in q.disjuncts:
         variables = sorted(cond.variables(), key=term_sort_key)
-        comparisons = cond.comparisons
         for values in itertools.product(terms, repeat=len(variables)):
             gamma = dict(zip(variables, values))
-            if not all(entails(ordering,
-                               Comparison(gamma.get(c.lhs, c.lhs), c.op,
-                                          gamma.get(c.rhs, c.rhs)))
-                       for c in comparisons):
+
+            def at(t):
+                return index[gamma.get(t, t)]
+            settled = [_settle(terms, c, at(c.lhs), at(c.rhs))
+                       for c in cond.comparisons]
+            if False in settled:
                 continue
             positive = negated = 0
             for atom in cond.atoms:
@@ -189,11 +223,23 @@ def _prepare_assignments(q: Query, ordering: CompleteOrdering, terms: list,
                     negated |= bit
             if positive & negated:
                 continue  # an atom required both present and absent
-            key = tuple(gamma.get(t, t) for t in q.grouping)
-            item = (tuple(gamma.get(t, t) for t in q.aggregate.args)
+            before = tuple(sorted({s for s in settled if s is not True}))
+            key = tuple(at(t) for t in q.grouping)
+            item = (tuple(at(t) for t in q.aggregate.args)
                     if q.aggregate is not None else ())
-            prepared.append((positive, negated, key, item))
-    return prepared
+            compiled.append((before, (positive, negated, key, item)))
+    return compiled
+
+
+def _prepare_assignments(compiled: list, position: list) -> list:
+    """The compiled assignments of one query that hold under the ordering
+    that puts base term i at `position[i]`, in the compiled order.
+
+    The comparisons left to the ordering are settled here, once per
+    ordering; per subset S only the two mask tests remain.
+    """
+    return [prepared for before, prepared in compiled
+            if all(position[a] < position[b] for a, b in before)]
 
 
 def _collect_groups(prepared: list, mask: int) -> dict:
@@ -204,8 +250,8 @@ def _collect_groups(prepared: list, mask: int) -> dict:
     return groups
 
 
-def _pair_counterexample(q: Query, q2: Query, subset, mask: int,
-                         ordering: CompleteOrdering,
+def _pair_counterexample(q: Query, q2: Query, terms: list, rank: list,
+                         subset, mask: int, ordering: CompleteOrdering,
                          witness: Callable[[], Assignment],
                          prep1: list, prep2: list,
                          same_head: Optional[bool] = None,
@@ -213,13 +259,15 @@ def _pair_counterexample(q: Query, q2: Query, subset, mask: int,
                          ) -> Optional[Counterexample]:
     """Check one (S, L) unit of work; None means no disagreement.
 
-    `witness()` returns the ordering's canonical satisfying assignment;
-    it is called only for differing heads and for one-sided groups.
-    `memo`, when given, is `(valid, key)`: the keys of the identities the
-    scan has decided valid, and this ordering's `key(left, right)`.  An
-    identity whose key is in `valid` is not decided again; one that fails
-    is always decided on the unit's own ordering, so the counterexample
-    does not depend on the memo.
+    Group keys and items are base-term indexes into `terms`; `rank` is
+    each base term's place in `term_sort_key` order, by which group keys
+    are visited.  `witness()` returns the ordering's canonical satisfying
+    assignment; it is called only for differing heads and for one-sided
+    groups.  `memo`, when given, is `(valid, key)`: the keys of the
+    identities the scan has decided valid, and this ordering's
+    `key(left, right)`.  An identity whose key is in `valid` is not
+    decided again; one that fails is always decided on the unit's own
+    ordering, so the counterexample does not depend on the memo.
     """
     groups1 = _collect_groups(prep1, mask)
     groups2 = _collect_groups(prep2, mask)
@@ -236,21 +284,25 @@ def _pair_counterexample(q: Query, q2: Query, subset, mask: int,
         assignment = witness()
 
         def concrete(key):
-            return assign_tuple(assignment, key)
+            return _instance(terms, assignment, key)
         keys = sorted(keys1 ^ keys2, key=concrete) or [
             key for key in sorted(keys1, key=concrete)
-            if _value(q, groups1[key], assignment)
-            != _value(q2, groups2[key], assignment)]
+            if _value(q, terms, groups1[key], assignment)
+            != _value(q2, terms, groups2[key], assignment)]
         if keys:
-            return _materialize(q, q2, subset, keys[0], groups1, groups2,
-                                assignment)
+            return _materialize(q, q2, terms, subset, keys[0], groups1,
+                                groups2, assignment)
         return None
+
+    def by_rank(key):
+        return [rank[i] for i in key]
     if keys1 != keys2:
-        key = min(keys1 ^ keys2, key=lambda k: tuple(term_sort_key(t) for t in k))
-        return _materialize(q, q2, subset, key, groups1, groups2, witness())
-    for key in sorted(keys1, key=lambda k: tuple(term_sort_key(t) for t in k)):
+        return _materialize(q, q2, terms, subset,
+                            min(keys1 ^ keys2, key=by_rank), groups1, groups2,
+                            witness())
+    for key in sorted(keys1, key=by_rank):
         left, right = groups1[key], groups2[key]
-        if Counter(left) == Counter(right):
+        if sorted(left) == sorted(right):
             continue
         if memo is not None:
             valid, identity_key = memo
@@ -258,13 +310,30 @@ def _pair_counterexample(q: Query, q2: Query, subset, mask: int,
             if known in valid:
                 continue
         verdict = identity.decide(identity.OrderedIdentity(
-            ordering, tuple(left), tuple(right), func))
+            ordering, _as_terms(terms, left), _as_terms(terms, right), func))
         if not verdict.valid:
-            return _materialize(q, q2, subset, key, groups1, groups2,
+            return _materialize(q, q2, terms, subset, key, groups1, groups2,
                                 verdict.witness)
         if memo is not None:
             valid.add(known)
     return None
+
+
+def _as_terms(terms: list, bag: list) -> tuple:
+    return tuple(tuple(terms[i] for i in tup) for tup in bag)
+
+
+def _instance(terms: list, assignment: Assignment, tup: tuple) -> tuple:
+    return assign_tuple(assignment, tuple(terms[i] for i in tup))
+
+
+def _ranks(terms: list) -> list:
+    """Each base term's place in `term_sort_key` order (u10 before u2)."""
+    order = sorted(range(len(terms)), key=lambda i: term_sort_key(terms[i]))
+    rank = [0] * len(terms)
+    for place, i in enumerate(order):
+        rank[i] = place
+    return rank
 
 
 def _projection(ordering: CompleteOrdering, index: dict) -> tuple:
@@ -284,9 +353,9 @@ def _projection(ordering: CompleteOrdering, index: dict) -> tuple:
 
 
 def _identity_key(function: str, domain: str, projection: tuple,
-                  index: dict, left, right) -> tuple:
+                  left, right) -> tuple:
     """A key under which the ordered identities of one scan share their
-    verdict.
+    verdict; the bags hold base-term indexes.
 
     The ordering is projected onto the constants and the fresh variables
     the bags mention, the variables renamed in their order there; a
@@ -297,19 +366,17 @@ def _identity_key(function: str, domain: str, projection: tuple,
     outside the constants only narrows a gap that is unbounded anyway:
     shiftable verdicts depend on the order of the terms alone, and the
     sum, avg and prod identities are polynomial identities, which hold on
-    an unbounded integer cone only if they hold identically.  Terms are
-    base-term indexes, so the key hashes ints.
+    an unbounded integer cone only if they hold identically.
     """
-    left = [tuple(index[t] for t in tup) for tup in left]
-    right = [tuple(index[t] for t in tup) for tup in right]
-    used = {i for tup in left + right for i in tup}
+    used = {i for tup in itertools.chain(left, right) for i in tup}
     names: dict = {}
     chain = []
     for i, constant, slot in projection:
         if constant:
             chain.append(i)
         elif i in used:
-            names[i] = len(index) + len(names)  # apart from every base index
+            # apart from every base index
+            names[i] = len(projection) + len(names)
             chain.append(names[i])
         elif slot:
             chain.append(None)
@@ -342,18 +409,21 @@ def _fires(masks, mask: int) -> bool:
                for positive, negated in masks)
 
 
-def _value(q: Query, bag: list, witness: Assignment):
+def _value(q: Query, terms: list, bag: list, witness: Assignment):
     return apply(q.aggregate.function,
-                 [assign_tuple(witness, t) for t in bag])
+                 [_instance(terms, witness, t) for t in bag])
 
 
-def _materialize(q: Query, q2: Query, subset, key, groups1, groups2,
-                 witness: Assignment) -> Counterexample:
+def _materialize(q: Query, q2: Query, terms: list, subset, key, groups1,
+                 groups2, witness: Assignment) -> Counterexample:
     database = Database(frozenset(
         (pred, assign_tuple(witness, args)) for pred, args in subset))
-    left = _value(q, groups1[key], witness) if key in groups1 else None
-    right = _value(q2, groups2[key], witness) if key in groups2 else None
-    counterexample = Counterexample(database, assign_tuple(witness, key),
+    left = (_value(q, terms, groups1[key], witness)
+            if key in groups1 else None)
+    right = (_value(q2, terms, groups2[key], witness)
+             if key in groups2 else None)
+    counterexample = Counterexample(database,
+                                    _instance(terms, witness, key),
                                     left, right)
     _verify_counterexample(q, q2, counterexample)
     return counterexample
@@ -395,14 +465,18 @@ def _scan_chunk(args):
     atom_bit = {atom: 1 << i for i, atom in enumerate(base)}
     every_atom = (1 << len(base)) - 1
     same_head = _same_head(q, q2)
+    compiled1 = _compile(q, base_terms, atom_bit)
+    compiled2 = _compile(q2, base_terms, atom_bit)
+    rank = _ranks(base_terms)
     index = {t: i for i, t in enumerate(base_terms)}
     valid: set = set()  # keys of the identities this scan decided valid
     preps = []
     orderings = enumerate_complete_orderings(base_terms, q.domain,
                                              injective_only=True)
     for position, ordering in enumerate(orderings):
-        prep1 = _prepare_assignments(q, ordering, base_terms, atom_bit)
-        prep2 = _prepare_assignments(q2, ordering, base_terms, atom_bit)
+        term_position = [ordering.position(t) for t in base_terms]
+        prep1 = _prepare_assignments(compiled1, term_position)
+        prep2 = _prepare_assignments(compiled2, term_position)
         differing = _differing_masks(prep1, prep2) if same_head else None
         if differing is not None and not differing:
             continue  # both queries collect the same bags on every subset
@@ -414,7 +488,7 @@ def _scan_chunk(args):
                                                     ordering))
         memo = (valid, functools.partial(
             _identity_key, q.aggregate.function.name, q.domain,
-            _projection(ordering, index), index))
+            _projection(ordering, index)))
         preps.append((position, ordering, witness, prep1, prep2,
                       every_atom & ~used, differing, memo))
     if not preps:
@@ -428,8 +502,9 @@ def _scan_chunk(args):
             if (unit % workers != offset or mask & idle
                     or differing is not None and not _fires(differing, mask)):
                 continue
-            ce = _pair_counterexample(q, q2, subset, mask, ordering,
-                                      witness, prep1, prep2, same_head, memo)
+            ce = _pair_counterexample(q, q2, base_terms, rank, subset, mask,
+                                      ordering, witness, prep1, prep2,
+                                      same_head, memo)
             if ce is not None:
                 return unit, ce
     return None

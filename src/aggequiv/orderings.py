@@ -62,14 +62,12 @@ class CompleteOrdering:
                 return t.value
         return None
 
-    def anchors(self) -> list:
-        """(position, value) of every class containing a constant."""
-        out = []
-        for i in range(len(self.classes)):
-            v = self.class_constant(i)
-            if v is not None:
-                out.append((i, v))
-        return out
+    @functools.cached_property
+    def anchors(self) -> tuple:
+        """(position, value) of every class containing a constant, built
+        once per ordering."""
+        return tuple((i, v) for i in range(len(self.classes))
+                     if (v := self.class_constant(i)) is not None)
 
     def is_injective(self) -> bool:
         return all(len(cls) == 1 for cls in self.classes)
@@ -84,7 +82,7 @@ class CompleteOrdering:
         if v is not None:
             return (v, v)
         lo = hi = None
-        for p, a in self.anchors():
+        for p, a in self.anchors:
             if p < i:
                 lo = a + (i - p) if self.domain == INTEGERS else a
             elif p > i:
@@ -259,7 +257,7 @@ def _class_values(ordering: CompleteOrdering,
     integer steps beyond the extremes, dyadic midpoints (rationals) or
     leftmost integers between anchors."""
     n = len(ordering.classes)
-    anchors = ordering.anchors()
+    anchors = ordering.anchors
     if extra_anchor is not None:
         anchors = sorted(set(anchors) | {extra_anchor})
     values: list = [None] * n

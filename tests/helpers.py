@@ -13,8 +13,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from aggequiv.model import Const, INTEGERS, Var, is_const, is_var
-from aggequiv.orderings import CompleteOrdering
+from aggequiv.model import Const, INTEGERS, Var, is_const, is_var, term_sort_key
+from aggequiv.orderings import CompleteOrdering, satisfying_assignment
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +167,51 @@ def int_sum_identity_box_refutation(ordering: CompleteOrdering, left, right,
         if total(left) != total(right):
             return assignment
     return None
+
+
+# ---------------------------------------------------------------------------
+# Prepared assignments, decided concretely
+# ---------------------------------------------------------------------------
+
+def reference_prepare(q, ordering: CompleteOrdering, terms, atom_bit) -> list:
+    """Every assignment of `q`'s variables to `terms` whose comparisons hold
+    under the strict `ordering`, as (positive mask, negated mask, group key,
+    aggregate item) over terms, in disjunct-then-product order.
+
+    Comparisons are evaluated on the values of the ordering's canonical
+    assignment: a strict ordering fixes every relation between two
+    distinct terms, so that one instance decides each of them.
+    """
+    delta = satisfying_assignment(ordering)
+
+    def value(t):
+        return t.value if is_const(t) else delta[t]
+    prepared = []
+    for cond in q.disjuncts:
+        variables = sorted(cond.variables(), key=term_sort_key)
+        for values in itertools.product(terms, repeat=len(variables)):
+            gamma = dict(zip(variables, values))
+
+            def at(t):
+                return gamma.get(t, t)
+            if not all(c.holds(value(at(c.lhs)), value(at(c.rhs)))
+                       for c in cond.comparisons):
+                continue
+            positive = negated = 0
+            for atom in cond.atoms:
+                bit = atom_bit[(atom.predicate,
+                                tuple(at(t) for t in atom.args))]
+                if atom.positive:
+                    positive |= bit
+                else:
+                    negated |= bit
+            if positive & negated:
+                continue
+            key = tuple(at(t) for t in q.grouping)
+            item = (tuple(at(t) for t in q.aggregate.args)
+                    if q.aggregate is not None else ())
+            prepared.append((positive, negated, key, item))
+    return prepared
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aggequiv
 from aggequiv.cli import main
 
 
@@ -179,3 +184,37 @@ def test_check_identity_command(tmp_path, capsys):
         right: {X}
     """)
     assert main(["check-identity", bad]) == 2
+
+
+def test_main_is_reentrant(tmp_path, capsys, monkeypatch):
+    """The parser is built once per process; later calls in the same
+    process still answer exactly as a fresh process does, usage errors
+    included, on the streams current at the call."""
+    monkeypatch.setenv("COLUMNS", "80")  # the usage line wraps at this width
+    a = write(tmp_path, "a.q", "q(; count()) :- p(X)\n")
+    b = write(tmp_path, "b.q", "q(; count()) :- p(X) | p(X)\n")
+    c = write(tmp_path, "c.q", "q(X; max(Y)) :- p(X, Y)\n")
+    d = write(tmp_path, "d.q", "q(X; max(Y)) :- p(X, Y), !b(X)\n")
+    ident = write(tmp_path, "sum.ident", """
+        domain: rat
+        function: sum
+        ordering: 0 < X < 2
+        left: {X, X}
+        right: {2}
+    """)
+    calls = [
+        ["nequiv"],
+        ["nequiv", a, b, "--n", "2"],
+        ["quasilinear", c, d],
+        ["check-identity", ident],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(aggequiv.__file__).parents[1]))
+    answers = []
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "aggequiv.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        answers.append((main(argv), *capsys.readouterr()))
+        assert answers[-1] == (fresh.returncode, fresh.stdout,
+                               fresh.stderr), argv
+    assert [code for code, _, _ in answers] == [64, 1, 1, 1]
+    assert answers[0][2].startswith("usage: aggequiv nequiv")

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import reference_prepare
+
 from aggequiv import engine, identity, oracle
 from aggequiv.aggregation import FUNCTIONS
 from aggequiv.model import Const, Database, INTEGERS, Var, term_size_pair
@@ -49,12 +51,22 @@ def test_build_base_examples():
 
 def collect_groups(q, ordering, subset):
     """The groups the (S, L) scan collects for `q` on one unit whose
-    ordering holds only fresh variables."""
+    ordering holds only fresh variables, keys and items mapped back to
+    terms."""
     terms, base = engine.build_base(q, q, len(ordering.terms()))
     atom_bit = {atom: 1 << i for i, atom in enumerate(base)}
-    prepared = engine._prepare_assignments(q, ordering, terms, atom_bit)
-    return engine._collect_groups(prepared,
-                                  sum(atom_bit[atom] for atom in subset))
+    prepared = engine._prepare_assignments(
+        engine._compile(q, terms, atom_bit),
+        [ordering.position(t) for t in terms])
+    groups = engine._collect_groups(prepared,
+                                    sum(atom_bit[atom] for atom in subset))
+    return {as_terms(terms, key): [as_terms(terms, item) for item in bag]
+            for key, bag in groups.items()}
+
+
+def as_terms(terms, indexes):
+    """A tuple of base-term indexes as the terms they stand for."""
+    return tuple(terms[i] for i in indexes)
 
 
 def test_evaluate_symbolic_counts_assignments():
@@ -77,6 +89,80 @@ def test_evaluate_symbolic_negation_blocks():
     u1, u2 = Var("u1"), Var("u2")
     assert collect_groups(q, CompleteOrdering.of([[u1], [u2]], "rat"),
                           {("e", (u1, u2)), ("b", (u1,))}) == {}
+
+
+def test_compiled_preparation_matches_reference():
+    """Random queries over both domains, with constants, every comparison
+    operator, negation, grouping and repeated variables, N <= 3: on every
+    lex-leader ordering the compiled preparation, mapped back to terms, is
+    the concretely decided reference, list for list."""
+    rng = random.Random(606)
+    heads = ["q(; count()) :- ", "q(; sum(Y)) :- ", "q(X; max(Y)) :- ",
+             "q(X; count()) :- "]
+    ops = ["<", "<=", ">", ">=", "=", "!="]
+    checked_orderings = 0
+    for _ in range(150):
+        domain = rng.choice([INTEGERS, "rat"])
+        constants = rng.sample(["0", "1", "2"] if domain == INTEGERS
+                               else ["0", "1/2", "2"], rng.randint(0, 2))
+
+        def disjunct():
+            lits = [rng.choice(["e(X, Y)", "e(Y, X)", "e(X, Y), p(Z)"]),
+                    rng.choice(["", "e(X, X)", "p(Y)", "e(Y, Z)"])]
+            if constants and rng.random() < 0.4:
+                lits.append(f"e(X, {rng.choice(constants)})")
+            if rng.random() < 0.5:
+                lits.append(rng.choice(["!b(X)", "!b(Y)", "!e(Y, X)",
+                                        "!p(X)"]))
+            operands = ["X", "Y"] + constants + (
+                ["Z"] if "Z" in "".join(lits) else [])
+            for _ in range(rng.randint(0, 3)):
+                lits.append(f"{rng.choice(operands)} {rng.choice(ops)} "
+                            f"{rng.choice(operands)}")
+            return ", ".join(lit for lit in lits if lit)
+        q = parse_query(rng.choice(heads) + " | ".join(
+            disjunct() for _ in range(rng.randint(1, 2))), domain=domain)
+        n = rng.randint(0, 3)
+        terms, base = engine.build_base(q, q, n)
+        atom_bit = {atom: 1 << i for i, atom in enumerate(base)}
+        compiled = engine._compile(q, terms, atom_bit)
+        for ordering in enumerate_complete_orderings(terms, domain,
+                                                     injective_only=True):
+            prepared = engine._prepare_assignments(
+                compiled, [ordering.position(t) for t in terms])
+            assert [(positive, negated, as_terms(terms, key),
+                     as_terms(terms, item))
+                    for positive, negated, key, item in prepared] == \
+                reference_prepare(q, ordering, terms, atom_bit), (
+                    str(q), str(ordering))
+            checked_orderings += 1
+    assert checked_orderings > 250
+
+
+def test_group_keys_are_visited_in_term_order():
+    """At N = 10 the fresh variable u10 sorts before u2 by name, so the
+    one-sided group on u10, at 1, is the one reported, though u2 comes
+    first in BASE."""
+    q = parse_query("q(X; count()) :- p(X)")
+    q2 = parse_query("q(X; count()) :- p(X), !b(X)")
+    terms, base = engine.build_base(q, q2, 10)
+    atom_bit = {atom: 1 << i for i, atom in enumerate(base)}
+    u2, u10 = Var("u2"), Var("u10")
+    subset = [("b", (u2,)), ("b", (u10,)), ("p", (u2,)), ("p", (u10,))]
+    ordering = next(enumerate_complete_orderings(terms, "rat",
+                                                 injective_only=True))
+    position = [ordering.position(t) for t in terms]
+    ce = engine._pair_counterexample(
+        q, q2, terms, engine._ranks(terms), subset,
+        sum(atom_bit[atom] for atom in subset), ordering,
+        lambda: satisfying_assignment(ordering),
+        engine._prepare_assignments(engine._compile(q, terms, atom_bit),
+                                    position),
+        engine._prepare_assignments(engine._compile(q2, terms, atom_bit),
+                                    position))
+    assert ce == engine.Counterexample(
+        Database.of([("b", [1]), ("b", [2]), ("p", [1]), ("p", [2])]),
+        (F(1),), 1, None)
 
 
 def test_reflexivity():
@@ -385,10 +471,14 @@ def test_differential_skip_is_sound():
         n = 1 if grouped else rng.randint(1, 2)
         terms, base = engine.build_base(q, q2, n)
         atom_bit = {atom: 1 << i for i, atom in enumerate(base)}
+        compiled1 = engine._compile(q, terms, atom_bit)
+        compiled2 = engine._compile(q2, terms, atom_bit)
+        rank = engine._ranks(terms)
         for ordering in enumerate_complete_orderings(terms, domain,
                                                      injective_only=True):
-            prep1 = engine._prepare_assignments(q, ordering, terms, atom_bit)
-            prep2 = engine._prepare_assignments(q2, ordering, terms, atom_bit)
+            position = [ordering.position(t) for t in terms]
+            prep1 = engine._prepare_assignments(compiled1, position)
+            prep2 = engine._prepare_assignments(compiled2, position)
             differing = engine._differing_masks(prep1, prep2)
             for subset in engine._subsets(base):
                 mask = sum(atom_bit[atom] for atom in subset)
@@ -397,7 +487,7 @@ def test_differential_skip_is_sound():
                 skipped += 1
                 partly_skipped += bool(differing)
                 assert engine._pair_counterexample(
-                    q, q2, subset, mask, ordering,
+                    q, q2, terms, rank, subset, mask, ordering,
                     lambda: satisfying_assignment(ordering), prep1,
                     prep2) is None, (str(q), str(q2), str(ordering), subset)
     assert partly_skipped > 0 and skipped > partly_skipped
@@ -433,8 +523,10 @@ def test_valid_identity_keys_are_sound():
         for ordering in orderings:
             projection = engine._projection(ordering, index)
             for name, left, right in identities:
-                key = engine._identity_key(name, domain, projection, index,
-                                           left, right)
+                key = engine._identity_key(
+                    name, domain, projection,
+                    [tuple(index[t] for t in tup) for tup in left],
+                    [tuple(index[t] for t in tup) for tup in right])
                 valid = identity.decide(identity.OrderedIdentity(
                     ordering, left, right, FUNCTIONS[name])).valid
                 assert verdicts.setdefault(key, valid) == valid, (

@@ -233,16 +233,19 @@ def test_symbolic_and_concrete_evaluators_agree():
         for _ in range(25):
             subset = frozenset(a for a in base if rng.random() < 0.5)
             ordering = rng.choice(orderings)
-            prepared = engine._prepare_assignments(q, ordering, terms,
-                                                   atom_bit)
+            prepared = engine._prepare_assignments(
+                engine._compile(q, terms, atom_bit),
+                [ordering.position(t) for t in terms])
             symbolic = engine._collect_groups(
                 prepared, sum(atom_bit[atom] for atom in subset))
             delta = satisfying_assignment(ordering)
             concrete = Database(frozenset(
                 (pred, assign_tuple(delta, args)) for pred, args in subset))
+
+            def instance(indexes):
+                return assign_tuple(delta, tuple(terms[i] for i in indexes))
             expected = {}
             for key, bag in symbolic.items():
-                values = [assign_tuple(delta, t) for t in bag]
-                expected[assign_tuple(delta, key)] = \
-                    apply(q.aggregate.function, values)
+                values = [instance(t) for t in bag]
+                expected[instance(key)] = apply(q.aggregate.function, values)
             assert dict(eval_concrete(q, concrete)) == expected
