@@ -57,8 +57,8 @@ neighbours.  Only valid verdicts are kept: a failing identity is always
 decided on its unit's own ordering, so the counterexample is the one the
 scan would report without the memo.
 
-Preparation is compiled once per scan (`_compile`): every assignment of
-a query's variables to base terms, with its atoms as bitmasks and its
+Preparation is compiled once per decision (`_compile`): every assignment
+of a query's variables to base terms, with its atoms as bitmasks and its
 group key and aggregate item as tuples of base-term indexes.  The
 comparisons no strict ordering can change are settled there: a term
 against itself, two constants, and = or != between distinct terms.  Each
@@ -67,6 +67,20 @@ order, so per ordering preparation is a filter on term positions.
 Groups, bags and memo keys hold ints; terms come back only for the
 identity deciders, for a counterexample and for comparing differing
 heads.
+
+Parallel scan: a decision is planned once, by the caller (`_plan`:
+BASE, the compiled queries, and each kept ordering's prepared
+assignments and idle and differing masks), and one loop (`_scan`) walks
+the plan's units in the global order, subset first and ordering second.
+One worker runs it in process over every unit.  K workers run it in the
+processes of a pool, each over the units whose global index is its
+stride number modulo K; of the strides' first failures the lowest index
+wins, so the output is the one-worker output.  A plan with no ordering
+left never reaches a process.  The pool is built by the first parallel
+decision that needs it and kept for later ones (`_shared_pool`); a
+forked child or another K builds a new one, and a pool whose worker died
+is dropped and the decision run once more on a fresh pool.  A job
+carries the whole plan, so workers need no state inherited by fork.
 
 Full equivalence reduces to N-equivalence at the pair's term size for
 the decomposable functions (count, sum, max, min, parity, top2) and for
@@ -77,10 +91,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
+import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import identity, oracle
 from .aggregation import FUNCTIONS, apply
@@ -170,8 +187,12 @@ def build_base(q: Query, q2: Query, n: int):
 # ---------------------------------------------------------------------------
 
 def _subsets(atoms: list) -> Iterator[tuple]:
+    """Every subset of `atoms` as `(atoms, mask)`, smallest first, where
+    atom i has the bit 1 << i."""
+    bits = [1 << i for i in range(len(atoms))]
     for size in range(len(atoms) + 1):
-        yield from itertools.combinations(atoms, size)
+        yield from zip(itertools.combinations(atoms, size),
+                       map(sum, itertools.combinations(bits, size)))
 
 
 def _settle(terms: list, comparison: Comparison, a: int, b: int):
@@ -441,40 +462,70 @@ def _verify_counterexample(q: Query, q2: Query, ce: Counterexample):
 
 
 def n_equivalent(q: Query, q2: Query, n: int, workers: int = 1) -> Verdict:
-    """Do the queries agree on every database with at most `n` constants?"""
+    """Do the queries agree on every database with at most `n` constants?
+
+    With `workers` > 1 the units are split across that many processes of
+    a pool that outlives the decision; the verdict and counterexample do
+    not depend on `workers`.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     if q.domain != q2.domain:
         raise ValueError("queries range over different domains")
     if q.aggregate is None or q2.aggregate is None:
         raise ValueError("n_equivalent expects aggregate queries")
-    if workers > 1:
-        ce = _parallel_scan(q, q2, n, workers)
+    plan = _plan(q, q2, n)
+    if not plan.orderings:
+        hits = []  # no unit to check
+    elif workers == 1:
+        hits = [_scan(plan, 0, 1)]
     else:
-        hit = _scan_chunk((q, q2, n, 1, 0))
-        ce = hit[1] if hit is not None else None
-    if ce is not None:
-        return Verdict(NOT_EQUIVALENT, counterexample=ce, n_used=n)
+        hits = _scan_in_pool(plan, workers)
+    hits = [hit for hit in hits if hit is not None]
+    if hits:
+        # the lowest global index wins, so scheduling cannot change the output
+        return Verdict(NOT_EQUIVALENT, n_used=n,
+                       counterexample=min(hits, key=lambda hit: hit[0])[1])
     return Verdict(EQUIVALENT, n_used=n)
 
 
-def _scan_chunk(args):
-    """One worker's stride over the (S, L) stream, in the global order."""
-    q, q2, n, workers, offset = args
-    base_terms, base = build_base(q, q2, n)
+class _Plan(NamedTuple):
+    """What every stride of one decision's scan shares, built once by
+    the caller and sent to each worker.
+
+    `orderings` holds, per ordering that can separate the queries,
+    `(position, ordering, prep1, prep2, idle, differing, projection)`:
+    its place in the lex-leader enumeration, both queries' prepared
+    assignments, the mask of its idle atoms, the masks of the prepared
+    assignments the queries disagree on (None for differing heads) and
+    its `_projection` for the memo keys.
+    """
+    q: Query
+    q2: Query
+    terms: list
+    base: list
+    rank: list
+    same_head: bool
+    per_subset: int  # units per subset, dropped orderings too
+    orderings: tuple
+
+
+def _plan(q: Query, q2: Query, n: int) -> _Plan:
+    terms, base = build_base(q, q2, n)
     atom_bit = {atom: 1 << i for i, atom in enumerate(base)}
     every_atom = (1 << len(base)) - 1
     same_head = _same_head(q, q2)
-    compiled1 = _compile(q, base_terms, atom_bit)
-    compiled2 = _compile(q2, base_terms, atom_bit)
-    rank = _ranks(base_terms)
-    index = {t: i for i, t in enumerate(base_terms)}
-    valid: set = set()  # keys of the identities this scan decided valid
-    preps = []
-    orderings = enumerate_complete_orderings(base_terms, q.domain,
-                                             injective_only=True)
-    for position, ordering in enumerate(orderings):
-        term_position = [ordering.position(t) for t in base_terms]
+    compiled1 = _compile(q, terms, atom_bit)
+    compiled2 = _compile(q2, terms, atom_bit)
+    index = {t: i for i, t in enumerate(terms)}
+    kept = []
+    per_subset = 0
+    for position, ordering in enumerate(enumerate_complete_orderings(
+            terms, q.domain, injective_only=True)):
+        per_subset = position + 1
+        term_position = [ordering.position(t) for t in terms]
         prep1 = _prepare_assignments(compiled1, term_position)
         prep2 = _prepare_assignments(compiled2, term_position)
         differing = _differing_masks(prep1, prep2) if same_head else None
@@ -483,42 +534,88 @@ def _scan_chunk(args):
         used = 0
         for positive, negated, _, _ in prep1 + prep2:
             used |= positive | negated
+        kept.append((position, ordering, prep1, prep2, every_atom & ~used,
+                     differing, _projection(ordering, index)))
+    return _Plan(q, q2, terms, base, _ranks(terms), same_head, per_subset,
+                 tuple(kept))
+
+
+def _scan(plan: _Plan, offset: int, workers: int):
+    """The stride `offset` of `workers` over the plan's (S, L) units, in
+    the global order (subset first, ordering second): its first failing
+    unit as `(unit index, counterexample)`, or None."""
+    q, q2 = plan.q, plan.q2
+    valid: set = set()  # keys of the identities this stride decided valid
+    walk = []
+    for (position, ordering, prep1, prep2, idle, differing,
+         projection) in plan.orderings:
         # the canonical assignment is built when a unit first needs it
         witness = functools.cache(functools.partial(satisfying_assignment,
                                                     ordering))
         memo = (valid, functools.partial(
-            _identity_key, q.aggregate.function.name, q.domain,
-            _projection(ordering, index)))
-        preps.append((position, ordering, witness, prep1, prep2,
-                      every_atom & ~used, differing, memo))
-    if not preps:
-        return None
-    per_subset = position + 1  # units per subset, dropped orderings too
-    for first, subset in zip(itertools.count(0, per_subset), _subsets(base)):
-        mask = sum(atom_bit[atom] for atom in subset)
+            _identity_key, q.aggregate.function.name, q.domain, projection))
+        walk.append((position, ordering, witness, prep1, prep2, idle,
+                     differing, memo))
+    for first, (subset, mask) in zip(itertools.count(0, plan.per_subset),
+                                     _subsets(plan.base)):
         for (position, ordering, witness, prep1, prep2, idle, differing,
-             memo) in preps:
+             memo) in walk:
             unit = first + position
             if (unit % workers != offset or mask & idle
                     or differing is not None and not _fires(differing, mask)):
                 continue
-            ce = _pair_counterexample(q, q2, base_terms, rank, subset, mask,
-                                      ordering, witness, prep1, prep2,
-                                      same_head, memo)
+            ce = _pair_counterexample(q, q2, plan.terms, plan.rank, subset,
+                                      mask, ordering, witness, prep1, prep2,
+                                      plan.same_head, memo)
             if ce is not None:
                 return unit, ce
     return None
 
 
-def _parallel_scan(q: Query, q2: Query, n: int,
-                   workers: int) -> Optional[Counterexample]:
-    jobs = [(q, q2, n, workers, w) for w in range(workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = [r for r in pool.map(_scan_chunk, jobs) if r is not None]
-    if not results:
-        return None
-    # the lowest global index wins, so scheduling cannot change the output
-    return min(results, key=lambda r: r[0])[1]
+# The process's worker pool: built by the first parallel decision that has
+# units to check, kept for later ones, and rebuilt after a fork or for
+# another worker count.  The lock keeps two threads from sharing it
+# mid-decision.
+_pool_lock = threading.Lock()
+_pool_key: Optional[tuple] = None  # (pid, workers) of _pool
+_pool: Optional[ProcessPoolExecutor] = None
+
+
+def _shared_pool(workers: int) -> ProcessPoolExecutor:
+    """This process's pool of `workers` processes."""
+    global _pool, _pool_key
+    key = (os.getpid(), workers)
+    if _pool_key != key:
+        _drop_pool()
+        _pool, _pool_key = ProcessPoolExecutor(max_workers=workers), key
+    return _pool
+
+
+def _drop_pool() -> None:
+    """Forget the pool, shutting it down if this process built it (a
+    forked child holds only a copy of its parent's)."""
+    global _pool, _pool_key
+    if _pool_key is not None and _pool_key[0] == os.getpid():
+        _pool.shutdown()
+    _pool = _pool_key = None
+
+
+def _scan_in_pool(plan: _Plan, workers: int) -> list:
+    """Every stride's `_scan` result, one stride per pool process.
+
+    A broken pool is dropped, never reused.  Decisions are pure, so the
+    decision runs once more on a fresh pool; a second break propagates.
+    """
+    with _pool_lock:
+        for retry in (False, True):
+            try:
+                return list(_shared_pool(workers).map(
+                    _scan, itertools.repeat(plan, workers), range(workers),
+                    itertools.repeat(workers, workers)))
+            except BrokenProcessPool:
+                _drop_pool()
+                if retry:
+                    raise
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,27 @@ def reference_prepare(q, ordering: CompleteOrdering, terms, atom_bit) -> list:
 # Random generators (all driven by a seeded Random instance)
 # ---------------------------------------------------------------------------
 
+FUNCTION_NAMES = ["count", "parity", "sum", "prod", "avg", "max", "min",
+                  "cntd", "top2"]
+
+
+def random_text(rng: random.Random, func: str) -> str:
+    """A query over p/1 aggregating `func`: one or two disjuncts, each
+    with an optional b(Y) or !b(Y) and an optional comparison of Y with
+    0, 1 or 2."""
+    disjuncts = []
+    for _ in range(rng.randint(1, 2)):
+        lits = ["p(Y)"]
+        if rng.random() < 0.4:
+            lits.append(rng.choice(["!b(Y)", "b(Y)"]))
+        if rng.random() < 0.6:
+            op = rng.choice(["<", "<=", ">", ">=", "!=", "="])
+            lits.append(f"Y {op} {rng.choice(('0', '1', '2'))}")
+        disjuncts.append(", ".join(lits))
+    agg = func + ("()" if func in ("count", "parity") else "(Y)")
+    return f"q(; {agg}) :- " + " | ".join(disjuncts)
+
+
 def random_ordering(rng: random.Random, domain: str, max_vars: int = 4,
                     max_consts: int = 2) -> CompleteOrdering:
     from aggequiv.orderings import enumerate_complete_orderings

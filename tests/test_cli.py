@@ -78,6 +78,33 @@ def test_internal_error_is_not_a_verdict(count_pair, capsys, monkeypatch):
     assert "internal error" in capsys.readouterr().err
 
 
+def test_a_pool_that_breaks_twice_is_an_internal_error(count_pair, capsys,
+                                                     monkeypatch):
+    """The engine retries a decision once on a fresh pool; a second
+    break is reported, never turned into a verdict."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    from aggequiv import engine
+    built = []
+
+    class BreakingPool:
+        def __init__(self, max_workers):
+            built.append(self)
+
+        def map(self, *args):
+            raise BrokenProcessPool("a worker died")
+
+        def shutdown(self):
+            pass
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", BreakingPool)
+    monkeypatch.setattr(engine, "_pool", None)
+    monkeypatch.setattr(engine, "_pool_key", None)
+    a, b = count_pair
+    assert main(["nequiv", a, b, "--n", "1", "--workers", "2", "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["status"] == "internal_error"
+    assert len(built) == 2
+
+
 def test_usage_errors():
     assert main(["nequiv"]) == 64
     assert main(["unknown-command"]) == 64

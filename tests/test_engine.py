@@ -1,9 +1,16 @@
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from helpers import reference_prepare
+from helpers import FUNCTION_NAMES, random_text, reference_prepare
 
 from aggequiv import engine, identity, oracle
 from aggequiv.aggregation import FUNCTIONS
@@ -480,8 +487,7 @@ def test_differential_skip_is_sound():
             prep1 = engine._prepare_assignments(compiled1, position)
             prep2 = engine._prepare_assignments(compiled2, position)
             differing = engine._differing_masks(prep1, prep2)
-            for subset in engine._subsets(base):
-                mask = sum(atom_bit[atom] for atom in subset)
+            for subset, mask in engine._subsets(base):
                 if engine._fires(differing, mask):
                     continue
                 skipped += 1
@@ -652,27 +658,11 @@ def test_randomized_cross_validation_with_brute_force():
     in both directions (counterexamples re-verify internally; equivalent
     verdicts admit no separating pool of the same size)."""
     rng = random.Random(424242)
-    functions = ["count", "parity", "sum", "prod", "avg", "max", "min",
-                 "cntd", "top2"]
-
-    def random_text(func):
-        disjuncts = []
-        for _ in range(rng.randint(1, 2)):
-            lits = ["p(Y)"]
-            if rng.random() < 0.4:
-                lits.append(rng.choice(["!b(Y)", "b(Y)"]))
-            if rng.random() < 0.6:
-                op = rng.choice(["<", "<=", ">", ">=", "!=", "="])
-                lits.append(f"Y {op} {rng.choice(('0', '1', '2'))}")
-            disjuncts.append(", ".join(lits))
-        agg = func + ("()" if func in ("count", "parity") else "(Y)")
-        return f"q(; {agg}) :- " + " | ".join(disjuncts)
-
     for _ in range(60):
-        func = rng.choice(functions)
+        func = rng.choice(FUNCTION_NAMES)
         domain = rng.choice([INTEGERS, "rat"])
-        q = parse_query(random_text(func), domain=domain)
-        q2 = parse_query(random_text(func), domain=domain)
+        q = parse_query(random_text(rng, func), domain=domain)
+        q2 = parse_query(random_text(rng, func), domain=domain)
         n = min(term_size_pair(q, q2), 2)
         verdict = engine.n_equivalent(q, q2, n)
         if verdict.status == engine.NOT_EQUIVALENT:
@@ -697,3 +687,135 @@ def test_workers_match_sequential():
     assert sequential == parallel
     same = engine.n_equivalent(q, q, 1, workers=2)
     assert same.status == engine.EQUIVALENT
+
+
+def test_workers_must_be_positive():
+    q = parse_query("q(; count()) :- p(X)")
+    plain = parse_query("q() :- p(X)")
+    for workers in (0, -3):
+        for decide in (lambda: engine.n_equivalent(q, q, 1, workers=workers),
+                       lambda: engine.equivalent(q, q, workers=workers),
+                       lambda: engine.locally_equivalent(q, q,
+                                                         workers=workers),
+                       lambda: engine.bagset_equivalent(plain, plain,
+                                                        workers=workers)):
+            with pytest.raises(ValueError, match="workers"):
+                decide()
+
+
+def test_verdicts_do_not_depend_on_workers():
+    """Seeded random pairs over all nine functions, both domains,
+    negation and comparisons, some with differing functions, decided at
+    1, 2 and 3 workers: every verdict is the same.  Each worker count
+    decides all pairs in a row, so its pool is built once."""
+    rng = random.Random(7)
+    pairs = []
+    for _ in range(60):
+        func = rng.choice(FUNCTION_NAMES)
+        func2 = func if rng.random() < 0.7 else rng.choice(FUNCTION_NAMES)
+        domain = rng.choice([INTEGERS, "rat"])
+        q = parse_query(random_text(rng, func), domain=domain)
+        q2 = parse_query(random_text(rng, func2), domain=domain)
+        pairs.append((q, q2, min(term_size_pair(q, q2), 2)))
+    verdicts = {workers: [engine.n_equivalent(q, q2, n, workers=workers)
+                          for q, q2, n in pairs]
+                for workers in (1, 2, 3)}
+    assert verdicts[2] == verdicts[1]
+    assert verdicts[3] == verdicts[1]
+    assert 0 < sum(v.status == engine.EQUIVALENT for v in verdicts[1]) < 60
+
+
+def test_nothing_to_check_starts_no_process(monkeypatch):
+    """A decision with no unit to check never builds a pool."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(engine, "_pool", None)
+    monkeypatch.setattr(engine, "_pool_key", None)
+    reflexive = "q(X; sum(Y)) :- p(X, Y), Y > 3 | p(Y, X), !b(X)"
+    pairs = [
+        (reflexive, reflexive, 2),
+        ("q(; count()) :- p(X)",
+         "q(; count()) :- p(X), X != 0 | p(X), X = 0", 4),
+    ]
+    for text1, text2, n in pairs:
+        q, q2 = parse_query(text1), parse_query(text2)
+        verdict = engine.n_equivalent(q, q2, n, workers=2)
+        assert verdict.status == engine.EQUIVALENT
+
+
+MAX_LT1 = ("q(; max(Y)) :- p(Y), Y < 1", "q(; max(Y)) :- p(Y), Y <= 0")
+MAX_LT1_CE = engine.Counterexample(
+    Database(frozenset({("p", (F(1, 2),))})), (), F(1, 2), None)
+
+
+def test_broken_pool_is_replaced():
+    """A pool whose worker died is dropped, and the decision runs on a
+    fresh one."""
+    q, q2 = map(parse_query, MAX_LT1)
+    pool = engine._shared_pool(2)
+    with pytest.raises(BrokenProcessPool):
+        pool.submit(os._exit, 1).result(timeout=60)
+    verdict = engine.n_equivalent(q, q2, 5, workers=2)
+    assert verdict == engine.n_equivalent(q, q2, 5)
+    assert verdict.counterexample == MAX_LT1_CE
+    assert engine._shared_pool(2) is not pool
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_builds_its_own_pool():
+    """A child forked while the parent holds a pool cannot use the
+    parent's copy; it builds its own and decides the same."""
+    q, q2 = map(parse_query, MAX_LT1)
+    assert engine.n_equivalent(q, q2, 5, workers=2).counterexample \
+        == MAX_LT1_CE
+    pool = engine._shared_pool(2)
+    pid = os.fork()
+    if pid == 0:  # the child never returns into the test runner
+        code = 1
+        try:
+            verdict = engine.n_equivalent(q, q2, 5, workers=2)
+            own = engine._shared_pool(2) is not pool
+            engine._drop_pool()
+            code = 0 if own and verdict.counterexample == MAX_LT1_CE else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 120
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish")
+        time.sleep(0.02)
+    assert os.waitstatus_to_exitcode(status[1]) == 0
+    assert engine._shared_pool(2) is pool
+    assert engine.n_equivalent(q, q2, 5, workers=2).counterexample \
+        == MAX_LT1_CE
+
+
+def test_parallel_decision_under_spawn():
+    """Workers started from a fresh interpreter (spawn, and forkserver
+    where there is one) get everything a stride needs from its job."""
+    import multiprocessing
+    methods = [m for m in ("spawn", "forkserver")
+               if m in multiprocessing.get_all_start_methods()]
+    code = f"""
+import multiprocessing, sys
+multiprocessing.set_start_method(sys.argv[1])
+from fractions import Fraction as F
+from aggequiv import engine
+from aggequiv.model import Database
+from aggequiv.parsing import parse_query
+q, q2 = map(parse_query, {MAX_LT1!r})
+verdict = engine.n_equivalent(q, q2, 5, workers=2)
+print(verdict.counterexample == engine.Counterexample(
+    Database(frozenset({{("p", (F(1, 2),))}})), (), F(1, 2), None))
+"""
+    src = str(Path(engine.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for method in methods:
+        done = subprocess.run([sys.executable, "-c", code, method], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (0, "True\n"), (
+            method, done.stderr)
