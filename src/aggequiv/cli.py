@@ -12,12 +12,13 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from . import engine, identity, oracle
 from .aggregation import FUNCTIONS, format_value, value_to_json
-from .model import Const, INTEGERS, Query, RATIONALS, ValidationError
+from .model import (
+    Const, INTEGERS, Query, RATIONALS, ValidationError, term_size_pair,
+)
 from .orderings import CompleteOrdering, is_satisfiable_order
 from .parsing import (
     ArityRegistry, ParseError, format_database, format_fact, parse_database,
@@ -28,24 +29,6 @@ from .quasilinear import equivalent_quasilinear
 USAGE_EXIT = 64
 MAX_BASE = 24
 MAX_N = 5
-
-
-@dataclass
-class RunConfig:
-    command: str
-    domain: str = RATIONALS
-    n: Optional[int] = None
-    force: bool = False
-    json_output: bool = False
-    cap: int = 2 ** 20
-    workers: int = 1
-    save_counterexample: Optional[str] = None
-
-    def validate(self):
-        if self.n is not None and self.n < 0:
-            raise UsageError("--n must be nonnegative")
-        if self.workers < 1:
-            raise UsageError("--workers must be at least 1")
 
 
 class UsageError(Exception):
@@ -63,6 +46,10 @@ def _build_parser() -> _Parser:
     """The argument parser, built on first use and kept for the process:
     building it costs more than most decisions."""
     parser = _Parser(prog="aggequiv", description=__doc__)
+    # every command reads the same fields; these cover the flags it lacks
+    parser.set_defaults(domain=RATIONALS, n=None, force=False,
+                        json_output=False, cap=2 ** 20, workers=1,
+                        save_counterexample=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, queries=2):
@@ -168,7 +155,7 @@ def _counterexample_json(ce) -> Optional[dict]:
     }
 
 
-def _report_verdict(verdict, config: RunConfig, started: float) -> int:
+def _report_verdict(verdict, args, started: float) -> int:
     payload = {
         "status": verdict.status,
         "n_used": verdict.n_used,
@@ -177,7 +164,7 @@ def _report_verdict(verdict, config: RunConfig, started: float) -> int:
     }
     if verdict.reason:
         payload["reason"] = verdict.reason
-    if config.json_output:
+    if args.json_output:
         print(json.dumps(payload))
     else:
         print(f"status: {verdict.status}")
@@ -194,8 +181,8 @@ def _report_verdict(verdict, config: RunConfig, started: float) -> int:
             print(f"grouping tuple: ({group})")
             print(f"left value:  {format_value(ce.left_value)}")
             print(f"right value: {format_value(ce.right_value)}")
-    if verdict.counterexample is not None and config.save_counterexample:
-        with open(config.save_counterexample, "w", encoding="utf-8") as out:
+    if verdict.counterexample is not None and args.save_counterexample:
+        with open(args.save_counterexample, "w", encoding="utf-8") as out:
             out.write(format_database(verdict.counterexample.database) + "\n")
     if verdict.status == engine.EQUIVALENT:
         return 0
@@ -204,17 +191,17 @@ def _report_verdict(verdict, config: RunConfig, started: float) -> int:
     return 2
 
 
-def _guardrail(q: Query, q2: Query, n: int, config: RunConfig):
+def _guardrail(q: Query, q2: Query, n: int, args):
     size = engine.base_size(q, q2, n)
-    if not config.force and (size > MAX_BASE or n > MAX_N):
+    if not args.force and (size > MAX_BASE or n > MAX_N):
         raise SystemExit(_fail(
             f"refusing a search over 2^{size} atom subsets "
             f"(|BASE| = {size}, N = {n}); the cost is doubly "
-            f"exponential. Pass --force to run anyway.", config))
+            f"exponential. Pass --force to run anyway.", args))
 
 
-def _fail(message: str, config: RunConfig, status: str = "error") -> int:
-    if config.json_output:
+def _fail(message: str, args, status: str = "error") -> int:
+    if args.json_output:
         print(json.dumps({"status": status, "reason": message}))
     else:
         print(f"{status.replace('_', ' ')}: {message}", file=sys.stderr)
@@ -225,39 +212,29 @@ def _fail(message: str, config: RunConfig, status: str = "error") -> int:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _cmd_pairwise(args, config: RunConfig) -> int:
+def _cmd_pairwise(args) -> int:
     started = time.monotonic()
-    q, q2, _ = _load_pair(args.queries, config.domain)
-    if config.command == "equiv":
-        _guardrail(q, q2, _planned_n(q, q2), config)
-        verdict = engine.equivalent(q, q2, workers=config.workers)
-    elif config.command == "local-equiv":
-        _guardrail(q, q2, _planned_n(q, q2), config)
-        verdict = engine.locally_equivalent(q, q2, workers=config.workers)
-    elif config.command == "nequiv":
-        _guardrail(q, q2, config.n, config)
-        verdict = engine.n_equivalent(q, q2, config.n, workers=config.workers)
-    elif config.command == "bagset-equiv":
-        _guardrail(q, q2, _planned_n(q, q2), config)
-        verdict = engine.bagset_equivalent(q, q2, workers=config.workers)
-    elif config.command == "quasilinear":
-        verdict = equivalent_quasilinear(q, q2, cap=config.cap)
-    else:  # pragma: no cover
-        raise AssertionError(config.command)
-    return _report_verdict(verdict, config, started)
+    q, q2, _ = _load_pair(args.queries, args.domain)
+    if args.command == "quasilinear":
+        verdict = equivalent_quasilinear(q, q2, cap=args.cap)
+    elif args.command == "nequiv":
+        _guardrail(q, q2, args.n, args)
+        verdict = engine.n_equivalent(q, q2, args.n, workers=args.workers)
+    else:
+        _guardrail(q, q2, term_size_pair(q, q2), args)
+        decide = {"equiv": engine.equivalent,
+                  "local-equiv": engine.locally_equivalent,
+                  "bagset-equiv": engine.bagset_equivalent}[args.command]
+        verdict = decide(q, q2, workers=args.workers)
+    return _report_verdict(verdict, args, started)
 
 
-def _planned_n(q: Query, q2: Query) -> int:
-    from .model import term_size_pair
-    return term_size_pair(q, q2)
-
-
-def _cmd_eval(args, config: RunConfig) -> int:
-    q, registry = _load_single(args.queries[0], config.domain)
+def _cmd_eval(args) -> int:
+    q, registry = _load_single(args.queries[0], args.domain)
     with open(args.database, encoding="utf-8") as handle:
-        db = parse_database(handle.read(), config.domain, registry)
+        db = parse_database(handle.read(), args.domain, registry)
     results = sorted(oracle.eval_concrete(q, db))
-    if config.json_output:
+    if args.json_output:
         if q.aggregate is None:
             payload = [{"group": [format_value(v) for v in key]}
                        for key in results]
@@ -277,10 +254,10 @@ def _cmd_eval(args, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_check_decomposition(args, config: RunConfig) -> int:
-    q, q2, registry = _load_pair(args.queries, config.domain)
+def _cmd_check_decomposition(args) -> int:
+    q, q2, registry = _load_pair(args.queries, args.domain)
     with open(args.database, encoding="utf-8") as handle:
-        db = parse_database(handle.read(), config.domain, registry)
+        db = parse_database(handle.read(), args.domain, registry)
     group = []
     for chunk in args.group.split(","):
         chunk = chunk.strip()
@@ -291,7 +268,7 @@ def _cmd_check_decomposition(args, config: RunConfig) -> int:
             group.append(term.value)
     family = oracle.build_decomposition(db, q, q2, tuple(group))
     ok = oracle.verify_decomposition(family, db, q, q2, tuple(group))
-    if config.json_output:
+    if args.json_output:
         print(json.dumps({
             "databases": [len(part) for part in family],
             "verified": ok,
@@ -303,11 +280,11 @@ def _cmd_check_decomposition(args, config: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _cmd_check_identity(args, config: RunConfig) -> int:
+def _cmd_check_identity(args) -> int:
     with open(args.identity_file, encoding="utf-8") as handle:
         ident = _parse_identity(handle.read())
     verdict = identity.decide(ident)
-    if config.json_output:
+    if args.json_output:
         witness = None
         if verdict.witness is not None:
             witness = {str(t): format_value(v)
@@ -390,42 +367,35 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        config = RunConfig(
-            command=args.command,
-            domain=getattr(args, "domain", RATIONALS),
-            n=getattr(args, "n", None),
-            force=getattr(args, "force", False),
-            json_output=getattr(args, "json_output", False),
-            cap=getattr(args, "cap", 2 ** 20),
-            workers=getattr(args, "workers", 1),
-            save_counterexample=getattr(args, "save_counterexample", None),
-        )
-        config.validate()
+        if args.n is not None and args.n < 0:
+            raise UsageError("--n must be nonnegative")
+        if args.workers < 1:
+            raise UsageError("--workers must be at least 1")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 
     try:
-        if config.command in ("equiv", "nequiv", "local-equiv",
-                              "quasilinear", "bagset-equiv"):
-            return _cmd_pairwise(args, config)
-        if config.command == "eval":
-            return _cmd_eval(args, config)
-        if config.command == "check-decomposition":
-            return _cmd_check_decomposition(args, config)
-        if config.command == "check-identity":
-            return _cmd_check_identity(args, config)
-        raise AssertionError(config.command)  # pragma: no cover
+        if args.command in ("equiv", "nequiv", "local-equiv",
+                            "quasilinear", "bagset-equiv"):
+            return _cmd_pairwise(args)
+        if args.command == "eval":
+            return _cmd_eval(args)
+        if args.command == "check-decomposition":
+            return _cmd_check_decomposition(args)
+        if args.command == "check-identity":
+            return _cmd_check_identity(args)
+        raise AssertionError(args.command)  # pragma: no cover
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except (ParseError, ValidationError, ValueError, OSError) as exc:
-        return _fail(str(exc), config)
+        return _fail(str(exc), args)
     except (AssertionError, RuntimeError) as exc:
         # a broken invariant is no verdict: keep it off exit code 1
-        return _fail(str(exc), config, status="internal_error")
+        return _fail(str(exc), args, status="internal_error")
 
 
 if __name__ == "__main__":

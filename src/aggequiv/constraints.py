@@ -1,25 +1,34 @@
-"""Polynomial reasoning about conjunctions of comparisons.
+"""Reasoning about conjunctions of comparisons: one system answers
+satisfiability, entailment, forced values and forced equalities.
 
-A conjunction of comparisons over variables and constants is encoded as
-a difference-constraint graph (nodes: variables, one node per constant
-value, plus an implicit origin).  All-pairs strongest bounds come from a
-Floyd-Warshall pass with exact weights; over the integers strict edges
-are tightened to weight -1, which makes squeezing effects like
-``0 < x < 2 entails x = 1`` fall out of the path weights.
+The system picks its method from the input.  By default a conjunction
+over variables and constants is encoded as a difference-constraint graph
+(nodes: variables, one node per constant value, plus an implicit
+origin).  All-pairs strongest bounds come from a Floyd-Warshall pass
+with exact weights; over the integers strict edges are tightened to
+weight -1, which makes squeezing effects like ``0 < x < 2 entails x = 1``
+fall out of the path weights.  Disequalities are easy over the rationals
+(a conjunction is satisfiable iff the core is and no disequal pair is
+forced equal).
 
-Disequalities are easy over the rationals (a conjunction is satisfiable
-iff the core is and no disequal pair is forced equal) but make integer
-satisfiability hard in general; integer systems containing ``!=`` fall
-back to enumerating complete orderings and refuse beyond a small term
-count rather than answer approximately.
+Over the integers a disequality can pin a variable through a hole the
+bounds cannot see, and makes satisfiability hard in general.  An integer
+system containing ``!=`` therefore answers from the list of its
+consistent complete orderings (bounds it entails still settle a forced
+value or equality first), builds that list once, and refuses beyond a
+small term count rather than answer approximately.  `entails` is the
+same for every system: the negated target makes the conjunction
+unsatisfiable.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .model import Comparison, Const, INTEGERS, is_const
+from .model import Comparison, INTEGERS, is_const
+from .orderings import consistent_orderings
 
 #: orderings of more than this many terms are never enumerated here
 ENUMERATION_LIMIT = 7
@@ -34,7 +43,9 @@ _STRICT = 0  # sorts before weak: a strict bound of equal weight is stronger
 
 
 class ComparisonSystem:
-    """Strongest entailed bounds between every pair of terms."""
+    """A conjunction of comparisons over a domain: strongest entailed
+    bounds between every pair of terms, and, for an integer system with a
+    disequality, its consistent orderings."""
 
     def __init__(self, comparisons: Iterable[Comparison], domain: str):
         self.domain = domain
@@ -121,26 +132,33 @@ class ComparisonSystem:
         key = ("c", term.value) if is_const(term) else ("v", term.name)
         return self._nodes.get(key)
 
-    def _bound(self, u: int, v: int):
-        """Strongest entailed `u - v <= w` (strict when flagged)."""
-        return self._dist[u][v]
-
-    def _core_satisfiable(self) -> bool:
-        return not self._contradiction
-
     def _forced_equal_nodes(self, u: int, v: int) -> bool:
         duv, dvu = self._dist[u][v], self._dist[v][u]
         return (duv[0] == 0 and duv[1] == _WEAK
                 and dvu[0] == 0 and dvu[1] == _WEAK)
 
-    def satisfiable(self) -> bool:
-        """Exact over the rationals and over disequality-free integer
-        systems; integer systems with != use ordering enumeration."""
+    @functools.cached_property
+    def _orderings(self) -> Optional[list]:
+        """The consistent complete orderings of an integer system with a
+        disequality, built on first use; None for every other system."""
+        if not (self._neq and self.domain == INTEGERS):
+            return None
         if self._contradiction:
-            return False
-        if self._neq and self.domain == INTEGERS:
-            return _enumeration_satisfiable(self.comparisons, self.domain)
-        return not any(self._forced_equal_nodes(u, v) for u, v in self._neq)
+            return []
+        terms = {t for c in self.comparisons for t in c.terms()}
+        if len(terms) > ENUMERATION_LIMIT:
+            raise TooHardError(
+                f"integer disequality reasoning over {len(terms)} terms "
+                f"exceeds the enumeration limit ({ENUMERATION_LIMIT})")
+        return list(consistent_orderings(terms, self.comparisons,
+                                         self.domain))
+
+    def satisfiable(self) -> bool:
+        """Does some assignment over the domain satisfy every comparison?"""
+        if self._orderings is not None:
+            return bool(self._orderings)
+        return not self._contradiction and not any(
+            self._forced_equal_nodes(u, v) for u, v in self._neq)
 
     def entails(self, target: Comparison) -> bool:
         """Conjunction entails `target`: the negation is unsatisfiable."""
@@ -159,12 +177,15 @@ class ComparisonSystem:
             for piece in pieces)
 
     def forced_equal(self, a, b) -> bool:
-        """Are two terms equal under every satisfying assignment?
-        (Disequalities never force equalities, so the core suffices.)"""
+        """Are two terms equal under every satisfying assignment?"""
         u, v = self._node_of(a), self._node_of(b)
         if u is None or v is None:
             return False
-        return self._forced_equal_nodes(u, v)
+        if self._forced_equal_nodes(u, v):
+            return True
+        # disequality holes can pin both terms to one value
+        return bool(self._orderings) and all(
+            o.position(a) == o.position(b) for o in self._orderings)
 
     def bounds(self, term):
         """(lo, lo_strict, hi, hi_strict) entailed for a term; None ends
@@ -190,48 +211,13 @@ class ComparisonSystem:
         return (lo, lo_strict, hi, hi_strict)
 
     def forced_value(self, term) -> Optional[Fraction]:
-        """The single value a term can take, if there is exactly one.
-
-        Needs the full satisfiability machinery for integer systems with
-        disequalities (a hole can pin a two-point range); those route
-        through `entails`.
-        """
+        """The single value a term can take, if there is exactly one."""
         lo, lo_strict, hi, hi_strict = self.bounds(term)
-        if (lo is not None and lo == hi and not lo_strict and not hi_strict):
+        if lo is not None and lo == hi and not lo_strict and not hi_strict:
             return lo
-        if self._neq and self.domain == INTEGERS and lo is not None \
-                and hi is not None:
-            if hi - lo > 64:
-                raise TooHardError(
-                    "integer disequality pinning over a range wider than 64")
-            candidates = [lo + i for i in range(int(hi - lo) + 1)]
-            possible = [c for c in candidates
-                        if ComparisonSystem(
-                            self.comparisons + [Comparison(term, "=", Const(c))],
-                            self.domain).satisfiable()]
-            if len(possible) == 1:
-                return possible[0]
-        return None
-
-
-def _enumeration_satisfiable(comparisons, domain: str) -> bool:
-    from .orderings import consistent_orderings
-
-    terms = {t for c in comparisons for t in c.terms()}
-    if len(terms) > ENUMERATION_LIMIT:
-        raise TooHardError(
-            f"integer disequality reasoning over {len(terms)} terms "
-            f"exceeds the enumeration limit ({ENUMERATION_LIMIT})")
-    return next(consistent_orderings(terms, comparisons, domain),
-                None) is not None
-
-
-def comparisons_satisfiable(comparisons, domain: str) -> bool:
-    """Is the conjunction of comparisons satisfiable over the domain?"""
-    return ComparisonSystem(list(comparisons), domain).satisfiable()
-
-
-def comparisons_entail(comparisons, target: Comparison, domain: str) -> bool:
-    """Does the conjunction entail `target` over the domain?  An
-    unsatisfiable conjunction entails everything."""
-    return ComparisonSystem(list(comparisons), domain).entails(target)
+        if self._node_of(term) is None or not self._orderings:
+            return None
+        # a disequality hole can pin a range the bounds leave open
+        ranges = {o.class_bounds(o.position(term)) for o in self._orderings}
+        lo, hi = ranges.pop()
+        return lo if not ranges and lo is not None and lo == hi else None

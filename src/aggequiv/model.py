@@ -10,7 +10,7 @@ integer domain only admit constants with denominator 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -22,7 +22,7 @@ DOMAINS = (INTEGERS, RATIONALS)
 
 COMPARISON_OPS = ("<", "<=", ">", ">=", "!=", "=")
 
-#: op -> (python test, op with sides swapped)
+#: op -> python test
 _OP_EVAL = {
     "<": lambda a, b: a < b,
     "<=": lambda a, b: a <= b,
@@ -31,7 +31,6 @@ _OP_EVAL = {
     "!=": lambda a, b: a != b,
     "=": lambda a, b: a == b,
 }
-FLIPPED_OP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "!=": "!=", "=": "="}
 
 
 class ValidationError(ValueError):
@@ -91,9 +90,6 @@ class Atom:
     args: tuple
     positive: bool = True
 
-    def negate(self) -> "Atom":
-        return replace(self, positive=not self.positive)
-
     def variables(self):
         return [a for a in self.args if is_var(a)]
 
@@ -111,9 +107,6 @@ class Comparison:
     def __post_init__(self):
         if self.op not in COMPARISON_OPS:
             raise ValueError(f"bad comparison operator {self.op!r}")
-
-    def flipped(self) -> "Comparison":
-        return Comparison(self.rhs, FLIPPED_OP[self.op], self.lhs)
 
     def holds(self, a: Fraction, b: Fraction) -> bool:
         return _OP_EVAL[self.op](a, b)

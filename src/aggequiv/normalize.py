@@ -9,6 +9,9 @@ constants.  For conjunctive queries the substitution extends into the
 head, as reduced heads may contain constants.  For disjunctive queries
 only non-head variables are substituted, since different disjuncts may
 force different values.
+
+Every question about a disjunct's comparisons goes to one
+`constraints.ComparisonSystem` per disjunct, which picks its own method.
 """
 
 from __future__ import annotations
@@ -17,10 +20,8 @@ from dataclasses import replace
 
 from .constraints import ComparisonSystem
 from .model import (
-    Atom, Comparison, Condition, Const, INTEGERS, Query, is_const, is_var,
-    term_sort_key,
+    Atom, Comparison, Condition, Const, Query, is_const, is_var, term_sort_key,
 )
-from .orderings import consistent_orderings
 
 
 def _substitute_term(subst: dict, t):
@@ -50,37 +51,15 @@ def _substitute_condition(subst: dict, cond: Condition) -> Condition:
     return Condition(atoms, tuple(comparisons))
 
 
-def _entailed_substitution(cond: Condition, domain: str,
-                           protected: set) -> dict:
+def _entailed_substitution(system: ComparisonSystem, protected: set) -> dict:
     """Map each comparison variable forced equal to another term onto a
     representative; `protected` variables are never mapped away."""
-    comparisons = list(cond.comparisons)
-    if not comparisons:
-        return {}
-    terms = {t for c in comparisons for t in c.terms()}
-    if domain == INTEGERS and any(c.op == "!=" for c in comparisons):
-        # disequality holes can pin integer variables in ways the
-        # difference-bound core cannot see; read both facts off the
-        # consistent orderings instead
-        orderings = list(consistent_orderings(terms, comparisons, domain))
-        if not orderings:
-            raise ValueError("unsatisfiable disjunct")
-
-        def forced_value(x):
-            bounds = {o.class_bounds(o.position(x)) for o in orderings}
-            lo, hi = bounds.pop()
-            return lo if not bounds and lo is not None and lo == hi else None
-
-        def forced_equal(x, y):
-            return all(o.position(x) == o.position(y) for o in orderings)
-    else:
-        system = ComparisonSystem(comparisons, domain)
-        forced_value, forced_equal = system.forced_value, system.forced_equal
+    terms = {t for c in system.comparisons for t in c.terms()}
     variables = sorted((t for t in terms if is_var(t)), key=term_sort_key)
 
     subst = {}
     for x in variables:
-        value = forced_value(x)
+        value = system.forced_value(x)
         if value is not None:
             subst[x] = Const(value)
     merged = set(subst)
@@ -89,7 +68,7 @@ def _entailed_substitution(cond: Condition, domain: str,
             continue
         group = [x]
         for y in variables[i + 1:]:
-            if y not in merged and forced_equal(x, y):
+            if y not in merged and system.forced_equal(x, y):
                 group.append(y)
         if len(group) > 1:
             merged.update(group)
@@ -101,13 +80,6 @@ def _entailed_substitution(cond: Condition, domain: str,
     # a protected (head) variable keeps its name: different disjuncts could
     # force different values onto it
     return {k: v for k, v in subst.items() if k not in protected}
-
-
-def condition_satisfiable(cond: Condition, domain: str) -> bool:
-    """Are the disjunct's comparisons satisfiable over the domain?"""
-    if not cond.comparisons:
-        return True
-    return ComparisonSystem(list(cond.comparisons), domain).satisfiable()
 
 
 def reduce_query(q: Query) -> Query:
@@ -123,12 +95,13 @@ def reduce_query(q: Query) -> Query:
 
     new_disjuncts = []
     for cond in q.disjuncts:
-        if not condition_satisfiable(cond, q.domain):
+        system = ComparisonSystem(cond.comparisons, q.domain)
+        if not system.satisfiable():
             continue
         # head variables may be substituted only when there is a single
         # disjunct (the substitution must also rewrite the shared head)
         protected = set() if conjunctive else set(head_vars)
-        subst = _entailed_substitution(cond, q.domain, protected)
+        subst = _entailed_substitution(system, protected)
         if conjunctive:
             subst = _drop_head_conflicts(subst, q)
             grouping = tuple(_substitute_term(subst, t) for t in grouping)

@@ -21,8 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from .model import (
-    FLIPPED_OP, INTEGERS, Comparison, Const, Term, is_const, is_var,
-    term_sort_key,
+    INTEGERS, Comparison, Const, Term, is_const, is_var, term_sort_key,
 )
 
 #: an assignment maps every term of an ordering to a constant;
@@ -191,24 +190,18 @@ def _injective_interleavings(constants: list, variables: list):
 def entails(ordering: CompleteOrdering, cmp: Comparison) -> bool:
     """True iff every assignment satisfying the ordering satisfies `cmp`.
 
-    Both sides must be terms of the ordering or constants (constants not
-    occurring in the ordering are compared through class bounds).
+    Both sides must be terms of the ordering, unless both are constants.
     """
     lhs, rhs = cmp.lhs, cmp.rhs
     if is_const(lhs) and is_const(rhs):
         return cmp.holds(lhs.value, rhs.value)
     positions = ordering._positions
-    i, j = positions.get(lhs), positions.get(rhs)
-    for t, p in ((lhs, i), (rhs, j)):
-        if p is None and is_var(t):
+    for t in (lhs, rhs):
+        if t not in positions:
             raise KeyError(f"unknown term {t}")
-    if i is not None and j is not None:
-        rel = "=" if i == j else ("<" if i < j else ">")
-        return _relation_implies(rel, cmp.op)
-    # one side is a constant that does not occur in the ordering
-    if i is not None:
-        return _bounds_entail(ordering, i, cmp.op, rhs.value)
-    return _bounds_entail(ordering, j, FLIPPED_OP[cmp.op], lhs.value)
+    i, j = positions[lhs], positions[rhs]
+    rel = "=" if i == j else ("<" if i < j else ">")
+    return _relation_implies(rel, cmp.op)
 
 
 def _relation_implies(rel: str, op: str) -> bool:
@@ -217,34 +210,6 @@ def _relation_implies(rel: str, op: str) -> bool:
         ">": op in (">", ">=", "!="),
         "=": op in ("=", "<=", ">="),
     }[rel]
-
-
-def _bounds_entail(ordering: CompleteOrdering, i: int, op: str,
-                   c: Fraction) -> bool:
-    """Does class `i` relate to the outside constant `c` as `op`, always?"""
-    lo, hi = ordering.class_bounds(i)
-    if lo is not None and lo == hi:  # pinned class
-        return Comparison(Const(lo), op, Const(c)).holds(lo, c)
-    if ordering.domain == INTEGERS:
-        if op == "<":
-            return hi is not None and hi < c
-        if op == "<=":
-            return hi is not None and hi <= c
-        if op == ">":
-            return lo is not None and lo > c
-        if op == ">=":
-            return lo is not None and lo >= c
-        if op == "=":
-            return False  # interval has at least two points
-        return (hi is not None and c > hi) or (lo is not None and c < lo)
-    # rationals: possible values form the open interval (lo, hi)
-    if op in ("<", "<="):
-        return hi is not None and hi <= c
-    if op in (">", ">="):
-        return lo is not None and lo >= c
-    if op == "=":
-        return False
-    return (hi is not None and c >= hi) or (lo is not None and c <= lo)
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +314,6 @@ def reduce_terms(ordering: CompleteOrdering):
         new_classes.append((rep,))
     reduced = CompleteOrdering(tuple(new_classes), ordering.domain)
     return reduced, renaming
-
-
-def rename_term(renaming: dict, t: Term) -> Term:
-    return renaming.get(t, t)
 
 
 def rename_tuple(renaming: dict, tup: tuple) -> tuple:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import oracle
-from .constraints import comparisons_entail
+from .constraints import ComparisonSystem
 from .engine import Counterexample, EQUIVALENT, NOT_EQUIVALENT, UNSUPPORTED, Verdict
 from .model import (
     Condition, Query, RATIONALS, is_const, term_sort_key,
@@ -144,16 +144,16 @@ def _is_isomorphism(theta: Homomorphism, q: Query, q2: Query,
     negated2_mapped = {theta.atom_key(a) for a in cond2.negated_atoms()}
     if negated != negated2_mapped:
         return False
-    inverse = theta.inverse()
-    for c2 in cond2.comparisons:
-        mapped = replace(c2, lhs=theta.term(c2.lhs), rhs=theta.term(c2.rhs))
-        if not comparisons_entail(cond.comparisons, mapped, q.domain):
-            return False
-    for c1 in cond.comparisons:
-        mapped = replace(c1, lhs=inverse.term(c1.lhs),
-                         rhs=inverse.term(c1.rhs))
-        if not comparisons_entail(cond2.comparisons, mapped, q2.domain):
-            return False
+    # each side's comparisons entail the other side's, mapped across
+    for source, target, mapping, domain in (
+            (cond, cond2, theta, q.domain),
+            (cond2, cond, theta.inverse(), q2.domain)):
+        system = ComparisonSystem(source.comparisons, domain)
+        for c in target.comparisons:
+            mapped = replace(c, lhs=mapping.term(c.lhs),
+                             rhs=mapping.term(c.rhs))
+            if not system.entails(mapped):
+                return False
     return True
 
 

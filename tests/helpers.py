@@ -2,8 +2,9 @@
 
 Nothing here shares code with the library's decision paths: weak orders
 are enumerated through canonical rank maps, rational feasibility goes
-through a from-scratch Fourier-Motzkin elimination, and integer
-feasibility through plain enumeration of a value box.  Where a test
+through a from-scratch Fourier-Motzkin elimination, integer feasibility
+through plain enumeration of a value box, and comparison conjunctions
+through enumeration of a value grid.  Where a test
 freezes an expected value, one of these oracles computed it.
 """
 
@@ -167,6 +168,50 @@ def int_sum_identity_box_refutation(ordering: CompleteOrdering, left, right,
         if total(left) != total(right):
             return assignment
     return None
+
+
+# ---------------------------------------------------------------------------
+# Comparison conjunctions, decided on a finite grid
+# ---------------------------------------------------------------------------
+
+def comparison_grid(constants, k: int, domain: str) -> list:
+    """Candidate values for `k` variables ordered against `constants`.
+
+    Only the order of the values relative to each other and to the
+    constants matters, so a grid realizing every such order (with one
+    spare slot, so a variable that is not pinned shows two values) is
+    exhaustive.  Over the integers that is the box [min c - k - 1,
+    max c + k + 1]; over the rationals, the constants plus k + 1 points in
+    every gap between them and beyond each end.
+    """
+    cs = sorted({Fraction(c) for c in constants})
+    if domain == INTEGERS:
+        lo, hi = (cs[0], cs[-1]) if cs else (0, 0)
+        return [Fraction(v) for v in range(int(lo) - k - 1, int(hi) + k + 2)]
+    if not cs:
+        return [Fraction(i) for i in range(k + 1)]
+    steps = range(1, k + 2)
+    grid = [cs[0] - i for i in steps] + [cs[-1] + i for i in steps]
+    for a, b in zip(cs, cs[1:]):
+        grid.extend(a + (b - a) * Fraction(i, k + 2) for i in steps)
+    return sorted(grid + cs)
+
+
+def comparison_solutions(comparisons, variables, constants,
+                         domain: str) -> list:
+    """Every assignment of `variables` on the grid of `constants` that
+    satisfies every comparison."""
+    variables = list(variables)
+    grid = comparison_grid(constants, len(variables), domain)
+    solutions = []
+    for values in itertools.product(grid, repeat=len(variables)):
+        assignment = dict(zip(variables, values))
+
+        def value(t):
+            return t.value if is_const(t) else assignment[t]
+        if all(c.holds(value(c.lhs), value(c.rhs)) for c in comparisons):
+            solutions.append(assignment)
+    return solutions
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,8 @@ def test_nequiv_counterexample(count_pair, capsys, tmp_path):
     assert payload["status"] == "not_equivalent"
     assert payload["counterexample"]["facts"] == ["p(0)."]
     assert payload["counterexample"]["values"] == ["1", "2"]
-    assert open(save).read().strip() == "p(0)."
+    with open(save) as saved:
+        assert saved.read().strip() == "p(0)."
 
 
 def test_single_file_with_two_declarations(tmp_path):

@@ -121,23 +121,36 @@ def test_entailment_examples():
 
 
 def test_integer_squeeze_entailment():
+    # 0 < x < 2 squeezes x onto 1 over the integers only
     order = L([[C(0)], [x], [C(2)]], INTEGERS)
-    assert entails(order, Comparison(x, "=", C(1)))
-    assert not entails(L([[C(0)], [x], [C(2)]], RATIONALS),
-                       Comparison(x, "=", C(1)))
-    # comparison against a constant outside the ordering
-    assert entails(order, Comparison(x, "<", C(5)))
-    assert entails(order, Comparison(x, ">=", C(1)))
+    assert order.class_bounds(order.position(x)) == (F(1), F(1))
     rational = L([[C(0)], [x], [C(2)]], RATIONALS)
+    assert rational.class_bounds(rational.position(x)) == (F(0), F(2))
+    # comparisons with a constant are read off positions, so the constant
+    # is placed inside the ordering
+    pinned = L([[C(0)], [x, C(1)], [C(2)], [C(5)]], INTEGERS)
+    assert entails(pinned, Comparison(x, "=", C(1)))
+    assert entails(pinned, Comparison(x, ">=", C(1)))
+    assert entails(pinned, Comparison(x, "<", C(5)))
     assert entails(rational, Comparison(x, "<", C(2)))
     assert entails(rational, Comparison(x, "<=", C(2)))
     assert entails(rational, Comparison(x, "!=", C(2)))
-    assert not entails(rational, Comparison(x, "<", C(1)))
+    # over the rationals 0 < x < 2 leaves x on either side of 1
+    squeezed = [Comparison(C(0), "<", x), Comparison(x, "<", C(2))]
+    orders = list(consistent_orderings([x, C(0), C(1), C(2)], squeezed,
+                                       RATIONALS))
+    assert [str(o) for o in orders if entails(o, Comparison(x, "<", C(1)))] \
+        == ["0 < x < 1 < 2"]
+    assert len(orders) == 3
 
 
 def test_unknown_term_rejected():
     with pytest.raises(KeyError, match="unknown term"):
         entails(L([[x]]), Comparison(x, "<", y))
+    # a constant outside the ordering is unknown too
+    with pytest.raises(KeyError, match="unknown term 5"):
+        entails(L([[C(0)], [x]]), Comparison(x, "<", C(5)))
+    assert entails(L([[x]]), Comparison(C(0), "<", C(5)))
 
 
 def test_satisfying_assignment_examples():
