@@ -48,7 +48,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="aggequiv", description=__doc__)
     # every command reads the same fields; these cover the flags it lacks
     parser.set_defaults(domain=RATIONALS, n=None, force=False,
-                        json_output=False, cap=2 ** 20, workers=1,
+                        json_output=False, workers=1,
                         save_counterexample=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -89,8 +89,6 @@ def _build_parser() -> _Parser:
                        help="polynomial fast path for quasilinear queries")
     common(p)
     p.add_argument("--save-counterexample", metavar="FILE")
-    p.add_argument("--cap", type=int, default=2 ** 20,
-                   help="candidate bound for the exhaustive fallback")
 
     p = sub.add_parser("bagset-equiv",
                        help="bag-set equivalence of non-aggregate queries")
@@ -216,7 +214,7 @@ def _cmd_pairwise(args) -> int:
     started = time.monotonic()
     q, q2, _ = _load_pair(args.queries, args.domain)
     if args.command == "quasilinear":
-        verdict = equivalent_quasilinear(q, q2, cap=args.cap)
+        verdict = equivalent_quasilinear(q, q2)
     elif args.command == "nequiv":
         _guardrail(q, q2, args.n, args)
         verdict = engine.n_equivalent(q, q2, args.n, workers=args.workers)

@@ -102,8 +102,8 @@ from typing import Callable, Iterator, NamedTuple, Optional
 from . import identity, oracle
 from .aggregation import FUNCTIONS, apply
 from .model import (
-    INTEGERS, Comparison, Database, Query, RATIONALS, Var, is_const,
-    term_size_pair, term_sort_key,
+    INTEGERS, AggregateTerm, Comparison, Database, Query, RATIONALS, Var,
+    is_const, term_size_pair, term_sort_key,
 )
 from .orderings import (
     Assignment, CompleteOrdering, assign_tuple, enumerate_complete_orderings,
@@ -664,7 +664,6 @@ def bagset_equivalent(q: Query, q2: Query, workers: int = 1) -> Verdict:
     the queries with count adjoined to their heads."""
     if q.aggregate is not None or q2.aggregate is not None:
         raise ValueError("bagset_equivalent expects non-aggregate queries")
-    from .model import AggregateTerm
     counted = AggregateTerm(FUNCTIONS["count"], ())
     return equivalent(replace(q, aggregate=counted),
                       replace(q2, aggregate=counted), workers=workers)

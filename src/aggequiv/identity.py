@@ -9,14 +9,20 @@ aggregates equal.  Three routes cover all supported functions:
   identity because any two order-preserving injections differ by a
   strictly increasing reshaping of the values;
 * sum (and avg, after scaling multiplicities by the opposite bag's
-  cardinality) reduces to exact linear feasibility of L with the bag
-  difference strictly positive or strictly negative;
+  cardinality) is a polynomial identity: once equal terms are merged and
+  pinned integer variables replaced by their value, every variable can
+  move alone, so the identity holds exactly when the bag difference,
+  written as constant + sum of c_v * v, has every coefficient and the
+  constant zero;
 * prod follows a dedicated pipeline: branch over the conservative ways
   of slotting the constant 0 into L, reduce each branch, and compare the
   constant factor and the variable exponent vectors of both sides.
 
 Invalid identities come with a concrete witness assignment that is
-re-checked by direct evaluation before being returned.
+re-checked by direct evaluation before being returned.  Sum, avg and
+prod share one witness: the canonical assignment when only the
+constants differ, else whichever of two assignments differing only in
+the least variable whose coefficient differs refutes.
 """
 
 from __future__ import annotations
@@ -65,13 +71,20 @@ def instantiate_bag(assignment: Assignment, bag) -> list:
 
 
 def _refutes(ident: OrderedIdentity, assignment: Assignment) -> bool:
+    if not ident.left or not ident.right:
+        # a group on one side only disagrees under every assignment
+        return True
     lhs = apply(ident.function, instantiate_bag(assignment, ident.left))
     rhs = apply(ident.function, instantiate_bag(assignment, ident.right))
     return lhs != rhs
 
 
-def _invalid(ident: OrderedIdentity, witness: Assignment) -> IdentityVerdict:
-    if ident.left and ident.right and not _refutes(ident, witness):
+def _invalid(ident: OrderedIdentity, renaming: dict,
+             witness: Assignment) -> IdentityVerdict:
+    """The invalid verdict, with a witness on reduced terms pulled back to
+    the identity's own terms and re-checked."""
+    witness = _translate_witness(ident.ordering.terms(), renaming, witness)
+    if not _refutes(ident, witness):
         raise AssertionError("witness fails to refute the identity")
     return IdentityVerdict(False, witness)
 
@@ -86,13 +99,11 @@ def _canonicalize(ident: OrderedIdentity):
     return OrderedIdentity(reduced, left, right, ident.function), renaming
 
 
-def _translate_witness(ident: OrderedIdentity, renaming: dict,
+def _translate_witness(terms, renaming: dict,
                        witness: Assignment) -> Assignment:
-    """Pull a witness on reduced terms back to the original term set."""
-    if not renaming:
-        return witness
+    """Pull a witness on reduced terms back to the original `terms`."""
     out = {}
-    for t in ident.ordering.terms():
+    for t in terms:
         rep = renaming.get(t, t)
         out[t] = rep.value if is_const(rep) else witness[rep]
     return out
@@ -111,216 +122,82 @@ def decide_shiftable(ident: OrderedIdentity) -> IdentityVerdict:
     rhs = apply(reduced.function, instantiate_bag(assignment, reduced.right))
     if lhs == rhs:
         return IdentityVerdict(True)
-    return _invalid(ident, _translate_witness(ident, renaming, assignment))
+    return _invalid(ident, renaming, assignment)
 
 
 # ---------------------------------------------------------------------------
-# Sum and average: exact linear feasibility along the ordering chain
+# Sum and average: a zero test of the bag difference's coefficients
 # ---------------------------------------------------------------------------
 
 def decide_sum(ident: OrderedIdentity) -> IdentityVerdict:
     if ident.function.name not in ("sum", "avg"):
         raise ValueError(f"decide_sum cannot handle {ident.function.name}")
     reduced, renaming = _canonicalize(ident)
-    left, right = list(reduced.left), list(reduced.right)
+    left, right = reduced.left, reduced.right
     if ident.function.name == "avg":
         # avg(B) = avg(B') iff sum of B scaled by |B'| equals sum of B
         # scaled by |B|: compare the multiplicity-scaled bags as sums
         left, right = left * len(right), right * len(left)
-
-    ordering = reduced.ordering
-    coeffs = Counter()
-    constant = Fraction(0)
-    for tup in left:
-        coeffs[ordering.position(tup[0])] += 1
-    for tup in right:
-        coeffs[ordering.position(tup[0])] -= 1
-    positions = dict(coeffs)
-    # anchored classes contribute outright; variable classes stay symbolic
-    var_coeffs = {}
-    for pos, coef in positions.items():
-        value = ordering.class_constant(pos)
-        if value is not None:
-            constant += coef * value
-        elif coef:
-            var_coeffs[pos] = coef
-
-    witness_values = _strictly_positive(ordering, var_coeffs, constant)
-    if witness_values is None:
-        negated = {p: -c for p, c in var_coeffs.items()}
-        witness_values = _strictly_positive(ordering, negated, -constant)
-    if witness_values is None:
+    c, coeffs_left = _linear_form(left)
+    d, coeffs_right = _linear_form(right)
+    if c == d and coeffs_left == coeffs_right:
         return IdentityVerdict(True)
-    witness = {t: witness_values[i]
-               for i, cls in enumerate(ordering.classes) for t in cls}
-    return _invalid(ident, _translate_witness(ident, renaming, witness))
+    u = _first_difference(coeffs_left, coeffs_right)
+    return _invalid(ident, renaming, _witness(reduced, u))
 
 
-def _segments(ordering: CompleteOrdering):
-    """Maximal runs of variable classes with their bounding anchor values."""
-    runs = []
-    current = []
-    prev_anchor = None
-    for i in range(len(ordering.classes)):
-        value = ordering.class_constant(i)
-        if value is not None:
-            if current:
-                runs.append((prev_anchor, current, value))
-                current = []
-            prev_anchor = value
+def _linear_form(bag):
+    """Write sum(bag) as constant + sum of coefficient * variable."""
+    constant = Fraction(0)
+    coeffs = Counter()
+    for (t,) in bag:
+        if is_const(t):
+            constant += t.value
         else:
-            current.append(i)
-    if current:
-        runs.append((prev_anchor, current, None))
-    return runs
+            coeffs[t] += 1
+    return constant, coeffs
 
 
-def _strictly_positive(ordering: CompleteOrdering, var_coeffs: dict,
-                       constant: Fraction) -> Optional[list]:
-    """A satisfying class-value vector making the linear form positive.
+def _first_difference(left: Counter, right: Counter):
+    """The least variable whose coefficient (or exponent) differs between
+    the two sides, or None when only the constants differ."""
+    return next((t for t in sorted(set(left) | set(right), key=term_sort_key)
+                 if left[t] != right[t]), None)
 
-    The form is `constant + sum(var_coeffs[i] * value(class i))`.  Returns
-    class values (indexed by position) or None when the form is <= 0 under
-    every assignment satisfying the ordering.  Exact over both domains:
-    each run of variable classes is packed against its anchors (the
-    linear optimum sits at such packings) and unbounded runs get a sign
-    analysis of prefix/suffix coefficient sums.
+
+def _witness(ident: OrderedIdentity, u) -> Assignment:
+    """A refuting assignment for an invalid identity on a reduced ordering.
+
+    With `u` None only the constant parts differ, and the canonical
+    assignment refutes.  Otherwise the sides differ as polynomials in
+    `u`, which can take two values c1, c2 with every other term fixed (the
+    ordering is reduced).  For sum and avg the difference of the sides
+    changes by c_u * (c1 - c2) between them; for prod both values lie on
+    one side of the anchor 0, where a power of `u` takes each value once.
+    Either way one of the pair refutes.
     """
-    integer = ordering.domain == INTEGERS
-    base = _class_value_vector(ordering)
-    total_sup = constant
-    vertex = list(base)
-    pushes = []  # (positions to shift, step direction, rate) for sup = +inf
-
-    for low, run, high in _segments(ordering):
-        coefs = [var_coeffs.get(i, 0) for i in run]
-        k = len(run)
-        if low is not None and high is not None:
-            best_value, best_config = None, None
-            for j in range(k + 1):
-                if integer:
-                    values = [low + (i + 1) if i < j else high - (k - i)
-                              for i in range(k)]
-                else:
-                    values = [low if i < j else high for i in range(k)]
-                value = sum(c * v for c, v in zip(coefs, values))
-                if best_value is None or value > best_value:
-                    best_value, best_config = value, values
-            total_sup += best_value
-            for pos, v in zip(run, best_config):
-                vertex[pos] = v
-        elif low is None and high is None:
-            sigma = sum(coefs)
-            if sigma != 0:
-                pushes.append((tuple(run), 1 if sigma > 0 else -1, abs(sigma)))
-                continue
-            suffix = 0
-            found = False
-            for j in range(k - 1, 0, -1):
-                suffix += coefs[j]
-                if suffix > 0:
-                    pushes.append((tuple(run[j:]), 1, suffix))
-                    found = True
-                    break
-            if found:
-                continue
-            if integer:
-                # packed at unit gaps; base already uses consecutive values
-                total_sup += sum(c * base[pos] for c, pos in zip(coefs, run))
-            else:
-                # gaps shrink toward a common point: contribution sum is
-                # sigma * t = 0 plus nonpositive gap terms, so sup is t-free
-                total_sup += Fraction(0)
-                for pos in run:
-                    vertex[pos] = Fraction(0)
-        elif high is not None:
-            # unbounded below: shifting the j lowest classes down by one
-            # adds -(prefix sum) to the form
-            prefix = 0
-            found = False
-            for j in range(k):
-                prefix += coefs[j]
-                if prefix < 0:
-                    pushes.append((tuple(run[:j + 1]), -1, -prefix))
-                    found = True
-                    break
-            if found:
-                continue
-            if integer:
-                values = [high - (k - i) for i in range(k)]
-                total_sup += sum(c * v for c, v in zip(coefs, values))
-                for pos, v in zip(run, values):
-                    vertex[pos] = v
-            else:
-                total_sup += sum(coefs) * high
-                for pos in run:
-                    vertex[pos] = high
-        else:
-            # unbounded above: shifting the classes from j upward by one
-            # adds the suffix sum to the form
-            suffix_sums = list(_suffix_sums(coefs))
-            found = False
-            for j in range(k):
-                if suffix_sums[j] > 0:
-                    pushes.append((tuple(run[j:]), 1, suffix_sums[j]))
-                    found = True
-                    break
-            if found:
-                continue
-            if integer:
-                values = [low + (i + 1) for i in range(k)]
-                total_sup += sum(c * v for c, v in zip(coefs, values))
-                for pos, v in zip(run, values):
-                    vertex[pos] = v
-            else:
-                total_sup += sum(coefs) * low
-                for pos in run:
-                    vertex[pos] = low
-
-    if pushes:
-        positions, direction, rate = pushes[0]
-        values = list(base)
-        current = constant + sum(c * values[p]
-                                 for p, c in var_coeffs.items() if c)
-        steps = 0
-        if current <= 0:
-            steps = int((-current) // rate) + 1
-        for p in positions:
-            values[p] += direction * steps
-        return values
-
-    if integer:
-        if total_sup < 1:
-            return None
-        return vertex
-    if total_sup <= 0:
-        return None
-    # rational witness: slide from the canonical interior point toward the
-    # (possibly degenerate) packing, where the form is total_sup > 0.  The
-    # form is affine along the slide, so the first lam = 1 - 2**-k past its
-    # zero lam0 has k = bit length of floor(1 / (1 - lam0)).
-    at_base = constant + sum(c * base[p] for p, c in var_coeffs.items())
-    if at_base > 0:
+    ordering = ident.ordering
+    base = satisfying_assignment(ordering)
+    if u is None:
         return base
-    at_vertex = constant + sum(c * vertex[p] for p, c in var_coeffs.items())
-    lam0 = Fraction(-at_base) / (at_vertex - at_base)
-    k = max(1, int(1 / (1 - lam0)).bit_length())
-    lam = 1 - Fraction(1, 2 ** k)
-    return [b + lam * (v - b) for b, v in zip(base, vertex)]
+    c1 = base[u]
+    lo, hi = ordering.class_bounds(ordering.position(u))
+    c2 = _second_possible_value(ordering.domain, lo, hi, c1)
+    for candidate in witness_pair(ordering, u, c1, c2):
+        if _refutes(ident, candidate):
+            return candidate
+    raise AssertionError("neither paired assignment refutes the identity")
 
 
-def _class_value_vector(ordering: CompleteOrdering) -> list:
-    assignment = satisfying_assignment(ordering)
-    return [assignment[cls[0]] for cls in ordering.classes]
-
-
-def _suffix_sums(coefs):
-    total = 0
-    out = []
-    for c in reversed(coefs):
-        total += c
-        out.append(total)
-    return list(reversed(out))
+def _second_possible_value(domain: str, lo, hi, first: Fraction) -> Fraction:
+    if domain == INTEGERS:
+        candidate = first + 1
+        if hi is None or candidate <= hi:
+            return candidate
+        return first - 1
+    if hi is not None and first < hi:
+        return (first + hi) / 2
+    return first + 1
 
 
 # ---------------------------------------------------------------------------
@@ -341,15 +218,12 @@ def decide_prod(ident: OrderedIdentity) -> IdentityVerdict:
             continue
         if c == d and exps_left == exps_right:
             continue
-        witness = _prod_witness(reduced, c, d, exps_left, exps_right,
-                                left, right)
-        # map the branch witness back through both renamings
-        witness = {t: (renaming1.get(t, t).value
-                       if is_const(renaming1.get(t, t))
-                       else witness[renaming1.get(t, t)])
-                   for t in extension.terms()}
-        witness = {t: witness[t] for t in canon.ordering.terms()}
-        return _invalid(ident, _translate_witness(ident, renaming0, witness))
+        branch = OrderedIdentity(reduced, left, right, ident.function)
+        witness = _witness(branch, _first_difference(exps_left, exps_right))
+        # back through the branch's renaming, then the canonical one
+        witness = _translate_witness(canon.ordering.terms(), renaming1,
+                                     witness)
+        return _invalid(ident, renaming0, witness)
     return IdentityVerdict(True)
 
 
@@ -389,46 +263,6 @@ def _factor(bag):
     return constant, +exponents
 
 
-def _prod_witness(ordering: CompleteOrdering, c, d, exps_left, exps_right,
-                  left, right) -> Assignment:
-    if exps_left == exps_right:
-        # equal exponents, different constants: any satisfying assignment
-        # works since no variable can take the value 0
-        return satisfying_assignment(ordering)
-    mismatched = sorted((set(exps_left) | set(exps_right)),
-                        key=term_sort_key)
-    u = next(t for t in mismatched if exps_left[t] != exps_right[t])
-    base = satisfying_assignment(ordering)
-    c1 = base[u]
-    lo, hi = ordering.class_bounds(ordering.position(u))
-    c2 = _second_possible_value(ordering.domain, lo, hi, c1)
-    d1, d2 = witness_pair(ordering, u, c1, c2)
-    for candidate in (d1, d2):
-        lhs = apply_prod(instantiate_bag(candidate, left))
-        rhs = apply_prod(instantiate_bag(candidate, right))
-        if lhs != rhs:
-            return candidate
-    raise AssertionError("neither paired assignment refutes the product")
-
-
-def _second_possible_value(domain: str, lo, hi, first: Fraction) -> Fraction:
-    if domain == INTEGERS:
-        candidate = first + 1
-        if hi is None or candidate <= hi:
-            return candidate
-        return first - 1
-    if hi is not None and first < hi:
-        return (first + hi) / 2
-    return first + 1
-
-
-def apply_prod(values) -> Fraction:
-    out = Fraction(1)
-    for tup in values:
-        out *= tup[0]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
@@ -441,8 +275,7 @@ def decide(ident: OrderedIdentity) -> IdentityVerdict:
         # a group exists on one side only; any satisfying assignment shows
         # the disagreement
         reduced, renaming = _canonicalize(ident)
-        witness = satisfying_assignment(reduced.ordering)
-        return _invalid(ident, _translate_witness(ident, renaming, witness))
+        return _invalid(ident, renaming, _witness(reduced, None))
     func = ident.function
     if func.shiftable:
         return decide_shiftable(ident)

@@ -26,10 +26,12 @@ from . import oracle
 from .constraints import ComparisonSystem
 from .engine import Counterexample, EQUIVALENT, NOT_EQUIVALENT, UNSUPPORTED, Verdict
 from .model import (
-    Condition, Query, RATIONALS, is_const, term_sort_key,
+    Condition, Database, Query, RATIONALS, is_const, term_sort_key,
 )
 from .normalize import reduce_query
-from .orderings import consistent_orderings, satisfying_assignment
+from .orderings import (
+    assign_tuple, consistent_orderings, satisfying_assignment,
+)
 
 
 @dataclass(frozen=True)
@@ -161,14 +163,9 @@ def _is_isomorphism(theta: Homomorphism, q: Query, q2: Query,
 # The decision procedure
 # ---------------------------------------------------------------------------
 
-def equivalent_quasilinear(q: Query, q2: Query,
-                           cap: int = 2 ** 20) -> Verdict:
+def equivalent_quasilinear(q: Query, q2: Query) -> Verdict:
     """Equivalence of two quasilinear conjunctive queries with the same
-    aggregation function, decided through reduction and isomorphism.
-
-    `cap` bounds the exhaustive fallback that refutes non-isomorphic
-    pairs whose difference needs overlapping facts.
-    """
+    aggregation function, decided through reduction and isomorphism."""
     if q.domain != q2.domain:
         raise ValueError("queries range over different domains")
     if q.aggregate is None or q2.aggregate is None:
@@ -199,7 +196,7 @@ def equivalent_quasilinear(q: Query, q2: Query,
     if find_isomorphism(qr, q2r) is not None:
         return Verdict(EQUIVALENT)
     return Verdict(NOT_EQUIVALENT,
-                   counterexample=_refute_nonisomorphic(qr, q2r, cap))
+                   counterexample=_refute_nonisomorphic(qr, q2r))
 
 
 def _cntd_conditions_hold(qr: Query, q2r: Query) -> bool:
@@ -232,15 +229,9 @@ def _canonical_instantiations(q: Query):
 
 
 def _instantiate_positive(q: Query, assignment: dict):
-    from .model import Database
-
-    cond = q.disjuncts[0]
-    facts = set()
-    for atom in cond.positive_atoms():
-        facts.add((atom.predicate,
-                   tuple(t.value if is_const(t) else assignment[t]
-                         for t in atom.args)))
-    return Database(frozenset(facts))
+    return Database(frozenset(
+        (atom.predicate, assign_tuple(assignment, atom.args))
+        for atom in q.disjuncts[0].positive_atoms()))
 
 
 def _candidate_databases(q: Query):
@@ -259,8 +250,7 @@ def _differing(q: Query, q2: Query, db) -> Optional[Counterexample]:
     return Counterexample(db, key, left.get(key), right.get(key))
 
 
-def _refute_nonisomorphic(qr: Query, q2r: Query,
-                          cap: int = 2 ** 20) -> Counterexample:
+def _refute_nonisomorphic(qr: Query, q2r: Query) -> Counterexample:
     """Constructive counterexample for a non-isomorphic satisfiable pair:
     canonical instantiations of either query, then (for a negated-atom
     mismatch) the instantiation extended with the separating fact, then a
@@ -282,15 +272,13 @@ def _refute_nonisomorphic(qr: Query, q2r: Query,
             for assignment in _canonical_instantiations(source):
                 base = _instantiate_positive(source, assignment)
                 for pred, args in extra_atoms:
-                    fact = (pred, tuple(
-                        t.value if is_const(t) else assignment[t]
-                        for t in args))
-                    db = base | type(base)(frozenset([fact]))
+                    fact = (pred, assign_tuple(assignment, args))
+                    db = base | Database(frozenset([fact]))
                     ce = _differing(qr, q2r, db)
                     if ce is not None:
                         return ce
 
-    found = oracle.brute_force_check(qr, q2r, cap=cap)
+    found = oracle.brute_force_check(qr, q2r)
     if found is not None:
         ce = _differing(qr, q2r, found)
         if ce is not None:

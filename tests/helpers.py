@@ -139,9 +139,10 @@ def _chain_constraints(ordering: CompleteOrdering):
 # ---------------------------------------------------------------------------
 
 def int_sum_identity_box_refutation(ordering: CompleteOrdering, left, right,
-                                    radius: int = 4):
+                                    radius: int = 4, aggregate=sum):
     """Search integer assignments near the canonical one for a point where
-    the two sums differ; returns such an assignment or None."""
+    `aggregate` of the two bags' values (the sums by default) differs;
+    returns such an assignment or None."""
     from aggequiv.orderings import satisfying_assignment
 
     base = satisfying_assignment(ordering)
@@ -163,8 +164,8 @@ def int_sum_identity_box_refutation(ordering: CompleteOrdering, left, right,
             for t in cls:
                 assignment[t] = value
         def total(bag):
-            return sum(t.value if is_const(t) else assignment[t]
-                       for (t,) in bag)
+            return aggregate([t.value if is_const(t) else assignment[t]
+                              for (t,) in bag])
         if total(left) != total(right):
             return assignment
     return None

@@ -138,8 +138,10 @@ def test_sum_unbounded_direction():
 
 
 def test_sum_rational_witness_close_to_the_boundary():
-    # x + y < 2 - 2**-80 holds almost everywhere on 0 < x < y < 1; the
-    # witness must sit within 2**-80 of x = y = 1
+    # x + y < 2 - 2**-80 holds almost everywhere on 0 < x < y < 1, so the
+    # sum passes the bound only within 2**-80 of x = y = 1; the identity
+    # fails off the line x + y = 2 - 2**-80 as well, and the witness may
+    # sit anywhere off it
     bound = C(2 - F(1, 2 ** 80))
     order = L([[C(0)], [x], [y], [C(1)], [bound]])
     identity = ident(order, [(x,), (y,)], [(bound,)], "sum")
@@ -186,23 +188,41 @@ def test_sum_integer_agrees_with_box_search():
 
 def test_sum_integer_bounded_orderings_agree_exactly():
     """With every variable class squeezed between anchors the value box is
-    the whole feasible region, so box search is a complete oracle."""
+    the whole feasible region, so box search is a complete oracle.  The
+    tight pair 0 < x < y < 4 leaves room for exactly one shift."""
     from aggequiv.orderings import enumerate_complete_orderings
 
+    def mean(values):
+        return F(sum(values), len(values))
+
     rng = random.Random(123)
-    lo, hi = C(-2), C(9)
-    terms = [lo, hi, x, y]
-    bounded = [o for o in enumerate_complete_orderings(terms, INTEGERS)
-               if o.classes[0] == (lo,) and o.classes[-1] == (hi,)]
-    for order in bounded:
-        for _ in range(10):
-            left = random_bag(rng, order, 1, max_len=3)
-            right = random_bag(rng, order, 1, max_len=3)
-            identity = ident(order, left, right, "sum")
-            verdict = decide(identity)
-            refutation = int_sum_identity_box_refutation(order, left, right,
-                                                         radius=12)
-            assert verdict.valid == (refutation is None)
+    for lo, hi in ((C(-2), C(9)), (C(0), C(4))):
+        terms = [lo, hi, x, y]
+        bounded = [o for o in enumerate_complete_orderings(terms, INTEGERS)
+                   if o.classes[0] == (lo,) and o.classes[-1] == (hi,)]
+        for name, aggregate in (("sum", sum), ("avg", mean)):
+            for order in bounded:
+                for _ in range(10):
+                    left = random_bag(rng, order, 1, max_len=3)
+                    right = random_bag(rng, order, 1, max_len=3)
+                    identity = ident(order, left, right, name)
+                    verdict = decide(identity)
+                    refutation = int_sum_identity_box_refutation(
+                        order, left, right, radius=12, aggregate=aggregate)
+                    assert verdict.valid == (refutation is None)
+                    if not verdict.valid:
+                        assert_witness_refutes(identity, verdict)
+
+
+def test_sum_invalid_where_the_canonical_assignment_agrees():
+    # both sides agree at the canonical assignment (x = 0; x = 1, y = 2),
+    # so only moving a variable shows that the identity fails
+    for domain in (RATIONALS, INTEGERS):
+        identity = ident(L([[x]], domain), [(x,)], [(x,), (x,)], "sum")
+        assert_witness_refutes(identity, decide(identity))
+    identity = ident(L([[C(0)], [x], [y], [C(4)]], INTEGERS),
+                     [(y,)], [(x,), (x,)], "sum")
+    assert_witness_refutes(identity, decide(identity))
 
 
 # ---------------------------------------------------------------------------
