@@ -9,9 +9,9 @@ assignment satisfying L; the queries are evaluated symbolically over it
 and each shared group leaves an ordered identity for the identity
 deciders.  No identity relates two different heads (function or grouping
 arity), so those are compared on the instance of the ordering's canonical
-assignment instead.  The first failure is instantiated into a concrete
-counterexample database and re-verified against the concrete evaluator
-before being reported.
+assignment instead, which the ordering builds once and keeps.  The first
+failure is instantiated into a concrete counterexample database and
+re-verified against the concrete evaluator before being reported.
 
 Orderings that equate two distinct terms are skipped: any database they
 describe is also described by a smaller subset with an injective
@@ -97,7 +97,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import identity, oracle
 from .aggregation import FUNCTIONS, apply
@@ -273,7 +273,6 @@ def _collect_groups(prepared: list, mask: int) -> dict:
 
 def _pair_counterexample(q: Query, q2: Query, terms: list, rank: list,
                          subset, mask: int, ordering: CompleteOrdering,
-                         witness: Callable[[], Assignment],
                          prep1: list, prep2: list,
                          same_head: Optional[bool] = None,
                          memo: Optional[tuple] = None
@@ -282,13 +281,13 @@ def _pair_counterexample(q: Query, q2: Query, terms: list, rank: list,
 
     Group keys and items are base-term indexes into `terms`; `rank` is
     each base term's place in `term_sort_key` order, by which group keys
-    are visited.  `witness()` returns the ordering's canonical satisfying
-    assignment; it is called only for differing heads and for one-sided
-    groups.  `memo`, when given, is `(valid, key)`: the keys of the
-    identities the scan has decided valid, and this ordering's
-    `key(left, right)`.  An identity whose key is in `valid` is not
-    decided again; one that fails is always decided on the unit's own
-    ordering, so the counterexample does not depend on the memo.
+    are visited.  Differing heads and one-sided groups are instantiated
+    under the ordering's canonical satisfying assignment.  `memo`, when
+    given, is `(valid, key)`: the keys of the identities the scan has
+    decided valid, and this ordering's `key(left, right)`.  An identity
+    whose key is in `valid` is not decided again; one that fails is
+    always decided on the unit's own ordering, so the counterexample does
+    not depend on the memo.
     """
     groups1 = _collect_groups(prep1, mask)
     groups2 = _collect_groups(prep2, mask)
@@ -302,7 +301,7 @@ def _pair_counterexample(q: Query, q2: Query, terms: list, rank: list,
         # no identity relates different heads: compare the instance of the
         # ordering's canonical assignment, one-sided groups first, each set
         # in the order of its concrete keys
-        assignment = witness()
+        assignment = satisfying_assignment(ordering)
 
         def concrete(key):
             return _instance(terms, assignment, key)
@@ -320,7 +319,7 @@ def _pair_counterexample(q: Query, q2: Query, terms: list, rank: list,
     if keys1 != keys2:
         return _materialize(q, q2, terms, subset,
                             min(keys1 ^ keys2, key=by_rank), groups1, groups2,
-                            witness())
+                            satisfying_assignment(ordering))
     for key in sorted(keys1, key=by_rank):
         left, right = groups1[key], groups2[key]
         if sorted(left) == sorted(right):
@@ -549,23 +548,20 @@ def _scan(plan: _Plan, offset: int, workers: int):
     walk = []
     for (position, ordering, prep1, prep2, idle, differing,
          projection) in plan.orderings:
-        # the canonical assignment is built when a unit first needs it
-        witness = functools.cache(functools.partial(satisfying_assignment,
-                                                    ordering))
         memo = (valid, functools.partial(
             _identity_key, q.aggregate.function.name, q.domain, projection))
-        walk.append((position, ordering, witness, prep1, prep2, idle,
-                     differing, memo))
+        walk.append((position, ordering, prep1, prep2, idle, differing,
+                     memo))
     for first, (subset, mask) in zip(itertools.count(0, plan.per_subset),
                                      _subsets(plan.base)):
-        for (position, ordering, witness, prep1, prep2, idle, differing,
+        for (position, ordering, prep1, prep2, idle, differing,
              memo) in walk:
             unit = first + position
             if (unit % workers != offset or mask & idle
                     or differing is not None and not _fires(differing, mask)):
                 continue
             ce = _pair_counterexample(q, q2, plan.terms, plan.rank, subset,
-                                      mask, ordering, witness, prep1, prep2,
+                                      mask, ordering, prep1, prep2,
                                       plan.same_head, memo)
             if ce is not None:
                 return unit, ce

@@ -14,9 +14,18 @@ aggregates equal.  Three routes cover all supported functions:
   move alone, so the identity holds exactly when the bag difference,
   written as constant + sum of c_v * v, has every coefficient and the
   constant zero;
-* prod follows a dedicated pipeline: branch over the conservative ways
-  of slotting the constant 0 into L, reduce each branch, and compare the
-  constant factor and the variable exponent vectors of both sides.
+* prod is a polynomial identity too, but 0 can annihilate a side: when
+  the constant factors and the variable exponent vectors of the two
+  sides already agree on the reduced ordering, the sides are one
+  polynomial and the identity holds; otherwise branch over the
+  conservative ways of slotting the constant 0 into L, reduce each
+  branch, and compare the sides' factors and exponent vectors there.
+
+Every route answers an empty side the same way: two empty bags agree,
+and a group on one side only is refuted by the canonical assignment.
+The reduction and the canonical assignment of an ordering are built
+once per ordering (`CompleteOrdering.reduction`, `.canonical_assignment`)
+and shared by every identity decided on it.
 
 Invalid identities come with a concrete witness assignment that is
 re-checked by direct evaluation before being returned.  Sum, avg and
@@ -35,8 +44,8 @@ from typing import Optional
 from .aggregation import AggregationFunction, apply
 from .model import INTEGERS, Const, is_const, term_sort_key
 from .orderings import (
-    Assignment, CompleteOrdering, assign_tuple, is_reduced, is_satisfiable_order,
-    reduce_terms, rename_tuple, satisfying_assignment, witness_pair,
+    Assignment, CompleteOrdering, assign_tuple, is_satisfiable_order,
+    rename_tuple, witness_pair,
 )
 
 
@@ -91,9 +100,9 @@ def _invalid(ident: OrderedIdentity, renaming: dict,
 
 def _canonicalize(ident: OrderedIdentity):
     """Merge equal terms so no two distinct terms of the ordering coincide."""
-    if is_reduced(ident.ordering):
-        return ident, {}
-    reduced, renaming = reduce_terms(ident.ordering)
+    reduced, renaming = ident.ordering.reduction
+    if reduced is ident.ordering:
+        return ident, renaming
     left = tuple(rename_tuple(renaming, tup) for tup in ident.left)
     right = tuple(rename_tuple(renaming, tup) for tup in ident.right)
     return OrderedIdentity(reduced, left, right, ident.function), renaming
@@ -116,8 +125,10 @@ def _translate_witness(terms, renaming: dict,
 def decide_shiftable(ident: OrderedIdentity) -> IdentityVerdict:
     if not ident.function.shiftable:
         raise ValueError(f"{ident.function.name} is not shiftable")
+    if (verdict := _empty_side(ident)) is not None:
+        return verdict
     reduced, renaming = _canonicalize(ident)
-    assignment = satisfying_assignment(reduced.ordering)
+    assignment = reduced.ordering.canonical_assignment
     lhs = apply(reduced.function, instantiate_bag(assignment, reduced.left))
     rhs = apply(reduced.function, instantiate_bag(assignment, reduced.right))
     if lhs == rhs:
@@ -132,6 +143,8 @@ def decide_shiftable(ident: OrderedIdentity) -> IdentityVerdict:
 def decide_sum(ident: OrderedIdentity) -> IdentityVerdict:
     if ident.function.name not in ("sum", "avg"):
         raise ValueError(f"decide_sum cannot handle {ident.function.name}")
+    if (verdict := _empty_side(ident)) is not None:
+        return verdict
     reduced, renaming = _canonicalize(ident)
     left, right = reduced.left, reduced.right
     if ident.function.name == "avg":
@@ -177,7 +190,7 @@ def _witness(ident: OrderedIdentity, u) -> Assignment:
     Either way one of the pair refutes.
     """
     ordering = ident.ordering
-    base = satisfying_assignment(ordering)
+    base = ordering.canonical_assignment
     if u is None:
         return base
     c1 = base[u]
@@ -207,9 +220,17 @@ def _second_possible_value(domain: str, lo, hi, first: Fraction) -> Fraction:
 def decide_prod(ident: OrderedIdentity) -> IdentityVerdict:
     if ident.function.name != "prod":
         raise ValueError(f"decide_prod cannot handle {ident.function.name}")
+    if (verdict := _empty_side(ident)) is not None:
+        return verdict
     canon, renaming0 = _canonicalize(ident)
+    c, exps_left = _factor(canon.left)
+    d, exps_right = _factor(canon.right)
+    if c == d and exps_left == exps_right:
+        # the same polynomial on both sides: equal under every assignment,
+        # so no branch below could refute
+        return IdentityVerdict(True)
     for extension in _zero_extensions(canon.ordering):
-        reduced, renaming1 = reduce_terms(extension)
+        reduced, renaming1 = extension.reduction
         left = tuple(rename_tuple(renaming1, tup) for tup in canon.left)
         right = tuple(rename_tuple(renaming1, tup) for tup in canon.right)
         c, exps_left = _factor(left)
@@ -267,15 +288,20 @@ def _factor(bag):
 # Dispatch
 # ---------------------------------------------------------------------------
 
-def decide(ident: OrderedIdentity) -> IdentityVerdict:
-    """Decide an ordered identity for any supported aggregation function."""
+def _empty_side(ident: OrderedIdentity) -> Optional[IdentityVerdict]:
+    """The verdict when a bag is empty, else None: valid when both are; a
+    group on one side only disagrees under every assignment, and the
+    canonical one shows it."""
+    if ident.left and ident.right:
+        return None
     if not ident.left and not ident.right:
         return IdentityVerdict(True)
-    if not ident.left or not ident.right:
-        # a group exists on one side only; any satisfying assignment shows
-        # the disagreement
-        reduced, renaming = _canonicalize(ident)
-        return _invalid(ident, renaming, _witness(reduced, None))
+    reduced, renaming = _canonicalize(ident)
+    return _invalid(ident, renaming, _witness(reduced, None))
+
+
+def decide(ident: OrderedIdentity) -> IdentityVerdict:
+    """Decide an ordered identity for any supported aggregation function."""
     func = ident.function
     if func.shiftable:
         return decide_shiftable(ident)

@@ -18,6 +18,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Iterator, Optional
 
 from .model import (
@@ -27,6 +28,8 @@ from .model import (
 #: an assignment maps every term of an ordering to a constant;
 #: constants map to themselves
 Assignment = dict
+
+_NO_RENAMING = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -41,8 +44,13 @@ class CompleteOrdering:
         canon = tuple(tuple(sorted(c, key=term_sort_key)) for c in classes)
         return CompleteOrdering(canon, domain)
 
-    def terms(self) -> set:
-        return set(self._positions)
+    def __reduce__(self):
+        # the cached properties are rebuilt on demand, never pickled
+        return CompleteOrdering, (self.classes, self.domain)
+
+    def terms(self):
+        """The ordering's terms, as a read-only set-like view."""
+        return self._positions.keys()
 
     def position(self, t: Term) -> int:
         try:
@@ -88,6 +96,54 @@ class CompleteOrdering:
                 hi = a - (p - i) if self.domain == INTEGERS else a
                 break
         return (lo, hi)
+
+    @functools.cached_property
+    def canonical_assignment(self) -> MappingProxyType:
+        """The deterministic concrete assignment realizing the ordering,
+        read-only and built once per ordering; `satisfying_assignment`
+        returns a copy to change."""
+        values = _class_values(self)
+        return MappingProxyType({t: values[i]
+                                 for i, cls in enumerate(self.classes)
+                                 for t in cls})
+
+    @property
+    def reduction(self) -> tuple:
+        """`(reduced ordering, renaming)`, built once per ordering: equal
+        terms merged and, over the integers, a variable class with a
+        single possible value replaced by that constant.
+
+        The read-only renaming maps every eliminated term to its
+        representative; representatives prefer constants, then the least
+        variable name.  An ordering already reduced is its own reduction,
+        with an empty renaming.
+        """
+        return self._reduction or (self, _NO_RENAMING)
+
+    @functools.cached_property
+    def _reduction(self) -> Optional[tuple]:
+        """The reduction, or None for an ordering already reduced (caching
+        the ordering on itself would make a reference cycle)."""
+        renaming: dict = {}
+        new_classes = []
+        for i, cls in enumerate(self.classes):
+            const = next((t for t in cls if is_const(t)), None)
+            if const is not None:
+                rep = const
+            else:
+                lo, hi = self.class_bounds(i)
+                if lo is not None and lo == hi:
+                    rep = Const(lo)
+                else:
+                    rep = min(cls, key=term_sort_key)
+            for t in cls:
+                if t != rep:
+                    renaming[t] = rep
+            new_classes.append((rep,))
+        if not renaming:
+            return None
+        reduced = CompleteOrdering(tuple(new_classes), self.domain)
+        return reduced, MappingProxyType(renaming)
 
     def __str__(self):
         return " < ".join(" = ".join(str(t) for t in cls)
@@ -249,10 +305,9 @@ def _class_values(ordering: CompleteOrdering,
 
 
 def satisfying_assignment(ordering: CompleteOrdering) -> Assignment:
-    """A deterministic concrete assignment realizing the ordering."""
-    values = _class_values(ordering)
-    return {t: values[i]
-            for i, cls in enumerate(ordering.classes) for t in cls}
+    """A deterministic concrete assignment realizing the ordering, as a
+    fresh dict the caller may change."""
+    return dict(ordering.canonical_assignment)
 
 
 def pinned_assignment(ordering: CompleteOrdering, x: Term,
@@ -289,31 +344,9 @@ def possible_value(ordering: CompleteOrdering, x: Term,
 # ---------------------------------------------------------------------------
 
 def reduce_terms(ordering: CompleteOrdering):
-    """Merge equal terms and pin integer-forced variables to constants.
-
-    Returns (reduced ordering, renaming).  The renaming maps every
-    eliminated term to its representative; representatives prefer
-    constants, then the least variable name.  Over the integers a
-    variable class with a single possible value becomes that constant.
-    """
-    renaming: dict = {}
-    new_classes = []
-    for i, cls in enumerate(ordering.classes):
-        const = next((t for t in cls if is_const(t)), None)
-        if const is not None:
-            rep = const
-        else:
-            lo, hi = ordering.class_bounds(i)
-            if lo is not None and lo == hi:
-                rep = Const(lo)
-            else:
-                rep = min(cls, key=term_sort_key)
-        for t in cls:
-            if t != rep:
-                renaming[t] = rep
-        new_classes.append((rep,))
-    reduced = CompleteOrdering(tuple(new_classes), ordering.domain)
-    return reduced, renaming
+    """Merge equal terms and pin integer-forced variables to constants:
+    the ordering's cached `reduction`, (reduced ordering, renaming)."""
+    return ordering.reduction
 
 
 def rename_tuple(renaming: dict, tup: tuple) -> tuple:
@@ -321,14 +354,7 @@ def rename_tuple(renaming: dict, tup: tuple) -> tuple:
 
 
 def is_reduced(ordering: CompleteOrdering) -> bool:
-    for i, cls in enumerate(ordering.classes):
-        if len(cls) > 1:
-            return False
-        if is_var(cls[0]):
-            lo, hi = ordering.class_bounds(i)
-            if lo is not None and lo == hi:
-                return False
-    return True
+    return ordering._reduction is None
 
 
 def witness_pair(ordering: CompleteOrdering, x: Term,

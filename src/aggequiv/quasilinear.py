@@ -288,9 +288,12 @@ def _refute_nonisomorphic(qr: Query, q2r: Query) -> Counterexample:
 
 
 def _positive_part(q: Query) -> Query:
+    """The query's positive atoms alone, without its negated atoms and
+    comparisons: the variable mapping is matched on those atoms, and the
+    negated atoms and comparisons are what the refutation varies."""
     cond = q.disjuncts[0]
     return replace(q, disjuncts=(Condition(tuple(cond.positive_atoms()),
-                                           cond.comparisons),))
+                                           ()),))
 
 
 def _mapped_difference(target: Query, other: Query,

@@ -5,17 +5,23 @@ are enumerated through canonical rank maps, rational feasibility goes
 through a from-scratch Fourier-Motzkin elimination, integer feasibility
 through plain enumeration of a value box, and comparison conjunctions
 through enumeration of a value grid.  Where a test
-freezes an expected value, one of these oracles computed it.
+freezes an expected value, one of these oracles computed it.  The one
+exception is `branch_only_decide_prod`, a reference for the prod
+decider's shortcut that builds its witnesses with the library's own.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 from aggequiv.model import Const, INTEGERS, Var, is_const, is_var, term_sort_key
-from aggequiv.orderings import CompleteOrdering, satisfying_assignment
+from aggequiv.orderings import (
+    CompleteOrdering, is_satisfiable_order, reduce_terms, rename_tuple,
+    satisfying_assignment,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +267,70 @@ def reference_prepare(q, ordering: CompleteOrdering, terms, atom_bit) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Product identities through the zero-extension branches alone
+# ---------------------------------------------------------------------------
+
+def branch_only_decide_prod(ident):
+    """`identity.decide_prod` without its identical-polynomial shortcut:
+    every identity goes through the branches that slot the constant 0 into
+    its reduced ordering, and the first branch where the two sides differ
+    as polynomials (and are not both 0) refutes it.  Witnesses come from
+    the library's `_witness`, so they compare equal to the decider's."""
+    from aggequiv import identity
+
+    canon, renaming0 = identity._canonicalize(ident)
+    for extension in _zero_slots(canon.ordering):
+        reduced, renaming1 = reduce_terms(extension)
+        left = tuple(rename_tuple(renaming1, tup) for tup in canon.left)
+        right = tuple(rename_tuple(renaming1, tup) for tup in canon.right)
+        c, exps_left = _polynomial(left)
+        d, exps_right = _polynomial(right)
+        if c == d and (c == 0 or exps_left == exps_right):
+            continue
+        differing = [t for t in set(exps_left) | set(exps_right)
+                     if exps_left[t] != exps_right[t]]
+        u = min(differing, key=term_sort_key, default=None)
+        branch = identity.OrderedIdentity(reduced, left, right,
+                                          ident.function)
+        witness = identity._translate_witness(
+            canon.ordering.terms(), renaming1,
+            identity._witness(branch, u))
+        return identity._invalid(ident, renaming0, witness)
+    return identity.IdentityVerdict(True)
+
+
+def _zero_slots(ordering: CompleteOrdering):
+    """The orderings of the terms plus 0 that keep every relation among
+    the terms: 0 in a class of its own in each gap, then 0 merged into
+    each class without a constant (the ordering itself if it holds 0)."""
+    zero = Const(Fraction(0))
+    if zero in ordering.terms():
+        yield ordering
+        return
+    classes = [list(cls) for cls in ordering.classes]
+    candidates = [classes[:i] + [[zero]] + classes[i:]
+                  for i in range(len(classes) + 1)]
+    candidates += [classes[:i] + [cls + [zero]] + classes[i + 1:]
+                   for i, cls in enumerate(classes)
+                   if not any(is_const(t) for t in cls)]
+    for candidate in candidates:
+        if is_satisfiable_order(candidate, ordering.domain):
+            yield CompleteOrdering.of(candidate, ordering.domain)
+
+
+def _polynomial(bag):
+    """prod(bag) as (constant factor, Counter of variable exponents)."""
+    constant = Fraction(1)
+    exponents = Counter()
+    for (t,) in bag:
+        if is_const(t):
+            constant *= t.value
+        else:
+            exponents[t] += 1
+    return constant, exponents
+
+
+# ---------------------------------------------------------------------------
 # Random generators (all driven by a seeded Random instance)
 # ---------------------------------------------------------------------------
 
@@ -286,14 +356,17 @@ def random_text(rng: random.Random, func: str) -> str:
 
 
 def random_ordering(rng: random.Random, domain: str, max_vars: int = 4,
-                    max_consts: int = 2) -> CompleteOrdering:
+                    max_consts: int = 2, include=()) -> CompleteOrdering:
+    """A random complete ordering of up to `max_vars` variables, the
+    constants with the values in `include` and up to `max_consts` others."""
     from aggequiv.orderings import enumerate_complete_orderings
 
     n_vars = rng.randint(1, max_vars)
     n_consts = rng.randint(0, max_consts)
     variables = [Var(name) for name in ["x", "y", "z", "w"][:n_vars]]
+    pool = [v for v in range(-3, 8) if v not in include]
     constants = [Const(Fraction(v))
-                 for v in rng.sample(range(-3, 8), n_consts)]
+                 for v in [*include, *rng.sample(pool, n_consts)]]
     options = list(enumerate_complete_orderings(variables + constants, domain))
     return rng.choice(options)
 

@@ -2,12 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import aggequiv
+from aggequiv.aggregation import value_to_json
 from aggequiv.cli import main
+from aggequiv.oracle import eval_concrete
+from aggequiv.parsing import ArityRegistry, parse_database, parse_queries
 
 
 def write(tmp_path, name, content):
@@ -138,6 +142,40 @@ def test_quasilinear_command(tmp_path, capsys):
     c = write(tmp_path, "c.q", "q(X; max(Y)) :- p(X, Y), !b(X)\n")
     assert main(["quasilinear", a, c]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("domain", ["rat", "int"])
+def test_quasilinear_refutes_a_negated_atom_beside_a_comparison(
+        tmp_path, capsys, domain):
+    """θ is matched on the positive atoms alone, so the separating negated
+    fact is found without the brute-force sweep and its cap."""
+    texts = ("q(X; max(Y)) :- p(X, Y), r(Z)",
+             "q(X; max(Y)) :- p(X, Y), r(Z), !b(X), Z != 0")
+    paths = [write(tmp_path, f"{side}.q", text + "\n")
+             for side, text in zip("ab", texts)]
+    assert main(["quasilinear", *paths, "--domain", domain, "--json"]) == 1
+    ce = json.loads(capsys.readouterr().out)["counterexample"]
+    registry = ArityRegistry()
+    q, q2 = (parse_queries(text, domain, registry)[0] for text in texts)
+    db = parse_database("\n".join(ce["facts"]), domain, registry)
+    group = tuple(Fraction(v) for v in ce["grouping"])
+    left = dict(eval_concrete(q, db)).get(group)
+    right = dict(eval_concrete(q2, db)).get(group)
+    assert [value_to_json(left), value_to_json(right)] == ce["values"]
+    assert left != right
+
+
+def test_python_dash_m_runs_the_cli(count_pair):
+    env = dict(os.environ, PYTHONPATH=str(Path(aggequiv.__file__).parents[1]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "aggequiv", *argv],
+                              capture_output=True, text=True, env=env)
+    shown = run("--help")
+    assert shown.returncode == 0 and shown.stdout.startswith("usage:")
+    decided = run("nequiv", *count_pair, "--n", "2")
+    assert decided.returncode == 1
+    assert decided.stdout.startswith("status: not_equivalent")
 
 
 def test_bagset_command(tmp_path):

@@ -1,17 +1,20 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from aggequiv.aggregation import AggregationFunction, FUNCTIONS, apply
+from aggequiv import identity as identity_module
 from aggequiv.identity import (
-    OrderedIdentity, _refutes, decide, decide_shiftable, instantiate_bag,
+    IdentityVerdict, OrderedIdentity, _refutes, decide, decide_prod,
+    decide_shiftable, decide_sum, instantiate_bag,
 )
 from aggequiv.model import Comparison, Const, INTEGERS, RATIONALS, Var
 from aggequiv.orderings import CompleteOrdering, entails
 from helpers import (
-    int_sum_identity_box_refutation, random_bag, random_ordering,
-    random_satisfying_assignment, sum_identity_valid_by_fm,
+    branch_only_decide_prod, int_sum_identity_box_refutation, random_bag,
+    random_ordering, random_satisfying_assignment, sum_identity_valid_by_fm,
 )
 
 F = Fraction
@@ -285,6 +288,60 @@ def test_prod_randomized_never_refuted_by_sampling():
     assert checked_valid > 10
 
 
+def test_identical_prod_polynomials_skip_the_zero_branches(monkeypatch):
+    """Sides that differ only in order, by constant-1 factors or by terms
+    the ordering merges or pins are one polynomial: valid before any
+    branch that slots 0 into the ordering is built."""
+    def no_branches(ordering):
+        raise AssertionError("zero extensions built for equal polynomials")
+    monkeypatch.setattr(identity_module, "_zero_extensions", no_branches)
+    cases = [
+        (L([[x], [y]]), [(x,), (y,)], [(y,), (x,)]),
+        (L([[C(1)], [x], [y]]), [(x,), (y,)], [(y,), (C(1),), (x,)]),
+        (L([[x], [C(1)]], INTEGERS), [(x,), (C(1),), (C(1),)], [(x,)]),
+        (L([[C(0)], [x]]), [(C(0),), (x,)], [(x,), (C(0),)]),
+        (L([[x, y], [C(1)]]), [(x,), (x,)], [(y,), (x,), (C(1),)]),
+        (L([[C(0)], [x], [C(2)]], INTEGERS), [(x,), (C(2),)], [(C(2),)]),
+    ]
+    for order, left, right in cases:
+        assert decide(ident(order, left, right, "prod")).valid
+        assert decide(ident(order, right, left, "prod")).valid
+
+
+def test_prod_matches_the_branch_only_reference():
+    """Random prod identities over 1 and sometimes 0, in both domains:
+    the verdict and witness of `decide` are those of deciding every
+    identity through the zero-extension branches."""
+    rng = random.Random(11)
+    kinds = Counter()
+    for _ in range(600):
+        domain = rng.choice([RATIONALS, INTEGERS])
+        order = random_ordering(rng, domain, max_vars=3, max_consts=1,
+                                include=rng.choice([(1,), (0, 1)]))
+        left = random_bag(rng, order, 1)
+        kind = rng.choice(["padded", "constants", "random"])
+        if kind == "padded":
+            # the same polynomial: reordered, with factors of 1 added
+            right = (tuple(rng.sample(left, len(left)))
+                     + ((C(1),),) * rng.randint(0, 2))
+        elif kind == "constants":
+            # the same variables, other constant factors
+            constants = [t for t in order.terms() if isinstance(t, Const)]
+            right = tuple(tup if isinstance(tup[0], Var)
+                          else (rng.choice(constants),) for tup in left)
+        else:
+            right = random_bag(rng, order, 1)
+        identity = ident(order, left, right, "prod")
+        verdict = decide(identity)
+        assert verdict == branch_only_decide_prod(identity), (
+            str(order), left, right)
+        kinds[kind, verdict.valid] += 1
+        if not verdict.valid:
+            assert_witness_refutes(identity, verdict)
+    assert kinds["padded", True] > 100 and kinds["padded", False] == 0
+    assert kinds["constants", False] > 20 and kinds["random", False] > 50
+
+
 # ---------------------------------------------------------------------------
 # Dispatch and edge cases
 # ---------------------------------------------------------------------------
@@ -319,6 +376,21 @@ def test_empty_bag_conventions():
     assert decide(ident(order, [], [], "sum")).valid
     verdict = decide(ident(order, [], [(x,)], "max"))
     assert not verdict.valid and verdict.witness is not None
+
+
+@pytest.mark.parametrize("name, route", [
+    ("sum", decide_sum), ("avg", decide_sum), ("prod", decide_prod),
+    ("max", decide_shiftable)])
+def test_every_route_answers_an_empty_side_like_decide(name, route):
+    """A group on one side only is refuted by the canonical assignment,
+    whichever route is asked; two empty sides agree."""
+    order = L([[x]])
+    for left, right in (([], [(x,)]), ([(x,)], [])):
+        identity = ident(order, left, right, name)
+        expected = IdentityVerdict(False, {x: F(0)})
+        assert route(identity) == expected
+        assert decide(identity) == expected
+    assert route(ident(order, [], [], name)) == IdentityVerdict(True)
 
 
 def test_valid_verdicts_survive_random_assignments():

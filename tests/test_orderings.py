@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -210,6 +211,45 @@ def test_is_reduced():
     assert is_reduced(L([[C(0)], [x], [C(2)]], RATIONALS))
     assert not is_reduced(L([[C(0)], [x], [C(2)]], INTEGERS))
     assert not is_reduced(L([[x, y]]))
+
+
+def test_satisfying_assignment_is_a_fresh_dict():
+    order = L([[C(0)], [x], [y]])
+    first = satisfying_assignment(order)
+    first[x] = F(7)
+    first[z] = F(9)
+    assert satisfying_assignment(order) == {C(0): F(0), x: F(1), y: F(2)}
+    assert dict(order.canonical_assignment) == satisfying_assignment(order)
+    with pytest.raises(TypeError):
+        order.canonical_assignment[x] = F(7)
+
+
+def test_reduction_is_cached_and_a_reduced_ordering_is_its_own():
+    reduced = L([[C(0)], [x], [C(2)]], RATIONALS)
+    assert reduced.reduction[0] is reduced and reduced.reduction[1] == {}
+    assert reduce_terms(reduced)[0] is reduced
+    pinned = L([[C(0)], [x], [C(2)]], INTEGERS)
+    assert pinned.reduction is pinned.reduction
+    assert pinned.reduction == (L([[C(0)], [C(1)], [C(2)]], INTEGERS),
+                                {x: C(1)})
+    with pytest.raises(TypeError):
+        pinned.reduction[1][y] = x
+
+
+@pytest.mark.parametrize("order", [
+    L([[C(0)], [x], [C(2)]], RATIONALS),
+    L([[C(0)], [x], [C(2)]], INTEGERS),
+    L([[x, y], [C(3)], [z]], INTEGERS),
+])
+def test_an_ordering_through_pickle_keeps_its_reduction_and_assignment(order):
+    """Parallel jobs carry orderings to other processes; the cached
+    reduction and canonical assignment are rebuilt there, equal."""
+    reduction, assignment = order.reduction, dict(order.canonical_assignment)
+    copy = pickle.loads(pickle.dumps(order))
+    assert copy == order and copy.terms() == order.terms()
+    assert copy.reduction == reduction
+    assert (copy.reduction[0] is copy) == (reduction[0] is order)
+    assert dict(copy.canonical_assignment) == assignment
 
 
 def test_possible_values_and_pinned_assignment():
