@@ -13,12 +13,12 @@ forced equal).
 
 Over the integers a disequality can pin a variable through a hole the
 bounds cannot see, and makes satisfiability hard in general.  An integer
-system containing ``!=`` therefore answers from the list of its
-consistent complete orderings (bounds it entails still settle a forced
-value or equality first), builds that list once, and refuses beyond a
-small term count rather than answer approximately.  `entails` is the
-same for every system: the negated target makes the conjunction
-unsatisfiable.
+system containing ``!=`` therefore answers from its consistent complete
+orderings (bounds it entails still settle a forced value or equality
+first): satisfiability stops at the first, the rest build their list
+once, and all refuse beyond a small term count rather than answer
+approximately.  `entails` is the same for every system: the negated
+target makes the conjunction unsatisfiable.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .model import Comparison, INTEGERS, is_const
-from .orderings import consistent_orderings
+from .orderings import enumerate_complete_orderings
 
 #: orderings of more than this many terms are never enumerated here
 ENUMERATION_LIMIT = 7
@@ -137,26 +137,32 @@ class ComparisonSystem:
         return (duv[0] == 0 and duv[1] == _WEAK
                 and dvu[0] == 0 and dvu[1] == _WEAK)
 
-    @functools.cached_property
-    def _orderings(self) -> Optional[list]:
+    def _consistent_orderings(self):
         """The consistent complete orderings of an integer system with a
-        disequality, built on first use; None for every other system."""
+        disequality, generated lazily; None for every other system."""
         if not (self._neq and self.domain == INTEGERS):
             return None
         if self._contradiction:
-            return []
+            return iter(())
         terms = {t for c in self.comparisons for t in c.terms()}
         if len(terms) > ENUMERATION_LIMIT:
             raise TooHardError(
                 f"integer disequality reasoning over {len(terms)} terms "
                 f"exceeds the enumeration limit ({ENUMERATION_LIMIT})")
-        return list(consistent_orderings(terms, self.comparisons,
-                                         self.domain))
+        return enumerate_complete_orderings(terms, self.domain,
+                                            comparisons=self.comparisons)
+
+    @functools.cached_property
+    def _orderings(self) -> Optional[list]:
+        """`_consistent_orderings` as a list, built on first use."""
+        orderings = self._consistent_orderings()
+        return None if orderings is None else list(orderings)
 
     def satisfiable(self) -> bool:
         """Does some assignment over the domain satisfy every comparison?"""
-        if self._orderings is not None:
-            return bool(self._orderings)
+        orderings = self._consistent_orderings()
+        if orderings is not None:
+            return next(orderings, None) is not None
         return not self._contradiction and not any(
             self._forced_equal_nodes(u, v) for u, v in self._neq)
 

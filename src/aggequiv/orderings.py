@@ -8,14 +8,13 @@ symbolic ones.
 
 Integer-domain subtleties are concentrated here.  Constants anchor their
 classes; a variable class squeezed between anchors with no integer room
-makes the order unsatisfiable (filtered out), and one with exactly one
+makes the order unsatisfiable (never built), and one with exactly one
 integer slot is pinned to that value (`class_bounds` reports lo == hi).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -179,34 +178,28 @@ def _integer_room(classes) -> bool:
 def is_satisfiable_order(classes, domain: str) -> bool:
     if not _constants_consistent(classes):
         return False
-    if domain == INTEGERS:
-        vals = [t.value for cls in classes for t in cls if is_const(t)]
-        if any(v.denominator != 1 for v in vals):
-            return False
-        return _integer_room(classes)
-    return True
-
-
-def _ordered_set_partitions(items: list) -> Iterator[list]:
-    """All ordered set partitions, each exactly once, deterministically."""
-    if not items:
-        yield []
-        return
-    *init, last = items
-    for p in _ordered_set_partitions(init):
-        for i in range(len(p)):
-            yield p[:i] + [p[i] + [last]] + p[i + 1:]
-        for i in range(len(p) + 1):
-            yield p[:i] + [[last]] + p[i:]
+    return domain != INTEGERS or (_integer_room(classes) and all(
+        t.value.denominator == 1 for cls in classes for t in cls
+        if is_const(t)))
 
 
 def enumerate_complete_orderings(terms: Iterable[Term], domain: str,
-                                 injective_only: bool = False
+                                 injective_only: bool = False,
+                                 comparisons: Iterable[Comparison] = ()
                                  ) -> Iterator[CompleteOrdering]:
-    """All satisfiable weak orders on `terms`, each exactly once.
+    """All satisfiable weak orders on `terms` entailing every comparison in
+    `comparisons`, each exactly once.
 
-    Constants keep their numeric order and never share a class; over the
-    integers, orders without enough room between constants are dropped.
+    The constants start as one chain in numeric order; each variable is then
+    placed in `term_sort_key` order (so every class stays sorted), first
+    merged into each class, then as a class of its own in each gap.  A
+    placement is extended only if over the integers a new class leaves room
+    between its anchors, and every comparison whose later sorted term is the
+    variable just placed holds.  Later placements keep both true: no
+    unsatisfiable order is built, and the orders come as if every ordered
+    set partition were built and filtered.  A comparison with a term outside
+    `terms` raises KeyError, unless both sides are constants.
+
     With `injective_only` every class is a single term and the variables
     keep their sorted order too: one strict order per orbit under renaming
     the variables (the lex-leader).  The bounded-equivalence search uses
@@ -214,33 +207,44 @@ def enumerate_complete_orderings(terms: Iterable[Term], domain: str,
     interchangeable.
     """
     items = sorted(set(terms), key=term_sort_key)
-    if injective_only:
-        constants = [t for t in items if is_const(t)]
-        variables = [t for t in items if is_var(t)]
-        for order in _injective_interleavings(constants, variables):
-            classes = [[t] for t in order]
-            if is_satisfiable_order(classes, domain):
-                yield CompleteOrdering.of(classes, domain)
+    classes = [[t] for t in items if is_const(t)]
+    variables = [t for t in items if is_var(t)]
+    if not is_satisfiable_order(classes, domain):
         return
-    for p in _ordered_set_partitions(items):
-        if is_satisfiable_order(p, domain):
-            yield CompleteOrdering.of(p, domain)
+    checks: dict = {v: [] for v in variables}
+    for cmp in comparisons:
+        if is_const(cmp.lhs) and is_const(cmp.rhs):
+            if not cmp.holds(cmp.lhs.value, cmp.rhs.value):
+                return
+            continue
+        checks[max(cmp.lhs, cmp.rhs, key=term_sort_key)].append(cmp)
+    squeezable = domain == INTEGERS and len(classes) > 1
 
+    def holds(v) -> bool:
+        if not checks[v]:
+            return True
+        where = {t: i for i, cls in enumerate(classes) for t in cls}
+        return all(_positions_imply(where[c.lhs], where[c.rhs], c.op)
+                   for c in checks[v])
 
-def _injective_interleavings(constants: list, variables: list):
-    """All strict orders keeping both `constants` and `variables` in their
-    given order."""
-    n = len(constants) + len(variables)
-    for var_positions in itertools.combinations(range(n), len(variables)):
-        # variables take the chosen slots in order, constants fill the rest
-        order: list = [None] * n
-        for t, p in zip(variables, var_positions):
-            order[p] = t
-        it = iter(constants)
-        for i in range(n):
-            if order[i] is None:
-                order[i] = next(it)
-        yield order
+    def place(k: int, first_gap: int) -> Iterator[CompleteOrdering]:
+        if k == len(variables):
+            yield CompleteOrdering(tuple(map(tuple, classes)), domain)
+            return
+        v = variables[k]
+        if not injective_only:
+            for cls in classes:
+                cls.append(v)
+                if holds(v):
+                    yield from place(k + 1, 0)
+                cls.pop()
+        for gap in range(first_gap, len(classes) + 1):
+            classes.insert(gap, [v])
+            if (not squeezable or _integer_room(classes)) and holds(v):
+                yield from place(k + 1, gap + 1 if injective_only else 0)
+            del classes[gap]
+
+    yield from place(0, 0)
 
 
 def entails(ordering: CompleteOrdering, cmp: Comparison) -> bool:
@@ -255,17 +259,17 @@ def entails(ordering: CompleteOrdering, cmp: Comparison) -> bool:
     for t in (lhs, rhs):
         if t not in positions:
             raise KeyError(f"unknown term {t}")
-    i, j = positions[lhs], positions[rhs]
-    rel = "=" if i == j else ("<" if i < j else ">")
-    return _relation_implies(rel, cmp.op)
+    return _positions_imply(positions[lhs], positions[rhs], cmp.op)
 
 
-def _relation_implies(rel: str, op: str) -> bool:
-    return {
-        "<": op in ("<", "<=", "!="),
-        ">": op in (">", ">=", "!="),
-        "=": op in ("=", "<=", ">="),
-    }[rel]
+def _positions_imply(i: int, j: int, op: str) -> bool:
+    """Does every term of class `i` stand in relation `op` to every term
+    of class `j`, whatever values the classes take?"""
+    if i < j:
+        return op in ("<", "<=", "!=")
+    if i > j:
+        return op in (">", ">=", "!=")
+    return op in ("=", "<=", ">=")
 
 
 # ---------------------------------------------------------------------------
@@ -377,18 +381,6 @@ def witness_pair(ordering: CompleteOrdering, x: Term,
         low[t] = min(da[t], db[t]) if lo_side else max(da[t], db[t])
         high[t] = min(da[t], db[t]) if positions[t] < px else max(da[t], db[t])
     return (low, high) if c1 <= c2 else (high, low)
-
-
-# ---------------------------------------------------------------------------
-# Orderings constrained by comparison conjunctions
-# ---------------------------------------------------------------------------
-
-def consistent_orderings(terms: Iterable[Term], comparisons, domain: str
-                         ) -> Iterator[CompleteOrdering]:
-    """Complete orderings of `terms` entailing every given comparison."""
-    for ordering in enumerate_complete_orderings(terms, domain):
-        if all(entails(ordering, c) for c in comparisons):
-            yield ordering
 
 
 def assign_tuple(assignment: Assignment, tup: tuple) -> tuple:

@@ -30,7 +30,7 @@ from .model import (
 )
 from .normalize import reduce_query
 from .orderings import (
-    assign_tuple, consistent_orderings, satisfying_assignment,
+    assign_tuple, enumerate_complete_orderings, satisfying_assignment,
 )
 
 
@@ -217,8 +217,8 @@ def _canonical_instantiations(q: Query):
     comp_terms = {t for c in cond.comparisons for t in c.terms()}
     comp_terms |= {t for t in q.constants()}
     free_vars = sorted(cond.variables() - comp_terms, key=term_sort_key)
-    orderings = list(consistent_orderings(comp_terms, cond.comparisons,
-                                          q.domain))
+    orderings = list(enumerate_complete_orderings(
+        comp_terms, q.domain, comparisons=cond.comparisons))
     orderings.sort(key=lambda o: 0 if o.is_injective() else 1)
     for ordering in orderings:
         assignment = satisfying_assignment(ordering)

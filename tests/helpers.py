@@ -5,9 +5,11 @@ are enumerated through canonical rank maps, rational feasibility goes
 through a from-scratch Fourier-Motzkin elimination, integer feasibility
 through plain enumeration of a value box, and comparison conjunctions
 through enumeration of a value grid.  Where a test
-freezes an expected value, one of these oracles computed it.  The one
-exception is `branch_only_decide_prod`, a reference for the prod
-decider's shortcut that builds its witnesses with the library's own.
+freezes an expected value, one of these oracles computed it.  Two
+references are exceptions: `branch_only_decide_prod`, for the prod
+decider's shortcut, builds its witnesses with the library's own, and
+`filtered_complete_orderings`, for the pruned ordering generator, keeps
+orders with the library's `is_satisfiable_order` and `entails`.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from fractions import Fraction
 
 from aggequiv.model import Const, INTEGERS, Var, is_const, is_var, term_sort_key
 from aggequiv.orderings import (
-    CompleteOrdering, is_satisfiable_order, reduce_terms, rename_tuple,
-    satisfying_assignment,
+    CompleteOrdering, entails, is_satisfiable_order, reduce_terms,
+    rename_tuple, satisfying_assignment,
 )
 
 
@@ -328,6 +330,63 @@ def _polynomial(bag):
         else:
             exponents[t] += 1
     return constant, exponents
+
+
+# ---------------------------------------------------------------------------
+# Orderings built whole, then filtered
+# ---------------------------------------------------------------------------
+
+def filtered_complete_orderings(terms, domain: str,
+                                injective_only: bool = False,
+                                comparisons=()):
+    """The complete orderings `enumerate_complete_orderings` yields, in
+    the order it yields them, found by building every ordered set
+    partition (or, with `injective_only`, every interleaving of the
+    sorted constants and sorted variables) and keeping those that pass
+    `is_satisfiable_order` and entail every comparison."""
+    items = sorted(set(terms), key=term_sort_key)
+    if injective_only:
+        constants = [t for t in items if is_const(t)]
+        variables = [t for t in items if is_var(t)]
+        candidates = ([[t] for t in order]
+                      for order in _injective_interleavings(constants,
+                                                            variables))
+    else:
+        candidates = _ordered_set_partitions(items)
+    for classes in candidates:
+        if is_satisfiable_order(classes, domain):
+            ordering = CompleteOrdering.of(classes, domain)
+            if all(entails(ordering, c) for c in comparisons):
+                yield ordering
+
+
+def _ordered_set_partitions(items: list):
+    """All ordered set partitions, each exactly once, deterministically."""
+    if not items:
+        yield []
+        return
+    *init, last = items
+    for p in _ordered_set_partitions(init):
+        for i in range(len(p)):
+            yield p[:i] + [p[i] + [last]] + p[i + 1:]
+        for i in range(len(p) + 1):
+            yield p[:i] + [[last]] + p[i:]
+
+
+def _injective_interleavings(constants: list, variables: list):
+    """All strict orders keeping both `constants` and `variables` in their
+    given order."""
+    n = len(constants) + len(variables)
+    for var_positions in itertools.combinations(range(n), len(variables)):
+        # variables take the chosen slots in order, constants fill the rest
+        order: list = [None] * n
+        for t, p in zip(variables, var_positions):
+            order[p] = t
+        it = iter(constants)
+        for i in range(n):
+            if order[i] is None:
+                order[i] = next(it)
+        yield order
 
 
 # ---------------------------------------------------------------------------

@@ -109,3 +109,16 @@ def test_integer_disequality_beyond_the_enumeration_limit():
         hard.satisfiable()
     # the rationals need no enumeration
     assert ComparisonSystem(hard.comparisons, RATIONALS).satisfiable()
+
+
+def test_disequality_entailment_stops_at_a_consistent_ordering():
+    """Each negation piece of an integer system with a disequality needs
+    one consistent ordering, not the list of them."""
+    a, b, c, d, e, f = (Var(n) for n in "ABCDEF")
+    zero = Const(F(0))
+    system = ComparisonSystem([Comparison(a, "!=", f),
+                               Comparison(b, ">=", zero),
+                               Comparison(c, ">=", zero),
+                               Comparison(d, "<=", e)], INTEGERS)
+    assert not system.entails(Comparison(b, "<", c))
+    assert system.entails(Comparison(b, ">=", zero))

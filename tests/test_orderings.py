@@ -8,12 +8,13 @@ import pytest
 
 from aggequiv.model import Comparison, Const, INTEGERS, RATIONALS, Var
 from aggequiv.orderings import (
-    CompleteOrdering, consistent_orderings, enumerate_complete_orderings,
-    entails, is_reduced, pinned_assignment, possible_value, reduce_terms,
-    satisfying_assignment, witness_pair,
+    CompleteOrdering, enumerate_complete_orderings, entails, is_reduced,
+    pinned_assignment, possible_value, reduce_terms, satisfying_assignment,
+    witness_pair,
 )
 from helpers import (
-    brute_force_weak_orders, ordering_as_classes, random_satisfying_assignment,
+    brute_force_weak_orders, filtered_complete_orderings, ordering_as_classes,
+    random_satisfying_assignment,
 )
 
 F = Fraction
@@ -62,6 +63,50 @@ def test_integer_room_filter():
     assert "0 < x < 2" in [
         str(o) for o in enumerate_complete_orderings([x, C(0), C(2)],
                                                      INTEGERS)]
+
+
+def test_integer_count_with_three_constants():
+    # 24,516 of the 545,835 ordered set partitions of 8 terms
+    terms = [Var(f"v{i}") for i in range(5)] + [C(0), C(1), C(3)]
+    assert sum(1 for _ in enumerate_complete_orderings(terms, INTEGERS)) \
+        == 24516
+
+
+OPS = ("<", "<=", "=", "!=", ">", ">=")
+
+
+def test_pruned_generator_matches_the_filtered_reference():
+    """The same orderings in the same order as building every candidate
+    and filtering it: plain, lex-leader, and under comparisons (constant
+    against constant among them)."""
+    rng = random.Random(11)
+    values = [F(-1), F(0), F(1, 2), F(1), F(2), F(3)]
+    names = [Var(n) for n in "uvwxyz"]
+    narrowed = 0  # cases whose comparisons keep some orders but not all
+    for _ in range(150):
+        domain = rng.choice((RATIONALS, INTEGERS))
+        constants = [Const(v) for v in rng.sample(values, rng.randint(0, 3))]
+        terms = constants + rng.sample(names,
+                                       rng.randint(0, 6 - len(constants)))
+        comparisons = [
+            Comparison(rng.choice(terms), rng.choice(OPS), rng.choice(terms))
+            if terms and rng.random() < 0.8 else
+            Comparison(Const(rng.choice(values)), rng.choice(OPS),
+                       Const(rng.choice(values)))
+            for _ in range(rng.randint(0, 3))]
+        found = {}
+        for mode, kwargs in (("plain", {}),
+                             ("injective", {"injective_only": True}),
+                             ("constrained", {"comparisons": comparisons})):
+            expected = list(filtered_complete_orderings(terms, domain,
+                                                        **kwargs))
+            assert list(enumerate_complete_orderings(terms, domain,
+                                                     **kwargs)) == expected, \
+                (mode, [str(t) for t in terms], domain,
+                 [str(c) for c in comparisons])
+            found[mode] = len(expected)
+        narrowed += 0 < found["constrained"] < found["plain"]
+    assert narrowed >= 30
 
 
 def rename(ordering, renaming):
@@ -138,8 +183,8 @@ def test_integer_squeeze_entailment():
     assert entails(rational, Comparison(x, "!=", C(2)))
     # over the rationals 0 < x < 2 leaves x on either side of 1
     squeezed = [Comparison(C(0), "<", x), Comparison(x, "<", C(2))]
-    orders = list(consistent_orderings([x, C(0), C(1), C(2)], squeezed,
-                                       RATIONALS))
+    orders = list(enumerate_complete_orderings(
+        [x, C(0), C(1), C(2)], RATIONALS, comparisons=squeezed))
     assert [str(o) for o in orders if entails(o, Comparison(x, "<", C(1)))] \
         == ["0 < x < 1 < 2"]
     assert len(orders) == 3
@@ -310,6 +355,7 @@ def test_witness_pair_satisfies_ordering_and_differs_only_at_x():
 
 def test_consistent_orderings():
     comps = [Comparison(x, "<", y), Comparison(y, "<=", C(3))]
-    orders = list(consistent_orderings([x, y, C(3)], comps, RATIONALS))
+    orders = list(enumerate_complete_orderings([x, y, C(3)], RATIONALS,
+                                               comparisons=comps))
     assert all(entails(o, comps[0]) and entails(o, comps[1]) for o in orders)
     assert {str(o) for o in orders} == {"x < y < 3", "x < 3 = y"}
