@@ -18,7 +18,7 @@ describe is also described by a smaller subset with an injective
 ordering, and injectivity is what makes symbolic group keys and negated
 atoms behave like their concrete counterparts.
 
-Three more kinds of unit are skipped because a unit the scan checks
+Four more kinds of unit are skipped because a unit the scan checks
 anyway stands for them, or because no check of theirs can fail:
 
 - Only orderings with the fresh variables in increasing order
@@ -45,6 +45,26 @@ anyway stands for them, or because no check of theirs can fail:
   index counted, and an ordering under which both queries prepare the
   same assignments is dropped.  Differing heads are never skipped this
   way: equal bags can still disagree under two functions (max and min).
+- When the heads match, each database shape is checked once.  Every
+  assignment that fires on S maps the query variables to terms of S or
+  to constants (a variable is safe through a positive atom or an = chain
+  to one, and = between distinct terms is false), so the groups of
+  (S, L) depend only on S and on the order L puts S's terms and the
+  constants in.  If S's fresh variables are not exactly u1..uk, rename
+  the ones it uses onto u1..uk in their L order and put the others above
+  every term: the renamed subset comes earlier, and its unit collects
+  the renamed groups.  Over the rationals that unit has the same
+  verdict; over the integers it describes more databases (an unused
+  variable between two constants can pin a used one), so a failure of
+  (S, L) is a failure of it too.  If S's fresh variables are exactly
+  u1..uk, orderings that agree on the constants, on u1..uk and on the
+  integer slots the other variables take (`_shape_key`) collect the same
+  groups on S and give their identities the same `_identity_key`, so
+  only the first of each class is checked.  Either way the unit that
+  stands for a skipped one comes earlier in the global order, so the
+  first failure is never skipped and the counterexample is unchanged.
+  Differing heads are compared on the canonical instance of the whole
+  ordering, so this skip does not apply to them.
 
 Across subsets and orderings the same bags recur over the same order of
 the terms they mention, so one scan keeps the identities it has decided
@@ -70,17 +90,19 @@ heads.
 
 Parallel scan: a decision is planned once, by the caller (`_plan`:
 BASE, the compiled queries, and each kept ordering's prepared
-assignments and idle and differing masks), and one loop (`_scan`) walks
-the plan's units in the global order, subset first and ordering second.
-One worker runs it in process over every unit.  K workers run it in the
-processes of a pool, each over the units whose global index is its
-stride number modulo K; of the strides' first failures the lowest index
-wins, so the output is the one-worker output.  A plan with no ordering
-left never reaches a process.  The pool is built by the first parallel
-decision that needs it and kept for later ones (`_shared_pool`); a
-forked child or another K builds a new one, and a pool whose worker died
-is dropped and the decision run once more on a fresh pool.  A job
-carries the whole plan, so workers need no state inherited by fork.
+assignments, idle and differing masks and shape classes), and one loop
+(`_scan`) walks the plan's units in the global order, subset first and
+ordering second.  One worker runs it in process over every unit.  K
+workers run it in the processes of a pool, each over the units whose
+global index is its stride number modulo K; of the strides' first
+failures the lowest index wins, so the output is the one-worker output.
+Skipped units keep their global index, so the strides do not depend on
+the skips.  A plan with no ordering left never reaches a process.  The
+pool is built by the first parallel decision that needs it and kept for
+later ones (`_shared_pool`); a forked child or another K builds a new
+one, and a pool whose worker died is dropped and the decision run once
+more on a fresh pool.  A job carries the whole plan, so workers need no
+state inherited by fork.
 
 Full equivalence reduces to N-equivalence at the pair's term size for
 the decomposable functions (count, sum, max, min, parity, top2) and for
@@ -89,8 +111,8 @@ prod over the rationals; avg and cntd are reported unsupported.
 
 from __future__ import annotations
 
-import functools
 import itertools
+import operator
 import os
 import threading
 from collections import Counter
@@ -186,13 +208,40 @@ def build_base(q: Query, q2: Query, n: int):
 # The (S, L) search
 # ---------------------------------------------------------------------------
 
-def _subsets(atoms: list) -> Iterator[tuple]:
-    """Every subset of `atoms` as `(atoms, mask)`, smallest first, where
-    atom i has the bit 1 << i."""
-    bits = [1 << i for i in range(len(atoms))]
+def _subsets(atoms: list, weights: Optional[tuple] = None
+             ) -> Iterator[tuple]:
+    """Every subset of `atoms` as `(atoms, weight)`, smallest first, where
+    the weight sums the `weights` of its atoms; by default atom i weighs
+    1 << i, so the weight is the subset's mask."""
+    if weights is None:
+        weights = [1 << i for i in range(len(atoms))]
     for size in range(len(atoms) + 1):
         yield from zip(itertools.combinations(atoms, size),
-                       map(sum, itertools.combinations(bits, size)))
+                       map(sum, itertools.combinations(weights, size)))
+
+
+def _shape_weights(base: list, terms: list, n: int) -> tuple:
+    """`(weights, add, tops, shapes)`: per atom of BASE its weight for
+    `_subsets`, and how to read a subset's weight.
+
+    The last n terms are the fresh variables u1..un.  An atom weighs its
+    bit plus, above the atom bits, one count field per fresh variable it
+    mentions, so a subset's weight holds its mask and, per fresh
+    variable, how many of its atoms mention it.  A count stays below the
+    top bit of its field, so `(weight + add) & tops` has the top bit of
+    exactly the fields of the variables S uses, and `shapes` maps that
+    to 1 << k when they are u1..uk.
+    """
+    width = len(base).bit_length() + 1
+    field = [len(base) + width * j for j in range(n)]
+    count = {u.name: 1 << f for u, f in zip(terms[len(terms) - n:], field)}
+    weights = tuple((1 << i) + sum({count.get(t.name, 0)
+                                    for t in combo if not is_const(t)})
+                    for i, (_, combo) in enumerate(base))
+    tops = [1 << (f + width - 1) for f in field]
+    add = sum(tops) - sum(1 << f for f in field)
+    shapes = {sum(tops[:k]): 1 << k for k in range(n + 1)}
+    return weights, add, sum(tops), shapes
 
 
 def _settle(terms: list, comparison: Comparison, a: int, b: int):
@@ -329,7 +378,7 @@ def _pair_counterexample(q: Query, q2: Query, terms: list, rank: list,
             known = identity_key(left, right)
             if known in valid:
                 continue
-        verdict = identity.decide(identity.OrderedIdentity(
+        verdict = identity.decide(identity.OrderedIdentity.unchecked(
             ordering, _as_terms(terms, left), _as_terms(terms, right), func))
         if not verdict.valid:
             return _materialize(q, q2, terms, subset, key, groups1, groups2,
@@ -405,6 +454,39 @@ def _identity_key(function: str, domain: str, projection: tuple,
         return tuple(sorted(tuple(names.get(i, i) for i in tup)
                             for tup in tuples))
     return function, domain, tuple(chain), bag(left), bag(right)
+
+
+def _memo_key(function: str, domain: str, ordering: CompleteOrdering,
+              index: dict):
+    """`_identity_key` under `ordering`, whose `_projection` is built on
+    the first call: most orderings of a scan that fails early decide no
+    identity."""
+    projection = None
+
+    def key(left, right):
+        nonlocal projection
+        if projection is None:
+            projection = _projection(ordering, index)
+        return _identity_key(function, domain, projection, left, right)
+    return key
+
+
+def _shape_key(gaps: tuple, k: int, bound: int) -> tuple:
+    """The class of a lex-leader ordering for the subsets whose fresh
+    variables are exactly u1..uk.
+
+    `gaps` holds each fresh variable's gap, the number of constants below
+    it; `bound` is the number of constants over the integers and 0 over
+    the rationals.  The class is the gaps of u1..uk and the gaps of the
+    other variables that lie between two constants (0 < gap < bound):
+    `_projection` restricted to the constants and u1..uk, with an
+    anonymous placeholder for each unused variable that takes up an
+    integer slot.  Orderings of one class collect the same groups on such
+    a subset, and their identities share `_identity_key`s.
+    """
+    if not bound:
+        return gaps[:k]
+    return gaps[:k] + tuple(gap for gap in gaps[k:] if 0 < gap < bound)
 
 
 def _same_head(q: Query, q2: Query) -> bool:
@@ -495,11 +577,18 @@ class _Plan(NamedTuple):
     the caller and sent to each worker.
 
     `orderings` holds, per ordering that can separate the queries,
-    `(position, ordering, prep1, prep2, idle, differing, projection)`:
-    its place in the lex-leader enumeration, both queries' prepared
+    `(position, ordering, prep1, prep2, idle, differing, firsts)`: its
+    place in the lex-leader enumeration, both queries' prepared
     assignments, the mask of its idle atoms, the masks of the prepared
-    assignments the queries disagree on (None for differing heads) and
-    its `_projection` for the memo keys.
+    assignments the queries disagree on (None for differing heads), and
+    the mask of the k (bit k) at which it is the first ordering of its
+    `_shape_key` class, dropped orderings counted (unread for differing
+    heads).
+
+    With matching heads the scan checks a unit (S, L) only if S's fresh
+    variables are exactly u1..uk for some k and L is the first ordering
+    of its class at k; every other unit has one that stands for it
+    earlier in the global order, so the first failure is never skipped.
     """
     q: Query
     q2: Query
@@ -509,6 +598,7 @@ class _Plan(NamedTuple):
     same_head: bool
     per_subset: int  # units per subset, dropped orderings too
     orderings: tuple
+    n: int  # fresh variables
 
 
 def _plan(q: Query, q2: Query, n: int) -> _Plan:
@@ -518,13 +608,28 @@ def _plan(q: Query, q2: Query, n: int) -> _Plan:
     same_head = _same_head(q, q2)
     compiled1 = _compile(q, terms, atom_bit)
     compiled2 = _compile(q2, terms, atom_bit)
-    index = {t: i for i, t in enumerate(terms)}
+    constants = len(terms) - n
+    bound = constants if q.domain == INTEGERS else 0
+    classes = [set() for _ in range(n)]  # per k, the keys seen so far
     kept = []
     per_subset = 0
     for position, ordering in enumerate(enumerate_complete_orderings(
             terms, q.domain, injective_only=True)):
         per_subset = position + 1
         term_position = [ordering.position(t) for t in terms]
+        firsts = 1 << n  # at k = n each ordering is a class of its own
+        if same_head:
+            # uj follows u1..uj-1, so its gap is its position less j - 1
+            gaps = tuple(map(operator.sub, term_position[constants:],
+                             range(n)))
+            # two orderings of one class at k share their classes below k,
+            # so the new classes end at the first one seen before
+            for k in reversed(range(n)):
+                key = _shape_key(gaps, k, bound)
+                if key in classes[k]:
+                    break
+                classes[k].add(key)
+                firsts |= 1 << k
         prep1 = _prepare_assignments(compiled1, term_position)
         prep2 = _prepare_assignments(compiled2, term_position)
         differing = _differing_masks(prep1, prep2) if same_head else None
@@ -534,9 +639,9 @@ def _plan(q: Query, q2: Query, n: int) -> _Plan:
         for positive, negated, _, _ in prep1 + prep2:
             used |= positive | negated
         kept.append((position, ordering, prep1, prep2, every_atom & ~used,
-                     differing, _projection(ordering, index)))
+                     differing, firsts))
     return _Plan(q, q2, terms, base, _ranks(terms), same_head, per_subset,
-                 tuple(kept))
+                 tuple(kept), n)
 
 
 def _scan(plan: _Plan, offset: int, workers: int):
@@ -545,20 +650,30 @@ def _scan(plan: _Plan, offset: int, workers: int):
     unit as `(unit index, counterexample)`, or None."""
     q, q2 = plan.q, plan.q2
     valid: set = set()  # keys of the identities this stride decided valid
+    index = {t: i for i, t in enumerate(plan.terms)}
     walk = []
     for (position, ordering, prep1, prep2, idle, differing,
-         projection) in plan.orderings:
-        memo = (valid, functools.partial(
-            _identity_key, q.aggregate.function.name, q.domain, projection))
+         firsts) in plan.orderings:
+        memo = (valid, _memo_key(q.aggregate.function.name, q.domain,
+                                 ordering, index))
         walk.append((position, ordering, prep1, prep2, idle, differing,
-                     memo))
-    for first, (subset, mask) in zip(itertools.count(0, plan.per_subset),
-                                     _subsets(plan.base)):
-        for (position, ordering, prep1, prep2, idle, differing,
+                     firsts, memo))
+    every_atom = (1 << len(plan.base)) - 1
+    # differing heads count no fresh variable: no unit stands for another
+    weights, add, tops, shapes = _shape_weights(
+        plan.base, plan.terms, plan.n if plan.same_head else 0)
+    for first, (subset, weight) in zip(itertools.count(0, plan.per_subset),
+                                       _subsets(plan.base, weights)):
+        shape = shapes.get((weight + add) & tops)
+        if shape is None:
+            continue  # S renamed onto u1..uk comes earlier
+        mask = weight & every_atom
+        for (position, ordering, prep1, prep2, idle, differing, firsts,
              memo) in walk:
             unit = first + position
             if (unit % workers != offset or mask & idle
-                    or differing is not None and not _fires(differing, mask)):
+                    or differing is not None
+                    and (not firsts & shape or not _fires(differing, mask))):
                 continue
             ce = _pair_counterexample(q, q2, plan.terms, plan.rank, subset,
                                       mask, ordering, prep1, prep2,

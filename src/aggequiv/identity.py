@@ -68,6 +68,17 @@ class OrderedIdentity:
                     if t not in terms:
                         raise KeyError(f"bag term {t} not in the ordering")
 
+    @classmethod
+    def unchecked(cls, ordering: CompleteOrdering, left: tuple, right: tuple,
+                  function: AggregationFunction) -> "OrderedIdentity":
+        """The identity without `__post_init__`'s checks, for a caller that
+        builds both bags from the ordering's own terms in tuples of the
+        function's arity."""
+        ident = object.__new__(cls)
+        vars(ident).update(ordering=ordering, left=left, right=right,
+                           function=function)
+        return ident
+
 
 @dataclass(frozen=True)
 class IdentityVerdict:

@@ -5,11 +5,13 @@ are enumerated through canonical rank maps, rational feasibility goes
 through a from-scratch Fourier-Motzkin elimination, integer feasibility
 through plain enumeration of a value box, and comparison conjunctions
 through enumeration of a value grid.  Where a test
-freezes an expected value, one of these oracles computed it.  Two
+freezes an expected value, one of these oracles computed it.  Three
 references are exceptions: `branch_only_decide_prod`, for the prod
-decider's shortcut, builds its witnesses with the library's own, and
+decider's shortcut, builds its witnesses with the library's own;
 `filtered_complete_orderings`, for the pruned ordering generator, keeps
-orders with the library's `is_satisfiable_order` and `entails`.
+orders with the library's `is_satisfiable_order` and `entails`; and
+`reference_scan`, for the scan's shape skip, walks the library's own
+plan and checks each unit with the library's `_pair_counterexample`.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+from aggequiv import engine
 from aggequiv.model import Const, INTEGERS, Var, is_const, is_var, term_sort_key
 from aggequiv.orderings import (
     CompleteOrdering, entails, is_satisfiable_order, reduce_terms,
@@ -266,6 +269,42 @@ def reference_prepare(q, ordering: CompleteOrdering, terms, atom_bit) -> list:
                     if q.aggregate is not None else ())
             prepared.append((positive, negated, key, item))
     return prepared
+
+
+# ---------------------------------------------------------------------------
+# The (S, L) walk without the shape skip
+# ---------------------------------------------------------------------------
+
+def reference_scan(plan, offset: int, workers: int):
+    """`engine._scan` before it checked each (S, L) shape once: the stride
+    `offset` of `workers` over the plan's units in the global order, with
+    only the idle and differing skips, and its first failing unit as
+    `(unit index, counterexample)`, or None."""
+    q, q2 = plan.q, plan.q2
+    valid: set = set()  # keys of the identities this stride decided valid
+    index = {t: i for i, t in enumerate(plan.terms)}
+    walk = []
+    for (position, ordering, prep1, prep2, idle, differing,
+         _) in plan.orderings:
+        memo = (valid, engine._memo_key(q.aggregate.function.name, q.domain,
+                                        ordering, index))
+        walk.append((position, ordering, prep1, prep2, idle, differing,
+                     memo))
+    for first, (subset, mask) in zip(itertools.count(0, plan.per_subset),
+                                     engine._subsets(plan.base)):
+        for (position, ordering, prep1, prep2, idle, differing,
+             memo) in walk:
+            unit = first + position
+            if (unit % workers != offset or mask & idle
+                    or differing is not None
+                    and not engine._fires(differing, mask)):
+                continue
+            ce = engine._pair_counterexample(
+                q, q2, plan.terms, plan.rank, subset, mask, ordering, prep1,
+                prep2, plan.same_head, memo)
+            if ce is not None:
+                return unit, ce
+    return None
 
 
 # ---------------------------------------------------------------------------

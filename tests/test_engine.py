@@ -4,13 +4,16 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from helpers import FUNCTION_NAMES, random_text, reference_prepare
+from helpers import (
+    FUNCTION_NAMES, random_text, reference_prepare, reference_scan,
+)
 
 from aggequiv import engine, identity, oracle
 from aggequiv.aggregation import FUNCTIONS
@@ -295,17 +298,22 @@ def test_head_mismatch():
 
 def test_head_mismatch_counterexamples_are_pinned():
     """Differing heads are compared on the ordering's canonical instance;
-    the first disagreement found is fixed, whatever the worker count."""
+    the first disagreement found is fixed, whatever the worker count.  No
+    unit stands for another there: min and parity agree on {p(u1)} (at
+    u1 = 0) but not on {p(u2)}, whose renaming onto u1 is {p(u1)}."""
     cases = [
-        ("q(; count()) :- p(X)", "q(; sum(Y)) :- p(Y)", 2,
+        ("q(; count()) :- p(X)", "q(; sum(Y)) :- p(Y)", "rat", 2,
          {("p", (F(0),))}, (), 1, F(0)),
-        ("q(; max(Y)) :- p(Y)", "q(; min(Y)) :- p(Y)", 3,
+        ("q(; max(Y)) :- p(Y)", "q(; min(Y)) :- p(Y)", "rat", 3,
          {("p", (F(0),)), ("p", (F(1),))}, (), F(1), F(0)),
-        ("q(X; max(Y)) :- e(X, Y)", "q(X; min(Y)) :- e(X, Y), !b(X)", 2,
-         {("b", (F(0),)), ("e", (F(0), F(0)))}, (F(0),), F(0), None),
+        ("q(X; max(Y)) :- e(X, Y)", "q(X; min(Y)) :- e(X, Y), !b(X)", "rat",
+         2, {("b", (F(0),)), ("e", (F(0), F(0)))}, (F(0),), F(0), None),
+        ("q(; min(Y)) :- p(Y), !b(Y)", "q(; parity()) :- p(Y) | p(Y)",
+         INTEGERS, 3, {("p", (F(1),))}, (), F(1), 0),
     ]
-    for text1, text2, n, facts, group, left, right in cases:
-        q, q2 = parse_query(text1), parse_query(text2)
+    for text1, text2, domain, n, facts, group, left, right in cases:
+        q = parse_query(text1, domain=domain)
+        q2 = parse_query(text2, domain=domain)
         for workers in (1, 2):
             verdict = engine.n_equivalent(q, q2, n, workers=workers)
             verify_ce(q, q2, verdict)
@@ -360,6 +368,104 @@ def test_first_counterexample_is_the_first_canonical_failure():
         verify_ce(q, q2, verdict)
         assert verdict.counterexample == engine.Counterexample(
             Database(frozenset({("e", (F(1), F(2)))})), (), 1, None)
+
+
+def first_failure(scan, plan, workers):
+    """The lowest-index failing unit over every stride of `scan`."""
+    hits = [hit for hit in (scan(plan, offset, workers)
+                            for offset in range(workers)) if hit]
+    return min(hits, key=lambda hit: hit[0], default=None)
+
+
+_SHAPES = {  # head, positive literals, other literals, compared variables
+    "unary": ("q(; {agg}) :- ", ["p(Y)"], ["!b(Y)", "b(Y)"], ["Y"]),
+    "binary": ("q(; {agg}) :- ", ["e(X, Y)"],
+               ["!e(Y, X)", "e(Y, Y)", "!b(X)", "b(Y)"], ["X", "Y"]),
+    "grouped": ("q(X; {agg}) :- ", ["e(X, Y)", "g(X), p(Y)"],
+                ["!b(Y)", "b(X)"], ["X", "Y"]),
+}
+
+
+def random_shape_pair(rng):
+    """A random pair `(text1, text2, domain, n)` whose BASE at N = n has
+    at most 10 atoms: unary, binary or grouped queries sharing some
+    disjuncts, with negation and comparisons with constants, matching or
+    differing heads, both domains and n <= 3."""
+    def query(kind, func, disjuncts):
+        agg = func + ("()" if func in ("count", "parity") else "(Y)")
+        return _SHAPES[kind][0].format(agg=agg) + " | ".join(disjuncts)
+
+    def disjunct(kind, constants):
+        _, positive, extra, variables = _SHAPES[kind]
+        lits = [rng.choice(positive)]
+        if rng.random() < 0.4:
+            lits.append(rng.choice(extra))
+        for _ in range(rng.choice((0, 1, 1, 2)) if constants else 0):
+            op = rng.choice(["<", "<=", ">", ">=", "!=", "="])
+            lits.append(f"{rng.choice(variables)} {op} "
+                        f"{rng.choice(constants)}")
+        if len(constants) > 1 and rng.random() < 0.4:
+            # a run between the outer constants
+            lits += [f"Y > {constants[0]}", f"Y < {constants[-1]}"]
+        return ", ".join(lits)
+
+    while True:
+        kind = rng.choice(list(_SHAPES))
+        domain = rng.choice([INTEGERS, "rat"])
+        func = rng.choice(FUNCTION_NAMES)
+        func2 = rng.choice(FUNCTION_NAMES) if rng.random() < 0.4 else func
+        constants = rng.choice([(), ("0",), ("1",), ("0", "3"),
+                                ("0", "1", "3")])
+        if func2 != func and rng.random() < 0.5:
+            # differing heads are compared on the canonical instance; with
+            # no constant u1 is 0 there, where these functions can agree
+            func, func2 = rng.sample(["sum", "prod", "min", "max", "parity"],
+                                     2)
+            constants = ()
+        if rng.random() < 0.25:
+            # between 0 and 3 one integer variable can pin another, and
+            # prod {Y} = prod {Y, Y} holds at Y = 1 only
+            kind, domain, constants = "unary", INTEGERS, ("0", "3")
+            func = func2 = "prod"
+        # shared disjuncts keep the first failure late or absent
+        shared = [disjunct(kind, constants)
+                  for _ in range(rng.randint(1, 2))]
+
+        def extra():
+            return rng.choice(shared + [disjunct(kind, constants)])
+        text1 = query(kind, func, shared + [extra()] * rng.randint(0, 1))
+        text2 = query(kind, func2, shared + [extra()] * rng.randint(0, 2))
+        q = parse_query(text1, domain=domain)
+        q2 = parse_query(text2, domain=domain)
+        n = rng.randint(1, 3)
+        while n > 1 and engine.base_size(q, q2, n) > 10:
+            n -= 1
+        if engine.base_size(q, q2, n) <= 10:
+            return text1, text2, domain, n
+
+
+def test_shape_skip_keeps_the_first_failing_unit():
+    """Random pairs (`random_shape_pair`): the scan, which checks each
+    (S, L) shape once, finds the same first failing unit (index and
+    counterexample) as the reference walk over every unit, over one and
+    two strides, and a decision on two pool workers reports it too."""
+    rng = random.Random(1996)
+    outcomes = Counter()
+    for _ in range(200):
+        text1, text2, domain, n = random_shape_pair(rng)
+        q = parse_query(text1, domain=domain)
+        q2 = parse_query(text2, domain=domain)
+        plan = engine._plan(q, q2, n)
+        for workers in (1, 2):
+            expected = first_failure(reference_scan, plan, workers)
+            assert first_failure(engine._scan, plan, workers) == expected, (
+                text1, text2, domain, n, workers)
+        verdict = engine.n_equivalent(q, q2, n, workers=2)
+        assert verdict.counterexample == (expected and expected[1])
+        outcomes[plan.same_head, expected is None] += 1
+    # (same head, equivalent): differing heads almost always fail
+    assert min(outcomes[True, True], outcomes[True, False],
+               outcomes[False, False]) >= 10, outcomes
 
 
 @pytest.fixture
@@ -587,6 +693,25 @@ def test_valid_identities_are_decided_once_per_key(decided):
     decided.clear()
     assert engine.n_equivalent(q2, q2, 4).status == engine.EQUIVALENT
     assert decided == []
+
+
+def test_each_shape_is_checked_once(checked, decided):
+    """Units checked and identities decided on two equivalent pairs.  A
+    walk over every unit the idle and differing skips leave checks 11,108
+    and 448 units; the shape skip leaves the decider calls as they were."""
+    cases = [
+        ("q(; top2(Y)) :- p(Y), r(Y)",
+         "q(; top2(Y)) :- p(Y), r(Y) | p(Y), r(Y), Y > 1", 5, 4156, 30),
+        ("q(; cntd(Y)) :- p(X, Y)", "q(; cntd(Y)) :- p(X, Y) | p(Y, Y)", 3,
+         426, 141),
+    ]
+    for text1, text2, n, units, decisions in cases:
+        checked.clear()
+        decided.clear()
+        verdict = engine.n_equivalent(parse_query(text1), parse_query(text2),
+                                      n)
+        assert verdict.status == engine.EQUIVALENT
+        assert (len(checked), len(decided)) == (units, decisions)
 
 
 def test_integer_vs_rational_domain_changes_the_verdict():

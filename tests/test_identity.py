@@ -367,8 +367,18 @@ def test_unsupported_function_rejected():
 
 
 def test_bag_terms_must_come_from_the_ordering():
+    """Public construction checks the bags; `unchecked`, for callers that
+    build them from the ordering's terms, builds the same identity."""
     with pytest.raises(KeyError):
         ident(L([[x]]), [(y,)], [(x,)], "sum")
+    with pytest.raises(ValueError, match="1-tuples"):
+        ident(L([[x]]), [(x, x)], [(x,)], "sum")
+    order = L([[x], [y]])
+    checked = ident(order, [(x,), (y,)], [(y,)], "sum")
+    unchecked = OrderedIdentity.unchecked(order, ((x,), (y,)), ((y,),),
+                                          FUNCTIONS["sum"])
+    assert unchecked == checked and hash(unchecked) == hash(checked)
+    assert decide(unchecked) == decide(checked)
 
 
 def test_empty_bag_conventions():
