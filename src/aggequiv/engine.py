@@ -64,7 +64,11 @@ anyway stands for them, or because no check of theirs can fail:
   stands for a skipped one comes earlier in the global order, so the
   first failure is never skipped and the counterexample is unchanged.
   Differing heads are compared on the canonical instance of the whole
-  ordering, so this skip does not apply to them.
+  ordering, so this skip does not apply to them.  Nor does it apply from
+  N = 10 on: the walked orderings keep the fresh variables in name order
+  (u1 < u10 < u2 < ...), so u1..uk is no longer the lowest k of them in
+  L, and a renaming onto u1..uk can leave the walked orderings or land on
+  a later subset.
 
 Across subsets and orderings the same bags recur over the same order of
 the terms they mention, so one scan keeps the identities it has decided
@@ -208,13 +212,10 @@ def build_base(q: Query, q2: Query, n: int):
 # The (S, L) search
 # ---------------------------------------------------------------------------
 
-def _subsets(atoms: list, weights: Optional[tuple] = None
-             ) -> Iterator[tuple]:
+def _subsets(atoms: list, weights: list) -> Iterator[tuple]:
     """Every subset of `atoms` as `(atoms, weight)`, smallest first, where
-    the weight sums the `weights` of its atoms; by default atom i weighs
-    1 << i, so the weight is the subset's mask."""
-    if weights is None:
-        weights = [1 << i for i in range(len(atoms))]
+    the weight sums the `weights` of its atoms (atom i weighing 1 << i
+    makes it the subset's mask)."""
     for size in range(len(atoms) + 1):
         yield from zip(itertools.combinations(atoms, size),
                        map(sum, itertools.combinations(weights, size)))
@@ -233,15 +234,20 @@ def _shape_weights(base: list, terms: list, n: int) -> tuple:
     to 1 << k when they are u1..uk.
     """
     width = len(base).bit_length() + 1
-    field = [len(base) + width * j for j in range(n)]
-    count = {u.name: 1 << f for u, f in zip(terms[len(terms) - n:], field)}
-    weights = tuple((1 << i) + sum({count.get(t.name, 0)
-                                    for t in combo if not is_const(t)})
-                    for i, (_, combo) in enumerate(base))
-    tops = [1 << (f + width - 1) for f in field]
-    add = sum(tops) - sum(1 << f for f in field)
-    shapes = {sum(tops[:k]): 1 << k for k in range(n + 1)}
-    return weights, add, sum(tops), shapes
+    count = {}  # per fresh variable's name, the lowest bit of its field
+    add = tops = 0
+    shapes = {0: 1}
+    for j, u in enumerate(terms[len(terms) - n:]):
+        low = 1 << (len(base) + width * j)
+        top = low << (width - 1)
+        count[u.name] = low
+        add += top - low
+        tops += top
+        shapes[tops] = 2 << j
+    weights = [(1 << i) + sum({count.get(t.name, 0) for t in combo
+                               if not is_const(t)})
+               for i, (_, combo) in enumerate(base)]
+    return weights, add, tops, shapes
 
 
 def _settle(terms: list, comparison: Comparison, a: int, b: int):
@@ -585,10 +591,13 @@ class _Plan(NamedTuple):
     `_shape_key` class, dropped orderings counted (unread for differing
     heads).
 
-    With matching heads the scan checks a unit (S, L) only if S's fresh
-    variables are exactly u1..uk for some k and L is the first ordering
-    of its class at k; every other unit has one that stands for it
-    earlier in the global order, so the first failure is never skipped.
+    `shaped` is the number of fresh variables the shape skip reads: n
+    with matching heads and at most nine fresh variables, else 0.  The
+    scan then checks a unit (S, L) only if S's fresh variables are
+    exactly u1..uk for some k and L is the first ordering of its class at
+    k; every other unit has one that stands for it earlier in the global
+    order, so the first failure is never skipped.  With `shaped` 0 every
+    subset is read as k = 0 and every ordering is first there.
     """
     q: Query
     q2: Query
@@ -598,7 +607,7 @@ class _Plan(NamedTuple):
     same_head: bool
     per_subset: int  # units per subset, dropped orderings too
     orderings: tuple
-    n: int  # fresh variables
+    shaped: int
 
 
 def _plan(q: Query, q2: Query, n: int) -> _Plan:
@@ -609,22 +618,28 @@ def _plan(q: Query, q2: Query, n: int) -> _Plan:
     compiled1 = _compile(q, terms, atom_bit)
     compiled2 = _compile(q2, terms, atom_bit)
     constants = len(terms) - n
+    fresh = terms[constants:]
+    # walked orderings keep the fresh variables in name order, which is
+    # their index order only up to u9 (u10 sorts before u2)
+    shaped = (n if same_head and fresh == sorted(fresh, key=term_sort_key)
+              else 0)
     bound = constants if q.domain == INTEGERS else 0
-    classes = [set() for _ in range(n)]  # per k, the keys seen so far
+    classes = [set() for _ in range(shaped)]  # per k, the keys seen so far
     kept = []
     per_subset = 0
     for position, ordering in enumerate(enumerate_complete_orderings(
             terms, q.domain, injective_only=True)):
         per_subset = position + 1
         term_position = [ordering.position(t) for t in terms]
-        firsts = 1 << n  # at k = n each ordering is a class of its own
-        if same_head:
+        # at k = shaped each ordering is a class of its own
+        firsts = 1 << shaped
+        if shaped:
             # uj follows u1..uj-1, so its gap is its position less j - 1
             gaps = tuple(map(operator.sub, term_position[constants:],
                              range(n)))
             # two orderings of one class at k share their classes below k,
             # so the new classes end at the first one seen before
-            for k in reversed(range(n)):
+            for k in reversed(range(shaped)):
                 key = _shape_key(gaps, k, bound)
                 if key in classes[k]:
                     break
@@ -641,7 +656,7 @@ def _plan(q: Query, q2: Query, n: int) -> _Plan:
         kept.append((position, ordering, prep1, prep2, every_atom & ~used,
                      differing, firsts))
     return _Plan(q, q2, terms, base, _ranks(terms), same_head, per_subset,
-                 tuple(kept), n)
+                 tuple(kept), shaped)
 
 
 def _scan(plan: _Plan, offset: int, workers: int):
@@ -659,9 +674,8 @@ def _scan(plan: _Plan, offset: int, workers: int):
         walk.append((position, ordering, prep1, prep2, idle, differing,
                      firsts, memo))
     every_atom = (1 << len(plan.base)) - 1
-    # differing heads count no fresh variable: no unit stands for another
-    weights, add, tops, shapes = _shape_weights(
-        plan.base, plan.terms, plan.n if plan.same_head else 0)
+    weights, add, tops, shapes = _shape_weights(plan.base, plan.terms,
+                                                plan.shaped)
     for first, (subset, weight) in zip(itertools.count(0, plan.per_subset),
                                        _subsets(plan.base, weights)):
         shape = shapes.get((weight + add) & tops)

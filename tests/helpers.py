@@ -290,8 +290,9 @@ def reference_scan(plan, offset: int, workers: int):
                                         ordering, index))
         walk.append((position, ordering, prep1, prep2, idle, differing,
                      memo))
+    bits = [1 << i for i in range(len(plan.base))]
     for first, (subset, mask) in zip(itertools.count(0, plan.per_subset),
-                                     engine._subsets(plan.base)):
+                                     engine._subsets(plan.base, bits)):
         for (position, ordering, prep1, prep2, idle, differing,
              memo) in walk:
             unit = first + position

@@ -468,6 +468,37 @@ def test_shape_skip_keeps_the_first_failing_unit():
                outcomes[False, False]) >= 10, outcomes
 
 
+def test_shape_skip_keeps_the_first_failing_unit_at_ten_fresh_variables():
+    """From N = 10 on the walked orderings put u10 between u1 and u2, so
+    two values in (0, 3) sit on u1 and u10, never on u1 and u2.  At N = 9
+    and N = 10 over the integers the scan finds the reference walk's first
+    failing unit, over one and two strides, and at N = 10 the counterexample
+    holds p(1) and p(2) alone."""
+    run = "p(Y), Y > 0, Y < 3, p(Z), Z > 0, Z < 3, Z < Y"
+    pairs = [
+        (f"q(; max(Y)) :- {run}", f"q(; max(Y)) :- {run}, p(W), W > 3"),
+        ("q(; count()) :- p(Y), Y > 0, Y < 3",
+         "q(; count()) :- p(Y), Y > 0, Y < 3, p(Z), Z > 0, Z < 3"),
+        ("q(; prod(Y)) :- p(Y), Y > 0, Y < 3",
+         "q(; prod(Y)) :- p(Y), Y > 0, Y < 3, p(Z), Z > 3"),
+    ]
+    for text1, text2 in pairs:
+        q = parse_query(text1, domain=INTEGERS)
+        q2 = parse_query(text2, domain=INTEGERS)
+        for n in (9, 10):
+            plan = engine._plan(q, q2, n)
+            for workers in (1, 2):
+                expected = first_failure(reference_scan, plan, workers)
+                assert expected is not None
+                assert first_failure(engine._scan, plan, workers) == \
+                    expected, (text1, text2, n, workers)
+    q = parse_query(pairs[0][0], domain=INTEGERS)
+    q2 = parse_query(pairs[0][1], domain=INTEGERS)
+    verdict = engine.n_equivalent(q, q2, 10, workers=2)
+    assert verdict.counterexample == engine.Counterexample(
+        Database.of([("p", [1]), ("p", [2])]), (), 2, None)
+
+
 @pytest.fixture
 def checked(monkeypatch):
     """The units the scan checks: the arguments of every
@@ -590,7 +621,8 @@ def test_differential_skip_is_sound():
             prep1 = engine._prepare_assignments(compiled1, position)
             prep2 = engine._prepare_assignments(compiled2, position)
             differing = engine._differing_masks(prep1, prep2)
-            for subset, mask in engine._subsets(base):
+            for subset, mask in engine._subsets(
+                    base, [1 << i for i in range(len(base))]):
                 if engine._fires(differing, mask):
                     continue
                 skipped += 1
