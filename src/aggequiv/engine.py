@@ -58,9 +58,14 @@ anyway stands for them, or because no check of theirs can fail:
   variable between two constants can pin a used one), so a failure of
   (S, L) is a failure of it too.  If S's fresh variables are exactly
   u1..uk, orderings that agree on the constants, on u1..uk and on the
-  integer slots the other variables take (`_shape_key`) collect the same
-  groups on S and give their identities the same `_identity_key`, so
-  only the first of each class is checked.  Either way the unit that
+  integer slots the other variables take between two constants
+  (`_shape_key`) collect the same groups on S, and each identity has
+  one verdict under all of them: the other variables fit into any
+  rational gap, and an integer one outside the constants only narrows a
+  gap that is unbounded anyway, where shiftable verdicts depend on the
+  order alone and the sum, avg and prod identities, being polynomial
+  identities, hold only if they hold identically.  So only the first
+  ordering of each class is checked.  Either way the unit that
   stands for a skipped one comes earlier in the global order, so the
   first failure is never skipped and the counterexample is unchanged.
   Differing heads are compared on the canonical instance of the whole
@@ -70,16 +75,11 @@ anyway stands for them, or because no check of theirs can fail:
   L, and a renaming onto u1..uk can leave the walked orderings or land on
   a later subset.
 
-Across subsets and orderings the same bags recur over the same order of
-the terms they mention, so one scan keeps the identities it has decided
-valid under a key (`_identity_key`: the function, the domain, the
-ordering projected onto the constants and the fresh variables the bags
-mention, and the renamed bags) and does not decide them again.  Over the
-integers a fresh variable the bags do not mention still holds its place
-in the key when it lies between two constants, since it can pin its
-neighbours.  Only valid verdicts are kept: a failing identity is always
-decided on its unit's own ordering, so the counterexample is the one the
-scan would report without the memo.
+Under one ordering the same bags recur across subsets, so each stride
+of a scan keeps, per ordering, the sorted bags it has decided valid and
+does not decide them again.  Only valid verdicts are kept, and a failing
+identity ends the stride, so the memo changes no verdict and no
+counterexample.
 
 Preparation is compiled once per decision (`_compile`): every assignment
 of a query's variables to base terms, with its atoms as bitmasks and its
@@ -88,7 +88,7 @@ comparisons no strict ordering can change are settled there: a term
 against itself, two constants, and = or != between distinct terms.  Each
 other comparison becomes a pair of terms the ordering must put in that
 order, so per ordering preparation is a filter on term positions.
-Groups, bags and memo keys hold ints; terms come back only for the
+Groups, bags and the memo hold ints; terms come back only for the
 identity deciders, for a counterexample and for comparing differing
 heads.
 
@@ -129,7 +129,7 @@ from . import identity, oracle
 from .aggregation import FUNCTIONS, apply
 from .model import (
     INTEGERS, AggregateTerm, Comparison, Database, Query, RATIONALS, Var,
-    is_const, term_size_pair, term_sort_key,
+    is_const, merged_predicates, term_size_pair, term_sort_key,
 )
 from .orderings import (
     Assignment, CompleteOrdering, assign_tuple, enumerate_complete_orderings,
@@ -170,14 +170,6 @@ class Verdict:
 # ---------------------------------------------------------------------------
 # BASE
 # ---------------------------------------------------------------------------
-
-def merged_predicates(q: Query, q2: Query) -> dict:
-    predicates = dict(q.predicates())
-    for pred, arity in q2.predicates().items():
-        if predicates.setdefault(pred, arity) != arity:
-            raise ValueError(f"predicate {pred} has conflicting arities")
-    return predicates
-
 
 def fresh_variables(n: int) -> list:
     # lowercase names cannot collide with parsed query variables
@@ -330,7 +322,7 @@ def _pair_counterexample(q: Query, q2: Query, terms: list, rank: list,
                          subset, mask: int, ordering: CompleteOrdering,
                          prep1: list, prep2: list,
                          same_head: Optional[bool] = None,
-                         memo: Optional[tuple] = None
+                         memo: Optional[set] = None
                          ) -> Optional[Counterexample]:
     """Check one (S, L) unit of work; None means no disagreement.
 
@@ -338,11 +330,9 @@ def _pair_counterexample(q: Query, q2: Query, terms: list, rank: list,
     each base term's place in `term_sort_key` order, by which group keys
     are visited.  Differing heads and one-sided groups are instantiated
     under the ordering's canonical satisfying assignment.  `memo`, when
-    given, is `(valid, key)`: the keys of the identities the scan has
-    decided valid, and this ordering's `key(left, right)`.  An identity
-    whose key is in `valid` is not decided again; one that fails is
-    always decided on the unit's own ordering, so the counterexample does
-    not depend on the memo.
+    given, holds the sorted `(left, right)` bags this ordering has
+    decided valid, which are not decided again; a failing identity ends
+    the scan, so the counterexample does not depend on the memo.
     """
     groups1 = _collect_groups(prep1, mask)
     groups2 = _collect_groups(prep2, mask)
@@ -377,20 +367,16 @@ def _pair_counterexample(q: Query, q2: Query, terms: list, rank: list,
                             satisfying_assignment(ordering))
     for key in sorted(keys1, key=by_rank):
         left, right = groups1[key], groups2[key]
-        if sorted(left) == sorted(right):
+        bags = (tuple(sorted(left)), tuple(sorted(right)))
+        if bags[0] == bags[1] or memo is not None and bags in memo:
             continue
-        if memo is not None:
-            valid, identity_key = memo
-            known = identity_key(left, right)
-            if known in valid:
-                continue
         verdict = identity.decide(identity.OrderedIdentity.unchecked(
             ordering, _as_terms(terms, left), _as_terms(terms, right), func))
         if not verdict.valid:
             return _materialize(q, q2, terms, subset, key, groups1, groups2,
                                 verdict.witness)
         if memo is not None:
-            valid.add(known)
+            memo.add(bags)
     return None
 
 
@@ -411,72 +397,6 @@ def _ranks(terms: list) -> list:
     return rank
 
 
-def _projection(ordering: CompleteOrdering, index: dict) -> tuple:
-    """A strict ordering as (base-term index, constant, slot) triples,
-    lowest term first, for `_identity_key`.
-
-    `slot` marks an integer variable between two constants: it takes up
-    one of the finitely many integers there and can pin its neighbours
-    (0 < u1 < u2 < 3 forces u2 = 2, 0 < u2 < 3 does not).
-    """
-    terms = [cls[0] for cls in ordering.classes]
-    anchors = [p for p, t in enumerate(terms) if is_const(t)]
-    bounded = (range(anchors[0] + 1, anchors[-1])
-               if anchors and ordering.domain == INTEGERS else range(0))
-    return tuple((index[t], is_const(t), p in bounded)
-                 for p, t in enumerate(terms))
-
-
-def _identity_key(function: str, domain: str, projection: tuple,
-                  left, right) -> tuple:
-    """A key under which the ordered identities of one scan share their
-    verdict; the bags hold base-term indexes.
-
-    The ordering is projected onto the constants and the fresh variables
-    the bags mention, the variables renamed in their order there; a
-    variable the bags do not mention stays as an anonymous placeholder
-    only where `_projection` marks a slot.  The scan's orderings are
-    strict, and renaming terms keeps a verdict.  A dropped rational
-    variable always fits into its dense gap.  A dropped integer variable
-    outside the constants only narrows a gap that is unbounded anyway:
-    shiftable verdicts depend on the order of the terms alone, and the
-    sum, avg and prod identities are polynomial identities, which hold on
-    an unbounded integer cone only if they hold identically.
-    """
-    used = {i for tup in itertools.chain(left, right) for i in tup}
-    names: dict = {}
-    chain = []
-    for i, constant, slot in projection:
-        if constant:
-            chain.append(i)
-        elif i in used:
-            # apart from every base index
-            names[i] = len(projection) + len(names)
-            chain.append(names[i])
-        elif slot:
-            chain.append(None)
-
-    def bag(tuples):
-        return tuple(sorted(tuple(names.get(i, i) for i in tup)
-                            for tup in tuples))
-    return function, domain, tuple(chain), bag(left), bag(right)
-
-
-def _memo_key(function: str, domain: str, ordering: CompleteOrdering,
-              index: dict):
-    """`_identity_key` under `ordering`, whose `_projection` is built on
-    the first call: most orderings of a scan that fails early decide no
-    identity."""
-    projection = None
-
-    def key(left, right):
-        nonlocal projection
-        if projection is None:
-            projection = _projection(ordering, index)
-        return _identity_key(function, domain, projection, left, right)
-    return key
-
-
 def _shape_key(gaps: tuple, k: int, bound: int) -> tuple:
     """The class of a lex-leader ordering for the subsets whose fresh
     variables are exactly u1..uk.
@@ -484,11 +404,10 @@ def _shape_key(gaps: tuple, k: int, bound: int) -> tuple:
     `gaps` holds each fresh variable's gap, the number of constants below
     it; `bound` is the number of constants over the integers and 0 over
     the rationals.  The class is the gaps of u1..uk and the gaps of the
-    other variables that lie between two constants (0 < gap < bound):
-    `_projection` restricted to the constants and u1..uk, with an
-    anonymous placeholder for each unused variable that takes up an
-    integer slot.  Orderings of one class collect the same groups on such
-    a subset, and their identities share `_identity_key`s.
+    other variables that lie between two constants (0 < gap < bound),
+    where an unused integer variable takes up a slot and can pin its
+    neighbours.  Orderings of one class collect the same groups on such a
+    subset, and each identity has one verdict under all of them.
     """
     if not bound:
         return gaps[:k]
@@ -664,15 +583,8 @@ def _scan(plan: _Plan, offset: int, workers: int):
     the global order (subset first, ordering second): its first failing
     unit as `(unit index, counterexample)`, or None."""
     q, q2 = plan.q, plan.q2
-    valid: set = set()  # keys of the identities this stride decided valid
-    index = {t: i for i, t in enumerate(plan.terms)}
-    walk = []
-    for (position, ordering, prep1, prep2, idle, differing,
-         firsts) in plan.orderings:
-        memo = (valid, _memo_key(q.aggregate.function.name, q.domain,
-                                 ordering, index))
-        walk.append((position, ordering, prep1, prep2, idle, differing,
-                     firsts, memo))
+    # per ordering, the memo of the bags this stride decided valid
+    walk = [entry + (set(),) for entry in plan.orderings]
     every_atom = (1 << len(plan.base)) - 1
     weights, add, tops, shapes = _shape_weights(plan.base, plan.terms,
                                                 plan.shaped)

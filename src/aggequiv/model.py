@@ -282,7 +282,7 @@ class Query:
 
 
 # ---------------------------------------------------------------------------
-# Term sizes
+# Term sizes and predicates of a pair
 # ---------------------------------------------------------------------------
 
 def variable_size(q: Query) -> int:
@@ -299,6 +299,16 @@ def term_size_pair(q: Query, q2: Query) -> int:
     """Constants occurring in either query plus the larger variable size."""
     consts = q.constants() | q2.constants()
     return len(consts) + max(variable_size(q), variable_size(q2))
+
+
+def merged_predicates(q: Query, q2: Query) -> dict:
+    """predicate name -> arity over both queries; a predicate used with
+    two arities raises ValueError."""
+    predicates = dict(q.predicates())
+    for pred, arity in q2.predicates().items():
+        if predicates.setdefault(pred, arity) != arity:
+            raise ValueError(f"predicate {pred} has conflicting arities")
+    return predicates
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from typing import Iterable, Optional
 
 from .aggregation import AggregationFunction, apply
 from .model import (
-    Condition, Database, Query, is_const, term_size_pair, term_sort_key,
+    Condition, Database, Query, is_const, merged_predicates, term_size_pair,
+    term_sort_key,
 )
 
 
@@ -133,10 +134,7 @@ def brute_force_check(q: Query, q2: Query, pool: Optional[Iterable] = None,
     """
     values = sorted(Fraction(v) for v in (pool if pool is not None
                                           else default_pool(q, q2)))
-    predicates = dict(q.predicates())
-    for pred, arity in q2.predicates().items():
-        if predicates.setdefault(pred, arity) != arity:
-            raise ValueError(f"predicate {pred} has conflicting arities")
+    predicates = merged_predicates(q, q2)
     universe = [(pred, combo)
                 for pred in sorted(predicates)
                 for combo in itertools.product(values,

@@ -10,8 +10,9 @@ references are exceptions: `branch_only_decide_prod`, for the prod
 decider's shortcut, builds its witnesses with the library's own;
 `filtered_complete_orderings`, for the pruned ordering generator, keeps
 orders with the library's `is_satisfiable_order` and `entails`; and
-`reference_scan`, for the scan's shape skip, walks the library's own
-plan and checks each unit with the library's `_pair_counterexample`.
+`reference_scan`, for the scan's shape skip and memo, walks the
+library's own plan and checks each unit with the library's
+`_pair_counterexample`, passing no memo.
 """
 
 from __future__ import annotations
@@ -272,29 +273,21 @@ def reference_prepare(q, ordering: CompleteOrdering, terms, atom_bit) -> list:
 
 
 # ---------------------------------------------------------------------------
-# The (S, L) walk without the shape skip
+# The (S, L) walk without the shape skip or the memo
 # ---------------------------------------------------------------------------
 
 def reference_scan(plan, offset: int, workers: int):
-    """`engine._scan` before it checked each (S, L) shape once: the stride
-    `offset` of `workers` over the plan's units in the global order, with
-    only the idle and differing skips, and its first failing unit as
+    """`engine._scan` without the shape skip and without the memo: the
+    stride `offset` of `workers` over the plan's units in the global
+    order, with only the idle and differing skips, deciding every
+    identity it meets, and its first failing unit as
     `(unit index, counterexample)`, or None."""
     q, q2 = plan.q, plan.q2
-    valid: set = set()  # keys of the identities this stride decided valid
-    index = {t: i for i, t in enumerate(plan.terms)}
-    walk = []
-    for (position, ordering, prep1, prep2, idle, differing,
-         _) in plan.orderings:
-        memo = (valid, engine._memo_key(q.aggregate.function.name, q.domain,
-                                        ordering, index))
-        walk.append((position, ordering, prep1, prep2, idle, differing,
-                     memo))
     bits = [1 << i for i in range(len(plan.base))]
     for first, (subset, mask) in zip(itertools.count(0, plan.per_subset),
                                      engine._subsets(plan.base, bits)):
         for (position, ordering, prep1, prep2, idle, differing,
-             memo) in walk:
+             _) in plan.orderings:
             unit = first + position
             if (unit % workers != offset or mask & idle
                     or differing is not None
@@ -302,7 +295,7 @@ def reference_scan(plan, offset: int, workers: int):
                 continue
             ce = engine._pair_counterexample(
                 q, q2, plan.terms, plan.rank, subset, mask, ordering, prep1,
-                prep2, plan.same_head, memo)
+                prep2, plan.same_head)
             if ce is not None:
                 return unit, ce
     return None

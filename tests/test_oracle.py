@@ -83,6 +83,17 @@ def test_brute_force_cap():
         brute_force_check(q, q, pool=range(8), cap=2 ** 10)
 
 
+def test_conflicting_predicate_arities_are_rejected():
+    """A predicate read with two arities across the queries has no BASE
+    and no database universe; the engine and the oracle both refuse."""
+    q = parse_query("q(; count()) :- p(X)")
+    q2 = parse_query("q(; count()) :- p(X, Y)")
+    with pytest.raises(ValueError, match="predicate p has conflicting"):
+        engine.n_equivalent(q, q2, 1)
+    with pytest.raises(ValueError, match="predicate p has conflicting"):
+        brute_force_check(q, q2, pool=[0])
+
+
 def test_default_pool_spreads_around_constants():
     q = parse_query("q(; sum(Y)) :- p(Y), Y > 3, Y < 7")
     pool = default_pool(q)
