@@ -93,20 +93,26 @@ identity deciders, for a counterexample and for comparing differing
 heads.
 
 Parallel scan: a decision is planned once, by the caller (`_plan`:
-BASE, the compiled queries, and each kept ordering's prepared
-assignments, idle and differing masks and shape classes), and one loop
-(`_scan`) walks the plan's units in the global order, subset first and
-ordering second.  One worker runs it in process over every unit.  K
-workers run it in the processes of a pool, each over the units whose
-global index is its stride number modulo K; of the strides' first
-failures the lowest index wins, so the output is the one-worker output.
-Skipped units keep their global index, so the strides do not depend on
-the skips.  A plan with no ordering left never reaches a process.  The
-pool is built by the first parallel decision that needs it and kept for
-later ones (`_shared_pool`); a forked child or another K builds a new
-one, and a pool whose worker died is dropped and the decision run once
-more on a fresh pool.  A job carries the whole plan, so workers need no
-state inherited by fork.
+BASE, the compiled queries, and each ordering with its shape classes),
+and one loop (`_scan`) walks the plan's units in the global order,
+subset first and ordering second.  The loop prepares an ordering (its
+prepared assignments, idle and differing masks) the first time it
+checks a unit under it and keeps it for the rest of its walk, so a scan
+that fails early prepares only the orderings it reached.  One worker
+runs it in process over every unit.  K workers run it in the processes
+of a pool, each over the units whose global index is its stride number
+modulo K, and each stride prepares only what it checks; of the strides'
+first failures the lowest index wins, so the output is the one-worker
+output.  Skipped units keep their global index, so the strides do not
+depend on the skips.  When the heads match and both queries compile to
+the same assignments, no ordering can separate them: the plan has no
+ordering and never reaches a process.  Otherwise a stride whose
+orderings have all been dropped stops.  The pool is built by the first
+parallel decision that needs it and kept for later ones
+(`_shared_pool`); a forked child or another K builds a new one, and a
+pool whose worker died is dropped and the decision run once more on a
+fresh pool.  A job carries the compiled queries and the orderings, so
+workers need no state inherited by fork.
 
 Full equivalence reduces to N-equivalence at the pair's term size for
 the decomposable functions (count, sum, max, min, parity, top2) and for
@@ -116,7 +122,6 @@ prod over the rationals; avg and cntd are reported unsupported.
 from __future__ import annotations
 
 import itertools
-import operator
 import os
 import threading
 from collections import Counter
@@ -501,14 +506,14 @@ class _Plan(NamedTuple):
     """What every stride of one decision's scan shares, built once by
     the caller and sent to each worker.
 
-    `orderings` holds, per ordering that can separate the queries,
-    `(position, ordering, prep1, prep2, idle, differing, firsts)`: its
-    place in the lex-leader enumeration, both queries' prepared
-    assignments, the mask of its idle atoms, the masks of the prepared
-    assignments the queries disagree on (None for differing heads), and
+    `compiled1` and `compiled2` are the queries compiled against BASE
+    (`_compile`).  `orderings` holds, per ordering, `(position, ordering,
+    firsts)`: its place in the lex-leader enumeration, the ordering, and
     the mask of the k (bit k) at which it is the first ordering of its
-    `_shape_key` class, dropped orderings counted (unread for differing
-    heads).
+    `_shape_key` class.  With matching heads and compiled queries that
+    are equal as multisets, no ordering can separate the queries and
+    `orderings` is empty.  A stride prepares an ordering (`_prepare`)
+    the first time it checks a unit under it.
 
     `shaped` is the number of fresh variables the shape skip reads: n
     with matching heads and at most nine fresh variables, else 0.  The
@@ -524,7 +529,8 @@ class _Plan(NamedTuple):
     base: list
     rank: list
     same_head: bool
-    per_subset: int  # units per subset, dropped orderings too
+    compiled1: list
+    compiled2: list
     orderings: tuple
     shaped: int
 
@@ -532,7 +538,6 @@ class _Plan(NamedTuple):
 def _plan(q: Query, q2: Query, n: int) -> _Plan:
     terms, base = build_base(q, q2, n)
     atom_bit = {atom: 1 << i for i, atom in enumerate(base)}
-    every_atom = (1 << len(base)) - 1
     same_head = _same_head(q, q2)
     compiled1 = _compile(q, terms, atom_bit)
     compiled2 = _compile(q2, terms, atom_bit)
@@ -544,62 +549,97 @@ def _plan(q: Query, q2: Query, n: int) -> _Plan:
               else 0)
     bound = constants if q.domain == INTEGERS else 0
     classes = [set() for _ in range(shaped)]  # per k, the keys seen so far
-    kept = []
-    per_subset = 0
-    for position, ordering in enumerate(enumerate_complete_orderings(
-            terms, q.domain, injective_only=True)):
-        per_subset = position + 1
-        term_position = [ordering.position(t) for t in terms]
-        # at k = shaped each ordering is a class of its own
-        firsts = 1 << shaped
-        if shaped:
-            # uj follows u1..uj-1, so its gap is its position less j - 1
-            gaps = tuple(map(operator.sub, term_position[constants:],
-                             range(n)))
-            # two orderings of one class at k share their classes below k,
-            # so the new classes end at the first one seen before
-            for k in reversed(range(shaped)):
-                key = _shape_key(gaps, k, bound)
-                if key in classes[k]:
-                    break
-                classes[k].add(key)
-                firsts |= 1 << k
-        prep1 = _prepare_assignments(compiled1, term_position)
-        prep2 = _prepare_assignments(compiled2, term_position)
-        differing = _differing_masks(prep1, prep2) if same_head else None
-        if differing is not None and not differing:
-            continue  # both queries collect the same bags on every subset
-        used = 0
-        for positive, negated, _, _ in prep1 + prep2:
-            used |= positive | negated
-        kept.append((position, ordering, prep1, prep2, every_atom & ~used,
-                     differing, firsts))
-    return _Plan(q, q2, terms, base, _ranks(terms), same_head, per_subset,
-                 tuple(kept), shaped)
+    orderings = []
+    if not same_head or Counter(compiled1) != Counter(compiled2):
+        for position, ordering in enumerate(enumerate_complete_orderings(
+                terms, q.domain, injective_only=True)):
+            # at k = shaped each ordering is a class of its own
+            firsts = 1 << shaped
+            if shaped:
+                gaps = _gaps(ordering)
+                # two orderings of one class at k share their classes
+                # below k, so the new classes end at the first one seen
+                # before
+                for k in reversed(range(shaped)):
+                    key = _shape_key(gaps, k, bound)
+                    if key in classes[k]:
+                        break
+                    classes[k].add(key)
+                    firsts |= 1 << k
+            orderings.append((position, ordering, firsts))
+    return _Plan(q, q2, terms, base, _ranks(terms), same_head, compiled1,
+                 compiled2, tuple(orderings), shaped)
+
+
+def _gaps(ordering: CompleteOrdering) -> tuple:
+    """Each fresh variable's gap, the number of constants below it, in
+    the order the injective `ordering` puts the variables in."""
+    gaps = []
+    below = 0
+    for (term,) in ordering.classes:
+        if is_const(term):
+            below += 1
+        else:
+            gaps.append(below)
+    return tuple(gaps)
+
+
+def _prepare(plan: _Plan, ordering: CompleteOrdering):
+    """`(prep1, prep2, idle, differing, memo)` for one ordering: both
+    queries' prepared assignments, the mask of the atoms neither reads,
+    the masks of the prepared assignments the queries disagree on (None
+    for differing heads) and an empty memo of the bags decided valid; or
+    None when both queries prepare the same assignments."""
+    position = [ordering.position(t) for t in plan.terms]
+    prep1 = _prepare_assignments(plan.compiled1, position)
+    prep2 = _prepare_assignments(plan.compiled2, position)
+    differing = _differing_masks(prep1, prep2) if plan.same_head else None
+    if differing is not None and not differing:
+        return None  # both queries collect the same bags on every subset
+    used = 0
+    for positive, negated, _, _ in prep1 + prep2:
+        used |= positive | negated
+    idle = ((1 << len(plan.base)) - 1) & ~used
+    return prep1, prep2, idle, differing, set()
 
 
 def _scan(plan: _Plan, offset: int, workers: int):
     """The stride `offset` of `workers` over the plan's (S, L) units, in
     the global order (subset first, ordering second): its first failing
-    unit as `(unit index, counterexample)`, or None."""
+    unit as `(unit index, counterexample)`, or None.
+
+    An ordering is prepared when the stride first checks a unit under
+    it, and kept for the rest of the stride; one whose queries prepare
+    the same assignments leaves the walk, and a stride with no ordering
+    left stops."""
     q, q2 = plan.q, plan.q2
-    # per ordering, the memo of the bags this stride decided valid
-    walk = [entry + (set(),) for entry in plan.orderings]
+    # per ordering, [position, ordering, firsts, its `_prepare` or None]
+    walk = [[*entry, None] for entry in plan.orderings]
     every_atom = (1 << len(plan.base)) - 1
     weights, add, tops, shapes = _shape_weights(plan.base, plan.terms,
                                                 plan.shaped)
-    for first, (subset, weight) in zip(itertools.count(0, plan.per_subset),
-                                       _subsets(plan.base, weights)):
+    for first, (subset, weight) in zip(
+            itertools.count(0, len(plan.orderings)),
+            _subsets(plan.base, weights)):
         shape = shapes.get((weight + add) & tops)
         if shape is None:
             continue  # S renamed onto u1..uk comes earlier
         mask = weight & every_atom
-        for (position, ordering, prep1, prep2, idle, differing, firsts,
-             memo) in walk:
+        for entry in walk:
+            position, ordering, firsts, prepared = entry
             unit = first + position
-            if (unit % workers != offset or mask & idle
-                    or differing is not None
-                    and (not firsts & shape or not _fires(differing, mask))):
+            if unit % workers != offset or not firsts & shape:
+                continue
+            if prepared is None:
+                prepared = entry[3] = _prepare(plan, ordering)
+                if prepared is None:
+                    walk = [other for other in walk if other is not entry]
+                    if not walk:
+                        return None  # no ordering can separate the queries
+                    continue
+            prep1, prep2, idle, differing, memo = prepared
+            if mask & idle or differing is not None \
+                    and not _fires(differing, mask):
                 continue
             ce = _pair_counterexample(q, q2, plan.terms, plan.rank, subset,
                                       mask, ordering, prep1, prep2,

@@ -10,8 +10,9 @@ references are exceptions: `branch_only_decide_prod`, for the prod
 decider's shortcut, builds its witnesses with the library's own;
 `filtered_complete_orderings`, for the pruned ordering generator, keeps
 orders with the library's `is_satisfiable_order` and `entails`; and
-`reference_scan`, for the scan's shape skip and memo, walks the
-library's own plan and checks each unit with the library's
+`reference_scan`, for the scan's shape skip, memo and lazy
+preparation, compiles and prepares with the library's `_compile` and
+`_prepare_assignments` and checks each unit with the library's
 `_pair_counterexample`, passing no memo.
 """
 
@@ -277,19 +278,41 @@ def reference_prepare(q, ordering: CompleteOrdering, terms, atom_bit) -> list:
 # ---------------------------------------------------------------------------
 
 def reference_scan(plan, offset: int, workers: int):
-    """`engine._scan` without the shape skip and without the memo: the
-    stride `offset` of `workers` over the plan's units in the global
-    order, with only the idle and differing skips, deciding every
-    identity it meets, and its first failing unit as
-    `(unit index, counterexample)`, or None."""
+    """`engine._scan` without the shape skip, the memo or the lazy
+    preparation: the stride `offset` of `workers` over the units of the
+    plan's queries in the global order, with only the idle and differing
+    skips, deciding every identity it meets, and its first failing unit
+    as `(unit index, counterexample)`, or None.
+
+    It reads only the plan's queries, BASE and ranks: it compiles both
+    queries itself and prepares every lex-leader ordering before the
+    walk, with no shortcut for queries that compile alike and no stop
+    once every ordering is dropped."""
+    from aggequiv.orderings import enumerate_complete_orderings
+
     q, q2 = plan.q, plan.q2
+    atom_bit = {atom: 1 << i for i, atom in enumerate(plan.base)}
+    compiled1 = engine._compile(q, plan.terms, atom_bit)
+    compiled2 = engine._compile(q2, plan.terms, atom_bit)
+    orderings = list(enumerate_complete_orderings(plan.terms, q.domain,
+                                                  injective_only=True))
+    walk = []
+    for position, ordering in enumerate(orderings):
+        term_position = [ordering.position(t) for t in plan.terms]
+        prep1 = engine._prepare_assignments(compiled1, term_position)
+        prep2 = engine._prepare_assignments(compiled2, term_position)
+        differing = (engine._differing_masks(prep1, prep2)
+                     if plan.same_head else None)
+        used = 0
+        for positive, negated, _, _ in prep1 + prep2:
+            used |= positive | negated
+        walk.append((position, ordering, prep1, prep2, used, differing))
     bits = [1 << i for i in range(len(plan.base))]
-    for first, (subset, mask) in zip(itertools.count(0, plan.per_subset),
+    for first, (subset, mask) in zip(itertools.count(0, len(orderings)),
                                      engine._subsets(plan.base, bits)):
-        for (position, ordering, prep1, prep2, idle, differing,
-             _) in plan.orderings:
+        for position, ordering, prep1, prep2, used, differing in walk:
             unit = first + position
-            if (unit % workers != offset or mask & idle
+            if (unit % workers != offset or mask & ~used
                     or differing is not None
                     and not engine._fires(differing, mask)):
                 continue

@@ -561,9 +561,14 @@ def test_idle_atoms_keep_verdicts_exact(checked):
             text1, text2, domain)
 
 
-def test_units_where_no_prepared_assignment_differs_are_not_checked(checked):
-    """Both queries prepare the same assignments under every ordering, so
-    no unit can separate them and none is checked."""
+def test_units_where_no_prepared_assignment_differs_are_not_checked(
+        checked, monkeypatch):
+    """Both queries compile to the same assignments, so they prepare the
+    same ones under every ordering: the plan holds no ordering, no unit
+    is checked, and a two-worker decision never asks for the pool."""
+    def no_pool(workers):
+        raise AssertionError("the pool was asked for")
+    monkeypatch.setattr(engine, "_shared_pool", no_pool)
     reflexive = "q(X; sum(Y)) :- p(X, Y), Y > 3 | p(Y, X), !b(X)"
     pairs = [
         (reflexive, reflexive, 2),
@@ -572,8 +577,62 @@ def test_units_where_no_prepared_assignment_differs_are_not_checked(checked):
     ]
     for text1, text2, n in pairs:
         q, q2 = parse_query(text1), parse_query(text2)
-        assert engine.n_equivalent(q, q2, n).status == engine.EQUIVALENT
+        assert engine._plan(q, q2, n).orderings == ()
+        for workers in (1, 2):
+            verdict = engine.n_equivalent(q, q2, n, workers=workers)
+            assert verdict.status == engine.EQUIVALENT
     assert checked == []
+
+
+def test_scan_stops_once_every_ordering_is_dropped(checked, monkeypatch):
+    """The queries compile to different assignments, yet under every
+    ordering each fresh variable satisfies exactly one of X > 0 and
+    X <= 0, so both prepare the same ones and no ordering is kept.  The
+    scan drops each ordering as it meets it and stops once none is left,
+    before the last of the 32 subsets of BASE."""
+    walked = []
+    subsets = engine._subsets
+
+    def counting(*args):
+        for subset in subsets(*args):
+            walked.append(subset)
+            yield subset
+    for domain in ("rat", INTEGERS):
+        q = parse_query("q(; count()) :- p(X), X > 0 | p(X), X <= 0",
+                        domain=domain)
+        q2 = parse_query("q(; count()) :- p(X)", domain=domain)
+        plan = engine._plan(q, q2, 4)
+        assert plan.orderings != ()
+        for workers in (1, 2):
+            verdict = engine.n_equivalent(q, q2, 4, workers=workers)
+            assert verdict.status == engine.EQUIVALENT
+        assert checked == []
+        walked.clear()
+        # patched here only, so no pool process is forked with it
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_subsets", counting)
+            assert engine._scan(plan, 0, 1) is None
+        assert 0 < len(walked) < 2 ** 5
+
+
+def test_early_hit_prepares_only_the_orderings_it_checks(monkeypatch):
+    """The scan's first failure is {p(0)} under the first of the pair's
+    35 orderings, so that ordering alone is prepared, once per query."""
+    calls = []
+    prepare_assignments = engine._prepare_assignments
+
+    def counting(compiled, position):
+        calls.append(position)
+        return prepare_assignments(compiled, position)
+    q = parse_query("q(; sum(Y)) :- p(Y), Y > 2 | p(Y), Y < 0")
+    q2 = parse_query("q(; sum(Y)) :- p(Y), Y != 1")
+    assert len(engine._plan(q, q2, 4).orderings) == 35
+    monkeypatch.setattr(engine, "_prepare_assignments", counting)
+    verdict = engine.n_equivalent(q, q2, 4)
+    assert len(calls) == 2 and calls[0] == calls[1]
+    monkeypatch.undo()
+    verify_ce(q, q2, verdict)
+    assert verdict == engine.n_equivalent(q, q2, 4, workers=2)
 
 
 def test_differential_skip_is_sound():
