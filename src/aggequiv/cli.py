@@ -307,7 +307,8 @@ def _parse_identity(text: str):
         left: {X, X, Y}
         right: {7, Z}
 
-    Nullary functions write bag elements as ``()``.
+    The ordering chains terms with ``<`` and ``=`` only.  Nullary
+    functions write bag elements as ``()``.
     """
     fields = {}
     for line in text.splitlines():
@@ -330,11 +331,14 @@ def _parse_identity(text: str):
     func = FUNCTIONS[name]
 
     classes = []
-    for chunk in fields["ordering"].split("<"):
-        members = [parse_term(part.strip())
-                   for part in chunk.split("=") if part.strip()]
-        if members:
-            classes.append(members)
+    for chunk in fields["ordering"].split("<") if fields["ordering"] else ():
+        parts = [part.strip() for part in chunk.split("=")]
+        if "" in parts:
+            # `<=` leaves an empty term before its `=`: no strict ordering
+            raise ValueError(f"empty term in the ordering "
+                             f"{fields['ordering']!r}; write it with < "
+                             f"and = only")
+        classes.append([parse_term(part) for part in parts])
     if not is_satisfiable_order(classes, domain):
         raise ValueError("the ordering is not satisfiable over the domain")
     ordering = CompleteOrdering.of(classes, domain)

@@ -99,16 +99,20 @@ subset first and ordering second.  The loop prepares an ordering (its
 prepared assignments, idle and differing masks) the first time it
 checks a unit under it and keeps it for the rest of its walk, so a scan
 that fails early prepares only the orderings it reached.  One worker
-runs it in process over every unit.  K workers run it in the processes
-of a pool, each over the units whose global index is its stride number
-modulo K, and each stride prepares only what it checks; of the strides'
-first failures the lowest index wins, so the output is the one-worker
-output.  Skipped units keep their global index, so the strides do not
-depend on the skips.  When the heads match and both queries compile to
+runs it in process over every unit, in one walk.  With K workers the
+caller first runs it over the head, the units whose subset holds at
+most one atom; they come first in the global order, so a failure there
+is the first failure and no process is involved.  Otherwise K workers
+run it in the processes of a pool over the units after the head, each
+over those whose global index is its stride number modulo K, and each
+stride prepares only what it checks; of the strides' first failures the
+lowest index wins, so the output is the one-worker output.  Skipped
+units keep their global index, so the strides do not depend on the
+skips.  When the heads match and both queries compile to
 the same assignments, no ordering can separate them: the plan has no
-ordering and never reaches a process.  Otherwise a stride whose
+ordering and never reaches a process.  Otherwise a scan whose
 orderings have all been dropped stops.  The pool is built by the first
-parallel decision that needs it and kept for later ones
+parallel decision that reaches it and kept for later ones
 (`_shared_pool`); a forked child or another K builds a new one, and a
 pool whose worker died is dropped and the decision run once more on a
 fresh pool.  A job carries the compiled queries and the orderings, so
@@ -122,6 +126,7 @@ prod over the rationals; avg and cntd are reported unsupported.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
 from collections import Counter
@@ -209,11 +214,11 @@ def build_base(q: Query, q2: Query, n: int):
 # The (S, L) search
 # ---------------------------------------------------------------------------
 
-def _subsets(atoms: list, weights: list) -> Iterator[tuple]:
-    """Every subset of `atoms` as `(atoms, weight)`, smallest first, where
-    the weight sums the `weights` of its atoms (atom i weighing 1 << i
-    makes it the subset's mask)."""
-    for size in range(len(atoms) + 1):
+def _subsets(atoms: list, weights: list, sizes: range) -> Iterator[tuple]:
+    """Every subset of `atoms` with a size in `sizes` as `(atoms,
+    weight)`, smallest first, where the weight sums the `weights` of its
+    atoms (atom i weighing 1 << i makes it the subset's mask)."""
+    for size in sizes:
         yield from zip(itertools.combinations(atoms, size),
                        map(sum, itertools.combinations(weights, size)))
 
@@ -472,12 +477,19 @@ def _verify_counterexample(q: Query, q2: Query, ce: Counterexample):
         raise AssertionError("counterexample does not separate the queries")
 
 
+#: the subset sizes a parallel decision scans in the caller: the empty
+#: subset and the |BASE| subsets of one atom
+_HEAD = range(2)
+
+
 def n_equivalent(q: Query, q2: Query, n: int, workers: int = 1) -> Verdict:
     """Do the queries agree on every database with at most `n` constants?
 
-    With `workers` > 1 the units are split across that many processes of
-    a pool that outlives the decision; the verdict and counterexample do
-    not depend on `workers`.
+    With `workers` > 1 the caller first scans the head, the subsets of at
+    most one atom, which come first in the global order; only when no
+    unit there fails are the later units split across that many
+    processes of a pool that outlives the decision.  The verdict and
+    counterexample do not depend on `workers`.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -489,17 +501,19 @@ def n_equivalent(q: Query, q2: Query, n: int, workers: int = 1) -> Verdict:
         raise ValueError("n_equivalent expects aggregate queries")
     plan = _plan(q, q2, n)
     if not plan.orderings:
-        hits = []  # no unit to check
+        hit = None  # no unit to check
     elif workers == 1:
-        hits = [_scan(plan, 0, 1)]
+        hit = _scan(plan)
     else:
-        hits = _scan_in_pool(plan, workers)
-    hits = [hit for hit in hits if hit is not None]
-    if hits:
-        # the lowest global index wins, so scheduling cannot change the output
-        return Verdict(NOT_EQUIVALENT, n_used=n,
-                       counterexample=min(hits, key=lambda hit: hit[0])[1])
-    return Verdict(EQUIVALENT, n_used=n)
+        # most inequivalent pairs fail on one fact, and a failure in the
+        # head is the first failure: it needs no pool round trip
+        hit = _scan(plan, sizes=_HEAD)
+        tail = range(_HEAD.stop, len(plan.base) + 1)
+        if hit is None and tail:
+            hit = _scan_in_pool(plan, workers, tail)
+    if hit is None:
+        return Verdict(EQUIVALENT, n_used=n)
+    return Verdict(NOT_EQUIVALENT, n_used=n, counterexample=hit[1])
 
 
 class _Plan(NamedTuple):
@@ -603,24 +617,32 @@ def _prepare(plan: _Plan, ordering: CompleteOrdering):
     return prep1, prep2, idle, differing, set()
 
 
-def _scan(plan: _Plan, offset: int, workers: int):
-    """The stride `offset` of `workers` over the plan's (S, L) units, in
-    the global order (subset first, ordering second): its first failing
-    unit as `(unit index, counterexample)`, or None.
+def _scan(plan: _Plan, offset: int = 0, workers: int = 1,
+          sizes: Optional[range] = None):
+    """The stride `offset` of `workers` over the plan's (S, L) units whose
+    subset has a size in `sizes` (by default every unit), in the global
+    order (subset first, ordering second): its first failing unit as
+    `(unit index, counterexample)`, or None.  Unit indexes are global, so
+    the strides of one range and the scans of consecutive ranges merge
+    by the lowest index.
 
-    An ordering is prepared when the stride first checks a unit under
-    it, and kept for the rest of the stride; one whose queries prepare
-    the same assignments leaves the walk, and a stride with no ordering
-    left stops."""
+    An ordering is prepared when the scan first checks a unit under it,
+    and kept for the rest of the scan; one whose queries prepare the
+    same assignments leaves the walk, and a scan with no ordering left
+    stops."""
     q, q2 = plan.q, plan.q2
     # per ordering, [position, ordering, firsts, its `_prepare` or None]
     walk = [[*entry, None] for entry in plan.orderings]
     every_atom = (1 << len(plan.base)) - 1
     weights, add, tops, shapes = _shape_weights(plan.base, plan.terms,
                                                 plan.shaped)
+    sizes = range(len(plan.base) + 1) if sizes is None else sizes
+    # the units of every smaller subset come first
+    start = len(plan.orderings) * sum(math.comb(len(plan.base), size)
+                                      for size in range(sizes.start))
     for first, (subset, weight) in zip(
-            itertools.count(0, len(plan.orderings)),
-            _subsets(plan.base, weights)):
+            itertools.count(start, len(plan.orderings)),
+            _subsets(plan.base, weights, sizes)):
         shape = shapes.get((weight + add) & tops)
         if shape is None:
             continue  # S renamed onto u1..uk comes earlier
@@ -677,8 +699,9 @@ def _drop_pool() -> None:
     _pool = _pool_key = None
 
 
-def _scan_in_pool(plan: _Plan, workers: int) -> list:
-    """Every stride's `_scan` result, one stride per pool process.
+def _scan_in_pool(plan: _Plan, workers: int, sizes: range):
+    """The lowest-index failure of the units with a subset size in
+    `sizes`, one stride per pool process, or None.
 
     A broken pool is dropped, never reused.  Decisions are pure, so the
     decision runs once more on a fresh pool; a second break propagates.
@@ -686,13 +709,17 @@ def _scan_in_pool(plan: _Plan, workers: int) -> list:
     with _pool_lock:
         for retry in (False, True):
             try:
-                return list(_shared_pool(workers).map(
+                hits = list(_shared_pool(workers).map(
                     _scan, itertools.repeat(plan, workers), range(workers),
-                    itertools.repeat(workers, workers)))
+                    itertools.repeat(workers, workers),
+                    itertools.repeat(sizes, workers)))
+                break
             except BrokenProcessPool:
                 _drop_pool()
                 if retry:
                     raise
+    # the lowest global index wins, so scheduling cannot change the output
+    return min(filter(None, hits), key=lambda hit: hit[0], default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -308,8 +308,9 @@ def reference_scan(plan, offset: int, workers: int):
             used |= positive | negated
         walk.append((position, ordering, prep1, prep2, used, differing))
     bits = [1 << i for i in range(len(plan.base))]
+    subsets = engine._subsets(plan.base, bits, range(len(bits) + 1))
     for first, (subset, mask) in zip(itertools.count(0, len(orderings)),
-                                     engine._subsets(plan.base, bits)):
+                                     subsets):
         for position, ordering, prep1, prep2, used, differing in walk:
             unit = first + position
             if (unit % workers != offset or mask & ~used

@@ -83,10 +83,11 @@ def test_internal_error_is_not_a_verdict(count_pair, capsys, monkeypatch):
     assert "internal error" in capsys.readouterr().err
 
 
-def test_a_pool_that_breaks_twice_is_an_internal_error(count_pair, capsys,
+def test_a_pool_that_breaks_twice_is_an_internal_error(tmp_path, capsys,
                                                      monkeypatch):
     """The engine retries a decision once on a fresh pool; a second
-    break is reported, never turned into a verdict."""
+    break is reported, never turned into a verdict.  The pair's first
+    failure has two facts, so the decision reaches the pool."""
     from concurrent.futures.process import BrokenProcessPool
 
     from aggequiv import engine
@@ -104,7 +105,8 @@ def test_a_pool_that_breaks_twice_is_an_internal_error(count_pair, capsys,
     monkeypatch.setattr(engine, "ProcessPoolExecutor", BreakingPool)
     monkeypatch.setattr(engine, "_pool", None)
     monkeypatch.setattr(engine, "_pool_key", None)
-    a, b = count_pair
+    a = write(tmp_path, "a.q", "q(; count()) :- p(X), !b(X)\n")
+    b = write(tmp_path, "b.q", "q(; count()) :- p(X)\n")
     assert main(["nequiv", a, b, "--n", "1", "--workers", "2", "--json"]) == 2
     assert json.loads(capsys.readouterr().out)["status"] == "internal_error"
     assert len(built) == 2
@@ -250,6 +252,20 @@ def test_check_identity_command(tmp_path, capsys):
         right: {X}
     """)
     assert main(["check-identity", bad]) == 2
+
+
+def test_check_identity_rejects_an_empty_ordering_term(tmp_path, capsys):
+    """`0 <= X` and `0 < < X` hold an empty term: neither is a strict
+    ordering, and neither reads as `0 < X`."""
+    for ordering in ("0 <= X", "0 < < X", "X = < 1"):
+        ident = write(tmp_path, "le.ident", f"""
+            function: sum
+            ordering: {ordering}
+            left: {{X}}
+            right: {{0}}
+        """)
+        assert main(["check-identity", ident]) == 2, ordering
+        assert "empty term in the ordering" in capsys.readouterr().err
 
 
 def test_main_is_reentrant(tmp_path, capsys, monkeypatch):

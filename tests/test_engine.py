@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import signal
@@ -467,6 +468,38 @@ def test_shape_skip_keeps_the_first_failing_unit():
                outcomes[False, False]) >= 10, outcomes
 
 
+@pytest.mark.parametrize("seed", [9, 10])
+def test_equivalent_verdicts_survive_the_oracle(seed):
+    """Random pairs with matching heads (`random_shape_pair`): for every
+    `equivalent` verdict at N = n, the concrete brute-force search finds
+    no separating database over any n values of the default pool."""
+    rng = random.Random(seed)
+    draws = equivalent = 0
+    while draws < 75:
+        text1, text2, domain, n = random_shape_pair(rng)
+        q = parse_query(text1, domain=domain)
+        q2 = parse_query(text2, domain=domain)
+        if not engine._same_head(q, q2):
+            continue
+        draws += 1
+        if engine.n_equivalent(q, q2, n).status != engine.EQUIVALENT:
+            continue
+        equivalent += 1
+        for values in itertools.combinations(oracle.default_pool(q, q2), n):
+            assert oracle.brute_force_check(q, q2, pool=values) is None, (
+                text1, text2, domain, n, values)
+    assert equivalent >= 20
+
+
+@pytest.mark.xfail(strict=True, reason="differing heads are compared on "
+                   "the canonical instance only, where prod {0, 0} = "
+                   "min {0}; {p(2)} separates them")
+def test_differing_heads_are_separated_off_the_canonical_instance():
+    q = parse_query("q(; prod(Y)) :- p(Y) | p(Y)")
+    q2 = parse_query("q(; min(Y)) :- p(Y)")
+    assert engine.n_equivalent(q, q2, 1).status == engine.NOT_EQUIVALENT
+
+
 def test_shape_skip_keeps_the_first_failing_unit_at_ten_fresh_variables():
     """From N = 10 on the walked orderings put u10 between u1 and u2, so
     two values in (0, 3) sit on u1 and u10, never on u1 and u2.  At N = 9
@@ -680,7 +713,8 @@ def test_differential_skip_is_sound():
             prep2 = engine._prepare_assignments(compiled2, position)
             differing = engine._differing_masks(prep1, prep2)
             for subset, mask in engine._subsets(
-                    base, [1 << i for i in range(len(base))]):
+                    base, [1 << i for i in range(len(base))],
+                    range(len(base) + 1)):
                 if engine._fires(differing, mask):
                     continue
                 skipped += 1
@@ -899,18 +933,57 @@ def test_nothing_to_check_starts_no_process(monkeypatch):
 MAX_LT1 = ("q(; max(Y)) :- p(Y), Y < 1", "q(; max(Y)) :- p(Y), Y <= 0")
 MAX_LT1_CE = engine.Counterexample(
     Database(frozenset({("p", (F(1, 2),))})), (), F(1, 2), None)
+# the first failure has two facts, so a parallel decision reaches the pool
+TWO_FACT = ("q(; count()) :- p(X), !b(X)", "q(; count()) :- p(X)")
+TWO_FACT_CE = engine.Counterexample(
+    Database(frozenset({("b", (F(0),)), ("p", (F(0),))})), (), None, 1)
+
+
+def test_one_fact_failure_starts_no_process(monkeypatch):
+    """The first failure has one fact, so the caller finds it in the head
+    and a parallel decision never builds a pool."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(engine, "_pool", None)
+    monkeypatch.setattr(engine, "_pool_key", None)
+    q, q2 = map(parse_query, MAX_LT1)
+    for workers in (2, 3):
+        verdict = engine.n_equivalent(q, q2, 5, workers=workers)
+        assert verdict.counterexample == MAX_LT1_CE
+
+
+def test_two_fact_failure_is_found_in_the_pool(monkeypatch):
+    """No unit of the head fails, so the strides after the head run in
+    the pool and report the one-worker counterexample."""
+    asked = []
+    shared_pool = engine._shared_pool
+
+    def recording(workers):
+        asked.append(workers)
+        return shared_pool(workers)
+    monkeypatch.setattr(engine, "_shared_pool", recording)
+    q, q2 = map(parse_query, TWO_FACT)
+    for workers in (2, 3):
+        for n in (1, 4):
+            assert engine.n_equivalent(q, q2, n).counterexample \
+                == TWO_FACT_CE
+            asked.clear()
+            verdict = engine.n_equivalent(q, q2, n, workers=workers)
+            assert verdict.counterexample == TWO_FACT_CE
+            assert asked == [workers]
 
 
 def test_broken_pool_is_replaced():
     """A pool whose worker died is dropped, and the decision runs on a
     fresh one."""
-    q, q2 = map(parse_query, MAX_LT1)
+    q, q2 = map(parse_query, TWO_FACT)
     pool = engine._shared_pool(2)
     with pytest.raises(BrokenProcessPool):
         pool.submit(os._exit, 1).result(timeout=60)
-    verdict = engine.n_equivalent(q, q2, 5, workers=2)
-    assert verdict == engine.n_equivalent(q, q2, 5)
-    assert verdict.counterexample == MAX_LT1_CE
+    verdict = engine.n_equivalent(q, q2, 4, workers=2)
+    assert verdict == engine.n_equivalent(q, q2, 4)
+    assert verdict.counterexample == TWO_FACT_CE
     assert engine._shared_pool(2) is not pool
 
 
@@ -918,18 +991,18 @@ def test_broken_pool_is_replaced():
 def test_forked_child_builds_its_own_pool():
     """A child forked while the parent holds a pool cannot use the
     parent's copy; it builds its own and decides the same."""
-    q, q2 = map(parse_query, MAX_LT1)
-    assert engine.n_equivalent(q, q2, 5, workers=2).counterexample \
-        == MAX_LT1_CE
+    q, q2 = map(parse_query, TWO_FACT)
+    assert engine.n_equivalent(q, q2, 4, workers=2).counterexample \
+        == TWO_FACT_CE
     pool = engine._shared_pool(2)
     pid = os.fork()
     if pid == 0:  # the child never returns into the test runner
         code = 1
         try:
-            verdict = engine.n_equivalent(q, q2, 5, workers=2)
+            verdict = engine.n_equivalent(q, q2, 4, workers=2)
             own = engine._shared_pool(2) is not pool
             engine._drop_pool()
-            code = 0 if own and verdict.counterexample == MAX_LT1_CE else 3
+            code = 0 if own and verdict.counterexample == TWO_FACT_CE else 3
         finally:
             os._exit(code)
     deadline = time.monotonic() + 120
@@ -941,8 +1014,8 @@ def test_forked_child_builds_its_own_pool():
         time.sleep(0.02)
     assert os.waitstatus_to_exitcode(status[1]) == 0
     assert engine._shared_pool(2) is pool
-    assert engine.n_equivalent(q, q2, 5, workers=2).counterexample \
-        == MAX_LT1_CE
+    assert engine.n_equivalent(q, q2, 4, workers=2).counterexample \
+        == TWO_FACT_CE
 
 
 def test_parallel_decision_under_spawn():
@@ -958,10 +1031,10 @@ from fractions import Fraction as F
 from aggequiv import engine
 from aggequiv.model import Database
 from aggequiv.parsing import parse_query
-q, q2 = map(parse_query, {MAX_LT1!r})
-verdict = engine.n_equivalent(q, q2, 5, workers=2)
+q, q2 = map(parse_query, {TWO_FACT!r})
+verdict = engine.n_equivalent(q, q2, 4, workers=2)
 print(verdict.counterexample == engine.Counterexample(
-    Database(frozenset({{("p", (F(1, 2),))}})), (), F(1, 2), None))
+    Database(frozenset({{("b", (F(0),)), ("p", (F(0),))}})), (), None, 1))
 """
     src = str(Path(engine.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
