@@ -154,6 +154,11 @@ def _counterexample_json(ce) -> Optional[dict]:
 
 
 def _report_verdict(verdict, args, started: float) -> int:
+    # saved first, so a failed write reports only its error, not a verdict
+    # that the exit code then contradicts
+    if verdict.counterexample is not None and args.save_counterexample:
+        with open(args.save_counterexample, "w", encoding="utf-8") as out:
+            out.write(format_database(verdict.counterexample.database) + "\n")
     payload = {
         "status": verdict.status,
         "n_used": verdict.n_used,
@@ -179,9 +184,6 @@ def _report_verdict(verdict, args, started: float) -> int:
             print(f"grouping tuple: ({group})")
             print(f"left value:  {format_value(ce.left_value)}")
             print(f"right value: {format_value(ce.right_value)}")
-    if verdict.counterexample is not None and args.save_counterexample:
-        with open(args.save_counterexample, "w", encoding="utf-8") as out:
-            out.write(format_database(verdict.counterexample.database) + "\n")
     if verdict.status == engine.EQUIVALENT:
         return 0
     if verdict.status == engine.NOT_EQUIVALENT:

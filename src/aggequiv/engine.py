@@ -115,8 +115,12 @@ orderings have all been dropped stops.  The pool is built by the first
 parallel decision that reaches it and kept for later ones
 (`_shared_pool`); a forked child or another K builds a new one, and a
 pool whose worker died is dropped and the decision run once more on a
-fresh pool.  A job carries the compiled queries and the orderings, so
-workers need no state inherited by fork.
+fresh pool.  The pool machinery (`concurrent.futures` and
+`multiprocessing`) is imported by that first decision too, so importing
+the package and deciding with one worker never load it, and the pool is
+shut down at exit, before interpreter teardown clears those modules.  A
+job carries the compiled queries and the orderings, so workers need no
+state inherited by fork.
 
 Full equivalence reduces to N-equivalence at the pair's term size for
 the decomposable functions (count, sum, max, min, parity, top2) and for
@@ -125,15 +129,14 @@ prod over the rationals; avg and cntd are reported unsupported.
 
 from __future__ import annotations
 
+import atexit
 import itertools
 import math
 import os
 import threading
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from . import identity, oracle
 from .aggregation import FUNCTIONS, apply
@@ -148,6 +151,9 @@ from .orderings import (
 # not called here: bench/tracing.py traces the comparison layer under the
 # name engine.entails, so it stays importable (and reads 0 calls)
 from .orderings import entails  # noqa: F401
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
@@ -672,9 +678,9 @@ def _scan(plan: _Plan, offset: int = 0, workers: int = 1,
 
 
 # The process's worker pool: built by the first parallel decision that has
-# units to check, kept for later ones, and rebuilt after a fork or for
-# another worker count.  The lock keeps two threads from sharing it
-# mid-decision.
+# units to check, kept for later ones, rebuilt after a fork or for another
+# worker count, and shut down at exit.  The lock keeps two threads from
+# sharing it mid-decision.
 _pool_lock = threading.Lock()
 _pool_key: Optional[tuple] = None  # (pid, workers) of _pool
 _pool: Optional[ProcessPoolExecutor] = None
@@ -686,7 +692,15 @@ def _shared_pool(workers: int) -> ProcessPoolExecutor:
     key = (os.getpid(), workers)
     if _pool_key != key:
         _drop_pool()
+        # imported here: it makes up a fifth of the package's import time,
+        # and only a decision that reaches the pool uses it
+        from concurrent.futures import ProcessPoolExecutor
         _pool, _pool_key = ProcessPoolExecutor(max_workers=workers), key
+        # the executor module, imported after this one, is cleared first at
+        # interpreter teardown, so the pool must be shut down before that;
+        # unregistering first keeps one registration
+        atexit.unregister(_drop_pool)
+        atexit.register(_drop_pool)
     return _pool
 
 
@@ -706,6 +720,7 @@ def _scan_in_pool(plan: _Plan, workers: int, sizes: range):
     A broken pool is dropped, never reused.  Decisions are pure, so the
     decision runs once more on a fresh pool; a second break propagates.
     """
+    from concurrent.futures.process import BrokenProcessPool
     with _pool_lock:
         for retry in (False, True):
             try:

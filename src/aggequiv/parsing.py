@@ -23,7 +23,7 @@ from typing import Optional
 from .aggregation import FUNCTIONS, GRAMMAR_FUNCTIONS
 from .model import (
     INTEGERS, RATIONALS, AggregateTerm, Atom, Comparison, Condition, Const,
-    Database, Query, ValidationError, Var, is_const,
+    Database, Query, Var, is_const,
 )
 
 
@@ -84,11 +84,13 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, domain: str, registry: ArityRegistry):
+    def __init__(self, text: str, domain: str, registry: ArityRegistry,
+                 what: str = "query"):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.domain = domain
         self.registry = registry
+        self.what = what  # what the text holds, for error messages
 
     # -- token plumbing ------------------------------------------------------
 
@@ -127,8 +129,8 @@ class _Parser:
                 raise ParseError("zero denominator", dline, dcol)
             value = Fraction(int(num), int(den))
         if self.domain == INTEGERS and value.denominator != 1:
-            raise ParseError(
-                f"rational constant {value} in an integer-domain query", line, col)
+            raise ParseError(f"rational constant {value} in an "
+                             f"integer-domain {self.what}", line, col)
         return value
 
     def term(self):
@@ -255,13 +257,8 @@ def parse_queries(text: str, domain: str = RATIONALS,
 def parse_database(text: str, domain: str = RATIONALS,
                    registry: Optional[ArityRegistry] = None) -> Database:
     """Parse newline-separated ground facts like ``p(1, 3/2).``"""
-    db = _Parser(text, domain, registry or ArityRegistry()).database()
-    if domain == INTEGERS:
-        bad = [v for v in db.carrier() if v.denominator != 1]
-        if bad:
-            raise ValidationError(
-                f"database constant {bad[0]} is not an integer")
-    return db
+    return _Parser(text, domain, registry or ArityRegistry(),
+                   what="database").database()
 
 
 def parse_term(text: str):

@@ -51,6 +51,22 @@ def test_nequiv_counterexample(count_pair, capsys, tmp_path):
         assert saved.read().strip() == "p(0)."
 
 
+def test_a_failed_save_reports_only_its_error(count_pair, capsys, tmp_path):
+    """The counterexample is saved before the verdict is printed, so a
+    save that fails leaves the error alone, with its exit code."""
+    a, b = count_pair
+    save = str(tmp_path / "missing" / "ce.facts")
+    argv = ["nequiv", a, b, "--n", "1", "--save-counterexample", save]
+    assert main(argv + ["--json"]) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert json.loads(out)["status"] == "error"
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_single_file_with_two_declarations(tmp_path):
     both = write(tmp_path, "both.q",
                  "q(; count()) :- p(X)\nq(; count()) :- p(Y)\n")
@@ -102,7 +118,8 @@ def test_a_pool_that_breaks_twice_is_an_internal_error(tmp_path, capsys,
 
         def shutdown(self):
             pass
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", BreakingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        BreakingPool)
     monkeypatch.setattr(engine, "_pool", None)
     monkeypatch.setattr(engine, "_pool_key", None)
     a = write(tmp_path, "a.q", "q(; count()) :- p(X), !b(X)\n")
@@ -199,6 +216,14 @@ def test_eval_command(tmp_path, capsys):
     assert main(["eval", q, "-d", d]) == 0
     text = capsys.readouterr().out
     assert "(1) -> 7/2" in text
+
+
+def test_rational_database_fact_in_the_integer_domain(tmp_path, capsys):
+    q = write(tmp_path, "q.q", "q(; sum(Y)) :- p(Y)\n")
+    d = write(tmp_path, "d.facts", "p(1).\np(1/2).\n")
+    assert main(["eval", q, "-d", d, "--domain", "int"]) == 2
+    assert capsys.readouterr().err == (
+        "error: 2:3: rational constant 1/2 in an integer-domain database\n")
 
 
 def test_check_decomposition_command(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import random
 import signal
@@ -915,7 +916,7 @@ def test_nothing_to_check_starts_no_process(monkeypatch):
     """A decision with no unit to check never builds a pool."""
     def refuse(*args, **kwargs):
         raise AssertionError("a worker pool was started")
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
     monkeypatch.setattr(engine, "_pool", None)
     monkeypatch.setattr(engine, "_pool_key", None)
     reflexive = "q(X; sum(Y)) :- p(X, Y), Y > 3 | p(Y, X), !b(X)"
@@ -944,7 +945,7 @@ def test_one_fact_failure_starts_no_process(monkeypatch):
     and a parallel decision never builds a pool."""
     def refuse(*args, **kwargs):
         raise AssertionError("a worker pool was started")
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
     monkeypatch.setattr(engine, "_pool", None)
     monkeypatch.setattr(engine, "_pool_key", None)
     q, q2 = map(parse_query, MAX_LT1)
@@ -1036,11 +1037,58 @@ verdict = engine.n_equivalent(q, q2, 4, workers=2)
 print(verdict.counterexample == engine.Counterexample(
     Database(frozenset({{("b", (F(0),)), ("p", (F(0),))}})), (), None, 1))
 """
+    for method in methods:
+        done = run_fresh(code, method)
+        assert (done.returncode, done.stdout) == (0, "True\n"), (
+            method, done.stderr)
+
+
+def test_start_up_leaves_the_pool_machinery_unloaded(tmp_path):
+    """Importing the package and deciding with one worker load neither
+    the process pool nor multiprocessing; a two-worker decision in the
+    same interpreter then builds the pool, and exits cleanly.
+
+    The engine module is held past the collection at exit, as a test
+    runner holds its test modules, so teardown clears the modules in
+    reverse import order: the executor module, imported after the
+    engine, goes first, and a pool not shut down at exit would then be
+    collected against it half cleared."""
+    a, b = tmp_path / "a.q", tmp_path / "b.q"
+    a.write_text(TWO_FACT[0] + "\n")
+    b.write_text(TWO_FACT[1] + "\n")
+    code = f"""
+import sys
+def pool_modules():
+    return [name for name in sys.modules
+            if name.split(".")[0] in ("concurrent", "multiprocessing")]
+import aggequiv
+print(pool_modules())
+from aggequiv import cli, engine
+print(pool_modules())
+argv = ["nequiv", {str(a)!r}, {str(b)!r}, "--n", "1", "--json"]
+cli.main(argv)
+print(pool_modules())
+cli.main(argv + ["--workers", "2"])
+print("concurrent.futures.process" in sys.modules)
+sys.stdout.held = engine  # outlives the collection at exit
+"""
+    done = run_fresh(code)
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    assert lines[:2] == ["[]", "[]"]
+    assert lines[3] == "[]"
+    assert lines[5] == "True"
+    one, two = (json.loads(line) for line in (lines[2], lines[4]))
+    assert one["counterexample"] == {
+        "facts": ["b(0).", "p(0)."], "grouping": [], "values": [None, "1"]}
+    assert two["counterexample"] == one["counterexample"]
+
+
+def run_fresh(code, *args):
+    """Run `code` in a fresh interpreter that imports this checkout's
+    package."""
     src = str(Path(engine.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    for method in methods:
-        done = subprocess.run([sys.executable, "-c", code, method], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert (done.returncode, done.stdout) == (0, "True\n"), (
-            method, done.stderr)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
