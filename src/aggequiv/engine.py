@@ -18,109 +18,66 @@ describe is also described by a smaller subset with an injective
 ordering, and injectivity is what makes symbolic group keys and negated
 atoms behave like their concrete counterparts.
 
-Four more kinds of unit are skipped because a unit the scan checks
-anyway stands for them, or because no check of theirs can fail:
+The walk goes level by level, in the global order (level, subset,
+ordering).  Level k holds the subsets that use exactly the fresh
+variables u1..uk, under the orderings of the constants and u1..uk that
+keep u1 < ... < uk, with u(k+1)..un above every term.  Every other unit
+has one there that stands for it.  The queries never mention the fresh
+variables, so (S, L) has the groups of (pi S, pi L) for the renaming pi
+that puts L's fresh variables in order (lex-leader symmetry breaking).
+With matching heads, every assignment that fires on S maps the query
+variables to terms of S or to constants (a variable is safe through a
+positive atom or an = chain to one, and = between distinct terms is
+false), so the groups depend only on S and on the order L puts S's
+terms and the constants in: rename S's k fresh variables onto u1..uk in
+L order, the others above every term, and that unit of level k collects
+the renamed groups.  Over the rationals it has the same verdict; over
+the integers it describes more databases (an unused variable between
+two constants can pin a used one, one above every term pins nothing),
+so a failure of (S, L) fails it too.  So verdicts are kept, and the
+first counterexample has the fewest fresh values: a pair that fails
+first at level k is (k - 1)-equivalent.  Differing heads are compared
+on the canonical instance of the whole ordering, which the projection
+does not keep, so their walk is level n alone, every subset of BASE.
 
-- Only orderings with the fresh variables in increasing order
-  (u1 < u2 < ... < uN) are walked.  The queries never mention the fresh
-  variables, so renaming them maps BASE onto itself, and (S, L) has the
-  same groups and identities as (pi S, pi L) for the renaming pi that
-  puts L's fresh variables in order; both describe the same concrete
-  databases.  This is lex-leader symmetry breaking.  It keeps every
-  verdict, but not always the counterexample: a walk over all orderings
-  can fail first at a non-canonical (S, L), whose canonical renaming
-  comes later, so the first canonical failure may be another database.
-- Under one ordering, an atom that occurs in no prepared assignment of
-  either query (say p(u1) when both queries read p(Y) only with Y = 1) is
-  idle: a subset S holding it has the same groups and identities as S
-  without it.  That smaller subset comes earlier in the scan, so units
-  whose subset holds an idle atom are skipped, their global index still
-  counted.  This skip changes neither the first counterexample nor the
-  lowest-index merge of a parallel scan.
-- When the heads match, a unit can separate the queries only if some
+Units are skipped, their index still counted, where an earlier unit
+stands for them or no check can fail, so the first failure is kept:
+
+- Under one ordering, an atom in no prepared assignment of either query
+  (say p(u1) when both read p(Y) only with Y = 1) is idle: S holding it
+  has the groups of S without it, an earlier unit.
+- With matching heads, a unit can separate the queries only if some
   prepared assignment that one query has more often than the other
-  fires on S (its positive atoms in S, its negated atoms not).  On any
-  other unit both queries collect the same multiset of bags per group,
-  so every identity holds; those units are skipped with their global
-  index counted, and an ordering under which both queries prepare the
-  same assignments is dropped.  Differing heads are never skipped this
-  way: equal bags can still disagree under two functions (max and min).
-- When the heads match, each database shape is checked once.  Every
-  assignment that fires on S maps the query variables to terms of S or
-  to constants (a variable is safe through a positive atom or an = chain
-  to one, and = between distinct terms is false), so the groups of
-  (S, L) depend only on S and on the order L puts S's terms and the
-  constants in.  If S's fresh variables are not exactly u1..uk, rename
-  the ones it uses onto u1..uk in their L order and put the others above
-  every term: the renamed subset comes earlier, and its unit collects
-  the renamed groups.  Over the rationals that unit has the same
-  verdict; over the integers it describes more databases (an unused
-  variable between two constants can pin a used one), so a failure of
-  (S, L) is a failure of it too.  If S's fresh variables are exactly
-  u1..uk, orderings that agree on the constants, on u1..uk and on the
-  integer slots the other variables take between two constants
-  (`_shape_key`) collect the same groups on S, and each identity has
-  one verdict under all of them: the other variables fit into any
-  rational gap, and an integer one outside the constants only narrows a
-  gap that is unbounded anyway, where shiftable verdicts depend on the
-  order alone and the sum, avg and prod identities, being polynomial
-  identities, hold only if they hold identically.  So only the first
-  ordering of each class is checked.  Either way the unit that
-  stands for a skipped one comes earlier in the global order, so the
-  first failure is never skipped and the counterexample is unchanged.
-  Differing heads are compared on the canonical instance of the whole
-  ordering, so this skip does not apply to them.  Nor does it apply from
-  N = 10 on: the walked orderings keep the fresh variables in name order
-  (u1 < u10 < u2 < ...), so u1..uk is no longer the lowest k of them in
-  L, and a renaming onto u1..uk can leave the walked orderings or land on
-  a later subset.
+  fires on S (its positive atoms in S, its negated atoms not); so a
+  level is skipped where neither query has an assignment using uk or
+  both have the same ones so far, and an ordering where both prepare
+  the same ones leaves the level's walk.  Equal bags can still disagree
+  under two functions (max and min): differing heads are not skipped.
 
-Under one ordering the same bags recur across subsets, so each stride
-of a scan keeps, per ordering, the sorted bags it has decided valid and
-does not decide them again.  Only valid verdicts are kept, and a failing
-identity ends the stride, so the memo changes no verdict and no
-counterexample.
+Each stride keeps, per ordering, the sorted bags it decided valid and
+does not decide them again; a failing identity ends the stride, so the
+memo changes no counterexample.  A level is planned when reached:
+`_compile` holds each query's assignments to its terms that use uk, by
+index arithmetic built once per disjunct (`_program`), and settles the
+comparisons no strict ordering can change, each other one a pair of
+terms the ordering must put in that order, so preparing an ordering
+filters on term positions.  A level's orderings place uk into the
+previous level's (`orderings.place_next_variable`), and each is
+prepared from its parent's prepared assignments plus the level's own;
+one whose uk stays above every term is its parent's, memo included.
 
-Preparation is compiled once per decision (`_compile`): every assignment
-of a query's variables to base terms, with its atoms as bitmasks and its
-group key and aggregate item as tuples of base-term indexes.  The
-comparisons no strict ordering can change are settled there: a term
-against itself, two constants, and = or != between distinct terms.  Each
-other comparison becomes a pair of terms the ordering must put in that
-order, so per ordering preparation is a filter on term positions.
-Groups, bags and the memo hold ints; terms come back only for the
-identity deciders, for a counterexample and for comparing differing
-heads.
-
-Parallel scan: a decision is planned once, by the caller (`_plan`:
-BASE, the compiled queries, and each ordering with its shape classes),
-and one loop (`_scan`) walks the plan's units in the global order,
-subset first and ordering second.  The loop prepares an ordering (its
-prepared assignments, idle and differing masks) the first time it
-checks a unit under it and keeps it for the rest of its walk, so a scan
-that fails early prepares only the orderings it reached.  One worker
-runs it in process over every unit, in one walk.  With K workers the
-caller first runs it over the head, the units whose subset holds at
-most one atom; they come first in the global order, so a failure there
-is the first failure and no process is involved.  Otherwise K workers
-run it in the processes of a pool over the units after the head, each
-over those whose global index is its stride number modulo K, and each
-stride prepares only what it checks; of the strides' first failures the
-lowest index wins, so the output is the one-worker output.  Skipped
-units keep their global index, so the strides do not depend on the
-skips.  When the heads match and both queries compile to
-the same assignments, no ordering can separate them: the plan has no
-ordering and never reaches a process.  Otherwise a scan whose
-orderings have all been dropped stops.  The pool is built by the first
-parallel decision that reaches it and kept for later ones
-(`_shared_pool`); a forked child or another K builds a new one, and a
-pool whose worker died is dropped and the decision run once more on a
-fresh pool.  The pool machinery (`concurrent.futures` and
-`multiprocessing`) is imported by that first decision too, so importing
-the package and deciding with one worker never load it, and the pool is
-shut down at exit, before interpreter teardown clears those modules.  A
-job carries the compiled queries and the orderings, so workers need no
-state inherited by fork.
+Parallel scan: one loop (`_scan`) walks a decision's plan (`_plan`) in
+the global order; one worker runs it in process.  With K workers the
+caller first runs the head (with matching heads levels 0 and 1, else
+the subsets of at most one atom): a failure there is the first, and no
+process is involved.  Otherwise min(K, usable CPUs) pool processes run
+the units after the head, each those whose index within their level is
+its stride number modulo the workers, and the lowest (level, index) of
+their first failures wins, so the output is the one-worker output.  A
+decision with no unit that can fail never reaches a process.  The pool,
+and the machinery it imports, comes with the first parallel decision
+that reaches it and is kept for later ones (`_shared_pool`).  A job
+carries the plan, so workers need no state inherited by fork.
 
 Full equivalence reduces to N-equivalence at the pair's term size for
 the decomposable functions (count, sum, max, min, parity, top2) and for
@@ -134,19 +91,18 @@ import itertools
 import math
 import os
 import threading
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from . import identity, oracle
 from .aggregation import FUNCTIONS, apply
 from .model import (
-    INTEGERS, AggregateTerm, Comparison, Database, Query, RATIONALS, Var,
-    is_const, merged_predicates, term_size_pair, term_sort_key,
+    AggregateTerm, Database, Query, RATIONALS, Var,
+    merged_predicates, term_size_pair, term_sort_key,
 )
 from .orderings import (
     Assignment, CompleteOrdering, assign_tuple, enumerate_complete_orderings,
-    satisfying_assignment,
+    place_next_variable, satisfying_assignment,
 )
 # not called here: bench/tracing.py traces the comparison layer under the
 # name engine.entails, so it stays importable (and reads 0 calls)
@@ -220,98 +176,83 @@ def build_base(q: Query, q2: Query, n: int):
 # The (S, L) search
 # ---------------------------------------------------------------------------
 
-def _subsets(atoms: list, weights: list, sizes: range) -> Iterator[tuple]:
-    """Every subset of `atoms` with a size in `sizes` as `(atoms,
-    weight)`, smallest first, where the weight sums the `weights` of its
-    atoms (atom i weighing 1 << i makes it the subset's mask)."""
-    for size in sizes:
-        yield from zip(itertools.combinations(atoms, size),
-                       map(sum, itertools.combinations(weights, size)))
-
-
-def _shape_weights(base: list, terms: list, n: int) -> tuple:
-    """`(weights, add, tops, shapes)`: per atom of BASE its weight for
-    `_subsets`, and how to read a subset's weight.
-
-    The last n terms are the fresh variables u1..un.  An atom weighs its
-    bit plus, above the atom bits, one count field per fresh variable it
-    mentions, so a subset's weight holds its mask and, per fresh
-    variable, how many of its atoms mention it.  A count stays below the
-    top bit of its field, so `(weight + add) & tops` has the top bit of
-    exactly the fields of the variables S uses, and `shapes` maps that
-    to 1 << k when they are u1..uk.
-    """
-    width = len(base).bit_length() + 1
-    count = {}  # per fresh variable's name, the lowest bit of its field
-    add = tops = 0
-    shapes = {0: 1}
-    for j, u in enumerate(terms[len(terms) - n:]):
-        low = 1 << (len(base) + width * j)
-        top = low << (width - 1)
-        count[u.name] = low
-        add += top - low
-        tops += top
-        shapes[tops] = 2 << j
-    weights = [(1 << i) + sum({count.get(t.name, 0) for t in combo
-                               if not is_const(t)})
-               for i, (_, combo) in enumerate(base)]
-    return weights, add, tops, shapes
-
-
-def _settle(terms: list, comparison: Comparison, a: int, b: int):
-    """`comparison` with base terms `a` and `b` for its sides, under every
-    strict ordering of BASE: True or False where no ordering can change
-    it, else the pair (x, y) of terms it needs x before y."""
-    op = comparison.op
-    if a == b:
-        return op in ("=", "<=", ">=")
-    if is_const(terms[a]) and is_const(terms[b]):
-        return comparison.holds(terms[a].value, terms[b].value)
-    if op in ("=", "!="):
-        return op == "!="  # distinct terms are never equal in a strict order
-    return (a, b) if op in ("<", "<=") else (b, a)
-
-
-def _compile(q: Query, terms: list, atom_bit: dict) -> list:
-    """The assignments of `q`'s variables to base terms, as
-    `(before, prepared)` in the scan's order; those failing a comparison
-    no ordering can change, or needing an atom both present and absent,
-    are left out.
-
-    `prepared` is `(positive, negated, key, item)`: the positive and
-    negated atoms as bitmasks, the group key and the aggregate item as
-    tuples of base-term indexes.  `before` holds the pairs (a, b) of
-    indexes an ordering must put a before b; every other comparison is
-    settled here, once per scan.
-    """
-    index = {t: i for i, t in enumerate(terms)}
-    compiled = []
+def _program(terms: list, constants: int, offsets: dict, q: Query) -> list:
+    """`q`'s disjuncts as index arithmetic: an assignment is a tuple of
+    term indexes, one per variable, and an operand indexes it followed by
+    every constant's index.  Per disjunct: its variable count; per atom
+    its sign, its BASE index with each variable at term 0 and the step
+    per variable; per comparison its operands, whether it holds between
+    a term and itself, and its kind (0 =, 1 !=, 2 < <=, 3 > >=); the
+    operands of the group key and of the aggregate item."""
+    index = {t: i for i, t in enumerate(terms[:constants])}
+    kinds = {"=": 0, "!=": 1, "<": 2, "<=": 2, ">": 3, ">=": 3}
+    program = []
     for cond in q.disjuncts:
-        variables = sorted(cond.variables(), key=term_sort_key)
-        for values in itertools.product(terms, repeat=len(variables)):
-            gamma = dict(zip(variables, values))
+        slot = {v: i for i, v in enumerate(sorted(cond.variables(),
+                                                  key=term_sort_key))}
 
-            def at(t):
-                return index[gamma.get(t, t)]
-            settled = [_settle(terms, c, at(c.lhs), at(c.rhs))
-                       for c in cond.comparisons]
-            if False in settled:
-                continue
-            positive = negated = 0
-            for atom in cond.atoms:
-                bit = atom_bit[(atom.predicate,
-                                tuple(gamma.get(t, t) for t in atom.args))]
-                if atom.positive:
-                    positive |= bit
+        def operand(t):
+            return slot[t] if t in slot else len(slot) + index[t]
+        atoms = []
+        for atom in cond.atoms:
+            at, steps = offsets[atom.predicate], []
+            for place, t in enumerate(reversed(atom.args)):
+                if t in slot:
+                    steps.append((slot[t], len(terms) ** place))
                 else:
-                    negated |= bit
-            if positive & negated:
-                continue  # an atom required both present and absent
-            before = tuple(sorted({s for s in settled if s is not True}))
-            key = tuple(at(t) for t in q.grouping)
-            item = (tuple(at(t) for t in q.aggregate.args)
-                    if q.aggregate is not None else ())
-            compiled.append((before, (positive, negated, key, item)))
+                    at += index[t] * len(terms) ** place
+            atoms.append((atom.positive, at, steps))
+        args = q.aggregate.args if q.aggregate is not None else ()
+        program.append((
+            len(slot), atoms,
+            [(operand(c.lhs), operand(c.rhs), c.op in ("=", "<=", ">="),
+              kinds[c.op]) for c in cond.comparisons],
+            [operand(t) for t in q.grouping], [operand(t) for t in args]))
+    return program
+
+
+def _compile(plan: "_Plan", program: list, k: int) -> list:
+    """The assignments of a query's variables (its `_program`) to the
+    terms of level k, the constants and u1..uk, that use uk (at level 0,
+    to the constants), as `(before, prepared)`; those failing a
+    comparison no ordering can change, or needing an atom both present
+    and absent, are left out.
+
+    `prepared` is `(positive, negated, key, item)`: the atoms as bitmasks
+    over BASE, group key and aggregate item as term indexes.  `before`
+    holds the pairs (a, b) an ordering must put a before b; the other
+    comparisons are settled: a term against itself, two constants (their
+    indexes are in value order), = or != between distinct terms.
+    """
+    constants, top = plan.constants, plan.constants + k
+    tail = tuple(range(constants))
+    compiled = []
+    for variables, atoms, comparisons, key, item in program:
+        for values in itertools.product(range(top), repeat=variables):
+            if k and top - 1 not in values:
+                continue  # an assignment of an earlier level
+            row = values + tail
+            before = set()
+            for a, b, reflexive, kind in comparisons:
+                x, y = row[a], row[b]
+                if x != y and kind > 1 and max(x, y) >= constants:
+                    before.add((x, y) if kind == 2 else (y, x))
+                elif not (reflexive if x == y else kind == 1 if kind < 2
+                          else (x < y) == (kind == 2)):
+                    break
+            else:
+                positive = negated = 0
+                for sign, at, steps in atoms:
+                    for s, step in steps:
+                        at += row[s] * step
+                    if sign:
+                        positive |= 1 << at
+                    else:
+                        negated |= 1 << at
+                if not positive & negated:
+                    compiled.append((tuple(sorted(before)), (
+                        positive, negated, tuple([row[o] for o in key]),
+                        tuple([row[o] for o in item]))))
     return compiled
 
 
@@ -323,7 +264,8 @@ def _prepare_assignments(compiled: list, position: list) -> list:
     ordering; per subset S only the two mask tests remain.
     """
     return [prepared for before, prepared in compiled
-            if all(position[a] < position[b] for a, b in before)]
+            if not before
+            or all(position[a] < position[b] for a, b in before)]
 
 
 def _collect_groups(prepared: list, mask: int) -> dict:
@@ -406,28 +348,11 @@ def _instance(terms: list, assignment: Assignment, tup: tuple) -> tuple:
 
 def _ranks(terms: list) -> list:
     """Each base term's place in `term_sort_key` order (u10 before u2)."""
-    order = sorted(range(len(terms)), key=lambda i: term_sort_key(terms[i]))
     rank = [0] * len(terms)
-    for place, i in enumerate(order):
+    for place, i in enumerate(sorted(range(len(terms)),
+                                     key=lambda i: term_sort_key(terms[i]))):
         rank[i] = place
     return rank
-
-
-def _shape_key(gaps: tuple, k: int, bound: int) -> tuple:
-    """The class of a lex-leader ordering for the subsets whose fresh
-    variables are exactly u1..uk.
-
-    `gaps` holds each fresh variable's gap, the number of constants below
-    it; `bound` is the number of constants over the integers and 0 over
-    the rationals.  The class is the gaps of u1..uk and the gaps of the
-    other variables that lie between two constants (0 < gap < bound),
-    where an unused integer variable takes up a slot and can pin its
-    neighbours.  Orderings of one class collect the same groups on such a
-    subset, and each identity has one verdict under all of them.
-    """
-    if not bound:
-        return gaps[:k]
-    return gaps[:k] + tuple(gap for gap in gaps[k:] if 0 < gap < bound)
 
 
 def _same_head(q: Query, q2: Query) -> bool:
@@ -439,11 +364,12 @@ def _same_head(q: Query, q2: Query) -> bool:
 def _differing_masks(prep1: list, prep2: list) -> set:
     """(positive, negated) masks of the prepared assignments that one
     query prepares more often than the other."""
-    balance = Counter(prep1)
-    balance.subtract(prep2)
-    return {(positive, negated)
-            for (positive, negated, _, _), surplus in balance.items()
-            if surplus}
+    balance: dict = {}
+    for prepared in prep1:
+        balance[prepared] = balance.get(prepared, 0) + 1
+    for prepared in prep2:
+        balance[prepared] = balance.get(prepared, 0) - 1
+    return {prepared[:2] for prepared, surplus in balance.items() if surplus}
 
 
 def _fires(masks, mask: int) -> bool:
@@ -483,19 +409,18 @@ def _verify_counterexample(q: Query, q2: Query, ce: Counterexample):
         raise AssertionError("counterexample does not separate the queries")
 
 
-#: the subset sizes a parallel decision scans in the caller: the empty
-#: subset and the |BASE| subsets of one atom
-_HEAD = range(2)
+#: with matching heads and more than one worker, the caller walks the
+#: levels below this one (no fresh value and one) before the pool
+_HEAD_LEVELS = 2
 
 
 def n_equivalent(q: Query, q2: Query, n: int, workers: int = 1) -> Verdict:
     """Do the queries agree on every database with at most `n` constants?
 
-    With `workers` > 1 the caller first scans the head, the subsets of at
-    most one atom, which come first in the global order; only when no
-    unit there fails are the later units split across that many
-    processes of a pool that outlives the decision.  The verdict and
-    counterexample do not depend on `workers`.
+    With `workers` > 1 the caller first scans the head (see the module
+    docstring); only when no unit there fails are the later units split
+    across min(`workers`, usable CPUs) processes of a pool that outlives
+    the decision.  The output does not depend on `workers`.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -506,175 +431,229 @@ def n_equivalent(q: Query, q2: Query, n: int, workers: int = 1) -> Verdict:
     if q.aggregate is None or q2.aggregate is None:
         raise ValueError("n_equivalent expects aggregate queries")
     plan = _plan(q, q2, n)
-    if not plan.orderings:
-        hit = None  # no unit to check
-    elif workers == 1:
+    if workers == 1:
         hit = _scan(plan)
     else:
-        # most inequivalent pairs fail on one fact, and a failure in the
-        # head is the first failure: it needs no pool round trip
-        hit = _scan(plan, sizes=_HEAD)
-        tail = range(_HEAD.stop, len(plan.base) + 1)
-        if hit is None and tail:
-            hit = _scan_in_pool(plan, workers, tail)
+        # most inequivalent pairs fail with at most one fresh value, and a
+        # failure in the head is the first: it needs no pool round trip
+        hit = _scan(plan, head=True)
+        if hit is None and (len(plan.base) > 1 if not plan.same_head else
+                            any(k >= _HEAD_LEVELS
+                                for k in _walked_levels(plan))):
+            hit = _scan_in_pool(plan, min(workers, _usable_cpus()))
     if hit is None:
         return Verdict(EQUIVALENT, n_used=n)
     return Verdict(NOT_EQUIVALENT, n_used=n, counterexample=hit[1])
 
 
 class _Plan(NamedTuple):
-    """What every stride of one decision's scan shares, built once by
-    the caller and sent to each worker.
-
-    `compiled1` and `compiled2` are the queries compiled against BASE
-    (`_compile`).  `orderings` holds, per ordering, `(position, ordering,
-    firsts)`: its place in the lex-leader enumeration, the ordering, and
-    the mask of the k (bit k) at which it is the first ordering of its
-    `_shape_key` class.  With matching heads and compiled queries that
-    are equal as multisets, no ordering can separate the queries and
-    `orderings` is empty.  A stride prepares an ordering (`_prepare`)
-    the first time it checks a unit under it.
-
-    `shaped` is the number of fresh variables the shape skip reads: n
-    with matching heads and at most nine fresh variables, else 0.  The
-    scan then checks a unit (S, L) only if S's fresh variables are
-    exactly u1..uk for some k and L is the first ordering of its class at
-    k; every other unit has one that stands for it earlier in the global
-    order, so the first failure is never skipped.  With `shaped` 0 every
-    subset is read as k = 0 and every ordering is first there.
-    """
+    """What every stride of a decision shares: BASE over `terms` (the
+    constants, then u1..un), both queries' `_program`, per atom its level
+    and weight and the largest arity (`weights`), and per level both
+    queries' `_compile`, filled as the walk goes."""
     q: Query
     q2: Query
     terms: list
+    constants: int
     base: list
     rank: list
     same_head: bool
-    compiled1: list
-    compiled2: list
-    orderings: tuple
-    shaped: int
+    programs: tuple
+    weights: tuple
+    compiled: list
 
 
 def _plan(q: Query, q2: Query, n: int) -> _Plan:
     terms, base = build_base(q, q2, n)
-    atom_bit = {atom: 1 << i for i, atom in enumerate(base)}
-    same_head = _same_head(q, q2)
-    compiled1 = _compile(q, terms, atom_bit)
-    compiled2 = _compile(q2, terms, atom_bit)
-    constants = len(terms) - n
-    fresh = terms[constants:]
-    # walked orderings keep the fresh variables in name order, which is
-    # their index order only up to u9 (u10 sorts before u2)
-    shaped = (n if same_head and fresh == sorted(fresh, key=term_sort_key)
-              else 0)
-    bound = constants if q.domain == INTEGERS else 0
-    classes = [set() for _ in range(shaped)]  # per k, the keys seen so far
-    orderings = []
-    if not same_head or Counter(compiled1) != Counter(compiled2):
-        for position, ordering in enumerate(enumerate_complete_orderings(
-                terms, q.domain, injective_only=True)):
-            # at k = shaped each ordering is a class of its own
-            firsts = 1 << shaped
-            if shaped:
-                gaps = _gaps(ordering)
-                # two orderings of one class at k share their classes
-                # below k, so the new classes end at the first one seen
-                # before
-                for k in reversed(range(shaped)):
-                    key = _shape_key(gaps, k, bound)
-                    if key in classes[k]:
-                        break
-                    classes[k].add(key)
-                    firsts |= 1 << k
-            orderings.append((position, ordering, firsts))
-    return _Plan(q, q2, terms, base, _ranks(terms), same_head, compiled1,
-                 compiled2, tuple(orderings), shaped)
+    predicates = merged_predicates(q, q2)
+    names, constants = sorted(predicates), len(terms) - n
+    offsets = dict(zip(names, itertools.accumulate(
+        (len(terms) ** predicates[pred] for pred in names), initial=0)))
+    # per atom of BASE, its level (that of the last fresh variable in it, 0
+    # for none) and its weight: its bit plus, above the atom bits, one
+    # count field per fresh variable it mentions
+    field = len(base).bit_length() + 1
+    low = [0] * constants + [1 << (len(base) + field * j) for j in range(n)]
+    levels, weights = [], []
+    for pred in names:
+        for combo in itertools.product(range(len(terms)),
+                                       repeat=predicates[pred]):
+            levels.append(max(max(combo, default=0) - constants + 1, 0))
+            weights.append((1 << len(weights))
+                           + sum(map(low.__getitem__, set(combo))))
+    return _Plan(q, q2, terms, constants, base, _ranks(terms),
+                 _same_head(q, q2),
+                 tuple(_program(terms, constants, offsets, query)
+                       for query in (q, q2)),
+                 (levels, weights, max(predicates.values(), default=0)), [])
 
 
-def _gaps(ordering: CompleteOrdering) -> tuple:
-    """Each fresh variable's gap, the number of constants below it, in
-    the order the injective `ordering` puts the variables in."""
-    gaps = []
-    below = 0
-    for (term,) in ordering.classes:
-        if is_const(term):
-            below += 1
-        else:
-            gaps.append(below)
-    return tuple(gaps)
+def _walked_levels(plan: _Plan) -> Iterator[int]:
+    """The levels the scan walks, each compiled first (with those before
+    it): with differing heads level n, with matching heads each level but
+    those skipped whole (assignments of different levels differ, so the
+    multisets so far are equal when every level's are)."""
+    n = len(plan.terms) - plan.constants
+    differ = False
+    for k in range(n + 1):
+        if len(plan.compiled) == k:
+            plan.compiled.append(tuple(_compile(plan, program, k)
+                                       for program in plan.programs))
+        new1, new2 = plan.compiled[k]
+        if plan.same_head:
+            differ = differ or sorted(new1) != sorted(new2)
+            if differ and (new1 or new2):
+                yield k
+        elif k == n:
+            yield k
 
 
-def _prepare(plan: _Plan, ordering: CompleteOrdering):
-    """`(prep1, prep2, idle, differing, memo)` for one ordering: both
+class _Ordering:
+    """An ordering of a level: the gap its last variable took, its parent
+    until prepared, then each term's `position` and `prepared`: both
     queries' prepared assignments, the mask of the atoms neither reads,
-    the masks of the prepared assignments the queries disagree on (None
-    for differing heads) and an empty memo of the bags decided valid; or
-    None when both queries prepare the same assignments."""
-    position = [ordering.position(t) for t in plan.terms]
-    prep1 = _prepare_assignments(plan.compiled1, position)
-    prep2 = _prepare_assignments(plan.compiled2, position)
-    differing = _differing_masks(prep1, prep2) if plan.same_head else None
-    if differing is not None and not differing:
-        return None  # both queries collect the same bags on every subset
-    used = 0
-    for positive, negated, _, _ in prep1 + prep2:
-        used |= positive | negated
-    idle = ((1 << len(plan.base)) - 1) & ~used
-    return prep1, prep2, idle, differing, set()
+    the masks the queries disagree on (None for differing heads) and the
+    memo."""
+    __slots__ = ("ordering", "gap", "parent", "prepared", "position")
+
+    def __init__(self, ordering: CompleteOrdering, gap: int, parent):
+        self.ordering, self.gap, self.parent = ordering, gap, parent
+        self.prepared = self.position = None
+
+
+def _extend(plan: _Plan, states: list, k: int) -> list:
+    """The orderings of level k: the constants in order, then uk placed
+    into each gap above u(k-1) of each ordering of level k-1; the last
+    gap, above every term, keeps its parent's ordering."""
+    if k == 0:
+        fresh = tuple((u,) for u in plan.terms[plan.constants:])
+        return [_Ordering(CompleteOrdering(chain.classes + fresh,
+                                           plan.q.domain), -1, None)
+                for chain in enumerate_complete_orderings(
+                    plan.terms[:plan.constants], plan.q.domain,
+                    injective_only=True)]
+    return [_Ordering(ordering, gap, parent) for parent in states
+            for gap, ordering in place_next_variable(
+                parent.ordering, plan.constants + k - 1, parent.gap + 1)]
+
+
+def _prepare(plan: _Plan, state: _Ordering, k: int) -> tuple:
+    """Prepare `state`, an ordering of level k: from its parent if that
+    is prepared (its prepared assignments hold under `state` too), else
+    from every level up to k."""
+    parent = state.parent
+    if parent is None or parent.prepared is None:
+        prep1, prep2, idle, differing, memo = (
+            [], [], (1 << len(plan.base)) - 1, set(), set())
+        position = [state.ordering.position(t) for t in plan.terms]
+        levels = plan.compiled[:k + 1]
+    else:
+        prep1, prep2, idle, differing, memo = parent.prepared
+        if state.ordering is not parent.ordering:
+            memo = set()
+        placed, gap = plan.constants + k - 1, state.gap
+        position = parent.position
+        if gap < placed:  # uk moves down, and the terms it passes move up
+            position = [p + 1 if gap <= p < placed else p for p in position]
+            position[placed] = gap
+        levels = plan.compiled[k:k + 1]
+    new1, new2 = (_prepare_assignments(
+        [assignment for level in levels for assignment in level[side]],
+        position) for side in (0, 1))
+    for positive, negated, _, _ in new1 + new2:
+        idle &= ~(positive | negated)
+    if plan.same_head:
+        differing = differing | _differing_masks(new1, new2)
+    state.prepared = (prep1 + new1, prep2 + new2, idle,
+                      differing if plan.same_head else None, memo)
+    state.position, state.parent = position, None
+    return state.prepared
+
+
+def _level_subsets(plan: _Plan, k: int, sizes: Optional[range] = None
+                   ) -> Iterator[tuple]:
+    """The subsets of level k with a size in `sizes` (by default any),
+    smallest first, as `(atoms, weight)`, the weight's low bits the
+    subset's mask: with matching heads those of BASE_k (the atoms over
+    the constants and u1..uk) that use each of u1..uk, with differing
+    heads every subset of BASE.  A count stays below the top bit of its
+    field, so adding `add` sets that bit in exactly the used fields."""
+    levels, weights, widest = plan.weights
+    keep = list(map(k.__ge__, levels))
+    atoms, weights = (list(itertools.compress(items, keep))
+                      for items in (plan.base, weights))
+    fresh, field = k if plan.same_head else 0, len(plan.base).bit_length() + 1
+    low = sum(1 << (len(plan.base) + field * j) for j in range(fresh))
+    tops = low << (field - 1)  # the top bit of each field
+    add = tops - low
+    smallest = -(-fresh // (widest or 1))  # atoms needed to use them all
+    for size in range(smallest, len(atoms) + 1) if sizes is None else sizes:
+        summed = map(sum, itertools.combinations(weights, size))
+        if tops:  # keep the subsets that use every fresh variable
+            summed, counted = itertools.tee(summed)
+            keep = map(tops.__eq__, map(tops.__and__, map(add.__add__,
+                                                          counted)))
+        subsets = zip(itertools.combinations(atoms, size), summed)
+        yield from itertools.compress(subsets, keep) if tops else subsets
 
 
 def _scan(plan: _Plan, offset: int = 0, workers: int = 1,
-          sizes: Optional[range] = None):
-    """The stride `offset` of `workers` over the plan's (S, L) units whose
-    subset has a size in `sizes` (by default every unit), in the global
-    order (subset first, ordering second): its first failing unit as
-    `(unit index, counterexample)`, or None.  Unit indexes are global, so
-    the strides of one range and the scans of consecutive ranges merge
-    by the lowest index.
-
-    An ordering is prepared when the scan first checks a unit under it,
-    and kept for the rest of the scan; one whose queries prepare the
-    same assignments leaves the walk, and a scan with no ordering left
-    stops."""
+          head: Optional[bool] = None):
+    """The stride `offset` of `workers` over the plan's units (with
+    `head` True the head's, with False those after it): its first
+    failing unit as `((level, index within it), counterexample)`, or
+    None; strides and parts merge by the lowest."""
     q, q2 = plan.q, plan.q2
-    # per ordering, [position, ordering, firsts, its `_prepare` or None]
-    walk = [[*entry, None] for entry in plan.orderings]
     every_atom = (1 << len(plan.base)) - 1
-    weights, add, tops, shapes = _shape_weights(plan.base, plan.terms,
-                                                plan.shaped)
-    sizes = range(len(plan.base) + 1) if sizes is None else sizes
-    # the units of every smaller subset come first
-    start = len(plan.orderings) * sum(math.comb(len(plan.base), size)
-                                      for size in range(sizes.start))
-    for first, (subset, weight) in zip(
-            itertools.count(start, len(plan.orderings)),
-            _subsets(plan.base, weights, sizes)):
-        shape = shapes.get((weight + add) & tops)
-        if shape is None:
-            continue  # S renamed onto u1..uk comes earlier
-        mask = weight & every_atom
-        for entry in walk:
-            position, ordering, firsts, prepared = entry
-            unit = first + position
-            if unit % workers != offset or not firsts & shape:
-                continue
-            if prepared is None:
-                prepared = entry[3] = _prepare(plan, ordering)
-                if prepared is None:
-                    walk = [other for other in walk if other is not entry]
-                    if not walk:
-                        return None  # no ordering can separate the queries
+    states, built = [], -1
+    for k in _walked_levels(plan):
+        if head is not None and plan.same_head \
+                and (k < _HEAD_LEVELS) != head:
+            if head:
+                break
+            continue
+        sizes = (None if head is None or plan.same_head else range(2) if head
+                 else range(2, len(plan.base) + 1))
+        while built < k:
+            built += 1
+            states = _extend(plan, states, built)
+        walk = list(enumerate(states))
+        # the units of every smaller subset come first
+        start = len(states) * sum(math.comb(len(plan.base), size) for size
+                                  in range(sizes.start if sizes else 0))
+        for first, (subset, weight) in zip(
+                itertools.count(start, len(states)),
+                _level_subsets(plan, k, sizes)):
+            mask = weight & every_atom
+            for position, state in walk:
+                unit = first + position
+                if unit % workers != offset:
                     continue
-            prep1, prep2, idle, differing, memo = prepared
-            if mask & idle or differing is not None \
-                    and not _fires(differing, mask):
-                continue
-            ce = _pair_counterexample(q, q2, plan.terms, plan.rank, subset,
-                                      mask, ordering, prep1, prep2,
-                                      plan.same_head, memo)
-            if ce is not None:
-                return unit, ce
+                prep1, prep2, idle, differing, memo = (
+                    state.prepared or _prepare(plan, state, k))
+                if differing is not None and not differing:
+                    # both queries collect the same bags on every subset
+                    walk = [entry for entry in walk if entry[1] is not state]
+                    continue
+                if mask & idle or differing is not None \
+                        and not _fires(differing, mask):
+                    continue
+                ce = _pair_counterexample(q, q2, plan.terms, plan.rank,
+                                          subset, mask, state.ordering,
+                                          prep1, prep2, plan.same_head,
+                                          memo)
+                if ce is not None:
+                    return (k, unit), ce
+            if not walk:
+                break  # no ordering of this level can separate the queries
     return None
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # The process's worker pool: built by the first parallel decision that has
@@ -713,9 +692,11 @@ def _drop_pool() -> None:
     _pool = _pool_key = None
 
 
-def _scan_in_pool(plan: _Plan, workers: int, sizes: range):
-    """The lowest-index failure of the units with a subset size in
-    `sizes`, one stride per pool process, or None.
+
+
+def _scan_in_pool(plan: _Plan, workers: int):
+    """The lowest-index failure of the units after the head, one stride
+    per pool process, or None.
 
     A broken pool is dropped, never reused.  Decisions are pure, so the
     decision runs once more on a fresh pool; a second break propagates.
@@ -727,7 +708,7 @@ def _scan_in_pool(plan: _Plan, workers: int, sizes: range):
                 hits = list(_shared_pool(workers).map(
                     _scan, itertools.repeat(plan, workers), range(workers),
                     itertools.repeat(workers, workers),
-                    itertools.repeat(sizes, workers)))
+                    itertools.repeat(False, workers)))
                 break
             except BrokenProcessPool:
                 _drop_pool()

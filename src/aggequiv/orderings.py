@@ -202,9 +202,8 @@ def enumerate_complete_orderings(terms: Iterable[Term], domain: str,
 
     With `injective_only` every class is a single term and the variables
     keep their sorted order too: one strict order per orbit under renaming
-    the variables (the lex-leader).  The bounded-equivalence search uses
-    it, where merged variables are redundant and the fresh variables are
-    interchangeable.
+    the variables (the lex-leader), as the bounded-equivalence search
+    builds them one variable at a time (`place_next_variable`).
     """
     items = sorted(set(terms), key=term_sort_key)
     classes = [[t] for t in items if is_const(t)]
@@ -232,19 +231,46 @@ def enumerate_complete_orderings(terms: Iterable[Term], domain: str,
             yield CompleteOrdering(tuple(map(tuple, classes)), domain)
             return
         v = variables[k]
-        if not injective_only:
-            for cls in classes:
-                cls.append(v)
-                if holds(v):
-                    yield from place(k + 1, 0)
-                cls.pop()
-        for gap in range(first_gap, len(classes) + 1):
-            classes.insert(gap, [v])
-            if (not squeezable or _integer_room(classes)) and holds(v):
+        for gap in _placements(classes, v, first_gap, not injective_only,
+                               squeezable):
+            if holds(v):
                 yield from place(k + 1, gap + 1 if injective_only else 0)
-            del classes[gap]
 
     yield from place(0, 0)
+
+
+def _placements(classes: list, v: Term, first_gap: int, merge: bool,
+                squeezable: bool) -> Iterator[Optional[int]]:
+    """Place `v` into `classes`, undone after each yield: with `merge`
+    into each class (yielding None), then alone into each gap from
+    `first_gap` on (yielding it) that, if `squeezable`, leaves integer
+    room between its anchors."""
+    if merge:
+        for cls in classes:
+            cls.append(v)
+            yield None
+            cls.pop()
+    for gap in range(first_gap, len(classes) + 1):
+        classes.insert(gap, [v])
+        if not squeezable or _integer_room(classes):
+            yield gap
+        del classes[gap]
+
+
+def place_next_variable(ordering: CompleteOrdering, placed: int,
+                        first_gap: int) -> Iterator[tuple]:
+    """The lex-leader mode of `enumerate_complete_orderings` one variable
+    at a time: in the strict `ordering`, whose classes from `placed` on
+    are variables above every other term, move the variable of class
+    `placed` into each gap from `first_gap` on below it, as `(gap,
+    ordering)`; the last gap leaves it, and yields `ordering` itself."""
+    below = list(ordering.classes[:placed])
+    squeezable = ordering.domain == INTEGERS and len(ordering.anchors) > 1
+    for gap in _placements(below, ordering.classes[placed][0], first_gap,
+                           False, squeezable):
+        yield gap, (ordering if gap == placed else CompleteOrdering(
+            tuple(map(tuple, below)) + ordering.classes[placed + 1:],
+            ordering.domain))
 
 
 def entails(ordering: CompleteOrdering, cmp: Comparison) -> bool:
@@ -334,13 +360,6 @@ def _value_possible(domain: str, lo, hi, value: Fraction) -> bool:
     if lo is not None and hi is not None and lo == hi:
         return value == lo
     return (lo is None or value > lo) and (hi is None or value < hi)
-
-
-def possible_value(ordering: CompleteOrdering, x: Term,
-                   value: Fraction) -> bool:
-    """Can some assignment satisfying the ordering map `x` to `value`?"""
-    lo, hi = ordering.class_bounds(ordering.position(x))
-    return _value_possible(ordering.domain, lo, hi, value)
 
 
 # ---------------------------------------------------------------------------

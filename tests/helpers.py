@@ -10,10 +10,11 @@ references are exceptions: `branch_only_decide_prod`, for the prod
 decider's shortcut, builds its witnesses with the library's own;
 `filtered_complete_orderings`, for the pruned ordering generator, keeps
 orders with the library's `is_satisfiable_order` and `entails`; and
-`reference_scan`, for the scan's shape skip, memo and lazy
-preparation, compiles and prepares with the library's `_compile` and
-`_prepare_assignments` and checks each unit with the library's
-`_pair_counterexample`, passing no memo.
+`reference_scan`, for the scan's level planning, skips and memo, and
+`subset_major_scan`, a verdict reference for the level walk, compile and
+prepare with the library's `_compile` and `_prepare_assignments` and
+check each unit with the library's `_pair_counterexample`, passing no
+memo.
 """
 
 from __future__ import annotations
@@ -274,54 +275,117 @@ def reference_prepare(q, ordering: CompleteOrdering, terms, atom_bit) -> list:
 
 
 # ---------------------------------------------------------------------------
-# The (S, L) walk without the shape skip or the memo
+# The (S, L) walk without the level planning, the skips or the memo
 # ---------------------------------------------------------------------------
 
-def reference_scan(plan, offset: int, workers: int):
-    """`engine._scan` without the shape skip, the memo or the lazy
-    preparation: the stride `offset` of `workers` over the units of the
-    plan's queries in the global order, with only the idle and differing
-    skips, deciding every identity it meets, and its first failing unit
-    as `(unit index, counterexample)`, or None.
+def compile_all(plan, side: int) -> list:
+    """The plan's first (`side` 0) or second query's assignments to every
+    base term, compiled level by level."""
+    n = len(plan.terms) - plan.constants
+    return [c for k in range(n + 1)
+            for c in engine._compile(plan, plan.programs[side], k)]
 
-    It reads only the plan's queries, BASE and ranks: it compiles both
-    queries itself and prepares every lex-leader ordering before the
-    walk, with no shortcut for queries that compile alike and no stop
-    once every ordering is dropped."""
+
+def reference_scan(plan, offset: int, workers: int):
+    """`engine._scan` without the lazy planning, the level skips, the
+    ordering drop or the memo: the stride `offset` of `workers` over the
+    plan's units in the order (level, subset, ordering), with only the
+    idle and differing unit skips, deciding every identity it meets, and
+    its first failing unit as `((level, unit index), counterexample)`,
+    or None.
+
+    Level k holds the subsets of the atoms over the constants and
+    u1..uk that use every one of u1..uk, under each strict order of the
+    constants and u1..uk with the fresh variables in index order and
+    u(k+1)..un above every term; with differing heads only level n is
+    walked, over every subset of BASE.  Each level compiles both queries
+    up to it and prepares every ordering before its walk."""
+    q, q2 = plan.q, plan.q2
+    constants = plan.terms[:plan.constants]
+    fresh = plan.terms[plan.constants:]
+    bit = {atom: 1 << i for i, atom in enumerate(plan.base)}
+    n = len(fresh)
+    for k in range(n + 1) if plan.same_head else [n]:
+        compiled1, compiled2 = (
+            [c for j in range(k + 1)
+             for c in engine._compile(plan, program, j)]
+            for program in plan.programs)
+        orderings = []
+        for order in _injective_interleavings(constants, fresh[:k]):
+            classes = [[t] for t in order + fresh[k:]]
+            if is_satisfiable_order(classes, q.domain):
+                orderings.append(CompleteOrdering.of(classes, q.domain))
+        walk = []
+        for ordering in orderings:
+            position = [ordering.position(t) for t in plan.terms]
+            prep1 = engine._prepare_assignments(compiled1, position)
+            prep2 = engine._prepare_assignments(compiled2, position)
+            differing = (engine._differing_masks(prep1, prep2)
+                         if plan.same_head else None)
+            used = 0
+            for positive, negated, _, _ in prep1 + prep2:
+                used |= positive | negated
+            walk.append((ordering, prep1, prep2, used, differing))
+        level = set(constants) | set(fresh[:k])
+        atoms = [a for a in plan.base if set(a[1]) <= level]
+        subsets = [s for size in range(len(atoms) + 1)
+                   for s in itertools.combinations(atoms, size)
+                   if not plan.same_head
+                   or {t for _, args in s for t in args} >= set(fresh[:k])]
+        for number, subset in enumerate(subsets):
+            mask = sum(bit[atom] for atom in subset)
+            for position, (ordering, prep1, prep2, used, differing) in \
+                    enumerate(walk):
+                unit = number * len(walk) + position
+                if (unit % workers != offset or mask & ~used
+                        or differing is not None
+                        and not engine._fires(differing, mask)):
+                    continue
+                ce = engine._pair_counterexample(
+                    q, q2, plan.terms, plan.rank, subset, mask, ordering,
+                    prep1, prep2, plan.same_head)
+                if ce is not None:
+                    return (k, unit), ce
+    return None
+
+
+def subset_major_scan(plan):
+    """The first failing unit of the walk over every subset of BASE (by
+    size) and, per subset, every lex-leader ordering of all base terms,
+    with only the idle and differing unit skips and no memo, as
+    `(unit index, counterexample)`, or None.  Its counterexample can
+    differ from the level walk's, never its verdict."""
     from aggequiv.orderings import enumerate_complete_orderings
 
     q, q2 = plan.q, plan.q2
-    atom_bit = {atom: 1 << i for i, atom in enumerate(plan.base)}
-    compiled1 = engine._compile(q, plan.terms, atom_bit)
-    compiled2 = engine._compile(q2, plan.terms, atom_bit)
-    orderings = list(enumerate_complete_orderings(plan.terms, q.domain,
-                                                  injective_only=True))
+    compiled1, compiled2 = compile_all(plan, 0), compile_all(plan, 1)
     walk = []
-    for position, ordering in enumerate(orderings):
-        term_position = [ordering.position(t) for t in plan.terms]
-        prep1 = engine._prepare_assignments(compiled1, term_position)
-        prep2 = engine._prepare_assignments(compiled2, term_position)
+    for ordering in enumerate_complete_orderings(plan.terms, q.domain,
+                                                 injective_only=True):
+        position = [ordering.position(t) for t in plan.terms]
+        prep1 = engine._prepare_assignments(compiled1, position)
+        prep2 = engine._prepare_assignments(compiled2, position)
         differing = (engine._differing_masks(prep1, prep2)
                      if plan.same_head else None)
         used = 0
         for positive, negated, _, _ in prep1 + prep2:
             used |= positive | negated
-        walk.append((position, ordering, prep1, prep2, used, differing))
-    bits = [1 << i for i in range(len(plan.base))]
-    subsets = engine._subsets(plan.base, bits, range(len(bits) + 1))
-    for first, (subset, mask) in zip(itertools.count(0, len(orderings)),
-                                     subsets):
-        for position, ordering, prep1, prep2, used, differing in walk:
-            unit = first + position
-            if (unit % workers != offset or mask & ~used
-                    or differing is not None
-                    and not engine._fires(differing, mask)):
-                continue
-            ce = engine._pair_counterexample(
-                q, q2, plan.terms, plan.rank, subset, mask, ordering, prep1,
-                prep2, plan.same_head)
-            if ce is not None:
-                return unit, ce
+        walk.append((ordering, prep1, prep2, used, differing))
+    unit = 0
+    for size in range(len(plan.base) + 1):
+        for subset in itertools.combinations(range(len(plan.base)), size):
+            mask = sum(1 << i for i in subset)
+            atoms = tuple(plan.base[i] for i in subset)
+            for ordering, prep1, prep2, used, differing in walk:
+                unit += 1
+                if mask & ~used or differing is not None \
+                        and not engine._fires(differing, mask):
+                    continue
+                ce = engine._pair_counterexample(
+                    q, q2, plan.terms, plan.rank, atoms, mask, ordering,
+                    prep1, prep2, plan.same_head)
+                if ce is not None:
+                    return unit - 1, ce
     return None
 
 

@@ -103,7 +103,7 @@ def test_a_pool_that_breaks_twice_is_an_internal_error(tmp_path, capsys,
                                                      monkeypatch):
     """The engine retries a decision once on a fresh pool; a second
     break is reported, never turned into a verdict.  The pair's first
-    failure has two facts, so the decision reaches the pool."""
+    failure needs two fresh values, so the decision reaches the pool."""
     from concurrent.futures.process import BrokenProcessPool
 
     from aggequiv import engine
@@ -122,9 +122,9 @@ def test_a_pool_that_breaks_twice_is_an_internal_error(tmp_path, capsys,
                         BreakingPool)
     monkeypatch.setattr(engine, "_pool", None)
     monkeypatch.setattr(engine, "_pool_key", None)
-    a = write(tmp_path, "a.q", "q(; count()) :- p(X), !b(X)\n")
-    b = write(tmp_path, "b.q", "q(; count()) :- p(X)\n")
-    assert main(["nequiv", a, b, "--n", "1", "--workers", "2", "--json"]) == 2
+    a = write(tmp_path, "a.q", "q(; count()) :- p(X), p(Y), X < Y\n")
+    b = write(tmp_path, "b.q", "q(; count()) :- p(X), p(Y), X != Y\n")
+    assert main(["nequiv", a, b, "--n", "2", "--workers", "2", "--json"]) == 2
     assert json.loads(capsys.readouterr().out)["status"] == "internal_error"
     assert len(built) == 2
 

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from helpers import (
-    FUNCTION_NAMES, random_text, reference_prepare, reference_scan,
+    FUNCTION_NAMES, compile_all, random_text, reference_prepare,
+    reference_scan, subset_major_scan,
 )
 
 from aggequiv import engine, identity, oracle
@@ -62,13 +63,13 @@ def collect_groups(q, ordering, subset):
     """The groups the (S, L) scan collects for `q` on one unit whose
     ordering holds only fresh variables, keys and items mapped back to
     terms."""
-    terms, base = engine.build_base(q, q, len(ordering.terms()))
-    atom_bit = {atom: 1 << i for i, atom in enumerate(base)}
+    plan = engine._plan(q, q, len(ordering.terms()))
+    atom_bit = {atom: 1 << i for i, atom in enumerate(plan.base)}
     prepared = engine._prepare_assignments(
-        engine._compile(q, terms, atom_bit),
-        [ordering.position(t) for t in terms])
+        compile_all(plan, 0), [ordering.position(t) for t in plan.terms])
     groups = engine._collect_groups(prepared,
                                     sum(atom_bit[atom] for atom in subset))
+    terms = plan.terms
     return {as_terms(terms, key): [as_terms(terms, item) for item in bag]
             for key, bag in groups.items()}
 
@@ -103,8 +104,9 @@ def test_evaluate_symbolic_negation_blocks():
 def test_compiled_preparation_matches_reference():
     """Random queries over both domains, with constants, every comparison
     operator, negation, grouping and repeated variables, N <= 3: on every
-    lex-leader ordering the compiled preparation, mapped back to terms, is
-    the concretely decided reference, list for list."""
+    lex-leader ordering each level's compiled preparation, mapped back to
+    terms, is the concretely decided reference's assignments that use uk
+    (at level 0, the constants only), as a multiset."""
     rng = random.Random(606)
     heads = ["q(; count()) :- ", "q(; sum(Y)) :- ", "q(X; max(Y)) :- ",
              "q(X; count()) :- "]
@@ -132,18 +134,25 @@ def test_compiled_preparation_matches_reference():
         q = parse_query(rng.choice(heads) + " | ".join(
             disjunct() for _ in range(rng.randint(1, 2))), domain=domain)
         n = rng.randint(0, 3)
-        terms, base = engine.build_base(q, q, n)
-        atom_bit = {atom: 1 << i for i, atom in enumerate(base)}
-        compiled = engine._compile(q, terms, atom_bit)
+        plan = engine._plan(q, q, n)
+        terms = plan.terms
+        atom_bit = {atom: 1 << i for i, atom in enumerate(plan.base)}
+        levels = [engine._compile(plan, plan.programs[0], k)
+                  for k in range(n + 1)]
         for ordering in enumerate_complete_orderings(terms, domain,
                                                      injective_only=True):
-            prepared = engine._prepare_assignments(
-                compiled, [ordering.position(t) for t in terms])
-            assert [(positive, negated, as_terms(terms, key),
+            position = [ordering.position(t) for t in terms]
+            before = Counter()  # the reference over the earlier levels
+            for k, compiled in enumerate(levels):
+                reference = Counter(reference_prepare(
+                    q, ordering, terms[:plan.constants + k], atom_bit))
+                prepared = engine._prepare_assignments(compiled, position)
+                assert Counter(
+                    (positive, negated, as_terms(terms, key),
                      as_terms(terms, item))
-                    for positive, negated, key, item in prepared] == \
-                reference_prepare(q, ordering, terms, atom_bit), (
-                    str(q), str(ordering))
+                    for positive, negated, key, item in prepared) == \
+                    reference - before, (str(q), str(ordering), k)
+                before = reference
             checked_orderings += 1
     assert checked_orderings > 250
 
@@ -154,20 +163,19 @@ def test_group_keys_are_visited_in_term_order():
     first in BASE."""
     q = parse_query("q(X; count()) :- p(X)")
     q2 = parse_query("q(X; count()) :- p(X), !b(X)")
-    terms, base = engine.build_base(q, q2, 10)
-    atom_bit = {atom: 1 << i for i, atom in enumerate(base)}
+    plan = engine._plan(q, q2, 10)
+    terms = plan.terms
+    atom_bit = {atom: 1 << i for i, atom in enumerate(plan.base)}
     u2, u10 = Var("u2"), Var("u10")
     subset = [("b", (u2,)), ("b", (u10,)), ("p", (u2,)), ("p", (u10,))]
     ordering = next(enumerate_complete_orderings(terms, "rat",
                                                  injective_only=True))
     position = [ordering.position(t) for t in terms]
     ce = engine._pair_counterexample(
-        q, q2, terms, engine._ranks(terms), subset,
+        q, q2, terms, plan.rank, subset,
         sum(atom_bit[atom] for atom in subset), ordering,
-        engine._prepare_assignments(engine._compile(q, terms, atom_bit),
-                                    position),
-        engine._prepare_assignments(engine._compile(q2, terms, atom_bit),
-                                    position))
+        engine._prepare_assignments(compile_all(plan, 0), position),
+        engine._prepare_assignments(compile_all(plan, 1), position))
     assert ce == engine.Counterexample(
         Database.of([("b", [1]), ("b", [2]), ("p", [1]), ("p", [2])]),
         (F(1),), 1, None)
@@ -445,11 +453,12 @@ def random_shape_pair(rng):
             return text1, text2, domain, n
 
 
-def test_shape_skip_keeps_the_first_failing_unit():
-    """Random pairs (`random_shape_pair`): the scan, which checks each
-    (S, L) shape once, finds the same first failing unit (index and
-    counterexample) as the reference walk over every unit, over one and
-    two strides, and a decision on two pool workers reports it too."""
+def test_level_walk_keeps_the_first_failing_unit():
+    """Random pairs (`random_shape_pair`): the scan, which plans each
+    level when it reaches it, skips levels and keeps a memo, finds the
+    same first failing unit (level, index and counterexample) as the
+    reference walk over every unit of every level, over one and two
+    strides, and a decision on two pool workers reports it too."""
     rng = random.Random(1996)
     outcomes = Counter()
     for _ in range(200):
@@ -467,6 +476,55 @@ def test_shape_skip_keeps_the_first_failing_unit():
     # (same head, equivalent): differing heads almost always fail
     assert min(outcomes[True, True], outcomes[True, False],
                outcomes[False, False]) >= 10, outcomes
+
+
+def test_level_walk_and_subset_major_walk_agree_on_every_verdict():
+    """600 random pairs (`random_shape_pair`), both domains, matching and
+    differing heads: the level walk fails exactly where the walk over
+    every subset of BASE under every lex-leader ordering of all base
+    terms fails."""
+    outcomes = Counter()
+    for seed in (11, 12, 13):
+        rng = random.Random(seed)
+        for _ in range(200):
+            text1, text2, domain, n = random_shape_pair(rng)
+            q = parse_query(text1, domain=domain)
+            q2 = parse_query(text2, domain=domain)
+            verdict = engine.n_equivalent(q, q2, n)
+            failure = subset_major_scan(engine._plan(q, q2, n))
+            assert verdict.equivalent == (failure is None), (
+                text1, text2, domain, n)
+            outcomes[engine._same_head(q, q2), verdict.equivalent] += 1
+    assert min(outcomes.values()) >= 20 and len(outcomes) == 4, outcomes
+
+
+def test_counterexamples_use_the_fewest_fresh_values():
+    """Random pairs with matching heads (`random_shape_pair`): a
+    counterexample whose database and group hold m values besides the
+    query constants is found at level m, the first that fails, so the
+    pair is not m-equivalent and, for m > 0, is (m - 1)-equivalent."""
+    refuted = 0
+    for seed in (1996, 6, 7, 8):
+        rng = random.Random(seed)
+        for _ in range(300):
+            text1, text2, domain, n = random_shape_pair(rng)
+            q = parse_query(text1, domain=domain)
+            q2 = parse_query(text2, domain=domain)
+            if not engine._same_head(q, q2):
+                continue
+            verdict = engine.n_equivalent(q, q2, n)
+            if verdict.equivalent:
+                continue
+            refuted += 1
+            ce = verdict.counterexample
+            constants = {t.value for t in q.constants() | q2.constants()}
+            values = {v for _, args in ce.database.facts for v in args}
+            m = len((values | set(ce.group)) - constants)
+            assert m <= n
+            assert not engine.n_equivalent(q, q2, m).equivalent
+            assert m == 0 or engine.n_equivalent(q, q2, m - 1).equivalent, (
+                text1, text2, domain, n, ce)
+    assert refuted > 400
 
 
 @pytest.mark.parametrize("seed", [9, 10])
@@ -501,12 +559,12 @@ def test_differing_heads_are_separated_off_the_canonical_instance():
     assert engine.n_equivalent(q, q2, 1).status == engine.NOT_EQUIVALENT
 
 
-def test_shape_skip_keeps_the_first_failing_unit_at_ten_fresh_variables():
-    """From N = 10 on the walked orderings put u10 between u1 and u2, so
-    two values in (0, 3) sit on u1 and u10, never on u1 and u2.  At N = 9
-    and N = 10 over the integers the scan finds the reference walk's first
-    failing unit, over one and two strides, and at N = 10 the counterexample
-    holds p(1) and p(2) alone."""
+def test_level_walk_keeps_the_first_failing_unit_at_ten_fresh_variables():
+    """The levels place u1..uk in index order, though u10 sorts before u2
+    by name.  At N = 9 and N = 10 over the integers the scan finds the
+    reference walk's first failing unit, over one and two strides, and at
+    N = 10 the counterexample holds p(1) and p(2) alone: two values in
+    (0, 3), on u1 and u2 at level 2."""
     run = "p(Y), Y > 0, Y < 3, p(Z), Z > 0, Z < 3, Z < Y"
     pairs = [
         (f"q(; max(Y)) :- {run}", f"q(; max(Y)) :- {run}, p(W), W > 3"),
@@ -598,8 +656,8 @@ def test_idle_atoms_keep_verdicts_exact(checked):
 def test_units_where_no_prepared_assignment_differs_are_not_checked(
         checked, monkeypatch):
     """Both queries compile to the same assignments, so they prepare the
-    same ones under every ordering: the plan holds no ordering, no unit
-    is checked, and a two-worker decision never asks for the pool."""
+    same ones under every ordering: the walk has no level, no unit is
+    checked, and a two-worker decision never asks for the pool."""
     def no_pool(workers):
         raise AssertionError("the pool was asked for")
     monkeypatch.setattr(engine, "_shared_pool", no_pool)
@@ -611,7 +669,7 @@ def test_units_where_no_prepared_assignment_differs_are_not_checked(
     ]
     for text1, text2, n in pairs:
         q, q2 = parse_query(text1), parse_query(text2)
-        assert engine._plan(q, q2, n).orderings == ()
+        assert list(engine._walked_levels(engine._plan(q, q2, n))) == []
         for workers in (1, 2):
             verdict = engine.n_equivalent(q, q2, n, workers=workers)
             assert verdict.status == engine.EQUIVALENT
@@ -622,10 +680,12 @@ def test_scan_stops_once_every_ordering_is_dropped(checked, monkeypatch):
     """The queries compile to different assignments, yet under every
     ordering each fresh variable satisfies exactly one of X > 0 and
     X <= 0, so both prepare the same ones and no ordering is kept.  The
-    scan drops each ordering as it meets it and stops once none is left,
-    before the last of the 32 subsets of BASE."""
+    scan drops each ordering as it meets it and leaves each level once
+    none is left, at its first subset: four subsets over levels 1 to 4
+    (at level 0 both queries compile to X = 0 alone), of the 32 subsets
+    of BASE."""
     walked = []
-    subsets = engine._subsets
+    subsets = engine._level_subsets
 
     def counting(*args):
         for subset in subsets(*args):
@@ -636,7 +696,7 @@ def test_scan_stops_once_every_ordering_is_dropped(checked, monkeypatch):
                         domain=domain)
         q2 = parse_query("q(; count()) :- p(X)", domain=domain)
         plan = engine._plan(q, q2, 4)
-        assert plan.orderings != ()
+        assert list(engine._walked_levels(plan)) == [1, 2, 3, 4]
         for workers in (1, 2):
             verdict = engine.n_equivalent(q, q2, 4, workers=workers)
             assert verdict.status == engine.EQUIVALENT
@@ -644,14 +704,15 @@ def test_scan_stops_once_every_ordering_is_dropped(checked, monkeypatch):
         walked.clear()
         # patched here only, so no pool process is forked with it
         with monkeypatch.context() as patch:
-            patch.setattr(engine, "_subsets", counting)
+            patch.setattr(engine, "_level_subsets", counting)
             assert engine._scan(plan, 0, 1) is None
-        assert 0 < len(walked) < 2 ** 5
+        assert len(walked) == 4
 
 
 def test_early_hit_prepares_only_the_orderings_it_checks(monkeypatch):
-    """The scan's first failure is {p(0)} under the first of the pair's
-    35 orderings, so that ordering alone is prepared, once per query."""
+    """The scan's first failure is {p(0)} at level 0, under its one
+    ordering, so that ordering alone is prepared, once per query; level
+    4 would hold 35 orderings, and no level after 0 is planned."""
     calls = []
     prepare_assignments = engine._prepare_assignments
 
@@ -660,10 +721,17 @@ def test_early_hit_prepares_only_the_orderings_it_checks(monkeypatch):
         return prepare_assignments(compiled, position)
     q = parse_query("q(; sum(Y)) :- p(Y), Y > 2 | p(Y), Y < 0")
     q2 = parse_query("q(; sum(Y)) :- p(Y), Y != 1")
-    assert len(engine._plan(q, q2, 4).orderings) == 35
+    plan = engine._plan(q, q2, 4)
+    states = []
+    for k in range(5):
+        states = engine._extend(plan, states, k)
+    assert len(states) == 35
     monkeypatch.setattr(engine, "_prepare_assignments", counting)
+    plan = engine._plan(q, q2, 4)
+    monkeypatch.setattr(engine, "_plan", lambda *args: plan)
     verdict = engine.n_equivalent(q, q2, 4)
     assert len(calls) == 2 and calls[0] == calls[1]
+    assert len(plan.compiled) == 1
     monkeypatch.undo()
     verify_ce(q, q2, verdict)
     assert verdict == engine.n_equivalent(q, q2, 4, workers=2)
@@ -702,26 +770,24 @@ def test_differential_skip_is_sound():
             shared + [random_disjunct(grouped)] * rng.randint(0, 2)),
             domain=domain)
         n = 1 if grouped else rng.randint(1, 2)
-        terms, base = engine.build_base(q, q2, n)
-        atom_bit = {atom: 1 << i for i, atom in enumerate(base)}
-        compiled1 = engine._compile(q, terms, atom_bit)
-        compiled2 = engine._compile(q2, terms, atom_bit)
-        rank = engine._ranks(terms)
+        plan = engine._plan(q, q2, n)
+        terms, base = plan.terms, plan.base
+        compiled1, compiled2 = compile_all(plan, 0), compile_all(plan, 1)
         for ordering in enumerate_complete_orderings(terms, domain,
                                                      injective_only=True):
             position = [ordering.position(t) for t in terms]
             prep1 = engine._prepare_assignments(compiled1, position)
             prep2 = engine._prepare_assignments(compiled2, position)
             differing = engine._differing_masks(prep1, prep2)
-            for subset, mask in engine._subsets(
-                    base, [1 << i for i in range(len(base))],
-                    range(len(base) + 1)):
+            for mask in range(2 ** len(base)):
+                subset = [atom for i, atom in enumerate(base)
+                          if mask >> i & 1]
                 if engine._fires(differing, mask):
                     continue
                 skipped += 1
                 partly_skipped += bool(differing)
                 assert engine._pair_counterexample(
-                    q, q2, terms, rank, subset, mask, ordering, prep1,
+                    q, q2, terms, plan.rank, subset, mask, ordering, prep1,
                     prep2) is None, (str(q), str(q2), str(ordering), subset)
     assert partly_skipped > 0 and skipped > partly_skipped
 
@@ -934,15 +1000,25 @@ def test_nothing_to_check_starts_no_process(monkeypatch):
 MAX_LT1 = ("q(; max(Y)) :- p(Y), Y < 1", "q(; max(Y)) :- p(Y), Y <= 0")
 MAX_LT1_CE = engine.Counterexample(
     Database(frozenset({("p", (F(1, 2),))})), (), F(1, 2), None)
-# the first failure has two facts, so a parallel decision reaches the pool
-TWO_FACT = ("q(; count()) :- p(X), !b(X)", "q(; count()) :- p(X)")
-TWO_FACT_CE = engine.Counterexample(
-    Database(frozenset({("b", (F(0),)), ("p", (F(0),))})), (), None, 1)
+# the first failure needs two fresh values, so it lies past the head (the
+# levels of no and one fresh value) and a parallel decision reaches the pool
+TWO_VALUES = ("q(; count()) :- p(X), p(Y), X < Y",
+              "q(; count()) :- p(X), p(Y), X != Y")
+TWO_VALUES_CE = engine.Counterexample(
+    Database(frozenset({("p", (F(0),)), ("p", (F(1),))})), (), 1, 2)
+
+
+@pytest.fixture
+def many_cpus(monkeypatch):
+    """Three usable CPUs, whatever the host has, so a decision at three
+    workers runs three strides."""
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
 
 
 def test_one_fact_failure_starts_no_process(monkeypatch):
-    """The first failure has one fact, so the caller finds it in the head
-    and a parallel decision never builds a pool."""
+    """The first failure has one fact and one fresh value, so the caller
+    finds it in the head and a parallel decision never builds a pool;
+    nor does a failure with one fresh value and two facts."""
     def refuse(*args, **kwargs):
         raise AssertionError("a worker pool was started")
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
@@ -952,9 +1028,51 @@ def test_one_fact_failure_starts_no_process(monkeypatch):
     for workers in (2, 3):
         verdict = engine.n_equivalent(q, q2, 5, workers=workers)
         assert verdict.counterexample == MAX_LT1_CE
+    q, q2 = parse_query("q(; count()) :- p(X), !b(X)"), parse_query(
+        "q(; count()) :- p(X)")
+    assert engine.n_equivalent(q, q2, 4, workers=2).counterexample == \
+        engine.Counterexample(Database(frozenset(
+            {("b", (F(0),)), ("p", (F(0),))})), (), None, 1)
 
 
-def test_two_fact_failure_is_found_in_the_pool(monkeypatch):
+def test_workers_beyond_the_usable_cpus_start_no_more_processes(
+        monkeypatch):
+    """A decision asking for a million workers builds its pool with at
+    most the usable CPUs, runs one stride per process and decides as one
+    worker does.  The executor is an in-process fake: no process starts."""
+    built = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self):
+            pass
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        SerialPool)
+    monkeypatch.setattr(engine, "_pool", None)
+    monkeypatch.setattr(engine, "_pool_key", None)
+    strides = []
+    scan = engine._scan
+
+    def recording(plan, offset=0, workers=1, head=None):
+        strides.append((offset, workers, head))
+        return scan(plan, offset, workers, head)
+    monkeypatch.setattr(engine, "_scan", recording)
+    q, q2 = map(parse_query, TWO_VALUES)
+    verdict = engine.n_equivalent(q, q2, 3, workers=10 ** 6)
+    cpus = engine._usable_cpus()
+    assert built == [cpus]
+    assert strides == [(0, 1, True)] + [(offset, cpus, False)
+                                        for offset in range(cpus)]
+    assert verdict == engine.n_equivalent(q, q2, 3)
+    assert verdict.counterexample == TWO_VALUES_CE
+
+
+def test_two_fact_failure_is_found_in_the_pool(monkeypatch, many_cpus):
     """No unit of the head fails, so the strides after the head run in
     the pool and report the one-worker counterexample."""
     asked = []
@@ -964,27 +1082,27 @@ def test_two_fact_failure_is_found_in_the_pool(monkeypatch):
         asked.append(workers)
         return shared_pool(workers)
     monkeypatch.setattr(engine, "_shared_pool", recording)
-    q, q2 = map(parse_query, TWO_FACT)
+    q, q2 = map(parse_query, TWO_VALUES)
     for workers in (2, 3):
-        for n in (1, 4):
+        for n in (2, 4):
             assert engine.n_equivalent(q, q2, n).counterexample \
-                == TWO_FACT_CE
+                == TWO_VALUES_CE
             asked.clear()
             verdict = engine.n_equivalent(q, q2, n, workers=workers)
-            assert verdict.counterexample == TWO_FACT_CE
+            assert verdict.counterexample == TWO_VALUES_CE
             assert asked == [workers]
 
 
 def test_broken_pool_is_replaced():
     """A pool whose worker died is dropped, and the decision runs on a
     fresh one."""
-    q, q2 = map(parse_query, TWO_FACT)
+    q, q2 = map(parse_query, TWO_VALUES)
     pool = engine._shared_pool(2)
     with pytest.raises(BrokenProcessPool):
         pool.submit(os._exit, 1).result(timeout=60)
     verdict = engine.n_equivalent(q, q2, 4, workers=2)
     assert verdict == engine.n_equivalent(q, q2, 4)
-    assert verdict.counterexample == TWO_FACT_CE
+    assert verdict.counterexample == TWO_VALUES_CE
     assert engine._shared_pool(2) is not pool
 
 
@@ -992,9 +1110,9 @@ def test_broken_pool_is_replaced():
 def test_forked_child_builds_its_own_pool():
     """A child forked while the parent holds a pool cannot use the
     parent's copy; it builds its own and decides the same."""
-    q, q2 = map(parse_query, TWO_FACT)
+    q, q2 = map(parse_query, TWO_VALUES)
     assert engine.n_equivalent(q, q2, 4, workers=2).counterexample \
-        == TWO_FACT_CE
+        == TWO_VALUES_CE
     pool = engine._shared_pool(2)
     pid = os.fork()
     if pid == 0:  # the child never returns into the test runner
@@ -1003,7 +1121,7 @@ def test_forked_child_builds_its_own_pool():
             verdict = engine.n_equivalent(q, q2, 4, workers=2)
             own = engine._shared_pool(2) is not pool
             engine._drop_pool()
-            code = 0 if own and verdict.counterexample == TWO_FACT_CE else 3
+            code = 0 if own and verdict.counterexample == TWO_VALUES_CE else 3
         finally:
             os._exit(code)
     deadline = time.monotonic() + 120
@@ -1016,7 +1134,7 @@ def test_forked_child_builds_its_own_pool():
     assert os.waitstatus_to_exitcode(status[1]) == 0
     assert engine._shared_pool(2) is pool
     assert engine.n_equivalent(q, q2, 4, workers=2).counterexample \
-        == TWO_FACT_CE
+        == TWO_VALUES_CE
 
 
 def test_parallel_decision_under_spawn():
@@ -1032,10 +1150,10 @@ from fractions import Fraction as F
 from aggequiv import engine
 from aggequiv.model import Database
 from aggequiv.parsing import parse_query
-q, q2 = map(parse_query, {TWO_FACT!r})
+q, q2 = map(parse_query, {TWO_VALUES!r})
 verdict = engine.n_equivalent(q, q2, 4, workers=2)
 print(verdict.counterexample == engine.Counterexample(
-    Database(frozenset({{("b", (F(0),)), ("p", (F(0),))}})), (), None, 1))
+    Database(frozenset({{("p", (F(0),)), ("p", (F(1),))}})), (), 1, 2))
 """
     for method in methods:
         done = run_fresh(code, method)
@@ -1054,8 +1172,8 @@ def test_start_up_leaves_the_pool_machinery_unloaded(tmp_path):
     engine, goes first, and a pool not shut down at exit would then be
     collected against it half cleared."""
     a, b = tmp_path / "a.q", tmp_path / "b.q"
-    a.write_text(TWO_FACT[0] + "\n")
-    b.write_text(TWO_FACT[1] + "\n")
+    a.write_text(TWO_VALUES[0] + "\n")
+    b.write_text(TWO_VALUES[1] + "\n")
     code = f"""
 import sys
 def pool_modules():
@@ -1065,7 +1183,7 @@ import aggequiv
 print(pool_modules())
 from aggequiv import cli, engine
 print(pool_modules())
-argv = ["nequiv", {str(a)!r}, {str(b)!r}, "--n", "1", "--json"]
+argv = ["nequiv", {str(a)!r}, {str(b)!r}, "--n", "2", "--json"]
 cli.main(argv)
 print(pool_modules())
 cli.main(argv + ["--workers", "2"])
@@ -1080,7 +1198,7 @@ sys.stdout.held = engine  # outlives the collection at exit
     assert lines[5] == "True"
     one, two = (json.loads(line) for line in (lines[2], lines[4]))
     assert one["counterexample"] == {
-        "facts": ["b(0).", "p(0)."], "grouping": [], "values": [None, "1"]}
+        "facts": ["p(0).", "p(1)."], "grouping": [], "values": ["1", "2"]}
     assert two["counterexample"] == one["counterexample"]
 
 

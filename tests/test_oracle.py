@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import compile_all
+
 from aggequiv import engine
 from aggequiv.aggregation import FUNCTIONS, apply
 from aggequiv.model import Database, term_size_pair
@@ -237,16 +239,17 @@ def test_symbolic_and_concrete_evaluators_agree():
         parse_query("q(X; sum(Y)) :- p(X, Y), !b(Y), X != Y"),
     ]
     for q in queries:
-        terms, base = engine.build_base(q, q, 2)
+        plan = engine._plan(q, q, 2)
+        terms, base = plan.terms, plan.base
         atom_bit = {atom: 1 << i for i, atom in enumerate(base)}
+        compiled = compile_all(plan, 0)
         orderings = [o for o in enumerate_complete_orderings(terms, q.domain)
                      if o.is_injective()]
         for _ in range(25):
             subset = frozenset(a for a in base if rng.random() < 0.5)
             ordering = rng.choice(orderings)
             prepared = engine._prepare_assignments(
-                engine._compile(q, terms, atom_bit),
-                [ordering.position(t) for t in terms])
+                compiled, [ordering.position(t) for t in terms])
             symbolic = engine._collect_groups(
                 prepared, sum(atom_bit[atom] for atom in subset))
             delta = satisfying_assignment(ordering)

@@ -9,7 +9,7 @@ import pytest
 from aggequiv.model import Comparison, Const, INTEGERS, RATIONALS, Var
 from aggequiv.orderings import (
     CompleteOrdering, enumerate_complete_orderings, entails, is_reduced,
-    pinned_assignment, possible_value, reduce_terms, satisfying_assignment,
+    pinned_assignment, reduce_terms, satisfying_assignment,
     witness_pair,
 )
 from helpers import (
@@ -299,9 +299,10 @@ def test_an_ordering_through_pickle_keeps_its_reduction_and_assignment(order):
 
 def test_possible_values_and_pinned_assignment():
     order = L([[C(0)], [x], [y]], RATIONALS)
-    assert possible_value(order, x, F(1, 2))
-    assert not possible_value(order, x, F(0))
-    assert not possible_value(order, x, F(-3))
+    assert pinned_assignment(order, x, F(1, 2))[x] == F(1, 2)
+    for impossible in (F(0), F(-3)):
+        with pytest.raises(ValueError, match="not a possible value"):
+            pinned_assignment(order, x, impossible)
     pinned = pinned_assignment(order, x, F(7))
     assert pinned[x] == F(7) and pinned[y] > F(7)
     with pytest.raises(ValueError, match="not a possible value"):
@@ -338,8 +339,10 @@ def test_witness_pair_satisfies_ordering_and_differs_only_at_x():
                 second = base + 1 if (hi is None or base + 1 <= hi or
                                       (domain == RATIONALS and base + 1 < hi)) \
                     else base - 1
-                if not possible_value(reduced, var, second):
-                    continue
+                try:
+                    pinned_assignment(reduced, var, second)
+                except ValueError:
+                    continue  # not a possible value of var
                 d1, d2 = witness_pair(reduced, var, base, second)
                 assert d1[var] == base and d2[var] == second
                 for t in reduced.terms():
