@@ -315,17 +315,7 @@ def reference_scan(plan, offset: int, workers: int):
             classes = [[t] for t in order + fresh[k:]]
             if is_satisfiable_order(classes, q.domain):
                 orderings.append(CompleteOrdering.of(classes, q.domain))
-        walk = []
-        for ordering in orderings:
-            position = [ordering.position(t) for t in plan.terms]
-            prep1 = engine._prepare_assignments(compiled1, position)
-            prep2 = engine._prepare_assignments(compiled2, position)
-            differing = (engine._differing_masks(prep1, prep2)
-                         if plan.same_head else None)
-            used = 0
-            for positive, negated, _, _ in prep1 + prep2:
-                used |= positive | negated
-            walk.append((ordering, prep1, prep2, used, differing))
+        walk = _prepare_all(plan, orderings, compiled1, compiled2)
         level = set(constants) | set(fresh[:k])
         atoms = [a for a in plan.base if set(a[1]) <= level]
         subsets = [s for size in range(len(atoms) + 1)
@@ -349,19 +339,12 @@ def reference_scan(plan, offset: int, workers: int):
     return None
 
 
-def subset_major_scan(plan):
-    """The first failing unit of the walk over every subset of BASE (by
-    size) and, per subset, every lex-leader ordering of all base terms,
-    with only the idle and differing unit skips and no memo, as
-    `(unit index, counterexample)`, or None.  Its counterexample can
-    differ from the level walk's, never its verdict."""
-    from aggequiv.orderings import enumerate_complete_orderings
-
-    q, q2 = plan.q, plan.q2
-    compiled1, compiled2 = compile_all(plan, 0), compile_all(plan, 1)
+def _prepare_all(plan, orderings, compiled1, compiled2) -> list:
+    """Per ordering `(ordering, prep1, prep2, used, differing)`: both
+    queries' prepared assignments, the mask of the atoms they read and,
+    with matching heads, the masks they disagree on."""
     walk = []
-    for ordering in enumerate_complete_orderings(plan.terms, q.domain,
-                                                 injective_only=True):
+    for ordering in orderings:
         position = [ordering.position(t) for t in plan.terms]
         prep1 = engine._prepare_assignments(compiled1, position)
         prep2 = engine._prepare_assignments(compiled2, position)
@@ -371,6 +354,21 @@ def subset_major_scan(plan):
         for positive, negated, _, _ in prep1 + prep2:
             used |= positive | negated
         walk.append((ordering, prep1, prep2, used, differing))
+    return walk
+
+
+def subset_major_scan(plan):
+    """The first failing unit of the walk over every subset of BASE (by
+    size) and, per subset, every lex-leader ordering of all base terms,
+    with only the idle and differing unit skips and no memo, as
+    `(unit index, counterexample)`, or None.  Its counterexample can
+    differ from the level walk's, never its verdict."""
+    from aggequiv.orderings import enumerate_complete_orderings
+
+    q, q2 = plan.q, plan.q2
+    walk = _prepare_all(plan, enumerate_complete_orderings(
+        plan.terms, q.domain, injective_only=True),
+        compile_all(plan, 0), compile_all(plan, 1))
     unit = 0
     for size in range(len(plan.base) + 1):
         for subset in itertools.combinations(range(len(plan.base)), size):

@@ -1008,12 +1008,6 @@ TWO_VALUES_CE = engine.Counterexample(
     Database(frozenset({("p", (F(0),)), ("p", (F(1),))})), (), 1, 2)
 
 
-@pytest.fixture
-def many_cpus(monkeypatch):
-    """Three usable CPUs, whatever the host has, so a decision at three
-    workers runs three strides."""
-    monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
-
 
 def test_one_fact_failure_starts_no_process(monkeypatch):
     """The first failure has one fact and one fresh value, so the caller
@@ -1072,9 +1066,11 @@ def test_workers_beyond_the_usable_cpus_start_no_more_processes(
     assert verdict.counterexample == TWO_VALUES_CE
 
 
-def test_two_fact_failure_is_found_in_the_pool(monkeypatch, many_cpus):
+def test_two_fact_failure_is_found_in_the_pool(monkeypatch):
     """No unit of the head fails, so the strides after the head run in
-    the pool and report the one-worker counterexample."""
+    the pool and report the one-worker counterexample.  Three CPUs are
+    usable, whatever the host has, so three workers run three strides."""
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
     asked = []
     shared_pool = engine._shared_pool
 
