@@ -57,23 +57,13 @@ class Monoid:
         return acc
 
 
-def _top2_plus(p, q):
-    # two greatest different elements among the (up to four) components
-    vals = sorted({v for v in (*p, *q) if v is not None}, reverse=True)
-    if not vals:
-        return (None, None)
-    if len(vals) == 1:
-        return (vals[0], None)
-    return (vals[0], vals[1])
-
-
-def _bot2_plus(p, q):
-    vals = sorted({v for v in (*p, *q) if v is not None})
-    if not vals:
-        return (None, None)
-    if len(vals) == 1:
-        return (vals[0], None)
-    return (vals[0], vals[1])
+def _two_plus(reverse: bool) -> Callable:
+    """top2's plus (`reverse`) or bot2's: the two greatest, or least,
+    different elements among the (up to four) components, None-padded."""
+    def plus(p, q):
+        vals = sorted({v for v in (*p, *q) if v is not None}, reverse=reverse)
+        return (*vals, None, None)[:2]
+    return plus
 
 
 def _max_plus(a, b):
@@ -103,9 +93,9 @@ RATNZ_MUL = Monoid("nonzero rationals with multiplication",
                    inverse=lambda a: 1 / a)
 MAX_MONOID = Monoid("rationals with maximum", _max_plus, None, idempotent=True)
 MIN_MONOID = Monoid("rationals with minimum", _min_plus, None, idempotent=True)
-TOP2_MONOID = Monoid("two greatest distinct rationals", _top2_plus,
+TOP2_MONOID = Monoid("two greatest distinct rationals", _two_plus(True),
                      (None, None), idempotent=True)
-BOT2_MONOID = Monoid("two least distinct rationals", _bot2_plus,
+BOT2_MONOID = Monoid("two least distinct rationals", _two_plus(False),
                      (None, None), idempotent=True)
 
 
@@ -205,10 +195,8 @@ def apply(func: AggregationFunction, bag) -> object:
         return len(set(bag))
     if func.name == "avg":
         return Fraction(sum(t[0] for t in bag), len(bag))
-    if func.name == "prod":
-        if any(t[0] == 0 for t in bag):
-            return Fraction(0)
-        return func.monoid.fold(func.tuple_map(t) for t in bag)
+    if func.name == "prod" and any(t[0] == 0 for t in bag):
+        return Fraction(0)
     return func.monoid.fold(func.tuple_map(t) for t in bag)
 
 

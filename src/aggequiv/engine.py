@@ -63,18 +63,21 @@ comparisons no strict ordering can change, each other one a pair of
 terms the ordering must put in that order, so preparing an ordering
 filters on term positions.  A level's orderings place uk into the
 previous level's (`orderings.place_next_variable`), and each is
-prepared from its parent's prepared assignments plus the level's own;
-one whose uk stays above every term is its parent's, memo included.
+prepared from its parent's prepared assignments plus the level's own,
+a parent not yet prepared being prepared first; only level 0 starts
+from none.  An ordering whose uk stays above every term is its
+parent's, memo included.
 
 Parallel scan: one loop (`_scan`) walks a decision's plan (`_plan`) in
 the global order; one worker runs it in process.  With K workers the
-caller first runs the head (with matching heads levels 0 and 1, else
-the subsets of at most one atom): a failure there is the first, and no
-process is involved.  Otherwise min(K, usable CPUs) pool processes run
-the units after the head, each those whose index within their level is
-its stride number modulo the workers, and the lowest (level, index) of
-their first failures wins, so the output is the one-worker output.  A
-decision with no unit that can fail never reaches a process.  The pool,
+caller first runs the head, levels 0 and 1, for every pair (differing
+heads walk level n alone, so all of it when n <= 1, none otherwise): a
+failure there is the first, and no process is involved.  Otherwise
+min(K, usable CPUs) pool processes run the levels from 2 on, each the
+units whose index within their level is its stride number modulo the
+workers, and the lowest (level, index) of their first failures wins, so
+the output is the one-worker output.  A decision that walks no level
+past the head never reaches a process.  The pool,
 and the machinery it imports, comes with the first parallel decision
 that reaches it and is kept for later ones (`_shared_pool`).  A job
 carries the plan, so workers need no state inherited by fork.
@@ -88,8 +91,8 @@ from __future__ import annotations
 
 import atexit
 import itertools
-import math
 import os
+import sys
 import threading
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
@@ -276,31 +279,30 @@ def _collect_groups(prepared: list, mask: int) -> dict:
     return groups
 
 
-def _pair_counterexample(q: Query, q2: Query, terms: list, rank: list,
-                         subset, mask: int, ordering: CompleteOrdering,
-                         prep1: list, prep2: list,
-                         same_head: Optional[bool] = None,
+def _pair_counterexample(plan: "_Plan", subset, mask: int,
+                         ordering: CompleteOrdering, prep1: list, prep2: list,
                          memo: Optional[set] = None
                          ) -> Optional[Counterexample]:
     """Check one (S, L) unit of work; None means no disagreement.
 
-    Group keys and items are base-term indexes into `terms`; `rank` is
-    each base term's place in `term_sort_key` order, by which group keys
-    are visited.  Differing heads and one-sided groups are instantiated
-    under the ordering's canonical satisfying assignment.  `memo`, when
-    given, holds the sorted `(left, right)` bags this ordering has
-    decided valid, which are not decided again; a failing identity ends
-    the scan, so the counterexample does not depend on the memo.
+    The queries, base terms, ranks and head match are read from `plan`.
+    Group keys and items are base-term indexes into `plan.terms`;
+    `plan.rank` is each base term's place in `term_sort_key` order, by
+    which group keys are visited.  Differing heads and one-sided groups
+    are instantiated under the ordering's canonical satisfying
+    assignment.  `memo`, when given, holds the sorted `(left, right)`
+    bags this ordering has decided valid, which are not decided again; a
+    failing identity ends the scan, so the counterexample does not
+    depend on the memo.
     """
+    q, q2, terms, rank = plan.q, plan.q2, plan.terms, plan.rank
     groups1 = _collect_groups(prep1, mask)
     groups2 = _collect_groups(prep2, mask)
     func = q.aggregate.function
-    if same_head is None:
-        same_head = _same_head(q, q2)
-    if same_head and groups1 == groups2:
+    if plan.same_head and groups1 == groups2:
         return None  # the same bags in the same order: no identity can fail
     keys1, keys2 = set(groups1), set(groups2)
-    if not same_head:
+    if not plan.same_head:
         # no identity relates different heads: compare the instance of the
         # ordering's canonical assignment, one-sided groups first, each set
         # in the order of its concrete keys
@@ -409,18 +411,20 @@ def _verify_counterexample(q: Query, q2: Query, ce: Counterexample):
         raise AssertionError("counterexample does not separate the queries")
 
 
-#: with matching heads and more than one worker, the caller walks the
-#: levels below this one (no fresh value and one) before the pool
+#: with more than one worker, the caller walks the levels below this one
+#: (no fresh value and one) before the pool, whatever the heads
 _HEAD_LEVELS = 2
 
 
 def n_equivalent(q: Query, q2: Query, n: int, workers: int = 1) -> Verdict:
     """Do the queries agree on every database with at most `n` constants?
 
-    With `workers` > 1 the caller first scans the head (see the module
-    docstring); only when no unit there fails are the later units split
-    across min(`workers`, usable CPUs) processes of a pool that outlives
-    the decision.  The output does not depend on `workers`.
+    With `workers` > 1 the caller first walks the head, levels 0 and 1,
+    for every pair (see the module docstring); only when no unit there
+    fails and a later level is walked are that level's units and those
+    after it split across min(`workers`, usable CPUs) processes of a
+    pool that outlives the decision.  The output does not depend on
+    `workers`.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -436,10 +440,9 @@ def n_equivalent(q: Query, q2: Query, n: int, workers: int = 1) -> Verdict:
     else:
         # most inequivalent pairs fail with at most one fresh value, and a
         # failure in the head is the first: it needs no pool round trip
-        hit = _scan(plan, head=True)
-        if hit is None and (len(plan.base) > 1 if not plan.same_head else
-                            any(k >= _HEAD_LEVELS
-                                for k in _walked_levels(plan))):
+        hit = _scan(plan, levels=range(_HEAD_LEVELS))
+        if hit is None and any(k >= _HEAD_LEVELS
+                               for k in _walked_levels(plan)):
             hit = _scan_in_pool(plan, min(workers, _usable_cpus()))
     if hit is None:
         return Verdict(EQUIVALENT, n_used=n)
@@ -538,17 +541,19 @@ def _extend(plan: _Plan, states: list, k: int) -> list:
 
 
 def _prepare(plan: _Plan, state: _Ordering, k: int) -> tuple:
-    """Prepare `state`, an ordering of level k: from its parent if that
-    is prepared (its prepared assignments hold under `state` too), else
-    from every level up to k."""
+    """Prepare `state`, an ordering of level k: its parent's prepared
+    state (those assignments hold under `state` too), the parent prepared
+    first if it is not, plus level k's assignments that hold under
+    `state`.  Only an ordering of level 0, which has no parent, starts
+    from none."""
     parent = state.parent
-    if parent is None or parent.prepared is None:
+    if parent is None:
         prep1, prep2, idle, differing, memo = (
             [], [], (1 << len(plan.base)) - 1, set(), set())
         position = [state.ordering.position(t) for t in plan.terms]
-        levels = plan.compiled[:k + 1]
     else:
-        prep1, prep2, idle, differing, memo = parent.prepared
+        prep1, prep2, idle, differing, memo = (
+            parent.prepared or _prepare(plan, parent, k - 1))
         if state.ordering is not parent.ordering:
             memo = set()
         placed, gap = plan.constants + k - 1, state.gap
@@ -556,10 +561,8 @@ def _prepare(plan: _Plan, state: _Ordering, k: int) -> tuple:
         if gap < placed:  # uk moves down, and the terms it passes move up
             position = [p + 1 if gap <= p < placed else p for p in position]
             position[placed] = gap
-        levels = plan.compiled[k:k + 1]
-    new1, new2 = (_prepare_assignments(
-        [assignment for level in levels for assignment in level[side]],
-        position) for side in (0, 1))
+    new1, new2 = (_prepare_assignments(plan.compiled[k][side], position)
+                  for side in (0, 1))
     for positive, negated, _, _ in new1 + new2:
         idle &= ~(positive | negated)
     if plan.same_head:
@@ -570,14 +573,13 @@ def _prepare(plan: _Plan, state: _Ordering, k: int) -> tuple:
     return state.prepared
 
 
-def _level_subsets(plan: _Plan, k: int, sizes: Optional[range] = None
-                   ) -> Iterator[tuple]:
-    """The subsets of level k with a size in `sizes` (by default any),
-    smallest first, as `(atoms, weight)`, the weight's low bits the
-    subset's mask: with matching heads those of BASE_k (the atoms over
-    the constants and u1..uk) that use each of u1..uk, with differing
-    heads every subset of BASE.  A count stays below the top bit of its
-    field, so adding `add` sets that bit in exactly the used fields."""
+def _level_subsets(plan: _Plan, k: int) -> Iterator[tuple]:
+    """The subsets of level k, smallest first, as `(atoms, weight)`, the
+    weight's low bits the subset's mask: with matching heads those of
+    BASE_k (the atoms over the constants and u1..uk) that use each of
+    u1..uk, with differing heads every subset of BASE.  A count stays
+    below the top bit of its field, so adding `add` sets that bit in
+    exactly the used fields."""
     levels, weights, widest = plan.weights
     keep = list(map(k.__ge__, levels))
     atoms, weights = (list(itertools.compress(items, keep))
@@ -587,7 +589,7 @@ def _level_subsets(plan: _Plan, k: int, sizes: Optional[range] = None
     tops = low << (field - 1)  # the top bit of each field
     add = tops - low
     smallest = -(-fresh // (widest or 1))  # atoms needed to use them all
-    for size in range(smallest, len(atoms) + 1) if sizes is None else sizes:
+    for size in range(smallest, len(atoms) + 1):
         summed = map(sum, itertools.combinations(weights, size))
         if tops:  # keep the subsets that use every fresh variable
             summed, counted = itertools.tee(summed)
@@ -598,32 +600,26 @@ def _level_subsets(plan: _Plan, k: int, sizes: Optional[range] = None
 
 
 def _scan(plan: _Plan, offset: int = 0, workers: int = 1,
-          head: Optional[bool] = None):
-    """The stride `offset` of `workers` over the plan's units (with
-    `head` True the head's, with False those after it): its first
-    failing unit as `((level, index within it), counterexample)`, or
-    None; strides and parts merge by the lowest."""
-    q, q2 = plan.q, plan.q2
+          levels: range = range(sys.maxsize)):
+    """The stride `offset` of `workers` over the units of the walked
+    levels in `levels` (by default every one): its first failing unit as
+    `((level, index within it), counterexample)`, or None; strides and
+    level ranges merge by the lowest.  With more than one worker the
+    caller walks levels 0 and 1 (the head) for every pair, and the pool
+    strides the levels from 2 on."""
     every_atom = (1 << len(plan.base)) - 1
     states, built = [], -1
     for k in _walked_levels(plan):
-        if head is not None and plan.same_head \
-                and (k < _HEAD_LEVELS) != head:
-            if head:
-                break
+        if k >= levels.stop:
+            break
+        if k < levels.start:
             continue
-        sizes = (None if head is None or plan.same_head else range(2) if head
-                 else range(2, len(plan.base) + 1))
         while built < k:
             built += 1
             states = _extend(plan, states, built)
         walk = list(enumerate(states))
-        # the units of every smaller subset come first
-        start = len(states) * sum(math.comb(len(plan.base), size) for size
-                                  in range(sizes.start if sizes else 0))
         for first, (subset, weight) in zip(
-                itertools.count(start, len(states)),
-                _level_subsets(plan, k, sizes)):
+                itertools.count(0, len(states)), _level_subsets(plan, k)):
             mask = weight & every_atom
             for position, state in walk:
                 unit = first + position
@@ -638,10 +634,8 @@ def _scan(plan: _Plan, offset: int = 0, workers: int = 1,
                 if mask & idle or differing is not None \
                         and not _fires(differing, mask):
                     continue
-                ce = _pair_counterexample(q, q2, plan.terms, plan.rank,
-                                          subset, mask, state.ordering,
-                                          prep1, prep2, plan.same_head,
-                                          memo)
+                ce = _pair_counterexample(plan, subset, mask,
+                                          state.ordering, prep1, prep2, memo)
                 if ce is not None:
                     return (k, unit), ce
             if not walk:
@@ -692,10 +686,8 @@ def _drop_pool() -> None:
     _pool = _pool_key = None
 
 
-
-
 def _scan_in_pool(plan: _Plan, workers: int):
-    """The lowest-index failure of the units after the head, one stride
+    """The lowest-index failure of the levels after the head, one stride
     per pool process, or None.
 
     A broken pool is dropped, never reused.  Decisions are pure, so the
@@ -708,7 +700,8 @@ def _scan_in_pool(plan: _Plan, workers: int):
                 hits = list(_shared_pool(workers).map(
                     _scan, itertools.repeat(plan, workers), range(workers),
                     itertools.repeat(workers, workers),
-                    itertools.repeat(False, workers)))
+                    itertools.repeat(range(_HEAD_LEVELS, sys.maxsize),
+                                     workers)))
                 break
             except BrokenProcessPool:
                 _drop_pool()

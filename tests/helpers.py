@@ -300,7 +300,7 @@ def reference_scan(plan, offset: int, workers: int):
     u(k+1)..un above every term; with differing heads only level n is
     walked, over every subset of BASE.  Each level compiles both queries
     up to it and prepares every ordering before its walk."""
-    q, q2 = plan.q, plan.q2
+    q = plan.q
     constants = plan.terms[:plan.constants]
     fresh = plan.terms[plan.constants:]
     bit = {atom: 1 << i for i, atom in enumerate(plan.base)}
@@ -332,8 +332,7 @@ def reference_scan(plan, offset: int, workers: int):
                         and not engine._fires(differing, mask)):
                     continue
                 ce = engine._pair_counterexample(
-                    q, q2, plan.terms, plan.rank, subset, mask, ordering,
-                    prep1, prep2, plan.same_head)
+                    plan, subset, mask, ordering, prep1, prep2)
                 if ce is not None:
                     return (k, unit), ce
     return None
@@ -365,7 +364,7 @@ def subset_major_scan(plan):
     differ from the level walk's, never its verdict."""
     from aggequiv.orderings import enumerate_complete_orderings
 
-    q, q2 = plan.q, plan.q2
+    q = plan.q
     walk = _prepare_all(plan, enumerate_complete_orderings(
         plan.terms, q.domain, injective_only=True),
         compile_all(plan, 0), compile_all(plan, 1))
@@ -380,8 +379,7 @@ def subset_major_scan(plan):
                         and not engine._fires(differing, mask):
                     continue
                 ce = engine._pair_counterexample(
-                    q, q2, plan.terms, plan.rank, atoms, mask, ordering,
-                    prep1, prep2, plan.same_head)
+                    plan, atoms, mask, ordering, prep1, prep2)
                 if ce is not None:
                     return unit - 1, ce
     return None

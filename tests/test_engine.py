@@ -172,8 +172,7 @@ def test_group_keys_are_visited_in_term_order():
                                                  injective_only=True))
     position = [ordering.position(t) for t in terms]
     ce = engine._pair_counterexample(
-        q, q2, terms, plan.rank, subset,
-        sum(atom_bit[atom] for atom in subset), ordering,
+        plan, subset, sum(atom_bit[atom] for atom in subset), ordering,
         engine._prepare_assignments(compile_all(plan, 0), position),
         engine._prepare_assignments(compile_all(plan, 1), position))
     assert ce == engine.Counterexample(
@@ -787,8 +786,8 @@ def test_differential_skip_is_sound():
                 skipped += 1
                 partly_skipped += bool(differing)
                 assert engine._pair_counterexample(
-                    q, q2, terms, plan.rank, subset, mask, ordering, prep1,
-                    prep2) is None, (str(q), str(q2), str(ordering), subset)
+                    plan, subset, mask, ordering, prep1, prep2) is None, (
+                    str(q), str(q2), str(ordering), subset)
     assert partly_skipped > 0 and skipped > partly_skipped
 
 
@@ -1008,7 +1007,6 @@ TWO_VALUES_CE = engine.Counterexample(
     Database(frozenset({("p", (F(0),)), ("p", (F(1),))})), (), 1, 2)
 
 
-
 def test_one_fact_failure_starts_no_process(monkeypatch):
     """The first failure has one fact and one fresh value, so the caller
     finds it in the head and a parallel decision never builds a pool;
@@ -1027,6 +1025,37 @@ def test_one_fact_failure_starts_no_process(monkeypatch):
     assert engine.n_equivalent(q, q2, 4, workers=2).counterexample == \
         engine.Counterexample(Database(frozenset(
             {("b", (F(0),)), ("p", (F(0),))})), (), None, 1)
+
+
+def test_differing_heads_keep_the_same_head_rule(monkeypatch):
+    """Differing heads walk level N alone.  With two workers the caller
+    walks levels 0 and 1, so at N = 1 it finds the failure on {b(0),
+    p(0)} itself and builds no pool, and at N = 2 one pool walks level 2;
+    either way the counterexample is the one-worker one."""
+    from concurrent.futures import ProcessPoolExecutor
+    built = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            super().__init__(max_workers=max_workers)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(engine, "_pool", None)
+    monkeypatch.setattr(engine, "_pool_key", None)
+    q = parse_query("q(; count()) :- p(X), b(X)")
+    q2 = parse_query("q(; max(X)) :- p(X), b(X)")
+    try:
+        verdict = engine.n_equivalent(q, q2, 1, workers=2)
+        assert built == []
+        assert verdict.counterexample == engine.Counterexample(Database(
+            frozenset({("b", (F(0),)), ("p", (F(0),))})), (), 1, F(0))
+        assert verdict == engine.n_equivalent(q, q2, 1)
+        verdict = engine.n_equivalent(q, q2, 2, workers=2)
+        assert len(built) == 1
+        assert verdict == engine.n_equivalent(q, q2, 2)
+    finally:
+        engine._drop_pool()
 
 
 def test_workers_beyond_the_usable_cpus_start_no_more_processes(
@@ -1052,16 +1081,16 @@ def test_workers_beyond_the_usable_cpus_start_no_more_processes(
     strides = []
     scan = engine._scan
 
-    def recording(plan, offset=0, workers=1, head=None):
-        strides.append((offset, workers, head))
-        return scan(plan, offset, workers, head)
+    def recording(plan, offset=0, workers=1, levels=range(sys.maxsize)):
+        strides.append((offset, workers, levels))
+        return scan(plan, offset, workers, levels)
     monkeypatch.setattr(engine, "_scan", recording)
     q, q2 = map(parse_query, TWO_VALUES)
     verdict = engine.n_equivalent(q, q2, 3, workers=10 ** 6)
     cpus = engine._usable_cpus()
     assert built == [cpus]
-    assert strides == [(0, 1, True)] + [(offset, cpus, False)
-                                        for offset in range(cpus)]
+    assert strides == [(0, 1, range(2))] + [
+        (offset, cpus, range(2, sys.maxsize)) for offset in range(cpus)]
     assert verdict == engine.n_equivalent(q, q2, 3)
     assert verdict.counterexample == TWO_VALUES_CE
 
