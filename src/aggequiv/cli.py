@@ -361,8 +361,12 @@ def _parse_identity(text: str):
                 items.append((parse_term(part),))
         return tuple(items)
 
-    return identity.OrderedIdentity(ordering, bag(fields["left"]),
-                                    bag(fields["right"]), func)
+    try:
+        return identity.OrderedIdentity(ordering, bag(fields["left"]),
+                                        bag(fields["right"]), func)
+    except KeyError as exc:
+        # a bag term the ordering leaves out is an input error
+        raise ValueError(exc.args[0]) from None
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,15 @@ Given a complete ordering L of a term set and two bags of term tuples,
 the question is whether every assignment satisfying L makes the two
 aggregates equal.  Three routes cover all supported functions:
 
-* shiftable functions (count, parity, cntd, max, min, top2, bot2) are
-  evaluated on a single canonical assignment; equality there settles the
-  identity because any two order-preserving injections differ by a
-  strictly increasing reshaping of the values;
+* shiftable functions (count, parity, cntd, max, min, top2, bot2) take
+  a value that is a fixed form of the bag's class positions in L: its
+  size, its size mod 2, its number of distinct classes, its highest or
+  lowest class, or its two highest or lowest distinct classes.  Every
+  assignment satisfying L gives distinct classes distinct values and a
+  higher class a higher one, so equal forms mean equal aggregates
+  everywhere, and unequal forms differ under the canonical assignment,
+  which is the witness.  No bag is rewritten or instantiated unless the
+  identity fails;
 * sum (and avg, after scaling multiplicities by the opposite bag's
   cardinality) is a polynomial identity: once equal terms are merged and
   pinned integer variables replaced by their value, every variable can
@@ -130,21 +135,32 @@ def _translate_witness(terms, renaming: dict,
 
 
 # ---------------------------------------------------------------------------
-# Shiftable functions: one canonical evaluation decides
+# Shiftable functions: the value forms of the class positions decide
 # ---------------------------------------------------------------------------
+
+#: each shiftable function's value as a form of its bag's class positions
+#: (`pos` maps a term to its class); distinct classes take distinct
+#: values, a higher class a higher one, under every assignment
+_VALUE_FORMS = {
+    "count": lambda bag, pos: len(bag),
+    "parity": lambda bag, pos: len(bag) % 2,
+    "cntd": lambda bag, pos: len({pos(t) for (t,) in bag}),
+    "max": lambda bag, pos: max(pos(t) for (t,) in bag),
+    "min": lambda bag, pos: min(pos(t) for (t,) in bag),
+    "top2": lambda bag, pos: sorted({pos(t) for (t,) in bag})[-2:],
+    "bot2": lambda bag, pos: sorted({pos(t) for (t,) in bag})[:2],
+}
+
 
 def decide_shiftable(ident: OrderedIdentity) -> IdentityVerdict:
     if not ident.function.shiftable:
         raise ValueError(f"{ident.function.name} is not shiftable")
     if (verdict := _empty_side(ident)) is not None:
         return verdict
-    reduced, renaming = _canonicalize(ident)
-    assignment = reduced.ordering.canonical_assignment
-    lhs = apply(reduced.function, instantiate_bag(assignment, reduced.left))
-    rhs = apply(reduced.function, instantiate_bag(assignment, reduced.right))
-    if lhs == rhs:
+    form, pos = _VALUE_FORMS[ident.function.name], ident.ordering.position
+    if form(ident.left, pos) == form(ident.right, pos):
         return IdentityVerdict(True)
-    return _invalid(ident, renaming, assignment)
+    return _canonical_refutation(ident)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +323,12 @@ def _empty_side(ident: OrderedIdentity) -> Optional[IdentityVerdict]:
         return None
     if not ident.left and not ident.right:
         return IdentityVerdict(True)
+    return _canonical_refutation(ident)
+
+
+def _canonical_refutation(ident: OrderedIdentity) -> IdentityVerdict:
+    """The invalid verdict witnessed by the reduced ordering's canonical
+    assignment, for an identity that assignment refutes."""
     reduced, renaming = _canonicalize(ident)
     return _invalid(ident, renaming, _witness(reduced, None))
 

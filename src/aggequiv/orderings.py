@@ -175,8 +175,22 @@ def _integer_room(classes) -> bool:
     return True
 
 
+def _each_term_in_one_class(classes) -> bool:
+    seen: set = set()
+    for cls in classes:
+        members = set(cls)
+        if not seen.isdisjoint(members):
+            return False
+        seen |= members
+    return True
+
+
 def is_satisfiable_order(classes, domain: str) -> bool:
-    if not _constants_consistent(classes):
+    """Can the weak order `classes` be realized over `domain`: no term in
+    two classes, constants strictly increasing and, over the integers,
+    integral and with room for every variable class between them?"""
+    if not (_each_term_in_one_class(classes)
+            and _constants_consistent(classes)):
         return False
     return domain != INTEGERS or (_integer_room(classes) and all(
         t.value.denominator == 1 for cls in classes for t in cls

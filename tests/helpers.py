@@ -5,9 +5,10 @@ are enumerated through canonical rank maps, rational feasibility goes
 through a from-scratch Fourier-Motzkin elimination, integer feasibility
 through plain enumeration of a value box, and comparison conjunctions
 through enumeration of a value grid.  Where a test
-freezes an expected value, one of these oracles computed it.  Three
+freezes an expected value, one of these oracles computed it.  Four
 references are exceptions: `branch_only_decide_prod`, for the prod
-decider's shortcut, builds its witnesses with the library's own;
+decider's shortcut, and `canonical_decide_shiftable`, for the shiftable
+decider's value forms, build their witnesses with the library's own;
 `filtered_complete_orderings`, for the pruned ordering generator, keeps
 orders with the library's `is_satisfiable_order` and `entails`; and
 `reference_scan`, for the scan's level planning, skips and memo, and
@@ -447,6 +448,35 @@ def _polynomial(bag):
         else:
             exponents[t] += 1
     return constant, exponents
+
+
+# ---------------------------------------------------------------------------
+# Shiftable identities evaluated under the canonical assignment
+# ---------------------------------------------------------------------------
+
+def canonical_decide_shiftable(ident):
+    """`identity.decide_shiftable` by evaluation instead of value forms:
+    both bags are rewritten onto the reduced ordering, instantiated under
+    its canonical assignment and folded through the function; equal
+    aggregates there settle the identity.  Empty sides and witnesses come
+    from the library's `_empty_side` and `_invalid`, so they compare equal
+    to the decider's."""
+    from aggequiv import identity
+    from aggequiv.aggregation import apply
+
+    if not ident.function.shiftable:
+        raise ValueError(f"{ident.function.name} is not shiftable")
+    if (verdict := identity._empty_side(ident)) is not None:
+        return verdict
+    reduced, renaming = identity._canonicalize(ident)
+    assignment = reduced.ordering.canonical_assignment
+    lhs = apply(reduced.function,
+                identity.instantiate_bag(assignment, reduced.left))
+    rhs = apply(reduced.function,
+                identity.instantiate_bag(assignment, reduced.right))
+    if lhs == rhs:
+        return identity.IdentityVerdict(True)
+    return identity._invalid(ident, renaming, assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,41 @@ def test_check_identity_rejects_an_empty_ordering_term(tmp_path, capsys):
         assert "empty term in the ordering" in capsys.readouterr().err
 
 
+def test_check_identity_rejects_a_bag_term_outside_the_ordering(
+        tmp_path, capsys):
+    """A bag term the ordering leaves out is an input error (exit 2), not
+    an `invalid` identity (exit 1), in text and in --json output."""
+    ident = write(tmp_path, "outside.ident", """
+        function: max
+        ordering: 0 < 1
+        left: {X}
+        right: {1}
+    """)
+    assert main(["check-identity", ident]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: bag term X not in the ordering\n"
+    assert main(["check-identity", ident, "--json"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "error", "reason": "bag term X not in the ordering"}
+
+
+def test_check_identity_rejects_a_term_in_two_classes(tmp_path, capsys):
+    """`X < Y < X` and `X < X` place X in two classes: no assignment
+    satisfies them, so no identity over them is valid or invalid."""
+    for ordering in ("X < Y < X", "X < X"):
+        ident = write(tmp_path, "twice.ident", f"""
+            function: max
+            ordering: {ordering}
+            left: {{X}}
+            right: {{Y}}
+        """)
+        assert main(["check-identity", ident]) == 2, ordering
+        assert capsys.readouterr().err == (
+            "error: the ordering is not satisfiable over the domain\n")
+        assert main(["check-identity", ident, "--json"]) == 2, ordering
+        assert json.loads(capsys.readouterr().out)["status"] == "error"
+
+
 def test_main_is_reentrant(tmp_path, capsys, monkeypatch):
     """The parser is built once per process; later calls in the same
     process still answer exactly as a fresh process does, usage errors

@@ -13,7 +13,8 @@ from aggequiv.identity import (
 from aggequiv.model import Comparison, Const, INTEGERS, RATIONALS, Var
 from aggequiv.orderings import CompleteOrdering, entails
 from helpers import (
-    branch_only_decide_prod, int_sum_identity_box_refutation, random_bag,
+    branch_only_decide_prod, canonical_decide_shiftable,
+    int_sum_identity_box_refutation, random_bag,
     random_ordering, random_satisfying_assignment, sum_identity_valid_by_fm,
 )
 
@@ -340,6 +341,67 @@ def test_prod_matches_the_branch_only_reference():
             assert_witness_refutes(identity, verdict)
     assert kinds["padded", True] > 100 and kinds["padded", False] == 0
     assert kinds["constants", False] > 20 and kinds["random", False] > 50
+
+
+SHIFTABLE = ["count", "parity", "cntd", "max", "min", "top2", "bot2"]
+
+
+def _shiftable_bags(rng, order, func):
+    """Two bags of one kind: both random, the same support with other
+    multiplicities, terms swapped for others of their class, or one side
+    empty."""
+    left = random_bag(rng, order, func.arity, max_len=5)
+    kind = rng.choice(["random", "support", "class", "empty"])
+    if kind == "random":
+        right = random_bag(rng, order, func.arity, max_len=5)
+    elif kind == "support":
+        # every element at least as often, some more often, reordered
+        right = left + tuple(rng.choices(left, k=rng.randint(0, 3)))
+        right = tuple(rng.sample(right, len(right)))
+    elif kind == "class":
+        classes = {t: cls for cls in order.classes for t in cls}
+        right = tuple(tup if not tup else (rng.choice(classes[tup[0]]),)
+                      for tup in left)
+    else:
+        right = ()
+    if rng.random() < 0.5:
+        left, right = right, left
+    return kind, left, right
+
+
+def test_shiftable_forms_match_the_canonical_evaluation():
+    """Random shiftable identities in both domains, on orderings with
+    merged classes and (over the integers) variables pinned between two
+    constants: comparing the sides' class-position forms gives the
+    verdict and witness of evaluating both bags under the canonical
+    assignment."""
+    rng = random.Random(21)
+    seen = Counter()
+    for i in range(700):
+        name = SHIFTABLE[i % len(SHIFTABLE)]
+        func = FUNCTIONS[name]
+        domain = rng.choice([RATIONALS, INTEGERS])
+        include = rng.choice([(), (0, 2), (1, 3)])
+        order = random_ordering(rng, domain, max_vars=3, max_consts=1,
+                                include=include)
+        kind, left, right = _shiftable_bags(rng, order, func)
+        identity = ident(order, left, right, name)
+        verdict = decide_shiftable(identity)
+        assert verdict == canonical_decide_shiftable(identity), (
+            name, str(order), left, right)
+        assert decide(identity) == verdict
+        seen[name, verdict.valid] += 1
+        seen[domain] += 1
+        seen["merged"] += not order.is_injective()
+        free = [order.class_bounds(i) for i in range(len(order.classes))
+                if order.class_constant(i) is None]
+        seen["pinned"] += any(lo is not None and lo == hi for lo, hi in free)
+        seen[kind] += 1
+    for name in SHIFTABLE:
+        assert seen[name, True] > 15 and seen[name, False] > 15, name
+    assert seen[RATIONALS] > 250 and seen[INTEGERS] > 250
+    assert seen["merged"] > 200 and seen["pinned"] > 20
+    assert min(seen[k] for k in ("random", "support", "class", "empty")) > 100
 
 
 # ---------------------------------------------------------------------------

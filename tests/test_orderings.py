@@ -9,8 +9,8 @@ import pytest
 from aggequiv.model import Comparison, Const, INTEGERS, RATIONALS, Var
 from aggequiv.orderings import (
     CompleteOrdering, enumerate_complete_orderings, entails, is_reduced,
-    pinned_assignment, reduce_terms, satisfying_assignment,
-    witness_pair,
+    is_satisfiable_order, pinned_assignment, reduce_terms,
+    satisfying_assignment, witness_pair,
 )
 from helpers import (
     brute_force_weak_orders, filtered_complete_orderings, ordering_as_classes,
@@ -362,3 +362,15 @@ def test_consistent_orderings():
                                                comparisons=comps))
     assert all(entails(o, comps[0]) and entails(o, comps[1]) for o in orders)
     assert {str(o) for o in orders} == {"x < y < 3", "x < 3 = y"}
+
+
+def test_a_term_in_two_classes_is_not_satisfiable():
+    """A term written in two classes would be less than itself; a term
+    written twice in one class, or a constant as a class of its own,
+    is no such conflict."""
+    for domain in (RATIONALS, INTEGERS):
+        assert not is_satisfiable_order([[x], [y], [x]], domain)
+        assert not is_satisfiable_order([[x], [x]], domain)
+        assert not is_satisfiable_order([[C(0)], [x, y], [C(2), y]], domain)
+        assert is_satisfiable_order([[x, x], [y]], domain)
+        assert is_satisfiable_order([[x], [C(1)], [y]], domain)
