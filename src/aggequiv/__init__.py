@@ -19,7 +19,7 @@ from .oracle import (
     inclusion_exclusion_check, verify_decomposition,
 )
 from .orderings import (
-    CompleteOrdering, enumerate_complete_orderings, entails, reduce_terms,
+    CompleteOrdering, enumerate_complete_orderings, entails,
     satisfying_assignment, witness_pair,
 )
 from .parsing import (

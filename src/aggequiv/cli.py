@@ -117,26 +117,18 @@ def _build_parser() -> _Parser:
 # Input loading
 # ---------------------------------------------------------------------------
 
-def _load_pair(paths, domain):
+def _load(paths, domain, count: int):
+    """The `count` query declarations the files hold, and their arities."""
     registry = ArityRegistry()
     queries = []
     for path in paths:
         with open(path, encoding="utf-8") as handle:
             queries.extend(parse_queries(handle.read(), domain, registry))
-    if len(queries) != 2:
-        raise UsageError(
-            f"expected exactly two query declarations, found {len(queries)}")
-    return queries[0], queries[1], registry
-
-
-def _load_single(path, domain):
-    registry = ArityRegistry()
-    with open(path, encoding="utf-8") as handle:
-        queries = parse_queries(handle.read(), domain, registry)
-    if len(queries) != 1:
-        raise UsageError(
-            f"expected exactly one query declaration, found {len(queries)}")
-    return queries[0], registry
+    if len(queries) != count:
+        wanted = ("one query declaration" if count == 1
+                  else "two query declarations")
+        raise UsageError(f"expected exactly {wanted}, found {len(queries)}")
+    return queries, registry
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +186,10 @@ def _report_verdict(verdict, args, started: float) -> int:
 def _guardrail(q: Query, q2: Query, n: int, args):
     size = engine.base_size(q, q2, n)
     if not args.force and (size > MAX_BASE or n > MAX_N):
-        raise SystemExit(_fail(
+        raise ValueError(
             f"refusing a search over 2^{size} atom subsets "
             f"(|BASE| = {size}, N = {n}); the cost is doubly "
-            f"exponential. Pass --force to run anyway.", args))
+            f"exponential. Pass --force to run anyway.")
 
 
 def _fail(message: str, args, status: str = "error") -> int:
@@ -214,7 +206,7 @@ def _fail(message: str, args, status: str = "error") -> int:
 
 def _cmd_pairwise(args) -> int:
     started = time.monotonic()
-    q, q2, _ = _load_pair(args.queries, args.domain)
+    (q, q2), _ = _load(args.queries, args.domain, 2)
     if args.command == "quasilinear":
         verdict = equivalent_quasilinear(q, q2)
     elif args.command == "nequiv":
@@ -230,7 +222,7 @@ def _cmd_pairwise(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    q, registry = _load_single(args.queries[0], args.domain)
+    (q,), registry = _load(args.queries, args.domain, 1)
     with open(args.database, encoding="utf-8") as handle:
         db = parse_database(handle.read(), args.domain, registry)
     results = sorted(oracle.eval_concrete(q, db))
@@ -255,17 +247,21 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check_decomposition(args) -> int:
-    q, q2, registry = _load_pair(args.queries, args.domain)
+    (q, q2), registry = _load(args.queries, args.domain, 2)
     with open(args.database, encoding="utf-8") as handle:
         db = parse_database(handle.read(), args.domain, registry)
+    chunks = [chunk.strip() for chunk in args.group.split(",")]
+    if chunks == [""]:
+        chunks = []  # the empty tuple of an ungrouped head
+    if len(chunks) != len(q.grouping) or "" in chunks:
+        raise UsageError(f"--group needs {len(q.grouping)} comma-separated "
+                         f"grouping constant(s), got {args.group!r}")
     group = []
-    for chunk in args.group.split(","):
-        chunk = chunk.strip()
-        if chunk:
-            term = parse_term(chunk)
-            if not isinstance(term, Const):
-                raise UsageError(f"grouping value {chunk!r} is not a constant")
-            group.append(term.value)
+    for chunk in chunks:
+        term = parse_term(chunk)
+        if not isinstance(term, Const):
+            raise UsageError(f"grouping value {chunk!r} is not a constant")
+        group.append(term.value)
     family = oracle.build_decomposition(db, q, q2, tuple(group))
     ok = oracle.verify_decomposition(family, db, q, q2, tuple(group))
     if args.json_output:
@@ -320,7 +316,12 @@ def _parse_identity(text: str):
         if ":" not in line:
             raise ValueError(f"bad identity line: {line!r}")
         key, value = line.split(":", 1)
-        fields[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key not in ("domain", "function", "ordering", "left", "right"):
+            raise ValueError(f"unknown identity key {key!r}")
+        if key in fields:
+            raise ValueError(f"identity key {key!r} given twice")
+        fields[key] = value.strip()
     for required in ("function", "ordering", "left", "right"):
         if required not in fields:
             raise ValueError(f"identity file is missing {required!r}")
@@ -397,8 +398,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
     except (ParseError, ValidationError, ValueError, OSError) as exc:
         return _fail(str(exc), args)
     except (AssertionError, RuntimeError) as exc:

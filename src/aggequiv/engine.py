@@ -118,10 +118,6 @@ EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
 UNSUPPORTED = "unsupported"
 
-#: functions whose equivalence problem reduces to local equivalence
-DECOMPOSABLE = ("count", "parity", "sum", "max", "min", "top2", "bot2")
-
-
 @dataclass(frozen=True)
 class Counterexample:
     database: Database
@@ -533,8 +529,7 @@ def _extend(plan: _Plan, states: list, k: int) -> list:
         return [_Ordering(CompleteOrdering(chain.classes + fresh,
                                            plan.q.domain), -1, None)
                 for chain in enumerate_complete_orderings(
-                    plan.terms[:plan.constants], plan.q.domain,
-                    injective_only=True)]
+                    plan.terms[:plan.constants], plan.q.domain)]
     return [_Ordering(ordering, gap, parent) for parent in states
             for gap, ordering in place_next_variable(
                 parent.ordering, plan.constants + k - 1, parent.gap + 1)]
@@ -740,7 +735,7 @@ def equivalent(q: Query, q2: Query, workers: int = 1) -> Verdict:
         return Verdict(UNSUPPORTED, reason=(
             "queries have different head signatures; equivalence is only "
             "decided for matching heads"))
-    if func.name in DECOMPOSABLE:
+    if func.decomposable:
         return locally_equivalent(q, q2, workers=workers)
     if func.prod_special:
         if q.domain == RATIONALS:

@@ -11,7 +11,6 @@ reduction of equivalence to local equivalence.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -20,17 +19,6 @@ from .model import (
     Condition, Database, Query, is_const, merged_predicates, term_size_pair,
     term_sort_key,
 )
-
-
-@dataclass(frozen=True)
-class LabeledAssignment:
-    """A satisfying assignment tagged with the disjunct it satisfies."""
-
-    assignment: tuple  # sorted tuple of (Var, Fraction)
-    disjunct_index: int
-
-    def mapping(self) -> dict:
-        return dict(self.assignment)
 
 
 def _value(assignment: dict, term) -> Fraction:
@@ -59,24 +47,15 @@ def _condition_assignments(cond: Condition, db: Database):
             yield assignment
 
 
-def labeled_assignments(q: Query, db: Database) -> list:
-    out = []
+def group_assignments(q: Query, db: Database, group: tuple) -> set:
+    """The group of `group`: the satisfying assignments whose grouping
+    tuple instantiates to it, each as `(disjunct index, sorted tuple of
+    (variable, value) pairs)`."""
+    out = set()
     for idx, cond in enumerate(q.disjuncts):
         for assignment in _condition_assignments(cond, db):
-            out.append(LabeledAssignment(
-                tuple(sorted(assignment.items())), idx))
-    return out
-
-
-def group_assignments(q: Query, db: Database, group: tuple) -> set:
-    """The group of `group`: labeled assignments whose grouping tuple
-    instantiates to it."""
-    out = set()
-    for la in labeled_assignments(q, db):
-        mapping = la.mapping()
-        key = tuple(_value(mapping, t) for t in q.grouping)
-        if key == tuple(group):
-            out.add(la)
+            if tuple(_value(assignment, t) for t in q.grouping) == group:
+                out.add((idx, tuple(sorted(assignment.items()))))
     return out
 
 
@@ -201,13 +180,11 @@ def build_decomposition(d: Database, q: Query, q2: Query,
     out = []
     seen = set()
     for query in (q, q2):
-        for la in sorted(group_assignments(query, d, group),
-                         key=lambda la: (la.disjunct_index, la.assignment)):
-            mapping = la.mapping()
-            cond = query.disjuncts[la.disjunct_index]
+        for idx, assignment in sorted(group_assignments(query, d, group)):
+            mapping = dict(assignment)
             base = Database(frozenset(
                 (a.predicate, tuple(_value(mapping, t) for t in a.args))
-                for a in cond.positive_atoms()))
+                for a in query.disjuncts[idx].positive_atoms()))
             closed = extend_database(base, q, q2, d)
             if closed.facts not in seen:
                 seen.add(closed.facts)

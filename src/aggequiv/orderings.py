@@ -198,7 +198,6 @@ def is_satisfiable_order(classes, domain: str) -> bool:
 
 
 def enumerate_complete_orderings(terms: Iterable[Term], domain: str,
-                                 injective_only: bool = False,
                                  comparisons: Iterable[Comparison] = ()
                                  ) -> Iterator[CompleteOrdering]:
     """All satisfiable weak orders on `terms` entailing every comparison in
@@ -212,12 +211,10 @@ def enumerate_complete_orderings(terms: Iterable[Term], domain: str,
     variable just placed holds.  Later placements keep both true: no
     unsatisfiable order is built, and the orders come as if every ordered
     set partition were built and filtered.  A comparison with a term outside
-    `terms` raises KeyError, unless both sides are constants.
-
-    With `injective_only` every class is a single term and the variables
-    keep their sorted order too: one strict order per orbit under renaming
-    the variables (the lex-leader), as the bounded-equivalence search
-    builds them one variable at a time (`place_next_variable`).
+    `terms` raises KeyError, unless both sides are constants.  With no
+    variables the only order is the constants' chain.  The strict orders
+    that keep the variables in sorted order, one per orbit under renaming
+    them (the lex-leaders), come from `place_next_variable` instead.
     """
     items = sorted(set(terms), key=term_sort_key)
     classes = [[t] for t in items if is_const(t)]
@@ -240,17 +237,16 @@ def enumerate_complete_orderings(terms: Iterable[Term], domain: str,
         return all(_positions_imply(where[c.lhs], where[c.rhs], c.op)
                    for c in checks[v])
 
-    def place(k: int, first_gap: int) -> Iterator[CompleteOrdering]:
+    def place(k: int) -> Iterator[CompleteOrdering]:
         if k == len(variables):
             yield CompleteOrdering(tuple(map(tuple, classes)), domain)
             return
         v = variables[k]
-        for gap in _placements(classes, v, first_gap, not injective_only,
-                               squeezable):
+        for _ in _placements(classes, v, 0, True, squeezable):
             if holds(v):
-                yield from place(k + 1, gap + 1 if injective_only else 0)
+                yield from place(k + 1)
 
-    yield from place(0, 0)
+    yield from place(0)
 
 
 def _placements(classes: list, v: Term, first_gap: int, merge: bool,
@@ -273,11 +269,15 @@ def _placements(classes: list, v: Term, first_gap: int, merge: bool,
 
 def place_next_variable(ordering: CompleteOrdering, placed: int,
                         first_gap: int) -> Iterator[tuple]:
-    """The lex-leader mode of `enumerate_complete_orderings` one variable
-    at a time: in the strict `ordering`, whose classes from `placed` on
-    are variables above every other term, move the variable of class
-    `placed` into each gap from `first_gap` on below it, as `(gap,
-    ordering)`; the last gap leaves it, and yields `ordering` itself."""
+    """The lex-leaders one variable at a time: in the strict `ordering`,
+    whose classes from `placed` on are variables above every other term,
+    move the variable of class `placed` into each gap from `first_gap` on
+    below it, as `(gap, ordering)`; the last gap leaves it, and yields
+    `ordering` itself.  Starting from the constants' chain with the
+    variables in sorted order above it, and placing each variable from
+    the gap after the one its predecessor took, gives every strict order
+    that keeps the variables sorted, one per orbit under renaming them,
+    each once; over the integers a gap left without room is skipped."""
     below = list(ordering.classes[:placed])
     squeezable = ordering.domain == INTEGERS and len(ordering.anchors) > 1
     for gap in _placements(below, ordering.classes[placed][0], first_gap,
@@ -379,12 +379,6 @@ def _value_possible(domain: str, lo, hi, value: Fraction) -> bool:
 # ---------------------------------------------------------------------------
 # Reduction and the two-witness construction
 # ---------------------------------------------------------------------------
-
-def reduce_terms(ordering: CompleteOrdering):
-    """Merge equal terms and pin integer-forced variables to constants:
-    the ordering's cached `reduction`, (reduced ordering, renaming)."""
-    return ordering.reduction
-
 
 def rename_tuple(renaming: dict, tup: tuple) -> tuple:
     return tuple(renaming.get(t, t) for t in tup)

@@ -187,7 +187,7 @@ def equivalent_quasilinear(q: Query, q2: Query) -> Verdict:
                 return Verdict(NOT_EQUIVALENT, counterexample=ce)
         raise AssertionError("satisfiable query produced no separating database")
 
-    if func.name == "cntd" and not _cntd_conditions_hold(qr, q2r):
+    if not func.singleton_determining and not _cntd_conditions_hold(qr, q2r):
         return Verdict(UNSUPPORTED, reason=(
             "cntd equivalence is decided only for queries whose comparisons "
             "use <= and >= and that range over the rationals or are "

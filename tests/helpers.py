@@ -9,8 +9,9 @@ freezes an expected value, one of these oracles computed it.  Four
 references are exceptions: `branch_only_decide_prod`, for the prod
 decider's shortcut, and `canonical_decide_shiftable`, for the shiftable
 decider's value forms, build their witnesses with the library's own;
-`filtered_complete_orderings`, for the pruned ordering generator, keeps
-orders with the library's `is_satisfiable_order` and `entails`; and
+`filtered_complete_orderings`, for the pruned ordering generator and
+the lex-leaders of `place_next_variable`, keeps orders with the
+library's `is_satisfiable_order` and `entails`; and
 `reference_scan`, for the scan's level planning, skips and memo, and
 `subset_major_scan`, a verdict reference for the level walk, compile and
 prepare with the library's `_compile` and `_prepare_assignments` and
@@ -28,8 +29,8 @@ from fractions import Fraction
 from aggequiv import engine
 from aggequiv.model import Const, INTEGERS, Var, is_const, is_var, term_sort_key
 from aggequiv.orderings import (
-    CompleteOrdering, entails, is_satisfiable_order, reduce_terms,
-    rename_tuple, satisfying_assignment,
+    CompleteOrdering, entails, is_satisfiable_order, rename_tuple,
+    satisfying_assignment,
 )
 
 
@@ -363,11 +364,8 @@ def subset_major_scan(plan):
     with only the idle and differing unit skips and no memo, as
     `(unit index, counterexample)`, or None.  Its counterexample can
     differ from the level walk's, never its verdict."""
-    from aggequiv.orderings import enumerate_complete_orderings
-
-    q = plan.q
-    walk = _prepare_all(plan, enumerate_complete_orderings(
-        plan.terms, q.domain, injective_only=True),
+    walk = _prepare_all(plan, filtered_complete_orderings(
+        plan.terms, plan.q.domain, injective_only=True),
         compile_all(plan, 0), compile_all(plan, 1))
     unit = 0
     for size in range(len(plan.base) + 1):
@@ -400,7 +398,7 @@ def branch_only_decide_prod(ident):
 
     canon, renaming0 = identity._canonicalize(ident)
     for extension in _zero_slots(canon.ordering):
-        reduced, renaming1 = reduce_terms(extension)
+        reduced, renaming1 = extension.reduction
         left = tuple(rename_tuple(renaming1, tup) for tup in canon.left)
         right = tuple(rename_tuple(renaming1, tup) for tup in canon.right)
         c, exps_left = _polynomial(left)
@@ -488,9 +486,11 @@ def filtered_complete_orderings(terms, domain: str,
                                 comparisons=()):
     """The complete orderings `enumerate_complete_orderings` yields, in
     the order it yields them, found by building every ordered set
-    partition (or, with `injective_only`, every interleaving of the
-    sorted constants and sorted variables) and keeping those that pass
-    `is_satisfiable_order` and entail every comparison."""
+    partition and keeping those that pass `is_satisfiable_order` and
+    entail every comparison.  With `injective_only`, the lex-leaders the
+    level walk builds with `place_next_variable`, in its order: every
+    interleaving of the sorted constants and sorted variables that
+    passes."""
     items = sorted(set(terms), key=term_sort_key)
     if injective_only:
         constants = [t for t in items if is_const(t)]

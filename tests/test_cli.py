@@ -237,6 +237,28 @@ def test_check_decomposition_command(tmp_path, capsys):
     assert payload["databases"]
 
 
+def test_check_decomposition_rejects_a_group_of_the_wrong_arity(
+        tmp_path, capsys):
+    """A --group with too few or too many values, or an empty one, is a
+    usage error naming the head's arity, not an empty decomposition that
+    verifies."""
+    a = write(tmp_path, "a.q", "q(; count()) :- p(X)\n")
+    b = write(tmp_path, "b.q", "q(; count()) :- p(X) | p(X)\n")
+    c = write(tmp_path, "c.q", "q(X; count()) :- e(X, Y)\n")
+    d = write(tmp_path, "d.facts", "p(1).\ne(1, 2).\n")
+    for pair, group, arity in (((a, b), "1", 0), ((a, b), "1,,2", 0),
+                               ((c, c), "", 1), ((c, c), "1,,2", 1),
+                               ((c, c), "1,", 1), ((c, c), "1,2", 1)):
+        assert main(["check-decomposition", *pair, "-d", d,
+                     "--group", group]) == 64, (pair, group)
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"usage error: --group needs {arity} comma-separated grouping "
+            f"constant(s), got {group!r}\n")
+    assert main(["check-decomposition", a, b, "-d", d, "--group", ""]) == 0
+    assert main(["check-decomposition", c, c, "-d", d, "--group", " 1 "]) == 0
+
+
 def test_check_identity_command(tmp_path, capsys):
     valid = write(tmp_path, "sum_valid.ident", """
         domain: int
@@ -309,6 +331,33 @@ def test_check_identity_rejects_a_bag_term_outside_the_ordering(
     assert main(["check-identity", ident, "--json"]) == 2
     assert json.loads(capsys.readouterr().out) == {
         "status": "error", "reason": "bag term X not in the ordering"}
+
+
+def test_check_identity_rejects_an_unknown_or_repeated_key(tmp_path, capsys):
+    """A misspelled key is not dropped (`domian: int` would decide the
+    identity over the rationals, where it is invalid), and a repeated key
+    does not override the earlier one: both are input errors (exit 2)."""
+    body = """
+        function: prod
+        ordering: 0 < X < 2
+        left: {X}
+        right: {X, X}
+    """
+    for header, reason in (
+            ("domian: int", "unknown identity key 'domian'"),
+            ("domain: int\ndomain: rat", "identity key 'domain' given twice"),
+            ("domain: int\nDomain: int",
+             "identity key 'domain' given twice")):
+        ident = write(tmp_path, "keys.ident", header + body)
+        assert main(["check-identity", ident]) == 2, header
+        assert capsys.readouterr() == ("", f"error: {reason}\n")
+        assert main(["check-identity", ident, "--json"]) == 2, header
+        out, err = capsys.readouterr()
+        assert json.loads(out) == {"status": "error", "reason": reason}
+        assert err == ""
+    ident = write(tmp_path, "int.ident", "domain: int" + body)
+    assert main(["check-identity", ident]) == 0
+    assert capsys.readouterr().out == "valid\n"
 
 
 def test_check_identity_rejects_a_term_in_two_classes(tmp_path, capsys):

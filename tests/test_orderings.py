@@ -9,7 +9,7 @@ import pytest
 from aggequiv.model import Comparison, Const, INTEGERS, RATIONALS, Var
 from aggequiv.orderings import (
     CompleteOrdering, enumerate_complete_orderings, entails, is_reduced,
-    is_satisfiable_order, pinned_assignment, reduce_terms,
+    is_satisfiable_order, pinned_assignment, place_next_variable,
     satisfying_assignment, witness_pair,
 )
 from helpers import (
@@ -77,8 +77,8 @@ OPS = ("<", "<=", "=", "!=", ">", ">=")
 
 def test_pruned_generator_matches_the_filtered_reference():
     """The same orderings in the same order as building every candidate
-    and filtering it: plain, lex-leader, and under comparisons (constant
-    against constant among them)."""
+    and filtering it: plain, and under comparisons (constant against
+    constant among them)."""
     rng = random.Random(11)
     values = [F(-1), F(0), F(1, 2), F(1), F(2), F(3)]
     names = [Var(n) for n in "uvwxyz"]
@@ -96,7 +96,6 @@ def test_pruned_generator_matches_the_filtered_reference():
             for _ in range(rng.randint(0, 3))]
         found = {}
         for mode, kwargs in (("plain", {}),
-                             ("injective", {"injective_only": True}),
                              ("constrained", {"comparisons": comparisons})):
             expected = list(filtered_complete_orderings(terms, domain,
                                                         **kwargs))
@@ -117,9 +116,25 @@ def rename(ordering, renaming):
 CONSTANT_SETS = ([], [C(1)], [C(0), C(1)], [C(-1), C(2)], [C(0), C(2), C(5)])
 
 
+def lex_leaders(constants, variables, domain):
+    """The lex-leaders as the level walk builds them: the constants' chain
+    with the variables above it in order, then each variable in turn
+    placed by `place_next_variable` from the gap after its
+    predecessor's."""
+    fresh = tuple((v,) for v in variables)
+    level = [(-1, CompleteOrdering(chain.classes + fresh, domain))
+             for chain in enumerate_complete_orderings(constants, domain)]
+    for k in range(len(variables)):
+        level = [placed for gap, ordering in level
+                 for placed in place_next_variable(
+                     ordering, len(constants) + k, gap + 1)]
+    return [ordering for _, ordering in level]
+
+
 def test_injective_orderings_give_one_per_renaming_orbit():
     """Every strict ordering is a renaming of the variables of exactly one
-    injective-only ordering, and those keep the variables in order."""
+    lex-leader, and those keep the variables in order: the level walk
+    builds the reference's interleavings, in its order."""
     for domain in (RATIONALS, INTEGERS):
         for constants in CONSTANT_SETS:
             for n in range(5):
@@ -127,7 +142,8 @@ def test_injective_orderings_give_one_per_renaming_orbit():
                 terms = constants + variables
                 every = [o for o in enumerate_complete_orderings(terms, domain)
                          if o.is_injective()]
-                leaders = list(enumerate_complete_orderings(
+                leaders = lex_leaders(constants, variables, domain)
+                assert leaders == list(filtered_complete_orderings(
                     terms, domain, injective_only=True))
                 assert len(set(leaders)) == len(leaders)
                 assert set(leaders) == {
@@ -147,9 +163,10 @@ def test_injective_orderings_count_is_binomial():
     # lex-leaders are the C(c + n, n) choices of the variables' slots
     for constants in CONSTANT_SETS:
         for n in range(5):
-            terms = constants + [Var(f"u{i}") for i in range(1, n + 1)]
-            leaders = list(enumerate_complete_orderings(
-                terms, RATIONALS, injective_only=True))
+            variables = [Var(f"u{i}") for i in range(1, n + 1)]
+            leaders = lex_leaders(constants, variables, RATIONALS)
+            assert leaders == list(filtered_complete_orderings(
+                constants + variables, RATIONALS, injective_only=True))
             assert len(leaders) == math.comb(len(constants) + n, n)
 
 
@@ -239,15 +256,15 @@ def test_every_enumerated_ordering_is_realized_by_its_assignment():
                                 assert cmp.holds(sample[a], sample[b])
 
 
-def test_reduce_terms_examples():
+def test_reduction_examples():
     order = L([[C(0)], [x], [C(2)]], RATIONALS)
-    reduced, renaming = reduce_terms(order)
+    reduced, renaming = order.reduction
     assert reduced == order and renaming == {}
     order_z = L([[C(0)], [x], [C(2)]], INTEGERS)
-    reduced, renaming = reduce_terms(order_z)
+    reduced, renaming = order_z.reduction
     assert renaming == {x: C(1)}
     assert str(reduced) == "0 < 1 < 2"
-    merged, renaming = reduce_terms(L([[x, y]]))
+    merged, renaming = L([[x, y]]).reduction
     assert renaming == {y: x}
     assert str(merged) == "x"
 
@@ -272,7 +289,6 @@ def test_satisfying_assignment_is_a_fresh_dict():
 def test_reduction_is_cached_and_a_reduced_ordering_is_its_own():
     reduced = L([[C(0)], [x], [C(2)]], RATIONALS)
     assert reduced.reduction[0] is reduced and reduced.reduction[1] == {}
-    assert reduce_terms(reduced)[0] is reduced
     pinned = L([[C(0)], [x], [C(2)]], INTEGERS)
     assert pinned.reduction is pinned.reduction
     assert pinned.reduction == (L([[C(0)], [C(1)], [C(2)]], INTEGERS),
@@ -329,7 +345,7 @@ def test_witness_pair_satisfies_ordering_and_differs_only_at_x():
     for domain in (RATIONALS, INTEGERS):
         for terms in ([x, y, C(0)], [x, y, z], [x, C(1), y, C(4)]):
             for order in enumerate_complete_orderings(terms, domain):
-                reduced, renaming = reduce_terms(order)
+                reduced, renaming = order.reduction
                 the_vars = [t for t in reduced.terms() if t in (x, y, z)]
                 if not the_vars:
                     continue
