@@ -250,6 +250,9 @@ def _cmd_check_decomposition(args) -> int:
     (q, q2), registry = _load(args.queries, args.domain, 2)
     with open(args.database, encoding="utf-8") as handle:
         db = parse_database(handle.read(), args.domain, registry)
+    if len(q.grouping) != len(q2.grouping):
+        raise ValueError(f"the heads group by {len(q.grouping)} and "
+                         f"{len(q2.grouping)} column(s): no group is shared")
     chunks = [chunk.strip() for chunk in args.group.split(",")]
     if chunks == [""]:
         chunks = []  # the empty tuple of an ungrouped head

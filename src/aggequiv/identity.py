@@ -41,16 +41,18 @@ the least variable whose coefficient differs refutes.
 
 from __future__ import annotations
 
+import functools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .aggregation import AggregationFunction, apply
-from .model import INTEGERS, Const, is_const, term_sort_key
+from .model import Const, is_const, term_sort_key
 from .orderings import (
     Assignment, CompleteOrdering, assign_tuple, is_satisfiable_order,
-    rename_tuple, witness_pair,
+    rename_tuple, witness_pair_at,
 )
 
 
@@ -186,16 +188,22 @@ def decide_sum(ident: OrderedIdentity) -> IdentityVerdict:
     return _invalid(ident, renaming, _witness(reduced, u))
 
 
-def _linear_form(bag):
-    """Write sum(bag) as constant + sum of coefficient * variable."""
-    constant = Fraction(0)
-    coeffs = Counter()
+def _constant_and_powers(combine, constant, bag):
+    """Fold the bag's constants into `constant` with `combine`, and count
+    each variable: sum(bag) as a constant plus a linear form, or prod(bag)
+    as a constant times a monomial."""
+    powers = Counter()
     for (t,) in bag:
         if is_const(t):
-            constant += t.value
+            constant = combine(constant, t.value)
         else:
-            coeffs[t] += 1
-    return constant, coeffs
+            powers[t] += 1
+    return constant, powers
+
+
+_linear_form = functools.partial(_constant_and_powers, operator.add,
+                                 Fraction(0))
+_factor = functools.partial(_constant_and_powers, operator.mul, Fraction(1))
 
 
 def _first_difference(left: Counter, right: Counter):
@@ -216,28 +224,12 @@ def _witness(ident: OrderedIdentity, u) -> Assignment:
     one side of the anchor 0, where a power of `u` takes each value once.
     Either way one of the pair refutes.
     """
-    ordering = ident.ordering
-    base = ordering.canonical_assignment
     if u is None:
-        return base
-    c1 = base[u]
-    lo, hi = ordering.class_bounds(ordering.position(u))
-    c2 = _second_possible_value(ordering.domain, lo, hi, c1)
-    for candidate in witness_pair(ordering, u, c1, c2):
+        return ident.ordering.canonical_assignment
+    for candidate in witness_pair_at(ident.ordering, u):
         if _refutes(ident, candidate):
             return candidate
     raise AssertionError("neither paired assignment refutes the identity")
-
-
-def _second_possible_value(domain: str, lo, hi, first: Fraction) -> Fraction:
-    if domain == INTEGERS:
-        candidate = first + 1
-        if hi is None or candidate <= hi:
-            return candidate
-        return first - 1
-    if hi is not None and first < hi:
-        return (first + hi) / 2
-    return first + 1
 
 
 # ---------------------------------------------------------------------------
@@ -294,21 +286,6 @@ def _zero_extensions(ordering: CompleteOrdering):
         candidate = classes[:i] + [cls + [zero]] + classes[i + 1:]
         if is_satisfiable_order(candidate, ordering.domain):
             yield CompleteOrdering.of(candidate, ordering.domain)
-
-
-def _factor(bag):
-    """Write prod(bag) as constant * product of variables with exponents."""
-    constant = Fraction(1)
-    exponents = Counter()
-    if not bag:
-        return constant, exponents
-    for tup in bag:
-        t = tup[0]
-        if is_const(t):
-            constant *= t.value
-        else:
-            exponents[t] += 1
-    return constant, +exponents
 
 
 # ---------------------------------------------------------------------------

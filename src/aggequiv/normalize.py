@@ -51,9 +51,15 @@ def _substitute_condition(subst: dict, cond: Condition) -> Condition:
     return Condition(atoms, tuple(comparisons))
 
 
-def _entailed_substitution(system: ComparisonSystem, protected: set) -> dict:
+def _entailed_substitution(system: ComparisonSystem, q: Query,
+                           protected: bool) -> dict:
     """Map each comparison variable forced equal to another term onto a
-    representative; `protected` variables are never mapped away."""
+    representative, a head variable of `q` where its group has one.  A
+    grouping and an aggregation variable are never mapped onto each other:
+    well-formedness keeps the two tuples variable-disjoint.  With
+    `protected`, no head variable is mapped away."""
+    grouping = q.grouping_variables()
+    head = grouping | q.aggregation_variables()
     terms = {t for c in system.comparisons for t in c.terms()}
     variables = sorted((t for t in terms if is_var(t)), key=term_sort_key)
 
@@ -72,18 +78,20 @@ def _entailed_substitution(system: ComparisonSystem, protected: set) -> dict:
                 group.append(y)
         if len(group) > 1:
             merged.update(group)
-            protected_members = [v for v in group if v in protected]
-            rep = protected_members[0] if protected_members else group[0]
+            rep = next((v for v in group if v in head), group[0])
             for v in group:
-                if v != rep:
+                if v != rep and not (v in head and
+                                     (v in grouping) != (rep in grouping)):
                     subst[v] = rep
     # a protected (head) variable keeps its name: different disjuncts could
     # force different values onto it
-    return {k: v for k, v in subst.items() if k not in protected}
+    return {k: v for k, v in subst.items()
+            if not (protected and k in head)}
 
 
 def reduce_query(q: Query) -> Query:
-    """Equivalent query with no entailed equalities left in any disjunct.
+    """Equivalent query with no entailed equalities left in any disjunct
+    but those between a grouping and an aggregation variable.
 
     Unsatisfiable disjuncts are dropped; if none survive, the returned
     query has an empty body and `is_unsatisfiable` is true.
@@ -91,7 +99,6 @@ def reduce_query(q: Query) -> Query:
     conjunctive = q.is_conjunctive()
     grouping = q.grouping
     aggregate = q.aggregate
-    head_vars = q.grouping_variables() | q.aggregation_variables()
 
     new_disjuncts = []
     for cond in q.disjuncts:
@@ -100,10 +107,8 @@ def reduce_query(q: Query) -> Query:
             continue
         # head variables may be substituted only when there is a single
         # disjunct (the substitution must also rewrite the shared head)
-        protected = set() if conjunctive else set(head_vars)
-        subst = _entailed_substitution(system, protected)
+        subst = _entailed_substitution(system, q, not conjunctive)
         if conjunctive:
-            subst = _drop_head_conflicts(subst, q)
             grouping = tuple(_substitute_term(subst, t) for t in grouping)
             if aggregate is not None:
                 aggregate = replace(
@@ -115,18 +120,3 @@ def reduce_query(q: Query) -> Query:
     return replace(q, grouping=grouping, aggregate=aggregate,
                    disjuncts=tuple(new_disjuncts)).validate()
 
-
-def _drop_head_conflicts(subst: dict, q: Query) -> dict:
-    """Never rewrite a grouping variable into an aggregation variable or
-    vice versa: well-formedness keeps the two tuples variable-disjoint."""
-    grouping = q.grouping_variables()
-    aggregation = q.aggregation_variables()
-    out = {}
-    for var, rep in subst.items():
-        if is_var(rep):
-            if var in grouping and rep in aggregation:
-                continue
-            if var in aggregation and rep in grouping:
-                continue
-        out[var] = rep
-    return out

@@ -410,6 +410,20 @@ def witness_pair(ordering: CompleteOrdering, x: Term,
     return (low, high) if c1 <= c2 else (high, low)
 
 
+def witness_pair_at(ordering: CompleteOrdering, x: Term):
+    """`witness_pair` at the canonical value of `x` and a second possible
+    one: the midpoint towards a bound above over the rationals, else one
+    up, or over the integers one down at the top of its room."""
+    first = ordering.canonical_assignment[x]
+    _, hi = ordering.class_bounds(ordering.position(x))
+    second = first + 1
+    if hi is not None and ordering.domain != INTEGERS:
+        second = (first + hi) / 2
+    elif hi is not None and second > hi:
+        second = first - 1
+    return witness_pair(ordering, x, first, second)
+
+
 def assign_tuple(assignment: Assignment, tup: tuple) -> tuple:
     """Instantiate a tuple of terms under an assignment."""
     out = []

@@ -9,10 +9,10 @@ queries are equivalent exactly when they are isomorphic; cntd gets the
 same treatment under its special conditions (only <= and >= comparisons,
 and rational domain or no constants) and is otherwise not supported.
 
-Non-isomorphic pairs are refuted constructively: candidate databases are
-built from canonical instantiations of either query (and, for a
-negated-atom mismatch, that instantiation plus the separating negated
-fact), checked concretely, and only a verified disagreement is reported.
+A pair with one unsatisfiable side, or a non-isomorphic pair, is refuted
+by one procedure: canonical instantiations of each satisfiable side over
+both sides' terms, alone, with one negated fact, or (cntd) two at once,
+are checked concretely, and only a verified disagreement is reported.
 """
 
 from __future__ import annotations
@@ -26,11 +26,12 @@ from . import oracle
 from .constraints import ComparisonSystem
 from .engine import Counterexample, EQUIVALENT, NOT_EQUIVALENT, UNSUPPORTED, Verdict
 from .model import (
-    Condition, Database, Query, RATIONALS, is_const, term_sort_key,
+    Condition, Database, Query, RATIONALS, is_const, is_var, term_sort_key,
 )
 from .normalize import reduce_query
 from .orderings import (
-    assign_tuple, enumerate_complete_orderings, satisfying_assignment,
+    CompleteOrdering, assign_tuple, enumerate_complete_orderings,
+    satisfying_assignment, witness_pair_at,
 )
 
 
@@ -179,24 +180,33 @@ def equivalent_quasilinear(q: Query, q2: Query) -> Verdict:
     qr, q2r = reduce_query(q), reduce_query(q2)
     if qr.is_unsatisfiable and q2r.is_unsatisfiable:
         return Verdict(EQUIVALENT)
-    if qr.is_unsatisfiable or q2r.is_unsatisfiable:
-        source = q2r if qr.is_unsatisfiable else qr
-        for db in _candidate_databases(source):
-            ce = _differing(qr, q2r, db)
-            if ce is not None:
-                return Verdict(NOT_EQUIVALENT, counterexample=ce)
-        raise AssertionError("satisfiable query produced no separating database")
-
-    if not func.singleton_determining and not _cntd_conditions_hold(qr, q2r):
+    if not (qr.is_unsatisfiable or q2r.is_unsatisfiable):
+        if not func.singleton_determining and \
+                not _cntd_conditions_hold(qr, q2r):
+            return Verdict(UNSUPPORTED, reason=(
+                "cntd equivalence is decided only for queries whose "
+                "comparisons use <= and >= and that range over the "
+                "rationals or are constant-free"))
+        if find_isomorphism(qr, q2r) is not None:
+            return Verdict(EQUIVALENT)
+    ce = _refute(qr, q2r)
+    if ce is not None:
+        return Verdict(NOT_EQUIVALENT, counterexample=ce)
+    if _head_equality(qr) or _head_equality(q2r):
         return Verdict(UNSUPPORTED, reason=(
-            "cntd equivalence is decided only for queries whose comparisons "
-            "use <= and >= and that range over the rationals or are "
-            "constant-free"))
+            "a grouping variable is forced equal to an aggregation "
+            "variable, which reduction keeps apart, and no candidate "
+            "database separates the queries"))
+    raise RuntimeError("no separating database found for a pair that is "
+                       "not equivalent")
 
-    if find_isomorphism(qr, q2r) is not None:
-        return Verdict(EQUIVALENT)
-    return Verdict(NOT_EQUIVALENT,
-                   counterexample=_refute_nonisomorphic(qr, q2r))
+
+def _head_equality(q: Query) -> bool:
+    """Does the reduced query force a grouping and an aggregation variable
+    equal?  Two such queries can be equivalent but not isomorphic."""
+    return any(ComparisonSystem(cond.comparisons, q.domain).forced_equal(g, a)
+               for cond in q.disjuncts for g in q.grouping_variables()
+               for a in q.aggregation_variables())
 
 
 def _cntd_conditions_hold(qr: Query, q2r: Query) -> bool:
@@ -209,34 +219,28 @@ def _cntd_conditions_hold(qr: Query, q2r: Query) -> bool:
     return not (qr.constants() or q2r.constants())
 
 
-def _canonical_instantiations(q: Query):
-    """Assignments of the query's variables satisfying its comparisons,
-    one per consistent ordering of the comparison terms, injective
-    orderings first; variables free of comparisons spread out above."""
+def _canonical_instantiations(q: Query, terms: set):
+    """`(ordering, assignment)` per consistent ordering of `terms` and the
+    query's comparison terms, injective first; the query's other variables
+    sit above them, each in a class of its own."""
     cond = q.disjuncts[0]
-    comp_terms = {t for c in cond.comparisons for t in c.terms()}
-    comp_terms |= {t for t in q.constants()}
-    free_vars = sorted(cond.variables() - comp_terms, key=term_sort_key)
+    terms = terms | {t for c in cond.comparisons for t in c.terms()}
+    free_vars = sorted(cond.variables() - terms, key=term_sort_key)
     orderings = list(enumerate_complete_orderings(
-        comp_terms, q.domain, comparisons=cond.comparisons))
+        terms, q.domain, comparisons=cond.comparisons))
     orderings.sort(key=lambda o: 0 if o.is_injective() else 1)
     for ordering in orderings:
         assignment = satisfying_assignment(ordering)
         top = max(assignment.values(), default=Fraction(0))
         for i, v in enumerate(free_vars, start=1):
             assignment[v] = top + i
-        yield assignment
+        yield (CompleteOrdering(ordering.classes + tuple(
+            (v,) for v in free_vars), q.domain), assignment)
 
 
-def _instantiate_positive(q: Query, assignment: dict):
-    return Database(frozenset(
-        (atom.predicate, assign_tuple(assignment, atom.args))
-        for atom in q.disjuncts[0].positive_atoms()))
-
-
-def _candidate_databases(q: Query):
-    for assignment in _canonical_instantiations(q):
-        yield _instantiate_positive(q, assignment)
+def _instantiate(atoms, *assignments) -> Database:
+    return Database(frozenset((a.predicate, assign_tuple(d, a.args))
+                              for d in assignments for a in atoms))
 
 
 def _differing(q: Query, q2: Query, db) -> Optional[Counterexample]:
@@ -244,47 +248,68 @@ def _differing(q: Query, q2: Query, db) -> Optional[Counterexample]:
     right = dict(oracle.eval_concrete(q2, db))
     if left == right:
         return None
-    keys = sorted(k for k in set(left) | set(right)
-                  if left.get(k) != right.get(k))
-    key = keys[0]
+    key = min(k for k in set(left) | set(right)
+              if left.get(k) != right.get(k))
     return Counterexample(db, key, left.get(key), right.get(key))
 
 
-def _refute_nonisomorphic(qr: Query, q2r: Query) -> Counterexample:
-    """Constructive counterexample for a non-isomorphic satisfiable pair:
-    canonical instantiations of either query, then (for a negated-atom
-    mismatch) the instantiation extended with the separating fact, then a
-    brute-force small-model sweep."""
-    for source in (qr, q2r):
-        for db in _candidate_databases(source):
-            ce = _differing(qr, q2r, db)
-            if ce is not None:
-                return ce
+def _refute(qr: Query, q2r: Query) -> Optional[Counterexample]:
+    """A counterexample for a reduced pair with one side unsatisfiable, or
+    with both satisfiable and not isomorphic, or None.
 
-    pos1 = _positive_part(qr)
-    pos2 = _positive_part(q2r)
-    theta = find_isomorphism(pos1, pos2)
-    if theta is not None:
-        inverse = theta.inverse()
-        plans = [(qr, _mapped_difference(qr, q2r, theta)),
-                 (q2r, _mapped_difference(q2r, qr, inverse))]
-        for source, extra_atoms in plans:
-            for assignment in _canonical_instantiations(source):
-                base = _instantiate_positive(source, assignment)
-                for pred, args in extra_atoms:
-                    fact = (pred, assign_tuple(assignment, args))
-                    db = base | Database(frozenset([fact]))
-                    ce = _differing(qr, q2r, db)
-                    if ce is not None:
-                        return ce
+    Each satisfiable side is instantiated under every consistent ordering
+    of its own comparison terms, both sides' constants and, when the
+    positive parts are isomorphic under a variable mapping θ, the other
+    side's comparison terms mapped through θ.  The candidate databases
+    come stage by stage over both sides (`_stage`), each is evaluated
+    concretely, and the first on which the two queries disagree is
+    returned; no database is enumerated.  None is left only for reduced
+    queries that keep a grouping and an aggregation variable equal.
+    """
+    pair = (qr, q2r)
+    theta = None
+    if not (qr.is_unsatisfiable or q2r.is_unsatisfiable):
+        theta = find_isomorphism(_positive_part(qr), _positive_part(q2r))
+    sides = []
+    for i, source in enumerate(pair):
+        if source.is_unsatisfiable:
+            continue
+        terms = qr.constants() | q2r.constants()
+        if theta is not None:
+            mapping = theta.inverse() if i else theta
+            terms |= {mapping.term(t) for c in pair[1 - i].disjuncts[0]
+                      .comparisons for t in c.terms()}
+        sides.append((source, list(_canonical_instantiations(source,
+                                                             terms))))
+    stages = 2 if qr.aggregate.function.singleton_determining else 3
+    found = (_differing(qr, q2r, db) for stage in range(stages)
+             for source, instances in sides
+             for ordering, assignment in instances
+             for db in _stage(stage, source, ordering, assignment))
+    return next(filter(None, found), None)
 
-    found = oracle.brute_force_check(qr, q2r)
-    if found is not None:
-        ce = _differing(qr, q2r, found)
-        if ce is not None:
-            return ce
-    raise RuntimeError(
-        "no separating database found for a non-isomorphic pair")
+
+def _stage(stage: int, q: Query, ordering: CompleteOrdering,
+           assignment: dict):
+    """The candidates of one instantiation at `stage`: 0, its positive
+    atoms; 1, those plus one of the query's negated atoms, instantiated
+    alike; 2 (for cntd, which is not singleton-determining), under an
+    injective ordering and per aggregate argument it leaves free to move,
+    the union of the two instantiations `witness_pair_at` gives there."""
+    cond = q.disjuncts[0]
+    positive = cond.positive_atoms()
+    if stage == 0:
+        yield _instantiate(positive, assignment)
+    elif stage == 1:
+        for atom in cond.negated_atoms():
+            yield _instantiate(positive + [atom], assignment)
+    elif ordering.is_injective():
+        reduced, renaming = ordering.reduction
+        for x in sorted(q.aggregation_variables(), key=term_sort_key):
+            if is_var(u := renaming.get(x, x)):
+                yield _instantiate(positive, *(
+                    {t: d[renaming.get(t, t)] for t in ordering.terms()}
+                    for d in witness_pair_at(reduced, u)))
 
 
 def _positive_part(q: Query) -> Query:
@@ -294,12 +319,3 @@ def _positive_part(q: Query) -> Query:
     cond = q.disjuncts[0]
     return replace(q, disjuncts=(Condition(tuple(cond.positive_atoms()),
                                            ()),))
-
-
-def _mapped_difference(target: Query, other: Query,
-                       mapping: Homomorphism) -> list:
-    """Negated atoms of `target` not hit by mapping the other side's."""
-    own = {(a.predicate, a.args) for a in target.disjuncts[0].negated_atoms()}
-    mapped = {(a.predicate, mapping.tuple(a.args))
-              for a in other.disjuncts[0].negated_atoms()}
-    return sorted(own - mapped)

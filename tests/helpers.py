@@ -561,6 +561,54 @@ def random_text(rng: random.Random, func: str) -> str:
     return f"q(; {agg}) :- " + " | ".join(disjuncts)
 
 
+def random_quasilinear_pair(rng: random.Random):
+    """Two quasilinear conjunctive queries `(text1, text2, domain)` with
+    one function of all nine, over the integers or the rationals: p(X, Y)
+    beside an optional r/1 and s/1 or s/2 atom, an optional grouping
+    variable X, and literals drawn from negated b/1 and c/1 atoms and
+    comparisons of a variable with 0, 1 or 3 or with another variable.
+    The second query drops or adds up to two literals, may swap p's
+    arguments or move the aggregate argument, and may rename X, Y and Z to
+    U, V and W, so that some pairs are isomorphic and most are not."""
+    func = rng.choice(FUNCTION_NAMES)
+    domain = rng.choice([INTEGERS, "rat"])
+    atoms = ["p(X, Y)"] + [a for a in (rng.choice(["r(Y)", "r(Z)", None]),
+                                       rng.choice(["s(X, Z)", "s(Z)", None]))
+                           if a is not None]
+    variables = sorted({v for a in atoms for v in "XYZ" if v in a})
+    group = rng.choice(["", "X"])
+    free = [v for v in variables if v != group]
+
+    def literal():
+        v = rng.choice(variables)
+        if rng.random() < 0.4:
+            return f"!{rng.choice('bc')}({v})"
+        op = rng.choice(["<", "<=", ">", ">=", "!=", "="])
+        others = [w for w in variables if w != v]
+        if others and rng.random() < 0.4:
+            return f"{v} {op} {rng.choice(others)}"
+        return f"{v} {op} {rng.choice(('0', '1', '3'))}"
+
+    def text(body, argument):
+        return f"q({group}; {func}({argument})) :- " + ", ".join(body)
+
+    argument = "" if func in ("count", "parity") else rng.choice(free)
+    lits = [literal() for _ in range(rng.randint(0, 3))]
+    lits2 = list(lits)
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        if lits2 and rng.random() < 0.5:
+            lits2.pop(rng.randrange(len(lits2)))
+        else:
+            lits2.insert(rng.randint(0, len(lits2)), literal())
+    atoms2 = (["p(Y, X)"] + atoms[1:]) if rng.random() < 0.15 else atoms
+    argument2 = (rng.choice(free) if argument and rng.random() < 0.15
+                 else argument)
+    text2 = text(atoms2 + lits2, argument2)
+    if rng.random() < 0.3:
+        text2 = text2.translate(str.maketrans("XYZ", "UVW"))
+    return text(atoms + lits, argument), text2, domain
+
+
 def random_ordering(rng: random.Random, domain: str, max_vars: int = 4,
                     max_consts: int = 2, include=()) -> CompleteOrdering:
     """A random complete ordering of up to `max_vars` variables, the

@@ -170,6 +170,12 @@ def test_quasilinear_refutes_a_negated_atom_beside_a_comparison(
     fact is found without the brute-force sweep and its cap."""
     texts = ("q(X; max(Y)) :- p(X, Y), r(Z)",
              "q(X; max(Y)) :- p(X, Y), r(Z), !b(X), Z != 0")
+    assert_quasilinear_refutes(tmp_path, capsys, texts, domain)
+
+
+def assert_quasilinear_refutes(tmp_path, capsys, texts, domain):
+    """`quasilinear` exits 1 on the pair, and its counterexample reproduces
+    the values it reports, which differ."""
     paths = [write(tmp_path, f"{side}.q", text + "\n")
              for side, text in zip("ab", texts)]
     assert main(["quasilinear", *paths, "--domain", domain, "--json"]) == 1
@@ -182,6 +188,23 @@ def test_quasilinear_refutes_a_negated_atom_beside_a_comparison(
     right = dict(eval_concrete(q2, db)).get(group)
     assert [value_to_json(left), value_to_json(right)] == ce["values"]
     assert left != right
+
+
+@pytest.mark.parametrize("texts, domain", [
+    (("q(X; min(Y)) :- p(X, Y), r(Y), !b(X), X > 0",
+      "q(X; min(Y)) :- p(X, Y), r(Y), !b(X)"), "int"),
+    (("q(; min(Y)) :- p(X, Y), r(Z), !b(X)",
+      "q(; min(Y)) :- p(X, Y), r(Z), !b(X), X >= 0"), "rat"),
+    (("q(X; count()) :- p(X, Y), r(Z), !b(Y)",
+      "q(X; count()) :- p(X, Y), r(Z), !b(Y), Y != 0"), "int"),
+])
+def test_quasilinear_refutes_wide_pairs_without_enumerating_databases(
+        tmp_path, capsys, texts, domain):
+    """Each side's instances place its variables against the other side's
+    comparison terms: X at or below 0 in the first pair, for one, which no
+    instance of the second query's own terms does.  These pairs once fell
+    through to a database enumeration that exceeded its cap."""
+    assert_quasilinear_refutes(tmp_path, capsys, texts, domain)
 
 
 def test_python_dash_m_runs_the_cli(count_pair):
@@ -257,6 +280,27 @@ def test_check_decomposition_rejects_a_group_of_the_wrong_arity(
             f"constant(s), got {group!r}\n")
     assert main(["check-decomposition", a, b, "-d", d, "--group", ""]) == 0
     assert main(["check-decomposition", c, c, "-d", d, "--group", " 1 "]) == 0
+
+
+def test_check_decomposition_rejects_heads_of_different_grouping_arity(
+        tmp_path, capsys):
+    """No group of an ungrouped head is a group of a grouped one, in
+    either file order: an error naming both arities, not a verified
+    decomposition."""
+    grouped = write(tmp_path, "g.q", "q(X; count()) :- e(X, Y)\n")
+    ungrouped = write(tmp_path, "u.q", "q(; count()) :- e(X, Y)\n")
+    d = write(tmp_path, "d.facts", "e(1, 2).\n")
+    for pair, group, arities in (((grouped, ungrouped), "1", (1, 0)),
+                                 ((ungrouped, grouped), "", (0, 1))):
+        message = (f"the heads group by {arities[0]} and {arities[1]} "
+                   f"column(s): no group is shared")
+        argv = ["check-decomposition", *pair, "-d", d, "--group", group]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert main(argv + ["--json"]) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out) == {"status": "error", "reason": message}
+        assert err == ""
 
 
 def test_check_identity_command(tmp_path, capsys):

@@ -196,6 +196,16 @@ def test_reduce_is_a_fixpoint():
     assert reduce_query(reduce_query(q)) == reduce_query(q)
 
 
+def test_reduce_represents_a_merged_group_by_a_head_variable():
+    # X, Y and Z are forced equal; X comes first by name, but mapping the
+    # grouping variable Z and the aggregation variable Y onto X would put
+    # X in both head tuples
+    q = parse_query("q(Z; min(Y)) :- s(Y, Z), Z = X, Y = X")
+    reduced = reduce_query(q)
+    assert reduced == parse_query("q(Z; min(Y)) :- s(Y, Z), Z = Y")
+    assert reduce_query(reduced) == reduced
+
+
 def test_reduce_drops_unsatisfiable_disjuncts():
     q = parse_query("q(; count()) :- p(X), X < 0, X > 0 | p(X), X > 5")
     reduced = reduce_query(q)

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ from aggequiv.parsing import parse_query
 from aggequiv.quasilinear import (
     equivalent_quasilinear, find_isomorphism, is_quasilinear,
 )
+
+from helpers import random_quasilinear_pair
 
 F = Fraction
 
@@ -110,8 +113,9 @@ def test_equivalent_quasilinear_grouping_constant_mismatch():
 
 
 def test_equivalent_quasilinear_aggregate_argument_swap():
-    # same positive shape, different aggregate argument: needs the
-    # exhaustive safety net (single-fact databases cannot tell cntd apart)
+    # same positive shape, different aggregate argument: single-fact
+    # databases cannot tell cntd apart, so the refutation's cntd stage
+    # joins two instances that differ only at the aggregate argument
     q = parse_query("q(; cntd(X)) :- p(X, Y)")
     q2 = parse_query("q(; cntd(Y)) :- p(X, Y)")
     verdict = equivalent_quasilinear(q, q2)
@@ -135,6 +139,49 @@ def test_unsatisfiable_handling():
     verify_ce(dead, live, verdict)
     verdict = equivalent_quasilinear(live, dead)
     verify_ce(live, dead, verdict)
+
+
+def test_grouping_and_aggregation_variables_equal_through_a_third():
+    # reduction represents {X, Y, Z} by a head variable, so the grouping
+    # variable Z and the aggregation variable Y stay apart
+    q = parse_query("q(Z; min(Y)) :- s(Y, Z), Z = X, Y = X")
+    q2 = parse_query("q(Z; min(Y)) :- s(Y, Z), Z = Y")
+    assert equivalent_quasilinear(q, q2).status == engine.EQUIVALENT
+    assert equivalent_quasilinear(q2, q).status == engine.EQUIVALENT
+
+
+def test_a_kept_head_equality_is_refuted_or_unsupported():
+    """A grouping variable forced equal to an aggregation variable stays in
+    the reduced query, so non-isomorphic pairs can be equivalent: they are
+    refuted where a candidate separates them, and unsupported otherwise."""
+    q = parse_query("q(X; max(Y)) :- p(X, Y), X <= Y, Y <= X")
+    swapped = parse_query("q(X; max(Y)) :- p(Y, X), X = Y")
+    plain = parse_query("q(X; max(Y)) :- p(X, Y)")
+    assert equivalent_quasilinear(q, swapped).status == engine.UNSUPPORTED
+    verify_ce(q, plain, equivalent_quasilinear(q, plain))
+
+
+def test_refutation_needs_no_database_enumeration(monkeypatch):
+    """300 random quasilinear pairs (`random_quasilinear_pair`): every
+    call answers without the brute-force sweep, and every counterexample
+    re-verifies.  Refuting some of them needs the other side's comparison
+    terms mapped into the instance, some a negated fact, and some cntd
+    pairs two facts."""
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the refutation enumerated databases")
+    monkeypatch.setattr(oracle, "brute_force_check", no_sweep)
+    rng = random.Random(1)
+    statuses = []
+    for _ in range(300):
+        text1, text2, domain = random_quasilinear_pair(rng)
+        q = parse_query(text1, domain=domain)
+        q2 = parse_query(text2, domain=domain)
+        verdict = equivalent_quasilinear(q, q2)
+        statuses.append(verdict.status)
+        if verdict.status == engine.NOT_EQUIVALENT:
+            verify_ce(q, q2, verdict)
+    assert set(statuses) == {engine.EQUIVALENT, engine.NOT_EQUIVALENT,
+                             engine.UNSUPPORTED}
 
 
 def test_cntd_gate():
