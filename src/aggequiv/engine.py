@@ -69,18 +69,25 @@ from none.  An ordering whose uk stays above every term is its
 parent's, memo included.
 
 Parallel scan: one loop (`_scan`) walks a decision's plan (`_plan`) in
-the global order; one worker runs it in process.  With K workers the
-caller first runs the head, levels 0 and 1, for every pair (differing
-heads walk level n alone, so all of it when n <= 1, none otherwise): a
-failure there is the first, and no process is involved.  Otherwise
-min(K, usable CPUs) pool processes run the levels from 2 on, each the
-units whose index within their level is its stride number modulo the
-workers, and the lowest (level, index) of their first failures wins, so
-the output is the one-worker output.  A decision that walks no level
-past the head never reaches a process.  The pool,
-and the machinery it imports, comes with the first parallel decision
-that reaches it and is kept for later ones (`_shared_pool`).  A job
-carries the plan, so workers need no state inherited by fork.
+the global order; one worker runs it in process.  With K workers and s
+= min(K, usable CPUs) strides the caller first runs the head, levels 0
+and 1, for every pair (differing heads walk level n alone, so all of it
+when n <= 1, none otherwise): a failure there is the first, and no
+process is involved.  Otherwise the levels from 2 on are split into s
+strides, each the units whose index within their level is its stride
+number modulo s.  The caller sends the plan, pickled once, down a pipe
+to each of s - 1 worker processes, runs stride 0 itself while they run
+strides 1 to s - 1, then reads their replies; the lowest (level, index)
+of the first failures wins, so the output is the one-worker output.
+With s = 1 the caller scans every level and starts no process, and a
+decision that walks no level past the head starts none either.  The
+workers, and `multiprocessing`, come with the first parallel decision
+that reaches them and are kept for later ones (`_workers`); at exit
+each is sent a stop and joined, and one whose caller died without a
+stop leaves at end of file.  They start by the default start
+method, so a program with threads can choose `spawn` or `forkserver`
+(`multiprocessing.set_start_method`); a job carries the plan, so
+workers need no state inherited by fork.
 
 Full equivalence reduces to N-equivalence at the pair's term size for
 the decomposable functions (count, sum, max, min, parity, top2) and for
@@ -90,12 +97,13 @@ prod over the rationals; avg and cntd are reported unsupported.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import itertools
 import os
 import sys
 import threading
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import identity, oracle
 from .aggregation import FUNCTIONS, apply
@@ -110,9 +118,6 @@ from .orderings import (
 # not called here: bench/tracing.py traces the comparison layer under the
 # name engine.entails, so it stays importable (and reads 0 calls)
 from .orderings import entails  # noqa: F401
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
@@ -407,8 +412,8 @@ def _verify_counterexample(q: Query, q2: Query, ce: Counterexample):
         raise AssertionError("counterexample does not separate the queries")
 
 
-#: with more than one worker, the caller walks the levels below this one
-#: (no fresh value and one) before the pool, whatever the heads
+#: with more than one stride, the caller walks the levels below this one
+#: (no fresh value and one) before the strides, whatever the heads
 _HEAD_LEVELS = 2
 
 
@@ -418,9 +423,9 @@ def n_equivalent(q: Query, q2: Query, n: int, workers: int = 1) -> Verdict:
     With `workers` > 1 the caller first walks the head, levels 0 and 1,
     for every pair (see the module docstring); only when no unit there
     fails and a later level is walked are that level's units and those
-    after it split across min(`workers`, usable CPUs) processes of a
-    pool that outlives the decision.  The output does not depend on
-    `workers`.
+    after it split into min(`workers`, usable CPUs) strides, the first
+    run by the caller and each other one by a worker process that
+    outlives the decision.  The output does not depend on `workers`.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -431,15 +436,16 @@ def n_equivalent(q: Query, q2: Query, n: int, workers: int = 1) -> Verdict:
     if q.aggregate is None or q2.aggregate is None:
         raise ValueError("n_equivalent expects aggregate queries")
     plan = _plan(q, q2, n)
-    if workers == 1:
+    strides = 1 if workers == 1 else min(workers, _usable_cpus())
+    if strides == 1:
         hit = _scan(plan)
     else:
         # most inequivalent pairs fail with at most one fresh value, and a
-        # failure in the head is the first: it needs no pool round trip
+        # failure in the head is the first: it needs no worker round trip
         hit = _scan(plan, levels=range(_HEAD_LEVELS))
         if hit is None and any(k >= _HEAD_LEVELS
                                for k in _walked_levels(plan)):
-            hit = _scan_in_pool(plan, min(workers, _usable_cpus()))
+            hit = _parallel_scan(plan, strides)
     if hit is None:
         return Verdict(EQUIVALENT, n_used=n)
     return Verdict(NOT_EQUIVALENT, n_used=n, counterexample=hit[1])
@@ -600,8 +606,8 @@ def _scan(plan: _Plan, offset: int = 0, workers: int = 1,
     levels in `levels` (by default every one): its first failing unit as
     `((level, index within it), counterexample)`, or None; strides and
     level ranges merge by the lowest.  With more than one worker the
-    caller walks levels 0 and 1 (the head) for every pair, and the pool
-    strides the levels from 2 on."""
+    caller walks levels 0 and 1 (the head) for every pair, and the
+    caller and the worker processes stride the levels from 2 on."""
     every_atom = (1 << len(plan.base)) - 1
     states, built = [], -1
     for k in _walked_levels(plan):
@@ -645,63 +651,118 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# The process's worker pool: built by the first parallel decision that has
-# units to check, kept for later ones, rebuilt after a fork or for another
-# worker count, and shut down at exit.  The lock keeps two threads from
-# sharing it mid-decision.
+class BrokenWorkers(RuntimeError):
+    """A worker process died during a decision, and again on fresh
+    workers."""
+
+
+# The process's workers, one (process, connection) per stride after the
+# caller's: built by the first parallel decision that has units past the
+# head, kept for later ones, rebuilt after a fork or for another stride
+# count, and stopped at exit.  The lock keeps two threads from sharing
+# them mid-decision.
 _pool_lock = threading.Lock()
-_pool_key: Optional[tuple] = None  # (pid, workers) of _pool
-_pool: Optional[ProcessPoolExecutor] = None
+_pool_key: Optional[tuple] = None  # (pid, strides) of _pool
+_pool: list = []
 
 
-def _shared_pool(workers: int) -> ProcessPoolExecutor:
-    """This process's pool of `workers` processes."""
-    global _pool, _pool_key
-    key = (os.getpid(), workers)
+def _work(connection, callers_end, offset: int, strides: int) -> None:
+    """A worker: scan stride `offset` of `strides` after the head of each
+    plan received, and send back its first failure or the exception it
+    raised, until a stop (None) arrives, or end of file when the caller
+    died without sending one.  Interrupts are the caller's to handle: it
+    kills a worker it leaves mid-job."""
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # a copy of the caller's end of the pipe, held here, would keep end of
+    # file from ever arriving
+    callers_end.close()
+    with contextlib.suppress(EOFError):
+        while (plan := connection.recv()) is not None:
+            try:
+                reply = _scan(plan, offset, strides,
+                              range(_HEAD_LEVELS, sys.maxsize)), None
+            except Exception as exc:
+                reply = None, exc
+            connection.send(reply)
+
+
+def _workers(strides: int) -> list:
+    """This process's connections to the workers of strides 1 to
+    `strides` - 1."""
+    global _pool_key
+    key = (os.getpid(), strides)
     if _pool_key != key:
         _drop_pool()
-        # imported here: it makes up a fifth of the package's import time,
-        # and only a decision that reaches the pool uses it
-        from concurrent.futures import ProcessPoolExecutor
-        _pool, _pool_key = ProcessPoolExecutor(max_workers=workers), key
-        # the executor module, imported after this one, is cleared first at
-        # interpreter teardown, so the pool must be shut down before that;
-        # unregistering first keeps one registration
+        # imported here: only a decision that reaches the workers uses it
+        import multiprocessing
+        _pool_key = key  # a worker is dropped with the others once started
+        for offset in range(1, strides):
+            mine, theirs = multiprocessing.Pipe()
+            process = multiprocessing.Process(
+                target=_work, args=(theirs, mine, offset, strides))
+            process.start()
+            theirs.close()
+            _pool.append((process, mine))
+        # registered after multiprocessing's own exit handler, which joins
+        # every child, so the workers get their stop first; unregistering
+        # first keeps one registration
         atexit.unregister(_drop_pool)
         atexit.register(_drop_pool)
-    return _pool
+    return [connection for _, connection in _pool]
 
 
-def _drop_pool() -> None:
-    """Forget the pool, shutting it down if this process built it (a
-    forked child holds only a copy of its parent's)."""
+def _drop_pool(stop: bool = True) -> None:
+    """Forget the workers.  Those this process started are sent a stop,
+    or killed when they may be mid-job (`stop` false), and joined; a
+    forked child only closes its copies of its parent's connections."""
     global _pool, _pool_key
-    if _pool_key is not None and _pool_key[0] == os.getpid():
-        _pool.shutdown()
-    _pool = _pool_key = None
+    own = _pool_key is not None and _pool_key[0] == os.getpid()
+    for process, connection in _pool:
+        if own:
+            if stop:
+                with contextlib.suppress(OSError):
+                    connection.send(None)
+            else:
+                process.kill()
+            process.join()
+        connection.close()
+    _pool, _pool_key = [], None
 
 
-def _scan_in_pool(plan: _Plan, workers: int):
-    """The lowest-index failure of the levels after the head, one stride
-    per pool process, or None.
+def _parallel_scan(plan: _Plan, strides: int):
+    """The lowest-index failure of the levels after the head: stride 0
+    in the caller, strides 1 to `strides` - 1 in the workers, or None.
 
-    A broken pool is dropped, never reused.  Decisions are pure, so the
-    decision runs once more on a fresh pool; a second break propagates.
+    The plan goes out, pickled once, before the caller starts its own
+    stride.  A worker's exception is raised here once every worker has
+    replied.  Workers with a dead one among them are dropped, never
+    reused; decisions are pure, so the decision runs once more on fresh
+    workers, and a second break raises `BrokenWorkers`.
     """
-    from concurrent.futures.process import BrokenProcessPool
+    import pickle
     with _pool_lock:
         for retry in (False, True):
             try:
-                hits = list(_shared_pool(workers).map(
-                    _scan, itertools.repeat(plan, workers), range(workers),
-                    itertools.repeat(workers, workers),
-                    itertools.repeat(range(_HEAD_LEVELS, sys.maxsize),
-                                     workers)))
+                connections = _workers(strides)
+                job = pickle.dumps(plan, pickle.HIGHEST_PROTOCOL)
+                for connection in connections:
+                    connection.send_bytes(job)
+                hits = [_scan(plan, 0, strides,
+                              range(_HEAD_LEVELS, sys.maxsize))]
+                replies = [connection.recv() for connection in connections]
                 break
-            except BrokenProcessPool:
-                _drop_pool()
+            except (EOFError, ConnectionError) as exc:
+                _drop_pool(stop=False)
                 if retry:
-                    raise
+                    raise BrokenWorkers("a worker process died") from exc
+            except BaseException:
+                _drop_pool(stop=False)  # the workers may be mid-job
+                raise
+    for hit, error in replies:
+        if error is not None:
+            raise error
+        hits.append(hit)
     # the lowest global index wins, so scheduling cannot change the output
     return min(filter(None, hits), key=lambda hit: hit[0], default=None)
 

@@ -101,32 +101,27 @@ def test_internal_error_is_not_a_verdict(count_pair, capsys, monkeypatch):
 
 def test_a_pool_that_breaks_twice_is_an_internal_error(tmp_path, capsys,
                                                      monkeypatch):
-    """The engine retries a decision once on a fresh pool; a second
+    """The engine retries a decision once on fresh workers; a second
     break is reported, never turned into a verdict.  The pair's first
-    failure needs two fresh values, so the decision reaches the pool."""
-    from concurrent.futures.process import BrokenProcessPool
-
+    failure needs two fresh values, so the decision reaches the workers,
+    here two sets whose pipes are closed at the far end."""
     from aggequiv import engine
     built = []
 
-    class BreakingPool:
-        def __init__(self, max_workers):
-            built.append(self)
+    class ClosedPipe:
+        def send_bytes(self, data):
+            raise BrokenPipeError("a worker died")
 
-        def map(self, *args):
-            raise BrokenProcessPool("a worker died")
-
-        def shutdown(self):
-            pass
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
-                        BreakingPool)
-    monkeypatch.setattr(engine, "_pool", None)
-    monkeypatch.setattr(engine, "_pool_key", None)
+    def dead_workers(strides):
+        built.append(strides)
+        return [ClosedPipe()] * (strides - 1)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "_workers", dead_workers)
     a = write(tmp_path, "a.q", "q(; count()) :- p(X), p(Y), X < Y\n")
     b = write(tmp_path, "b.q", "q(; count()) :- p(X), p(Y), X != Y\n")
     assert main(["nequiv", a, b, "--n", "2", "--workers", "2", "--json"]) == 2
     assert json.loads(capsys.readouterr().out)["status"] == "internal_error"
-    assert len(built) == 2
+    assert built == [2, 2]
 
 
 def test_usage_errors():

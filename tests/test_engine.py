@@ -1,5 +1,7 @@
+import gc
 import itertools
 import json
+import multiprocessing
 import os
 import random
 import signal
@@ -7,7 +9,6 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from pathlib import Path
 
@@ -656,10 +657,10 @@ def test_units_where_no_prepared_assignment_differs_are_not_checked(
         checked, monkeypatch):
     """Both queries compile to the same assignments, so they prepare the
     same ones under every ordering: the walk has no level, no unit is
-    checked, and a two-worker decision never asks for the pool."""
-    def no_pool(workers):
-        raise AssertionError("the pool was asked for")
-    monkeypatch.setattr(engine, "_shared_pool", no_pool)
+    checked, and a two-worker decision never asks for workers."""
+    def no_workers(strides):
+        raise AssertionError("workers were asked for")
+    monkeypatch.setattr(engine, "_workers", no_workers)
     reflexive = "q(X; sum(Y)) :- p(X, Y), Y > 3 | p(Y, X), !b(X)"
     pairs = [
         (reflexive, reflexive, 2),
@@ -701,7 +702,7 @@ def test_scan_stops_once_every_ordering_is_dropped(checked, monkeypatch):
             assert verdict.status == engine.EQUIVALENT
         assert checked == []
         walked.clear()
-        # patched here only, so no pool process is forked with it
+        # patched here only, so no worker process is forked with it
         with monkeypatch.context() as patch:
             patch.setattr(engine, "_level_subsets", counting)
             assert engine._scan(plan, 0, 1) is None
@@ -959,7 +960,7 @@ def test_verdicts_do_not_depend_on_workers():
     """Seeded random pairs over all nine functions, both domains,
     negation and comparisons, some with differing functions, decided at
     1, 2 and 3 workers: every verdict is the same.  Each worker count
-    decides all pairs in a row, so its pool is built once."""
+    decides all pairs in a row, so its workers are built once."""
     rng = random.Random(7)
     pairs = []
     for _ in range(60):
@@ -977,13 +978,58 @@ def test_verdicts_do_not_depend_on_workers():
     assert 0 < sum(v.status == engine.EQUIVALENT for v in verdicts[1]) < 60
 
 
-def test_nothing_to_check_starts_no_process(monkeypatch):
-    """A decision with no unit to check never builds a pool."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
-    monkeypatch.setattr(engine, "_pool", None)
-    monkeypatch.setattr(engine, "_pool_key", None)
+@pytest.fixture
+def started(monkeypatch):
+    """The processes started during the test, recorded as they start.
+    The workers of earlier decisions are dropped before the test, so its
+    decisions build their own, and after it, so none built under its
+    patches outlives it."""
+    engine._drop_pool()
+    processes = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def recording(process):
+        processes.append(process)
+        start(process)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        recording)
+    yield processes
+    engine._drop_pool()
+
+
+@pytest.fixture
+def no_process(monkeypatch):
+    """Starting a process fails the test.  The workers of earlier
+    decisions are dropped first, so a decision that reaches the workers
+    has to start its own."""
+    engine._drop_pool()
+
+    def refuse(process):
+        raise AssertionError("a worker process was started")
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The (offset, workers, levels) of each `_scan` the caller runs; a
+    forked worker records its own in its own copy of the list."""
+    calls = []
+    scan = engine._scan
+
+    def recording(plan, offset=0, workers=1, levels=range(sys.maxsize)):
+        calls.append((offset, workers, levels))
+        return scan(plan, offset, workers, levels)
+    monkeypatch.setattr(engine, "_scan", recording)
+    return calls
+
+
+# a worker forked by the engine runs the test's patched engine functions;
+# one started from a fresh interpreter (spawn, forkserver) does not
+FORKED_WORKERS = multiprocessing.get_all_start_methods()[0] == "fork"
+
+
+def test_nothing_to_check_starts_no_process(no_process):
+    """A decision with no unit to check starts no worker."""
     reflexive = "q(X; sum(Y)) :- p(X, Y), Y > 3 | p(Y, X), !b(X)"
     pairs = [
         (reflexive, reflexive, 2),
@@ -1000,22 +1046,19 @@ MAX_LT1 = ("q(; max(Y)) :- p(Y), Y < 1", "q(; max(Y)) :- p(Y), Y <= 0")
 MAX_LT1_CE = engine.Counterexample(
     Database(frozenset({("p", (F(1, 2),))})), (), F(1, 2), None)
 # the first failure needs two fresh values, so it lies past the head (the
-# levels of no and one fresh value) and a parallel decision reaches the pool
+# levels of no and one fresh value) and a parallel decision reaches the
+# workers
 TWO_VALUES = ("q(; count()) :- p(X), p(Y), X < Y",
               "q(; count()) :- p(X), p(Y), X != Y")
 TWO_VALUES_CE = engine.Counterexample(
     Database(frozenset({("p", (F(0),)), ("p", (F(1),))})), (), 1, 2)
 
 
-def test_one_fact_failure_starts_no_process(monkeypatch):
+def test_one_fact_failure_starts_no_process(no_process, monkeypatch):
     """The first failure has one fact and one fresh value, so the caller
-    finds it in the head and a parallel decision never builds a pool;
-    nor does a failure with one fresh value and two facts."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
-    monkeypatch.setattr(engine, "_pool", None)
-    monkeypatch.setattr(engine, "_pool_key", None)
+    finds it in the head and a parallel decision starts no worker; nor
+    does a failure with one fresh value and two facts."""
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
     q, q2 = map(parse_query, MAX_LT1)
     for workers in (2, 3):
         verdict = engine.n_equivalent(q, q2, 5, workers=workers)
@@ -1027,86 +1070,66 @@ def test_one_fact_failure_starts_no_process(monkeypatch):
             {("b", (F(0),)), ("p", (F(0),))})), (), None, 1)
 
 
-def test_differing_heads_keep_the_same_head_rule(monkeypatch):
+def test_one_usable_cpu_scans_in_process(no_process, scans, monkeypatch):
+    """With one usable CPU a parallel decision runs one stride: the
+    caller scans every level itself, head included, and starts no
+    process."""
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
+    q, q2 = map(parse_query, TWO_VALUES)
+    for workers in (2, 10 ** 6):
+        scans.clear()
+        verdict = engine.n_equivalent(q, q2, 4, workers=workers)
+        assert scans == [(0, 1, range(sys.maxsize))]
+        assert verdict.counterexample == TWO_VALUES_CE
+
+
+def test_differing_heads_keep_the_same_head_rule(started, monkeypatch):
     """Differing heads walk level N alone.  With two workers the caller
     walks levels 0 and 1, so at N = 1 it finds the failure on {b(0),
-    p(0)} itself and builds no pool, and at N = 2 one pool walks level 2;
-    either way the counterexample is the one-worker one."""
-    from concurrent.futures import ProcessPoolExecutor
-    built = []
-
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            built.append(max_workers)
-            super().__init__(max_workers=max_workers)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
-                        RecordingPool)
-    monkeypatch.setattr(engine, "_pool", None)
-    monkeypatch.setattr(engine, "_pool_key", None)
+    p(0)} itself and starts no process, and at N = 2 level 2 is split
+    between the caller and one worker; either way the counterexample is
+    the one-worker one."""
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
     q = parse_query("q(; count()) :- p(X), b(X)")
     q2 = parse_query("q(; max(X)) :- p(X), b(X)")
-    try:
-        verdict = engine.n_equivalent(q, q2, 1, workers=2)
-        assert built == []
-        assert verdict.counterexample == engine.Counterexample(Database(
-            frozenset({("b", (F(0),)), ("p", (F(0),))})), (), 1, F(0))
-        assert verdict == engine.n_equivalent(q, q2, 1)
-        verdict = engine.n_equivalent(q, q2, 2, workers=2)
-        assert len(built) == 1
-        assert verdict == engine.n_equivalent(q, q2, 2)
-    finally:
-        engine._drop_pool()
+    verdict = engine.n_equivalent(q, q2, 1, workers=2)
+    assert started == []
+    assert verdict.counterexample == engine.Counterexample(Database(
+        frozenset({("b", (F(0),)), ("p", (F(0),))})), (), 1, F(0))
+    assert verdict == engine.n_equivalent(q, q2, 1)
+    verdict = engine.n_equivalent(q, q2, 2, workers=2)
+    assert len(started) == 1
+    assert verdict == engine.n_equivalent(q, q2, 2)
 
 
 def test_workers_beyond_the_usable_cpus_start_no_more_processes(
-        monkeypatch):
-    """A decision asking for a million workers builds its pool with at
-    most the usable CPUs, runs one stride per process and decides as one
-    worker does.  The executor is an in-process fake: no process starts."""
-    built = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            built.append(max_workers)
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-        def shutdown(self):
-            pass
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
-                        SerialPool)
-    monkeypatch.setattr(engine, "_pool", None)
-    monkeypatch.setattr(engine, "_pool_key", None)
-    strides = []
-    scan = engine._scan
-
-    def recording(plan, offset=0, workers=1, levels=range(sys.maxsize)):
-        strides.append((offset, workers, levels))
-        return scan(plan, offset, workers, levels)
-    monkeypatch.setattr(engine, "_scan", recording)
+        started, scans, monkeypatch):
+    """A decision asking for a million workers on three usable CPUs runs
+    three strides: the caller scans the head, then stride 0 of the
+    levels after it, and two processes, no more, run strides 1 and 2.
+    It decides as one worker does."""
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
     q, q2 = map(parse_query, TWO_VALUES)
     verdict = engine.n_equivalent(q, q2, 3, workers=10 ** 6)
-    cpus = engine._usable_cpus()
-    assert built == [cpus]
-    assert strides == [(0, 1, range(2))] + [
-        (offset, cpus, range(2, sys.maxsize)) for offset in range(cpus)]
-    assert verdict == engine.n_equivalent(q, q2, 3)
+    assert scans == [(0, 1, range(2)), (0, 3, range(2, sys.maxsize))]
+    assert len(started) == 2
     assert verdict.counterexample == TWO_VALUES_CE
+    assert verdict == engine.n_equivalent(q, q2, 3)
 
 
 def test_two_fact_failure_is_found_in_the_pool(monkeypatch):
     """No unit of the head fails, so the strides after the head run in
-    the pool and report the one-worker counterexample.  Three CPUs are
-    usable, whatever the host has, so three workers run three strides."""
+    the caller and the workers and report the one-worker counterexample.
+    Three CPUs are usable, whatever the host has, so three workers run
+    three strides."""
     monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
     asked = []
-    shared_pool = engine._shared_pool
+    workers_of = engine._workers
 
-    def recording(workers):
-        asked.append(workers)
-        return shared_pool(workers)
-    monkeypatch.setattr(engine, "_shared_pool", recording)
+    def recording(strides):
+        asked.append(strides)
+        return workers_of(strides)
+    monkeypatch.setattr(engine, "_workers", recording)
     q, q2 = map(parse_query, TWO_VALUES)
     for workers in (2, 3):
         for n in (2, 4):
@@ -1118,33 +1141,98 @@ def test_two_fact_failure_is_found_in_the_pool(monkeypatch):
             assert asked == [workers]
 
 
-def test_broken_pool_is_replaced():
-    """A pool whose worker died is dropped, and the decision runs on a
-    fresh one."""
+def test_broken_pool_is_replaced(started, monkeypatch):
+    """Workers with a dead one among them are dropped, the dead one
+    joined, and the decision runs on fresh ones."""
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
     q, q2 = map(parse_query, TWO_VALUES)
-    pool = engine._shared_pool(2)
-    with pytest.raises(BrokenProcessPool):
-        pool.submit(os._exit, 1).result(timeout=60)
+    engine._workers(2)
+    (dead, _), = engine._pool
+    dead.kill()
+    dead.join(timeout=60)
+    assert dead.exitcode is not None
     verdict = engine.n_equivalent(q, q2, 4, workers=2)
     assert verdict == engine.n_equivalent(q, q2, 4)
     assert verdict.counterexample == TWO_VALUES_CE
-    assert engine._shared_pool(2) is not pool
+    (fresh, _), = engine._pool
+    assert started == [dead, fresh] and fresh.is_alive()
+
+
+@pytest.mark.skipif(not FORKED_WORKERS, reason="needs forked workers")
+def test_workers_that_die_twice_raise_a_runtime_error(started, monkeypatch):
+    """A worker that dies mid-job is replaced once; when the fresh one
+    dies too the decision raises `BrokenWorkers`, a RuntimeError (the CLI
+    reports it as an internal error), and no worker is left."""
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    scan = engine._scan
+
+    def dying(plan, offset=0, workers=1, levels=range(sys.maxsize)):
+        if offset:
+            os._exit(1)
+        return scan(plan, offset, workers, levels)
+    monkeypatch.setattr(engine, "_scan", dying)
+    q, q2 = map(parse_query, TWO_VALUES)
+    with pytest.raises(engine.BrokenWorkers) as raised:
+        engine.n_equivalent(q, q2, 4, workers=2)
+    assert isinstance(raised.value, RuntimeError)
+    assert len(started) == 2
+    assert engine._pool == [] and multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not FORKED_WORKERS, reason="needs forked workers")
+def test_a_worker_exception_is_raised_in_the_caller(started, monkeypatch):
+    """An exception in a worker's stride comes back with its own type
+    and is raised by the decision, never read as a verdict; the worker
+    replied, so it is kept."""
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    scan = engine._scan
+
+    def failing(plan, offset=0, workers=1, levels=range(sys.maxsize)):
+        if offset:
+            raise LookupError(f"stride {offset} of {workers}")
+        return scan(plan, offset, workers, levels)
+    monkeypatch.setattr(engine, "_scan", failing)
+    q, q2 = map(parse_query, TWO_VALUES)
+    for _ in range(2):
+        with pytest.raises(LookupError, match="stride 1 of 2"):
+            engine.n_equivalent(q, q2, 4, workers=2)
+    assert len(started) == 1 and started[0].is_alive()
+
+
+def test_dropped_workers_leave_no_process(started, monkeypatch):
+    """Dropping the workers sends each a stop and joins it: each exits
+    cleanly, no child process is left and no pipe is leaked (a leak
+    warns, and a warning fails the test run)."""
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
+    q, q2 = map(parse_query, TWO_VALUES)
+    verdict = engine.n_equivalent(q, q2, 4, workers=3)
+    assert verdict.counterexample == TWO_VALUES_CE
+    assert len(started) == 2
+    assert sorted(multiprocessing.active_children(), key=id) == \
+        sorted(started, key=id)
+    engine._drop_pool()
+    assert multiprocessing.active_children() == []
+    assert [process.exitcode for process in started] == [0, 0]
+    started.clear()
+    gc.collect()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_builds_its_own_pool():
-    """A child forked while the parent holds a pool cannot use the
-    parent's copy; it builds its own and decides the same."""
+def test_forked_child_builds_its_own_pool(monkeypatch):
+    """A child forked while the parent holds workers cannot use the
+    parent's; it builds its own and decides the same, and the parent's
+    workers are left to the parent."""
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
     q, q2 = map(parse_query, TWO_VALUES)
     assert engine.n_equivalent(q, q2, 4, workers=2).counterexample \
         == TWO_VALUES_CE
-    pool = engine._shared_pool(2)
+    pool = engine._pool
     pid = os.fork()
     if pid == 0:  # the child never returns into the test runner
         code = 1
         try:
             verdict = engine.n_equivalent(q, q2, 4, workers=2)
-            own = engine._shared_pool(2) is not pool
+            own = engine._pool and engine._pool is not pool
             engine._drop_pool()
             code = 0 if own and verdict.counterexample == TWO_VALUES_CE else 3
         finally:
@@ -1157,7 +1245,7 @@ def test_forked_child_builds_its_own_pool():
             pytest.fail("the forked child did not finish")
         time.sleep(0.02)
     assert os.waitstatus_to_exitcode(status[1]) == 0
-    assert engine._shared_pool(2) is pool
+    assert engine._pool is pool
     assert engine.n_equivalent(q, q2, 4, workers=2).counterexample \
         == TWO_VALUES_CE
 
@@ -1165,7 +1253,6 @@ def test_forked_child_builds_its_own_pool():
 def test_parallel_decision_under_spawn():
     """Workers started from a fresh interpreter (spawn, and forkserver
     where there is one) get everything a stride needs from its job."""
-    import multiprocessing
     methods = [m for m in ("spawn", "forkserver")
                if m in multiprocessing.get_all_start_methods()]
     code = f"""
@@ -1175,56 +1262,83 @@ from fractions import Fraction as F
 from aggequiv import engine
 from aggequiv.model import Database
 from aggequiv.parsing import parse_query
+engine._usable_cpus = lambda: 2
 q, q2 = map(parse_query, {TWO_VALUES!r})
 verdict = engine.n_equivalent(q, q2, 4, workers=2)
 print(verdict.counterexample == engine.Counterexample(
-    Database(frozenset({{("p", (F(0),)), ("p", (F(1),))}})), (), 1, 2))
+    Database(frozenset({{("p", (F(0),)), ("p", (F(1),))}})), (), 1, 2),
+    len(multiprocessing.active_children()))
 """
     for method in methods:
         done = run_fresh(code, method)
-        assert (done.returncode, done.stdout) == (0, "True\n"), (
-            method, done.stderr)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, "True 1\n", ""), method
 
 
 def test_start_up_leaves_the_pool_machinery_unloaded(tmp_path):
     """Importing the package and deciding with one worker load neither
-    the process pool nor multiprocessing; a two-worker decision in the
-    same interpreter then builds the pool, and exits cleanly.
-
-    The engine module is held past the collection at exit, as a test
-    runner holds its test modules, so teardown clears the modules in
-    reverse import order: the executor module, imported after the
-    engine, goes first, and a pool not shut down at exit would then be
-    collected against it half cleared."""
+    `concurrent` nor `multiprocessing`; a two-worker decision in the
+    same interpreter loads `multiprocessing` alone and starts a worker.
+    At exit the worker is stopped: the interpreter exits 0, prints
+    nothing after its last line and nothing to stderr, and leaves no
+    process behind."""
     a, b = tmp_path / "a.q", tmp_path / "b.q"
     a.write_text(TWO_VALUES[0] + "\n")
     b.write_text(TWO_VALUES[1] + "\n")
     code = f"""
 import sys
-def pool_modules():
-    return [name for name in sys.modules
-            if name.split(".")[0] in ("concurrent", "multiprocessing")]
+def loaded():
+    return sorted({{name.split(".")[0] for name in sys.modules}}
+                  & {{"concurrent", "multiprocessing"}})
 import aggequiv
-print(pool_modules())
+print(loaded())
 from aggequiv import cli, engine
-print(pool_modules())
+print(loaded())
+engine._usable_cpus = lambda: 2
 argv = ["nequiv", {str(a)!r}, {str(b)!r}, "--n", "2", "--json"]
 cli.main(argv)
-print(pool_modules())
+print(loaded())
 cli.main(argv + ["--workers", "2"])
-print("concurrent.futures.process" in sys.modules)
-sys.stdout.held = engine  # outlives the collection at exit
+print(loaded())
+import multiprocessing
+print([process.pid for process in multiprocessing.active_children()])
 """
     done = run_fresh(code)
     assert (done.returncode, done.stderr) == (0, "")
     lines = done.stdout.splitlines()
     assert lines[:2] == ["[]", "[]"]
     assert lines[3] == "[]"
-    assert lines[5] == "True"
+    assert lines[5] == "['multiprocessing']"
     one, two = (json.loads(line) for line in (lines[2], lines[4]))
     assert one["counterexample"] == {
         "facts": ["p(0).", "p(1)."], "grouping": [], "values": ["1", "2"]}
     assert two["counterexample"] == one["counterexample"]
+    pids = json.loads(lines[6])
+    assert len(lines) == 7 and len(pids) == 1
+    for pid in pids:  # joined by the interpreter before it exited
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def test_workers_of_a_caller_that_dies_leave_quietly():
+    """A caller that dies without stopping its workers (here by
+    `os._exit`) leaves no process behind: each worker reads end of file
+    and exits without a word.  The workers hold the interpreter's stdout
+    and stderr until they exit, so the run returns only once every one
+    has exited, and a worker left waiting would time it out."""
+    code = f"""
+import os
+from aggequiv import engine
+from aggequiv.parsing import parse_query
+engine._usable_cpus = lambda: 3
+q, q2 = map(parse_query, {TWO_VALUES!r})
+engine.n_equivalent(q, q2, 4, workers=3)
+print([process.pid for process, _ in engine._pool], flush=True)
+os._exit(0)
+"""
+    done = run_fresh(code)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert len(json.loads(done.stdout)) == 2
 
 
 def run_fresh(code, *args):
