@@ -715,7 +715,9 @@ def _workers(strides: int) -> list:
 def _drop_pool(stop: bool = True) -> None:
     """Forget the workers.  Those this process started are sent a stop,
     or killed when they may be mid-job (`stop` false), and joined; a
-    forked child only closes its copies of its parent's connections."""
+    forked child closes its copies of its parent's connections and takes
+    the parent's workers off the children that multiprocessing's exit
+    handler joins, which only their parent may do."""
     global _pool, _pool_key
     own = _pool_key is not None and _pool_key[0] == os.getpid()
     for process, connection in _pool:
@@ -726,6 +728,9 @@ def _drop_pool(stop: bool = True) -> None:
             else:
                 process.kill()
             process.join()
+        else:
+            import multiprocessing.process  # loaded with the workers
+            multiprocessing.process._children.discard(process)
         connection.close()
     _pool, _pool_key = [], None
 

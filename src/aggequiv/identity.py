@@ -2,50 +2,49 @@
 
 Given a complete ordering L of a term set and two bags of term tuples,
 the question is whether every assignment satisfying L makes the two
-aggregates equal.  Three routes cover all supported functions:
+aggregates equal.  One rule decides every supported function.
 
-* shiftable functions (count, parity, cntd, max, min, top2, bot2) take
-  a value that is a fixed form of the bag's class positions in L: its
-  size, its size mod 2, its number of distinct classes, its highest or
-  lowest class, or its two highest or lowest distinct classes.  Every
+`_form` reads each side's value as `(constant, powers)` on the reduced
+ordering of L, where equal terms are merged and, over the integers, a
+variable class with one possible value is replaced by that constant:
+
+* a shiftable function (count, parity, cntd, max, min, top2, bot2) gives
+  a fixed form of the bag's class positions and no powers: its size, its
+  size mod 2, its number of distinct classes, its highest or lowest
+  class, or its two highest or lowest distinct classes.  Every
   assignment satisfying L gives distinct classes distinct values and a
-  higher class a higher one, so equal forms mean equal aggregates
-  everywhere, and unequal forms differ under the canonical assignment,
-  which is the witness.  No bag is rewritten or instantiated unless the
-  identity fails;
-* sum (and avg, after scaling multiplicities by the opposite bag's
-  cardinality) is a polynomial identity: once equal terms are merged and
-  pinned integer variables replaced by their value, every variable can
-  move alone, so the identity holds exactly when the bag difference,
-  written as constant + sum of c_v * v, has every coefficient and the
-  constant zero;
-* prod is a polynomial identity too, but 0 can annihilate a side: when
-  the constant factors and the variable exponent vectors of the two
-  sides already agree on the reduced ordering, the sides are one
-  polynomial and the identity holds; otherwise branch over the
-  conservative ways of slotting the constant 0 into L, reduce each
-  branch, and compare the sides' factors and exponent vectors there.
+  higher class a higher one;
+* sum gives a constant plus a linear form, c + sum of c_v * v, and avg
+  that form divided by |B|;
+* prod gives a constant times a monomial, c * prod of v^e_v.
 
-Every route answers an empty side the same way: two empty bags agree,
-and a group on one side only is refuted by the canonical assignment.
-The reduction and the canonical assignment of an ordering are built
-once per ordering (`CompleteOrdering.reduction`, `.canonical_assignment`)
-and shared by every identity decided on it.
+On the reduced ordering every variable can move alone.  So equal forms
+mean equal aggregates under every assignment, and `_decide` answers
+valid.  Unequal forms of any function but prod are refuted: by the
+canonical assignment when the powers agree, else by one of the two
+assignments of `orderings.witness_pair_at` at the least variable whose
+power differs (`_first_difference`).  Two empty sides agree, and a
+group on one side only is refuted by the canonical assignment.
 
-Invalid identities come with a concrete witness assignment that is
-re-checked by direct evaluation before being returned.  Sum, avg and
-prod share one witness: the canonical assignment when only the
-constants differ, else whichever of two assignments differing only in
-the least variable whose coefficient differs refutes.
+prod alone needs one more step, since 0 can annihilate a side.  When the
+forms differ, the rule runs again on each conservative way of slotting
+the constant 0 into L (`_zero_extensions`).  The identity fails on the
+first branch where the forms differ and are not both 0, with that
+branch's witness.
+
+Every witness is pulled back to the identity's own terms and re-checked
+by direct evaluation before it is returned.  The reduction and the
+canonical assignment of an ordering are built once per ordering
+(`CompleteOrdering.reduction`, `.canonical_assignment`) and shared by
+every identity decided on it.
 """
 
 from __future__ import annotations
 
-import functools
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Optional
 
 from .aggregation import AggregationFunction, apply
@@ -106,44 +105,44 @@ def _refutes(ident: OrderedIdentity, assignment: Assignment) -> bool:
     return lhs != rhs
 
 
-def _invalid(ident: OrderedIdentity, renaming: dict,
-             witness: Assignment) -> IdentityVerdict:
-    """The invalid verdict, with a witness on reduced terms pulled back to
-    the identity's own terms and re-checked."""
-    witness = _translate_witness(ident.ordering.terms(), renaming, witness)
-    if not _refutes(ident, witness):
-        raise AssertionError("witness fails to refute the identity")
-    return IdentityVerdict(False, witness)
-
-
-def _canonicalize(ident: OrderedIdentity):
-    """Merge equal terms so no two distinct terms of the ordering coincide."""
-    reduced, renaming = ident.ordering.reduction
-    if reduced is ident.ordering:
-        return ident, renaming
-    left = tuple(rename_tuple(renaming, tup) for tup in ident.left)
-    right = tuple(rename_tuple(renaming, tup) for tup in ident.right)
-    return OrderedIdentity(reduced, left, right, ident.function), renaming
-
-
-def _translate_witness(terms, renaming: dict,
-                       witness: Assignment) -> Assignment:
-    """Pull a witness on reduced terms back to the original `terms`."""
-    out = {}
-    for t in terms:
-        rep = renaming.get(t, t)
-        out[t] = rep.value if is_const(rep) else witness[rep]
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Shiftable functions: the value forms of the class positions decide
+# The one rule: compare the sides' forms, refute where they differ
 # ---------------------------------------------------------------------------
+
+_VALID = IdentityVerdict(True)
+
+
+def _decide(ident: OrderedIdentity) -> IdentityVerdict:
+    """The one rule: empty sides first, then the sides' forms, then for
+    prod the forms under every placement of 0."""
+    function, ordering = ident.function, ident.ordering
+    left, right = ident.left, ident.right
+    if not (left and right):
+        return _refuted(ident, ordering, None) if left or right else _VALID
+    form = _form(function, left, ordering)
+    other = _form(function, right, ordering)
+    if form == other:
+        return _VALID
+    if function.name != "prod":
+        return _refuted(ident, ordering, _first_difference(form[1], other[1]))
+    # 0 can annihilate a side: refute on the first placement of 0 where the
+    # sides are different polynomials and not both 0
+    reduced, renaming = ordering.reduction
+    left = tuple(rename_tuple(renaming, tup) for tup in left)
+    right = tuple(rename_tuple(renaming, tup) for tup in right)
+    for extension in _zero_extensions(reduced):
+        (c, powers), (d, other_powers) = (_form(function, left, extension),
+                                          _form(function, right, extension))
+        if c == d and (c == 0 or powers == other_powers):
+            continue
+        return _refuted(ident, extension,
+                        _first_difference(powers, other_powers), renaming)
+    return _VALID
+
 
 #: each shiftable function's value as a form of its bag's class positions
-#: (`pos` maps a term to its class); distinct classes take distinct
-#: values, a higher class a higher one, under every assignment
-_VALUE_FORMS = {
+#: (`pos` maps a term to its class)
+_POSITION_FORMS = {
     "count": lambda bag, pos: len(bag),
     "parity": lambda bag, pos: len(bag) % 2,
     "cntd": lambda bag, pos: len({pos(t) for (t,) in bag}),
@@ -153,118 +152,73 @@ _VALUE_FORMS = {
     "bot2": lambda bag, pos: sorted({pos(t) for (t,) in bag})[:2],
 }
 
-
-def decide_shiftable(ident: OrderedIdentity) -> IdentityVerdict:
-    if not ident.function.shiftable:
-        raise ValueError(f"{ident.function.name} is not shiftable")
-    if (verdict := _empty_side(ident)) is not None:
-        return verdict
-    form, pos = _VALUE_FORMS[ident.function.name], ident.ordering.position
-    if form(ident.left, pos) == form(ident.right, pos):
-        return IdentityVerdict(True)
-    return _canonical_refutation(ident)
+#: no powers (of a shiftable form) or no renaming, shared and read-only
+_EMPTY = MappingProxyType({})
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-# ---------------------------------------------------------------------------
-# Sum and average: a zero test of the bag difference's coefficients
-# ---------------------------------------------------------------------------
-
-def decide_sum(ident: OrderedIdentity) -> IdentityVerdict:
-    if ident.function.name not in ("sum", "avg"):
-        raise ValueError(f"decide_sum cannot handle {ident.function.name}")
-    if (verdict := _empty_side(ident)) is not None:
-        return verdict
-    reduced, renaming = _canonicalize(ident)
-    left, right = reduced.left, reduced.right
-    if ident.function.name == "avg":
-        # avg(B) = avg(B') iff sum of B scaled by |B'| equals sum of B
-        # scaled by |B|: compare the multiplicity-scaled bags as sums
-        left, right = left * len(right), right * len(left)
-    c, coeffs_left = _linear_form(left)
-    d, coeffs_right = _linear_form(right)
-    if c == d and coeffs_left == coeffs_right:
-        return IdentityVerdict(True)
-    u = _first_difference(coeffs_left, coeffs_right)
-    return _invalid(ident, renaming, _witness(reduced, u))
-
-
-def _constant_and_powers(combine, constant, bag):
-    """Fold the bag's constants into `constant` with `combine`, and count
-    each variable: sum(bag) as a constant plus a linear form, or prod(bag)
-    as a constant times a monomial."""
+def _form(function: AggregationFunction, bag,
+          ordering: CompleteOrdering) -> tuple:
+    """`function`'s value on a non-empty `bag` as `(constant, powers)` on
+    the reduced ordering of `ordering`: a class-position form and no
+    powers for a shiftable function, a constant plus a linear form for
+    sum (divided by |B| for avg), a constant times a monomial for prod."""
+    if function.shiftable:
+        return _POSITION_FORMS[function.name](bag, ordering.position), _EMPTY
+    _, renaming = ordering.reduction
+    if renaming:
+        bag = [rename_tuple(renaming, tup) for tup in bag]
+    product = function.name == "prod"
+    constant = _ONE if product else _ZERO
     powers = Counter()
     for (t,) in bag:
-        if is_const(t):
-            constant = combine(constant, t.value)
-        else:
+        if not is_const(t):
             powers[t] += 1
+        elif product:
+            constant *= t.value
+        else:
+            constant += t.value
+    if function.name == "avg":
+        n = len(bag)
+        return constant / n, {t: Fraction(k, n) for t, k in powers.items()}
     return constant, powers
 
 
-_linear_form = functools.partial(_constant_and_powers, operator.add,
-                                 Fraction(0))
-_factor = functools.partial(_constant_and_powers, operator.mul, Fraction(1))
-
-
-def _first_difference(left: Counter, right: Counter):
+def _first_difference(left, right):
     """The least variable whose coefficient (or exponent) differs between
     the two sides, or None when only the constants differ."""
-    return next((t for t in sorted(set(left) | set(right), key=term_sort_key)
-                 if left[t] != right[t]), None)
+    return next((t for t in sorted(left.keys() | right.keys(),
+                                   key=term_sort_key)
+                 if left.get(t, 0) != right.get(t, 0)), None)
 
 
-def _witness(ident: OrderedIdentity, u) -> Assignment:
-    """A refuting assignment for an invalid identity on a reduced ordering.
+def _refuted(ident: OrderedIdentity, ordering: CompleteOrdering, u,
+             via=_EMPTY) -> IdentityVerdict:
+    """The invalid verdict for sides whose forms on the reduced ordering of
+    `ordering` differ first in `u`; `via` renames the identity's terms
+    onto `ordering`'s.
 
-    With `u` None only the constant parts differ, and the canonical
-    assignment refutes.  Otherwise the sides differ as polynomials in
-    `u`, which can take two values c1, c2 with every other term fixed (the
-    ordering is reduced).  For sum and avg the difference of the sides
-    changes by c_u * (c1 - c2) between them; for prod both values lie on
-    one side of the anchor 0, where a power of `u` takes each value once.
-    Either way one of the pair refutes.
+    With `u` None only the constants differ, or one side is empty, and
+    the canonical assignment refutes.  Otherwise the sides differ as polynomials in `u`, which can
+    take two values c1, c2 with every other term fixed (the ordering is
+    reduced).  For sum and avg the difference of the sides changes by
+    c_u * (c1 - c2) between them; for prod both values lie on one side of
+    the anchor 0, where a power of `u` takes each value once.  Either way
+    one of the pair refutes.  Each candidate is pulled back to the
+    identity's own terms and re-checked there.
     """
-    if u is None:
-        return ident.ordering.canonical_assignment
-    for candidate in witness_pair_at(ident.ordering, u):
-        if _refutes(ident, candidate):
-            return candidate
-    raise AssertionError("neither paired assignment refutes the identity")
-
-
-# ---------------------------------------------------------------------------
-# Product: conservative zero extensions, reduction, exponent comparison
-# ---------------------------------------------------------------------------
-
-def decide_prod(ident: OrderedIdentity) -> IdentityVerdict:
-    if ident.function.name != "prod":
-        raise ValueError(f"decide_prod cannot handle {ident.function.name}")
-    if (verdict := _empty_side(ident)) is not None:
-        return verdict
-    canon, renaming0 = _canonicalize(ident)
-    c, exps_left = _factor(canon.left)
-    d, exps_right = _factor(canon.right)
-    if c == d and exps_left == exps_right:
-        # the same polynomial on both sides: equal under every assignment,
-        # so no branch below could refute
-        return IdentityVerdict(True)
-    for extension in _zero_extensions(canon.ordering):
-        reduced, renaming1 = extension.reduction
-        left = tuple(rename_tuple(renaming1, tup) for tup in canon.left)
-        right = tuple(rename_tuple(renaming1, tup) for tup in canon.right)
-        c, exps_left = _factor(left)
-        d, exps_right = _factor(right)
-        if c == d == 0:
-            continue
-        if c == d and exps_left == exps_right:
-            continue
-        branch = OrderedIdentity(reduced, left, right, ident.function)
-        witness = _witness(branch, _first_difference(exps_left, exps_right))
-        # back through the branch's renaming, then the canonical one
-        witness = _translate_witness(canon.ordering.terms(), renaming1,
-                                     witness)
-        return _invalid(ident, renaming0, witness)
-    return IdentityVerdict(True)
+    reduced, renaming = ordering.reduction
+    candidates = ((reduced.canonical_assignment,) if u is None
+                  else witness_pair_at(reduced, u))
+    for candidate in candidates:
+        witness = {}
+        for t in ident.ordering.terms():
+            rep = via.get(t, t)
+            rep = renaming.get(rep, rep)
+            witness[t] = rep.value if is_const(rep) else candidate[rep]
+        if _refutes(ident, witness):
+            return IdentityVerdict(False, witness)
+    raise AssertionError("no candidate witness refutes the identity")
 
 
 def _zero_extensions(ordering: CompleteOrdering):
@@ -289,25 +243,25 @@ def _zero_extensions(ordering: CompleteOrdering):
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# Dispatch: each route checks its functions, then applies the one rule
 # ---------------------------------------------------------------------------
 
-def _empty_side(ident: OrderedIdentity) -> Optional[IdentityVerdict]:
-    """The verdict when a bag is empty, else None: valid when both are; a
-    group on one side only disagrees under every assignment, and the
-    canonical one shows it."""
-    if ident.left and ident.right:
-        return None
-    if not ident.left and not ident.right:
-        return IdentityVerdict(True)
-    return _canonical_refutation(ident)
+def decide_shiftable(ident: OrderedIdentity) -> IdentityVerdict:
+    if not ident.function.shiftable:
+        raise ValueError(f"{ident.function.name} is not shiftable")
+    return _decide(ident)
 
 
-def _canonical_refutation(ident: OrderedIdentity) -> IdentityVerdict:
-    """The invalid verdict witnessed by the reduced ordering's canonical
-    assignment, for an identity that assignment refutes."""
-    reduced, renaming = _canonicalize(ident)
-    return _invalid(ident, renaming, _witness(reduced, None))
+def decide_sum(ident: OrderedIdentity) -> IdentityVerdict:
+    if ident.function.name not in ("sum", "avg"):
+        raise ValueError(f"decide_sum cannot handle {ident.function.name}")
+    return _decide(ident)
+
+
+def decide_prod(ident: OrderedIdentity) -> IdentityVerdict:
+    if ident.function.name != "prod":
+        raise ValueError(f"decide_prod cannot handle {ident.function.name}")
+    return _decide(ident)
 
 
 def decide(ident: OrderedIdentity) -> IdentityVerdict:

@@ -8,7 +8,7 @@ through enumeration of a value grid.  Where a test
 freezes an expected value, one of these oracles computed it.  Four
 references are exceptions: `branch_only_decide_prod`, for the prod
 decider's shortcut, and `canonical_decide_shiftable`, for the shiftable
-decider's value forms, build their witnesses with the library's own;
+decider's value forms, build their witnesses by the library's rule;
 `filtered_complete_orderings`, for the pruned ordering generator and
 the lex-leaders of `place_next_variable`, keeps orders with the
 library's `is_satisfiable_order` and `entails`; and
@@ -30,7 +30,7 @@ from aggequiv import engine
 from aggequiv.model import Const, INTEGERS, Var, is_const, is_var, term_sort_key
 from aggequiv.orderings import (
     CompleteOrdering, entails, is_satisfiable_order, rename_tuple,
-    satisfying_assignment,
+    satisfying_assignment, witness_pair_at,
 )
 
 
@@ -392,15 +392,17 @@ def branch_only_decide_prod(ident):
     """`identity.decide_prod` without its identical-polynomial shortcut:
     every identity goes through the branches that slot the constant 0 into
     its reduced ordering, and the first branch where the two sides differ
-    as polynomials (and are not both 0) refutes it.  Witnesses come from
-    the library's `_witness`, so they compare equal to the decider's."""
+    as polynomials (and are not both 0) refutes it.  Witnesses follow the
+    library's rule, so they compare equal to the decider's."""
     from aggequiv import identity
 
-    canon, renaming0 = identity._canonicalize(ident)
-    for extension in _zero_slots(canon.ordering):
+    canon, renaming0 = ident.ordering.reduction
+    canon_left = tuple(rename_tuple(renaming0, tup) for tup in ident.left)
+    canon_right = tuple(rename_tuple(renaming0, tup) for tup in ident.right)
+    for extension in _zero_slots(canon):
         reduced, renaming1 = extension.reduction
-        left = tuple(rename_tuple(renaming1, tup) for tup in canon.left)
-        right = tuple(rename_tuple(renaming1, tup) for tup in canon.right)
+        left = tuple(rename_tuple(renaming1, tup) for tup in canon_left)
+        right = tuple(rename_tuple(renaming1, tup) for tup in canon_right)
         c, exps_left = _polynomial(left)
         d, exps_right = _polynomial(right)
         if c == d and (c == 0 or exps_left == exps_right):
@@ -410,11 +412,37 @@ def branch_only_decide_prod(ident):
         u = min(differing, key=term_sort_key, default=None)
         branch = identity.OrderedIdentity(reduced, left, right,
                                           ident.function)
-        witness = identity._translate_witness(
-            canon.ordering.terms(), renaming1,
-            identity._witness(branch, u))
-        return identity._invalid(ident, renaming0, witness)
+        witness = _pull_back(canon.terms(), renaming1,
+                             _reduced_witness(branch, u))
+        return _refutation(ident, _pull_back(ident.ordering.terms(),
+                                             renaming0, witness))
     return identity.IdentityVerdict(True)
+
+
+def _reduced_witness(ident, u):
+    """The library's witness on a reduced ordering: its canonical
+    assignment when `u` is None, else whichever of the pair of
+    `witness_pair_at` at `u` refutes."""
+    from aggequiv import identity
+
+    if u is None:
+        return ident.ordering.canonical_assignment
+    return next(candidate for candidate in witness_pair_at(ident.ordering, u)
+                if identity._refutes(ident, candidate))
+
+
+def _pull_back(terms, renaming, assignment):
+    """An assignment of reduced terms as one of the original `terms`."""
+    return {t: rep.value if is_const(rep := renaming.get(t, t))
+            else assignment[rep] for t in terms}
+
+
+def _refutation(ident, witness):
+    """The invalid verdict, once `witness` is checked to refute."""
+    from aggequiv import identity
+
+    assert identity._refutes(ident, witness), "witness fails to refute"
+    return identity.IdentityVerdict(False, witness)
 
 
 def _zero_slots(ordering: CompleteOrdering):
@@ -456,25 +484,26 @@ def canonical_decide_shiftable(ident):
     """`identity.decide_shiftable` by evaluation instead of value forms:
     both bags are rewritten onto the reduced ordering, instantiated under
     its canonical assignment and folded through the function; equal
-    aggregates there settle the identity.  Empty sides and witnesses come
-    from the library's `_empty_side` and `_invalid`, so they compare equal
-    to the decider's."""
+    aggregates there settle the identity.  Two empty bags agree, and the
+    canonical assignment refutes a group on one side only, as the
+    library's rule has it."""
     from aggequiv import identity
     from aggequiv.aggregation import apply
 
     if not ident.function.shiftable:
         raise ValueError(f"{ident.function.name} is not shiftable")
-    if (verdict := identity._empty_side(ident)) is not None:
-        return verdict
-    reduced, renaming = identity._canonicalize(ident)
-    assignment = reduced.ordering.canonical_assignment
-    lhs = apply(reduced.function,
-                identity.instantiate_bag(assignment, reduced.left))
-    rhs = apply(reduced.function,
-                identity.instantiate_bag(assignment, reduced.right))
-    if lhs == rhs:
+    if not ident.left and not ident.right:
         return identity.IdentityVerdict(True)
-    return identity._invalid(ident, renaming, assignment)
+    reduced, renaming = ident.ordering.reduction
+    assignment = reduced.canonical_assignment
+    if ident.left and ident.right:
+        sides = [apply(ident.function, identity.instantiate_bag(
+                     assignment, [rename_tuple(renaming, tup) for tup in bag]))
+                 for bag in (ident.left, ident.right)]
+        if sides[0] == sides[1]:
+            return identity.IdentityVerdict(True)
+    return _refutation(ident, _pull_back(ident.ordering.terms(), renaming,
+                                         assignment))
 
 
 # ---------------------------------------------------------------------------

@@ -1250,6 +1250,34 @@ def test_forked_child_builds_its_own_pool(monkeypatch):
         == TWO_VALUES_CE
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_exits_quietly():
+    """A child forked after a two-worker decision exits through
+    `sys.exit` with status 0 and prints nothing: multiprocessing's exit
+    handler in the child does not try to join the parent's workers, and
+    the parent still decides with them afterwards."""
+    code = f"""
+import os, sys
+from fractions import Fraction as F
+from aggequiv import engine
+from aggequiv.model import Database
+from aggequiv.parsing import parse_query
+engine._usable_cpus = lambda: 2
+q, q2 = map(parse_query, {TWO_VALUES!r})
+expected = engine.Counterexample(
+    Database(frozenset({{("p", (F(0),)), ("p", (F(1),))}})), (), 1, 2)
+assert engine.n_equivalent(q, q2, 4, workers=2).counterexample == expected
+pid = os.fork()
+if pid == 0:
+    sys.exit(0)
+_, status = os.waitpid(pid, 0)
+print(os.waitstatus_to_exitcode(status),
+      engine.n_equivalent(q, q2, 4, workers=2).counterexample == expected)
+"""
+    done = run_fresh(code)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 True\n", "")
+
+
 def test_parallel_decision_under_spawn():
     """Workers started from a fresh interpreter (spawn, and forkserver
     where there is one) get everything a stride needs from its job."""

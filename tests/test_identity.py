@@ -404,6 +404,47 @@ def test_shiftable_forms_match_the_canonical_evaluation():
     assert min(seen[k] for k in ("random", "support", "class", "empty")) > 100
 
 
+#: one refuted identity per function, then a prod identity whose first
+#: zero branch pins x to 1 and agrees, an integer sum with x pinned to 1,
+#: and an avg over sides of different sizes; a count or parity bag is
+#: given by its size.  Each witness is the one the three routes, before
+#: they shared one rule, returned.
+PINNED_WITNESSES = [
+    ("count", RATIONALS, [[x], [y]], 2, 1, {x: 0, y: 1}),
+    ("parity", INTEGERS, [[x], [C(3)], [y]], 3, 2,
+     {x: 2, C(3): 3, y: 4}),
+    ("cntd", RATIONALS, [[x, y], [z]], [x, z], [x, y], {x: 0, y: 0, z: 1}),
+    ("max", INTEGERS, [[x], [C(2)], [y]], [x, C(2)], [y],
+     {x: 1, C(2): 2, y: 3}),
+    ("min", RATIONALS, [[C(0)], [x], [y]], [x, y], [y],
+     {C(0): 0, x: 1, y: 2}),
+    ("top2", RATIONALS, [[x], [y], [z]], [x, z], [y, z], {x: 0, y: 1, z: 2}),
+    ("bot2", INTEGERS, [[x], [y], [z]], [x, y], [x, z], {x: 0, y: 1, z: 2}),
+    ("sum", RATIONALS, [[x], [y]], [x, y], [y, y], {x: 0, y: 2}),
+    ("avg", RATIONALS, [[C(1)], [x]], [x, C(1)], [x], {C(1): 1, x: 2}),
+    ("prod", RATIONALS, [[C(2)], [x]], [x, x], [x], {C(2): 2, x: 3}),
+    ("prod", INTEGERS, [[C(-2)], [x], [C(2)]], [x, x], [x],
+     {C(-2): -2, x: -1, C(2): 2}),
+    ("sum", INTEGERS, [[C(0)], [x], [C(2)], [y]], [x, y], [y, y],
+     {C(0): 0, x: 1, C(2): 2, y: 3}),
+    ("avg", RATIONALS, [[C(0)], [x], [y]], [x, y], [x, y, y],
+     {C(0): 0, x: 1, y: 3}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, domain, classes, left, right, witness", PINNED_WITNESSES,
+    ids=[f"{i}-{case[0]}" for i, case in enumerate(PINNED_WITNESSES)])
+def test_pinned_witnesses(name, domain, classes, left, right, witness):
+    def bag(side):
+        return [()] * side if isinstance(side, int) else [(t,) for t in side]
+
+    identity = ident(L(classes, domain), bag(left), bag(right), name)
+    expected = IdentityVerdict(False, {t: F(v) for t, v in witness.items()})
+    verdict = decide(identity)
+    assert verdict == expected and list(verdict.witness) == list(witness)
+
+
 # ---------------------------------------------------------------------------
 # Dispatch and edge cases
 # ---------------------------------------------------------------------------
@@ -468,7 +509,7 @@ def test_every_route_answers_an_empty_side_like_decide(name, route):
 def test_valid_verdicts_survive_random_assignments():
     rng = random.Random(99)
     functions = ["count", "parity", "sum", "prod", "avg", "max", "min",
-                 "cntd", "top2"]
+                 "cntd", "top2", "bot2"]
     survivors = 0
     for name in functions:
         func = FUNCTIONS[name]
