@@ -16,22 +16,24 @@ bounds cannot see, and makes satisfiability hard in general.  An integer
 system containing ``!=`` therefore answers from its consistent complete
 orderings (bounds it entails still settle a forced value or equality
 first): satisfiability stops at the first, the rest build their list
-once, and all refuse beyond a small term count rather than answer
-approximately.  `entails` is the same for every system: the negated
-target makes the conjunction unsatisfiable.
+once, and all refuse beyond a bound on the enumeration rather than
+answer approximately.  `entails` is the same for every system: the
+negated target makes the conjunction unsatisfiable.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from .model import Comparison, INTEGERS, is_const
 from .orderings import enumerate_complete_orderings
 
-#: orderings of more than this many terms are never enumerated here
-ENUMERATION_LIMIT = 7
+#: placement sequences beyond this are never enumerated: with c constants
+#: in one chain, variable i has 2(c + i) + 1 places (7 variables, c = 0)
+ENUMERATION_LIMIT = 135135
 
 
 class TooHardError(ValueError):
@@ -145,10 +147,13 @@ class ComparisonSystem:
         if self._contradiction:
             return iter(())
         terms = {t for c in self.comparisons for t in c.terms()}
-        if len(terms) > ENUMERATION_LIMIT:
+        first = 2 * sum(map(is_const, terms)) + 1  # places of variable 0
+        tries = math.prod(range(first, 2 * len(terms), 2))
+        if tries > ENUMERATION_LIMIT:
             raise TooHardError(
                 f"integer disequality reasoning over {len(terms)} terms "
-                f"exceeds the enumeration limit ({ENUMERATION_LIMIT})")
+                f"({tries} placement sequences) exceeds the enumeration limit "
+                f"({ENUMERATION_LIMIT})")
         return enumerate_complete_orderings(terms, self.domain,
                                             comparisons=self.comparisons)
 

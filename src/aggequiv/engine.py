@@ -69,25 +69,23 @@ from none.  An ordering whose uk stays above every term is its
 parent's, memo included.
 
 Parallel scan: one loop (`_scan`) walks a decision's plan (`_plan`) in
-the global order; one worker runs it in process.  With K workers and s
-= min(K, usable CPUs) strides the caller first runs the head, levels 0
-and 1, for every pair (differing heads walk level n alone, so all of it
-when n <= 1, none otherwise): a failure there is the first, and no
-process is involved.  Otherwise the levels from 2 on are split into s
-strides, each the units whose index within their level is its stride
-number modulo s.  The caller sends the plan, pickled once, down a pipe
-to each of s - 1 worker processes, runs stride 0 itself while they run
-strides 1 to s - 1, then reads their replies; the lowest (level, index)
-of the first failures wins, so the output is the one-worker output.
-With s = 1 the caller scans every level and starts no process, and a
-decision that walks no level past the head starts none either.  The
+the global order, once per process.  With K workers and s = min(K,
+usable CPUs) strides, stride 0 walks the head, levels 0 and 1, whole
+(differing heads walk level n alone, so all of it when n <= 1, none
+otherwise), and from level 2 on stride i walks the units whose index
+within their level is i modulo s.  The caller runs stride 0, so a
+failure in the head, where most inequivalent pairs fail, involves no
+process.  As its walk first passes the head it sends the plan, pickled
+once, down a pipe to each of s - 1 worker processes, which skip the
+head and run the other strides, compiling the levels the plan lacks.
+The caller then reads their replies; the lowest (level, index) of the
+first failures wins, so the output is the one-worker output.  The
 workers, and `multiprocessing`, come with the first parallel decision
 that reaches them and are kept for later ones (`_workers`); at exit
 each is sent a stop and joined, and one whose caller died without a
-stop leaves at end of file.  They start by the default start
-method, so a program with threads can choose `spawn` or `forkserver`
-(`multiprocessing.set_start_method`); a job carries the plan, so
-workers need no state inherited by fork.
+stop leaves at end of file.  They start by the default start method, so
+a program with threads can choose `spawn` or `forkserver`; a job
+carries the plan, so workers need no state inherited by fork.
 
 Full equivalence reduces to N-equivalence at the pair's term size for
 the decomposable functions (count, sum, max, min, parity, top2) and for
@@ -100,7 +98,6 @@ import atexit
 import contextlib
 import itertools
 import os
-import sys
 import threading
 from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Optional
@@ -280,11 +277,11 @@ def _collect_groups(prepared: list, mask: int) -> dict:
     return groups
 
 
-def _pair_counterexample(plan: "_Plan", subset, mask: int,
+def _pair_counterexample(plan: "_Plan", mask: int,
                          ordering: CompleteOrdering, prep1: list, prep2: list,
                          memo: Optional[set] = None
                          ) -> Optional[Counterexample]:
-    """Check one (S, L) unit of work; None means no disagreement.
+    """Check the unit (S, L), S the atoms in `mask`; None: no disagreement.
 
     The queries, base terms, ranks and head match are read from `plan`.
     Group keys and items are base-term indexes into `plan.terms`;
@@ -316,16 +313,15 @@ def _pair_counterexample(plan: "_Plan", subset, mask: int,
             if _value(q, terms, groups1[key], assignment)
             != _value(q2, terms, groups2[key], assignment)]
         if keys:
-            return _materialize(q, q2, terms, subset, keys[0], groups1,
-                                groups2, assignment)
+            return _materialize(plan, mask, keys[0], groups1, groups2,
+                                assignment)
         return None
 
     def by_rank(key):
         return [rank[i] for i in key]
     if keys1 != keys2:
-        return _materialize(q, q2, terms, subset,
-                            min(keys1 ^ keys2, key=by_rank), groups1, groups2,
-                            satisfying_assignment(ordering))
+        return _materialize(plan, mask, min(keys1 ^ keys2, key=by_rank),
+                            groups1, groups2, satisfying_assignment(ordering))
     for key in sorted(keys1, key=by_rank):
         left, right = groups1[key], groups2[key]
         bags = (tuple(sorted(left)), tuple(sorted(right)))
@@ -334,7 +330,7 @@ def _pair_counterexample(plan: "_Plan", subset, mask: int,
         verdict = identity.decide(identity.OrderedIdentity.unchecked(
             ordering, _as_terms(terms, left), _as_terms(terms, right), func))
         if not verdict.valid:
-            return _materialize(q, q2, terms, subset, key, groups1, groups2,
+            return _materialize(plan, mask, key, groups1, groups2,
                                 verdict.witness)
         if memo is not None:
             memo.add(bags)
@@ -386,18 +382,17 @@ def _value(q: Query, terms: list, bag: list, witness: Assignment):
                  [_instance(terms, witness, t) for t in bag])
 
 
-def _materialize(q: Query, q2: Query, terms: list, subset, key, groups1,
-                 groups2, witness: Assignment) -> Counterexample:
+def _materialize(plan: "_Plan", mask: int, key, groups1, groups2,
+                 witness: Assignment) -> Counterexample:
     database = Database(frozenset(
-        (pred, assign_tuple(witness, args)) for pred, args in subset))
-    left = (_value(q, terms, groups1[key], witness)
-            if key in groups1 else None)
-    right = (_value(q2, terms, groups2[key], witness)
-             if key in groups2 else None)
-    counterexample = Counterexample(database,
-                                    _instance(terms, witness, key),
-                                    left, right)
-    _verify_counterexample(q, q2, counterexample)
+        (pred, assign_tuple(witness, args))
+        for i, (pred, args) in enumerate(plan.base) if mask >> i & 1))
+    left, right = (
+        _value(query, plan.terms, groups[key], witness) if key in groups
+        else None for query, groups in ((plan.q, groups1), (plan.q2, groups2)))
+    counterexample = Counterexample(
+        database, _instance(plan.terms, witness, key), left, right)
+    _verify_counterexample(plan.q, plan.q2, counterexample)
     return counterexample
 
 
@@ -412,20 +407,16 @@ def _verify_counterexample(q: Query, q2: Query, ce: Counterexample):
         raise AssertionError("counterexample does not separate the queries")
 
 
-#: with more than one stride, the caller walks the levels below this one
-#: (no fresh value and one) before the strides, whatever the heads
+#: the head: the levels below this one (no fresh value and one)
 _HEAD_LEVELS = 2
 
 
 def n_equivalent(q: Query, q2: Query, n: int, workers: int = 1) -> Verdict:
     """Do the queries agree on every database with at most `n` constants?
 
-    With `workers` > 1 the caller first walks the head, levels 0 and 1,
-    for every pair (see the module docstring); only when no unit there
-    fails and a later level is walked are that level's units and those
-    after it split into min(`workers`, usable CPUs) strides, the first
-    run by the caller and each other one by a worker process that
-    outlives the decision.  The output does not depend on `workers`.
+    With `workers` > 1 the walk past the head is split into min(`workers`,
+    usable CPUs) strides, the caller's and those of worker processes that
+    outlive the decision; the output does not depend on `workers`.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -437,15 +428,7 @@ def n_equivalent(q: Query, q2: Query, n: int, workers: int = 1) -> Verdict:
         raise ValueError("n_equivalent expects aggregate queries")
     plan = _plan(q, q2, n)
     strides = 1 if workers == 1 else min(workers, _usable_cpus())
-    if strides == 1:
-        hit = _scan(plan)
-    else:
-        # most inequivalent pairs fail with at most one fresh value, and a
-        # failure in the head is the first: it needs no worker round trip
-        hit = _scan(plan, levels=range(_HEAD_LEVELS))
-        if hit is None and any(k >= _HEAD_LEVELS
-                               for k in _walked_levels(plan)):
-            hit = _parallel_scan(plan, strides)
+    hit = _scan(plan) if strides == 1 else _parallel_scan(plan, strides)
     if hit is None:
         return Verdict(EQUIVALENT, n_used=n)
     return Verdict(NOT_EQUIVALENT, n_used=n, counterexample=hit[1])
@@ -517,8 +500,7 @@ class _Ordering:
     """An ordering of a level: the gap its last variable took, its parent
     until prepared, then each term's `position` and `prepared`: both
     queries' prepared assignments, the mask of the atoms neither reads,
-    the masks the queries disagree on (None for differing heads) and the
-    memo."""
+    the masks they disagree on ({(0, 0)} for differing heads), the memo."""
     __slots__ = ("ordering", "gap", "parent", "prepared", "position")
 
     def __init__(self, ordering: CompleteOrdering, gap: int, parent):
@@ -566,77 +548,71 @@ def _prepare(plan: _Plan, state: _Ordering, k: int) -> tuple:
                   for side in (0, 1))
     for positive, negated, _, _ in new1 + new2:
         idle &= ~(positive | negated)
-    if plan.same_head:
-        differing = differing | _differing_masks(new1, new2)
-    state.prepared = (prep1 + new1, prep2 + new2, idle,
-                      differing if plan.same_head else None, memo)
+    differing = (differing | _differing_masks(new1, new2) if plan.same_head
+                 else {(0, 0)})  # fires on every subset
+    state.prepared = (prep1 + new1, prep2 + new2, idle, differing, memo)
     state.position, state.parent = position, None
     return state.prepared
 
 
-def _level_subsets(plan: _Plan, k: int) -> Iterator[tuple]:
-    """The subsets of level k, smallest first, as `(atoms, weight)`, the
-    weight's low bits the subset's mask: with matching heads those of
-    BASE_k (the atoms over the constants and u1..uk) that use each of
-    u1..uk, with differing heads every subset of BASE.  A count stays
-    below the top bit of its field, so adding `add` sets that bit in
-    exactly the used fields."""
+def _level_subsets(plan: _Plan, k: int) -> Iterator[int]:
+    """The subsets of level k, smallest first, as masks over BASE: with
+    matching heads those of BASE_k (the atoms over the constants and
+    u1..uk) that use each of u1..uk, with differing heads every subset of
+    BASE.  A subset's weight holds its mask in its low bits; a count stays
+    below its field's top bit, which adding `add` sets in the used ones."""
     levels, weights, widest = plan.weights
-    keep = list(map(k.__ge__, levels))
-    atoms, weights = (list(itertools.compress(items, keep))
-                      for items in (plan.base, weights))
+    weights = list(itertools.compress(weights, map(k.__ge__, levels)))
     fresh, field = k if plan.same_head else 0, len(plan.base).bit_length() + 1
     low = sum(1 << (len(plan.base) + field * j) for j in range(fresh))
     tops = low << (field - 1)  # the top bit of each field
     add = tops - low
+    every_atom = (1 << len(plan.base)) - 1
     smallest = -(-fresh // (widest or 1))  # atoms needed to use them all
-    for size in range(smallest, len(atoms) + 1):
+    for size in range(smallest, len(weights) + 1):
         summed = map(sum, itertools.combinations(weights, size))
         if tops:  # keep the subsets that use every fresh variable
             summed, counted = itertools.tee(summed)
-            keep = map(tops.__eq__, map(tops.__and__, map(add.__add__,
-                                                          counted)))
-        subsets = zip(itertools.combinations(atoms, size), summed)
-        yield from itertools.compress(subsets, keep) if tops else subsets
+            summed = itertools.compress(summed, map(
+                tops.__eq__, map(tops.__and__, map(add.__add__, counted))))
+        yield from map(every_atom.__and__, summed)
 
 
-def _scan(plan: _Plan, offset: int = 0, workers: int = 1,
-          levels: range = range(sys.maxsize)):
-    """The stride `offset` of `workers` over the units of the walked
-    levels in `levels` (by default every one): its first failing unit as
-    `((level, index within it), counterexample)`, or None; strides and
-    level ranges merge by the lowest.  With more than one worker the
-    caller walks levels 0 and 1 (the head) for every pair, and the
-    caller and the worker processes stride the levels from 2 on."""
-    every_atom = (1 << len(plan.base)) - 1
+def _scan(plan: _Plan, offset: int = 0, workers: int = 1, dispatch=None):
+    """Stride `offset` of `workers`: its first failing unit as `((level,
+    index within it), counterexample)`, or None.  Stride 0 walks the
+    head whole and the others skip it; past it, each walks the units
+    whose index in their level is its offset modulo `workers`, and
+    `dispatch`, if given, is called as the walk first passes it."""
     states, built = [], -1
     for k in _walked_levels(plan):
-        if k >= levels.stop:
-            break
-        if k < levels.start:
-            continue
+        head = k < _HEAD_LEVELS
+        if head and offset:
+            continue  # the head is stride 0's
+        if not head and dispatch is not None:
+            dispatch()
+            dispatch = None
+        step = 1 if head else workers
         while built < k:
             built += 1
             states = _extend(plan, states, built)
         walk = list(enumerate(states))
-        for first, (subset, weight) in zip(
-                itertools.count(0, len(states)), _level_subsets(plan, k)):
-            mask = weight & every_atom
+        for first, mask in zip(itertools.count(0, len(states)),
+                               _level_subsets(plan, k)):
             for position, state in walk:
                 unit = first + position
-                if unit % workers != offset:
+                if unit % step != offset:
                     continue
                 prep1, prep2, idle, differing, memo = (
                     state.prepared or _prepare(plan, state, k))
-                if differing is not None and not differing:
+                if not differing:
                     # both queries collect the same bags on every subset
                     walk = [entry for entry in walk if entry[1] is not state]
                     continue
-                if mask & idle or differing is not None \
-                        and not _fires(differing, mask):
+                if mask & idle or not _fires(differing, mask):
                     continue
-                ce = _pair_counterexample(plan, subset, mask,
-                                          state.ordering, prep1, prep2, memo)
+                ce = _pair_counterexample(plan, mask, state.ordering,
+                                          prep1, prep2, memo)
                 if ce is not None:
                     return (k, unit), ce
             if not walk:
@@ -667,11 +643,11 @@ _pool: list = []
 
 
 def _work(connection, callers_end, offset: int, strides: int) -> None:
-    """A worker: scan stride `offset` of `strides` after the head of each
-    plan received, and send back its first failure or the exception it
-    raised, until a stop (None) arrives, or end of file when the caller
-    died without sending one.  Interrupts are the caller's to handle: it
-    kills a worker it leaves mid-job."""
+    """A worker: scan stride `offset` of `strides` of each plan received,
+    compiling the levels the caller has not, and send back its first
+    failure or the exception it raised, until a stop (None) arrives, or
+    end of file when the caller died without sending one.  Interrupts
+    are the caller's to handle: it kills a worker it leaves mid-job."""
     import signal
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     # a copy of the caller's end of the pipe, held here, would keep end of
@@ -680,8 +656,7 @@ def _work(connection, callers_end, offset: int, strides: int) -> None:
     with contextlib.suppress(EOFError):
         while (plan := connection.recv()) is not None:
             try:
-                reply = _scan(plan, offset, strides,
-                              range(_HEAD_LEVELS, sys.maxsize)), None
+                reply = _scan(plan, offset, strides), None
             except Exception as exc:
                 reply = None, exc
             connection.send(reply)
@@ -736,34 +711,46 @@ def _drop_pool(stop: bool = True) -> None:
 
 
 def _parallel_scan(plan: _Plan, strides: int):
-    """The lowest-index failure of the levels after the head: stride 0
-    in the caller, strides 1 to `strides` - 1 in the workers, or None.
+    """The lowest-index failure of the walk: stride 0 in the caller,
+    strides 1 to `strides` - 1 in the workers, or None.
 
-    The plan goes out, pickled once, before the caller starts its own
-    stride.  A worker's exception is raised here once every worker has
-    replied.  Workers with a dead one among them are dropped, never
-    reused; decisions are pure, so the decision runs once more on fresh
-    workers, and a second break raises `BrokenWorkers`.
-    """
-    import pickle
-    with _pool_lock:
+    As stride 0 first passes the head, `dispatch` takes the workers and
+    sends them the plan, pickled once; before that no worker is touched.
+    A worker's exception is raised here once every worker has replied.
+    Workers with a dead one among them are dropped, never reused: the
+    decision, being pure, reruns on fresh ones; a second break raises
+    `BrokenWorkers`."""
+    connections = None  # the workers', once dispatched
+
+    def dispatch():
+        nonlocal connections
+        import pickle
+        if connections is None:
+            _pool_lock.acquire()
+            connections = ()  # a failure from here on drops them
+        connections = _workers(strides)
+        job = pickle.dumps(plan, pickle.HIGHEST_PROTOCOL)
+        for connection in connections:
+            connection.send_bytes(job)
+    try:
         for retry in (False, True):
             try:
-                connections = _workers(strides)
-                job = pickle.dumps(plan, pickle.HIGHEST_PROTOCOL)
-                for connection in connections:
-                    connection.send_bytes(job)
-                hits = [_scan(plan, 0, strides,
-                              range(_HEAD_LEVELS, sys.maxsize))]
+                hits = [_scan(plan, 0, strides, dispatch)]
+                if connections is None:
+                    return hits[0]  # no worker was involved
                 replies = [connection.recv() for connection in connections]
                 break
-            except (EOFError, ConnectionError) as exc:
+            except (EOFError, ConnectionError) as exc:  # from the pipes
                 _drop_pool(stop=False)
                 if retry:
                     raise BrokenWorkers("a worker process died") from exc
             except BaseException:
-                _drop_pool(stop=False)  # the workers may be mid-job
+                if connections is not None:
+                    _drop_pool(stop=False)  # the workers may be mid-job
                 raise
+    finally:
+        if connections is not None:
+            _pool_lock.release()
     for hit, error in replies:
         if error is not None:
             raise error

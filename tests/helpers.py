@@ -334,7 +334,7 @@ def reference_scan(plan, offset: int, workers: int):
                         and not engine._fires(differing, mask)):
                     continue
                 ce = engine._pair_counterexample(
-                    plan, subset, mask, ordering, prep1, prep2)
+                    plan, mask, ordering, prep1, prep2)
                 if ce is not None:
                     return (k, unit), ce
     return None
@@ -378,7 +378,7 @@ def subset_major_scan(plan):
                         and not engine._fires(differing, mask):
                     continue
                 ce = engine._pair_counterexample(
-                    plan, atoms, mask, ordering, prep1, prep2)
+                    plan, mask, ordering, prep1, prep2)
                 if ce is not None:
                     return unit - 1, ce
     return None

@@ -202,6 +202,22 @@ def test_quasilinear_refutes_wide_pairs_without_enumerating_databases(
     assert_quasilinear_refutes(tmp_path, capsys, texts, domain)
 
 
+def test_quasilinear_places_one_variable_among_seven_constants(
+        tmp_path, capsys):
+    """Y != 1, ..., Y != 7 over the integers leaves 15 places for Y in the
+    constants' chain, well inside the enumeration limit, though the
+    system has eight terms.  `quasilinear` refutes the pair, and
+    `nequiv` at N = 1 agrees: p(1) separates it."""
+    holes = ", ".join(f"Y != {c}" for c in range(1, 8))
+    texts = (f"q(; sum(Y)) :- p(Y), {holes}", "q(; sum(Y)) :- p(Y)")
+    assert_quasilinear_refutes(tmp_path, capsys, texts, "int")
+    paths = [str(tmp_path / name) for name in ("a.q", "b.q")]
+    assert main(["nequiv", *paths, "--domain", "int", "--n", "1",
+                 "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["counterexample"] == {
+        "facts": ["p(1)."], "grouping": [], "values": [None, "1"]}
+
+
 def test_python_dash_m_runs_the_cli(count_pair):
     env = dict(os.environ, PYTHONPATH=str(Path(aggequiv.__file__).parents[1]))
 

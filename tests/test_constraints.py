@@ -104,11 +104,26 @@ def test_integer_disequality_beyond_the_enumeration_limit():
     assert ComparisonSystem(comparisons, INTEGERS).satisfiable()
     hard = ComparisonSystem(
         comparisons + [Comparison(chain[0], "!=", chain[-1])], INTEGERS)
-    with pytest.raises(TooHardError, match="8 terms exceeds the enumeration "
-                                           r"limit \(7\)"):
+    # 1 * 3 * ... * 15 placement sequences for eight variables
+    with pytest.raises(TooHardError, match=r"8 terms \(2027025 placement "
+                       r"sequences\) exceeds the enumeration limit \(135135\)"):
         hard.satisfiable()
     # the rationals need no enumeration
     assert ComparisonSystem(hard.comparisons, RATIONALS).satisfiable()
+
+
+def test_the_enumeration_limit_counts_placements_of_variables():
+    """The constants form one chain, so seven of them and four variables
+    (15 * 17 * 19 * 21 placement sequences) stay within the limit that
+    eight variables exceed."""
+    ys = [Var(f"y{i}") for i in range(4)]
+    holes = [Comparison(y, "!=", Const(F(c))) for y in ys
+             for c in range(1, 8)]
+    chain = [Comparison(a, "<", b) for a, b in zip(ys, ys[1:])]
+    system = ComparisonSystem(holes + chain, INTEGERS)
+    assert system.satisfiable()
+    assert system.entails(Comparison(ys[0], "!=", Const(F(4))))
+    assert not system.entails(Comparison(ys[0], "<", Const(F(1))))
 
 
 def test_disequality_entailment_stops_at_a_consistent_ordering():

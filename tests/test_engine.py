@@ -7,6 +7,7 @@ import random
 import signal
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter
 from fractions import Fraction
@@ -173,7 +174,7 @@ def test_group_keys_are_visited_in_term_order():
                                                 injective_only=True))
     position = [ordering.position(t) for t in terms]
     ce = engine._pair_counterexample(
-        plan, subset, sum(atom_bit[atom] for atom in subset), ordering,
+        plan, sum(atom_bit[atom] for atom in subset), ordering,
         engine._prepare_assignments(compile_all(plan, 0), position),
         engine._prepare_assignments(compile_all(plan, 1), position))
     assert ce == engine.Counterexample(
@@ -787,7 +788,7 @@ def test_differential_skip_is_sound():
                 skipped += 1
                 partly_skipped += bool(differing)
                 assert engine._pair_counterexample(
-                    plan, subset, mask, ordering, prep1, prep2) is None, (
+                    plan, mask, ordering, prep1, prep2) is None, (
                     str(q), str(q2), str(ordering), subset)
     assert partly_skipped > 0 and skipped > partly_skipped
 
@@ -1011,14 +1012,15 @@ def no_process(monkeypatch):
 
 @pytest.fixture
 def scans(monkeypatch):
-    """The (offset, workers, levels) of each `_scan` the caller runs; a
-    forked worker records its own in its own copy of the list."""
+    """The (offset, workers, whether a dispatch hook is passed) of each
+    `_scan` the caller runs; a forked worker records its own in its own
+    copy of the list."""
     calls = []
     scan = engine._scan
 
-    def recording(plan, offset=0, workers=1, levels=range(sys.maxsize)):
-        calls.append((offset, workers, levels))
-        return scan(plan, offset, workers, levels)
+    def recording(plan, offset=0, workers=1, dispatch=None):
+        calls.append((offset, workers, dispatch is not None))
+        return scan(plan, offset, workers, dispatch)
     monkeypatch.setattr(engine, "_scan", recording)
     return calls
 
@@ -1070,6 +1072,52 @@ def test_one_fact_failure_starts_no_process(no_process, monkeypatch):
             {("b", (F(0),)), ("p", (F(0),))})), (), None, 1)
 
 
+def test_a_failure_in_the_head_never_waits_for_the_workers(no_process,
+                                                           monkeypatch):
+    """The workers' lock is held elsewhere, yet a two-worker decision
+    whose first failure lies in the head returns: the head is walked
+    without the workers, so it takes no lock and starts no process."""
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    q, q2 = map(parse_query, MAX_LT1)
+    verdicts = []
+    decision = threading.Thread(target=lambda: verdicts.append(
+        engine.n_equivalent(q, q2, 5, workers=2)), daemon=True)
+    with engine._pool_lock:
+        decision.start()
+        decision.join(timeout=60)
+        waiting = decision.is_alive()
+    decision.join(timeout=60)
+    assert not waiting
+    assert [verdict.counterexample for verdict in verdicts] == [MAX_LT1_CE]
+
+
+PROD_ONE = ("q(; prod(Y)) :- p(Y)", "q(; prod(Y)) :- p(Y) | p(Y), Y = 1")
+
+
+def test_the_caller_prepares_each_head_ordering_once(started, monkeypatch):
+    """A two-worker decision that reaches the workers walks the head and
+    its own stride of the later levels in one pass, so the caller
+    prepares as many orderings as a one-worker decision does (15), none
+    of the head's twice."""
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    prepared = []
+    prepare = engine._prepare
+
+    def counting(plan, state, k):
+        prepared.append(k)
+        return prepare(plan, state, k)
+    monkeypatch.setattr(engine, "_prepare", counting)
+    q, q2 = map(parse_query, PROD_ONE)
+    counts, verdicts = [], []
+    for workers in (1, 2):
+        prepared.clear()
+        verdicts.append(engine.n_equivalent(q, q2, 4, workers=workers))
+        counts.append(len(prepared))
+    assert counts == [15, 15]
+    assert len(started) == 1
+    assert verdicts[0] == verdicts[1] and verdicts[0].equivalent
+
+
 def test_one_usable_cpu_scans_in_process(no_process, scans, monkeypatch):
     """With one usable CPU a parallel decision runs one stride: the
     caller scans every level itself, head included, and starts no
@@ -1079,7 +1127,7 @@ def test_one_usable_cpu_scans_in_process(no_process, scans, monkeypatch):
     for workers in (2, 10 ** 6):
         scans.clear()
         verdict = engine.n_equivalent(q, q2, 4, workers=workers)
-        assert scans == [(0, 1, range(sys.maxsize))]
+        assert scans == [(0, 1, False)]
         assert verdict.counterexample == TWO_VALUES_CE
 
 
@@ -1105,13 +1153,14 @@ def test_differing_heads_keep_the_same_head_rule(started, monkeypatch):
 def test_workers_beyond_the_usable_cpus_start_no_more_processes(
         started, scans, monkeypatch):
     """A decision asking for a million workers on three usable CPUs runs
-    three strides: the caller scans the head, then stride 0 of the
-    levels after it, and two processes, no more, run strides 1 and 2.
-    It decides as one worker does."""
+    three strides: the caller scans stride 0, the head whole and its
+    share of the levels after it, in one walk that dispatches the
+    others, and two processes, no more, run strides 1 and 2.  It
+    decides as one worker does."""
     monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
     q, q2 = map(parse_query, TWO_VALUES)
     verdict = engine.n_equivalent(q, q2, 3, workers=10 ** 6)
-    assert scans == [(0, 1, range(2)), (0, 3, range(2, sys.maxsize))]
+    assert scans == [(0, 3, True)]
     assert len(started) == 2
     assert verdict.counterexample == TWO_VALUES_CE
     assert verdict == engine.n_equivalent(q, q2, 3)
@@ -1166,10 +1215,10 @@ def test_workers_that_die_twice_raise_a_runtime_error(started, monkeypatch):
     monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
     scan = engine._scan
 
-    def dying(plan, offset=0, workers=1, levels=range(sys.maxsize)):
+    def dying(plan, offset=0, workers=1, dispatch=None):
         if offset:
             os._exit(1)
-        return scan(plan, offset, workers, levels)
+        return scan(plan, offset, workers, dispatch)
     monkeypatch.setattr(engine, "_scan", dying)
     q, q2 = map(parse_query, TWO_VALUES)
     with pytest.raises(engine.BrokenWorkers) as raised:
@@ -1187,10 +1236,10 @@ def test_a_worker_exception_is_raised_in_the_caller(started, monkeypatch):
     monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
     scan = engine._scan
 
-    def failing(plan, offset=0, workers=1, levels=range(sys.maxsize)):
+    def failing(plan, offset=0, workers=1, dispatch=None):
         if offset:
             raise LookupError(f"stride {offset} of {workers}")
-        return scan(plan, offset, workers, levels)
+        return scan(plan, offset, workers, dispatch)
     monkeypatch.setattr(engine, "_scan", failing)
     q, q2 = map(parse_query, TWO_VALUES)
     for _ in range(2):
