@@ -66,20 +66,12 @@ def _two_plus(reverse: bool) -> Callable:
     return plus
 
 
-def _max_plus(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a >= b else b
-
-
-def _min_plus(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a <= b else b
+def _extreme_plus(choose: Callable) -> Callable:
+    """max's plus (`choose` is `max`) or min's: the other value when one
+    is the zero None, else the chosen one."""
+    def plus(a, b):
+        return b if a is None else a if b is None else choose(a, b)
+    return plus
 
 
 RAT_ADD = Monoid("rationals with addition", lambda a, b: a + b, Fraction(0),
@@ -91,8 +83,10 @@ Z2_ADD = Monoid("two-element parity group", lambda a, b: (a + b) % 2, 0,
 RATNZ_MUL = Monoid("nonzero rationals with multiplication",
                    lambda a, b: a * b, Fraction(1),
                    inverse=lambda a: 1 / a)
-MAX_MONOID = Monoid("rationals with maximum", _max_plus, None, idempotent=True)
-MIN_MONOID = Monoid("rationals with minimum", _min_plus, None, idempotent=True)
+MAX_MONOID = Monoid("rationals with maximum", _extreme_plus(max), None,
+                    idempotent=True)
+MIN_MONOID = Monoid("rationals with minimum", _extreme_plus(min), None,
+                    idempotent=True)
 TOP2_MONOID = Monoid("two greatest distinct rationals", _two_plus(True),
                      (None, None), idempotent=True)
 BOT2_MONOID = Monoid("two least distinct rationals", _two_plus(False),

@@ -53,12 +53,10 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, queries=2):
-        if queries:
-            p.add_argument("queries", nargs="+" if queries == 2 else 1,
-                           metavar="QUERYFILE",
-                           help="two query files, or one file holding two "
-                                "declarations" if queries == 2
-                           else "query file")
+        p.add_argument("queries", nargs="+" if queries == 2 else 1,
+                       metavar="QUERYFILE",
+                       help="two query files, or one file holding two "
+                            "declarations" if queries == 2 else "query file")
         p.add_argument("--domain", choices=[INTEGERS, RATIONALS],
                        default=RATIONALS,
                        help="numeric domain the comparisons range over")
@@ -213,11 +211,15 @@ def _cmd_pairwise(args) -> int:
         _guardrail(q, q2, args.n, args)
         verdict = engine.n_equivalent(q, q2, args.n, workers=args.workers)
     else:
-        _guardrail(q, q2, term_size_pair(q, q2), args)
-        decide = {"equiv": engine.equivalent,
-                  "local-equiv": engine.locally_equivalent,
-                  "bagset-equiv": engine.bagset_equivalent}[args.command]
-        verdict = decide(q, q2, workers=args.workers)
+        # equiv's unsupported routes search nothing, so pass no guardrail
+        verdict = (engine.unsupported_verdict(q, q2)
+                   if args.command == "equiv" else None)
+        if verdict is None:
+            _guardrail(q, q2, term_size_pair(q, q2), args)
+            decide = {"equiv": engine.equivalent,
+                      "local-equiv": engine.locally_equivalent,
+                      "bagset-equiv": engine.bagset_equivalent}[args.command]
+            verdict = decide(q, q2, workers=args.workers)
     return _report_verdict(verdict, args, started)
 
 
@@ -261,9 +263,14 @@ def _cmd_check_decomposition(args) -> int:
                          f"grouping constant(s), got {args.group!r}")
     group = []
     for chunk in chunks:
-        term = parse_term(chunk)
-        if not isinstance(term, Const):
-            raise UsageError(f"grouping value {chunk!r} is not a constant")
+        try:
+            term = parse_term(chunk)
+        except ParseError:
+            term = None
+        if not isinstance(term, Const) or (
+                args.domain == INTEGERS and term.value.denominator != 1):
+            raise UsageError(f"grouping value {chunk!r} is not a constant "
+                             f"of the domain {args.domain!r}")
         group.append(term.value)
     family = oracle.build_decomposition(db, q, q2, tuple(group))
     ok = oracle.verify_decomposition(family, db, q, q2, tuple(group))
@@ -283,19 +290,15 @@ def _cmd_check_identity(args) -> int:
     with open(args.identity_file, encoding="utf-8") as handle:
         ident = _parse_identity(handle.read())
     verdict = identity.decide(ident)
+    witness = None if verdict.witness is None else {
+        str(t): format_value(v) for t, v in sorted(
+            verdict.witness.items(), key=lambda kv: str(kv[0]))}
     if args.json_output:
-        witness = None
-        if verdict.witness is not None:
-            witness = {str(t): format_value(v)
-                       for t, v in sorted(verdict.witness.items(),
-                                          key=lambda kv: str(kv[0]))}
         print(json.dumps({"valid": verdict.valid, "witness": witness}))
     else:
         print("valid" if verdict.valid else "invalid")
-        if verdict.witness is not None:
-            for t, v in sorted(verdict.witness.items(),
-                               key=lambda kv: str(kv[0])):
-                print(f"  {t} = {format_value(v)}")
+        for t, v in (witness or {}).items():
+            print(f"  {t} = {v}")
     return 0 if verdict.valid else 1
 
 

@@ -768,36 +768,38 @@ def locally_equivalent(q: Query, q2: Query, workers: int = 1) -> Verdict:
     return n_equivalent(q, q2, term_size_pair(q, q2), workers=workers)
 
 
-def equivalent(q: Query, q2: Query, workers: int = 1) -> Verdict:
-    """Full equivalence, via the reduction to local equivalence.
-
-    Sound and complete for the decomposable functions and for prod over
-    the rationals; avg and cntd (and prod over the integers) are open and
-    reported unsupported.
-    """
+def unsupported_verdict(q: Query, q2: Query) -> Optional[Verdict]:
+    """What `equivalent` reports without a search, or None when it
+    searches: matching heads of avg, cntd, or prod over the integers,
+    are open."""
     if q.aggregate is None or q2.aggregate is None:
         raise ValueError("equivalent expects aggregate queries; "
                          "use bagset_equivalent for plain ones")
     func = q.aggregate.function
-    if not _same_head(q, q2):
-        # the local-equivalence reduction needs matching heads; a local
-        # counterexample still disproves equivalence outright
-        verdict = locally_equivalent(q, q2, workers=workers)
-        if verdict.status == NOT_EQUIVALENT:
-            return verdict
-        return Verdict(UNSUPPORTED, reason=(
-            "queries have different head signatures; equivalence is only "
-            "decided for matching heads"))
-    if func.decomposable:
-        return locally_equivalent(q, q2, workers=workers)
-    if func.prod_special:
-        if q.domain == RATIONALS:
-            return locally_equivalent(q, q2, workers=workers)
-        return Verdict(UNSUPPORTED, reason=(
-            "equivalence of prod queries is only decided over the rationals"))
+    if not _same_head(q, q2) or func.decomposable or (
+            func.prod_special and q.domain == RATIONALS):
+        return None
     return Verdict(UNSUPPORTED, reason=(
+        "equivalence of prod queries is only decided over the rationals"
+        if func.prod_special else
         f"full equivalence for {func.name} queries is not decided; "
         f"bounded equivalence (nequiv) remains available"))
+
+
+def equivalent(q: Query, q2: Query, workers: int = 1) -> Verdict:
+    """Full equivalence, via the reduction to local equivalence: sound
+    and complete for the decomposable functions and for prod over the
+    rationals; `unsupported_verdict` reports the rest."""
+    verdict = unsupported_verdict(q, q2)
+    if verdict is None:
+        verdict = locally_equivalent(q, q2, workers=workers)
+        # the reduction needs matching heads; a local counterexample
+        # still disproves equivalence outright
+        if verdict.status != NOT_EQUIVALENT and not _same_head(q, q2):
+            verdict = Verdict(UNSUPPORTED, reason=(
+                "queries have different head signatures; equivalence is "
+                "only decided for matching heads"))
+    return verdict
 
 
 def bagset_equivalent(q: Query, q2: Query, workers: int = 1) -> Verdict:

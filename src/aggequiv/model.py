@@ -332,17 +332,11 @@ class Database:
     def carrier(self) -> set:
         return {v for _, values in self.facts for v in values}
 
-    def predicates(self) -> dict:
-        return {pred: len(values) for pred, values in self.facts}
-
     def __contains__(self, fact) -> bool:
         return fact in self.facts
 
     def __len__(self):
         return len(self.facts)
-
-    def __or__(self, other: "Database") -> "Database":
-        return Database(self.facts | other.facts)
 
     def __and__(self, other: "Database") -> "Database":
         return Database(self.facts & other.facts)

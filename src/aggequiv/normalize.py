@@ -22,21 +22,15 @@ from .constraints import ComparisonSystem
 from .model import (
     Atom, Comparison, Condition, Const, Query, is_const, is_var, term_sort_key,
 )
-
-
-def _substitute_term(subst: dict, t):
-    return subst.get(t, t)
+from .orderings import rename_tuple
 
 
 def _substitute_condition(subst: dict, cond: Condition) -> Condition:
-    atoms = tuple(
-        Atom(a.predicate, tuple(_substitute_term(subst, t) for t in a.args),
-             a.positive)
-        for a in cond.atoms)
+    atoms = tuple(Atom(a.predicate, rename_tuple(subst, a.args), a.positive)
+                  for a in cond.atoms)
     comparisons = []
     for c in cond.comparisons:
-        lhs = _substitute_term(subst, c.lhs)
-        rhs = _substitute_term(subst, c.rhs)
+        lhs, rhs = rename_tuple(subst, (c.lhs, c.rhs))
         if lhs == rhs:
             if c.op in ("=", "<=", ">="):
                 continue
@@ -109,12 +103,10 @@ def reduce_query(q: Query) -> Query:
         # disjunct (the substitution must also rewrite the shared head)
         subst = _entailed_substitution(system, q, not conjunctive)
         if conjunctive:
-            grouping = tuple(_substitute_term(subst, t) for t in grouping)
+            grouping = rename_tuple(subst, grouping)
             if aggregate is not None:
-                aggregate = replace(
-                    aggregate,
-                    args=tuple(_substitute_term(subst, t)
-                               for t in aggregate.args))
+                aggregate = replace(aggregate,
+                                    args=rename_tuple(subst, aggregate.args))
         new_disjuncts.append(_substitute_condition(subst, cond))
 
     return replace(q, grouping=grouping, aggregate=aggregate,

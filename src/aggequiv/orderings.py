@@ -149,19 +149,6 @@ class CompleteOrdering:
                           for cls in self.classes)
 
 
-def _constants_consistent(classes) -> bool:
-    seen = []
-    for cls in classes:
-        values = sorted({t.value for t in cls if is_const(t)})
-        if len(values) > 1:
-            return False
-        if values:
-            if seen and values[0] <= seen[-1]:
-                return False
-            seen.append(values[0])
-    return True
-
-
 def _integer_room(classes) -> bool:
     """Each run of variable classes between two anchors must fit."""
     prev_pos = prev_val = None
@@ -175,26 +162,24 @@ def _integer_room(classes) -> bool:
     return True
 
 
-def _each_term_in_one_class(classes) -> bool:
-    seen: set = set()
-    for cls in classes:
-        members = set(cls)
-        if not seen.isdisjoint(members):
-            return False
-        seen |= members
-    return True
-
-
 def is_satisfiable_order(classes, domain: str) -> bool:
     """Can the weak order `classes` be realized over `domain`: no term in
     two classes, constants strictly increasing and, over the integers,
     integral and with room for every variable class between them?"""
-    if not (_each_term_in_one_class(classes)
-            and _constants_consistent(classes)):
-        return False
-    return domain != INTEGERS or (_integer_room(classes) and all(
-        t.value.denominator == 1 for cls in classes for t in cls
-        if is_const(t)))
+    seen: set = set()
+    last = None
+    for cls in classes:
+        if not seen.isdisjoint(cls):
+            return False
+        seen.update(cls)
+        values = {t.value for t in cls if is_const(t)}
+        if values:
+            value = values.pop()
+            if (values or (last is not None and value <= last)
+                    or (domain == INTEGERS and value.denominator != 1)):
+                return False
+            last = value
+    return domain != INTEGERS or _integer_room(classes)
 
 
 def enumerate_complete_orderings(terms: Iterable[Term], domain: str,

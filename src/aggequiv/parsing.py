@@ -47,9 +47,6 @@ class ArityRegistry:
                 f"predicate {predicate} used with arity {arity}, "
                 f"previously {known}", line, column)
 
-    def arity(self, predicate: str) -> Optional[int]:
-        return self._arities.get(predicate)
-
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+|\#[^\n]*)
@@ -140,9 +137,9 @@ class _Parser:
             return Const(self.number())
         self.error("expected a term (variable or number)")
 
-    def term_list(self, closing=")"):
+    def term_list(self):
         terms = []
-        if self.at("punct", closing) or self.at("punct", ";"):
+        if self.at("punct", ")") or self.at("punct", ";"):
             return tuple(terms)
         terms.append(self.term())
         while self.at("punct", ","):
@@ -225,16 +222,13 @@ class _Parser:
     def database(self) -> Database:
         facts = set()
         while not self.at("eof"):
-            _, name, line, col = self.expect("ident")
-            self.expect("punct", "(")
-            args = self.term_list()
-            self.expect("punct", ")")
+            _, _, line, col = self.peek()
+            fact = self.atom(positive=True)
             self.expect("punct", ".")
-            self.registry.check(name, len(args), line, col)
-            bad = [a for a in args if not is_const(a)]
+            bad = [a for a in fact.args if not is_const(a)]
             if bad:
                 raise ParseError(f"database fact with variable {bad[0]}", line, col)
-            facts.add((name, tuple(a.value for a in args)))
+            facts.add((fact.predicate, tuple(a.value for a in fact.args)))
         return Database(frozenset(facts))
 
 

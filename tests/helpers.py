@@ -507,6 +507,40 @@ def canonical_decide_shiftable(ident):
 
 
 # ---------------------------------------------------------------------------
+# Satisfiable weak orders, one property per pass
+# ---------------------------------------------------------------------------
+
+def reference_satisfiable_order(classes, domain: str) -> bool:
+    """`is_satisfiable_order` as three separate passes: no term in two
+    classes; at most one constant value per class, the values strictly
+    increasing; over the integers, room for every run of variable classes
+    between two anchors, and every constant integral."""
+    seen: set = set()
+    for cls in classes:
+        if not seen.isdisjoint(set(cls)):
+            return False
+        seen |= set(cls)
+    last = []
+    for cls in classes:
+        values = sorted({t.value for t in cls if is_const(t)})
+        if len(values) > 1 or (values and last and values[0] <= last[-1]):
+            return False
+        last += values
+    if domain != INTEGERS:
+        return True
+    prev_pos = prev_val = None
+    for i, cls in enumerate(classes):
+        values = [t.value for t in cls if is_const(t)]
+        if not values:
+            continue
+        if prev_pos is not None and values[0] - prev_val < i - prev_pos:
+            return False
+        prev_pos, prev_val = i, values[0]
+    return all(t.value.denominator == 1 for cls in classes for t in cls
+               if is_const(t))
+
+
+# ---------------------------------------------------------------------------
 # Orderings built whole, then filtered
 # ---------------------------------------------------------------------------
 

@@ -149,6 +149,54 @@ def test_guardrail_and_force(tmp_path, capsys):
     assert main(["nequiv", b, b, "--n", "2"]) == 0
 
 
+_TRIANGLE = "p(X, Y), r(Y, Z), s(Z, X)"
+_REFUSAL = ("error: refusing a search over 2^75 atom subsets (|BASE| = 75, "
+            "N = 4); the cost is doubly exponential. Pass --force to run "
+            "anyway.\n")
+
+
+@pytest.mark.parametrize("func, domain, reason", [
+    ("avg", "rat", "full equivalence for avg queries is not decided; "
+                   "bounded equivalence (nequiv) remains available"),
+    ("prod", "int", "equivalence of prod queries is only decided over the "
+                    "rationals")])
+def test_equiv_answers_a_pair_it_does_not_search_past_the_guardrail(
+        tmp_path, capsys, func, domain, reason):
+    """equiv reports avg, and prod over the integers, unsupported without
+    a search, so a pair past the guardrail's size is answered, not
+    refused; the decisions on the same pair that search still are."""
+    a = write(tmp_path, "a1.q", f"q(; {func}(Y)) :- {_TRIANGLE}\n")
+    b = write(tmp_path, "a2.q", f"q(; {func}(Y)) :- {_TRIANGLE}, Y > 0\n")
+    assert main(["equiv", a, b, "--domain", domain]) == 2
+    assert capsys.readouterr() == (
+        f"status: unsupported\nreason: {reason}\n", "")
+    assert main(["equiv", a, b, "--domain", domain, "--json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    del payload["timings"]
+    assert payload == {"status": "unsupported", "n_used": None,
+                       "counterexample": None, "reason": reason}
+    for argv in (["local-equiv", a, b], ["nequiv", a, b, "--n", "4"]):
+        assert main([*argv, "--domain", domain]) == 2
+        assert capsys.readouterr() == ("", _REFUSAL)
+
+
+def test_the_guardrail_refuses_every_equiv_that_searches(tmp_path, capsys):
+    """A decomposable function, prod over the rationals, differing heads
+    and bag-set equivalence all search, so all are refused."""
+    for head, head2, domain in (("q(; sum(Y))", "q(; sum(Y))", "int"),
+                                ("q(; prod(Y))", "q(; prod(Y))", "rat"),
+                                ("q(; avg(Y))", "q(; sum(Y))", "int"),
+                                ("q(; avg(Y))", "q(Y; avg(X))", "rat")):
+        a = write(tmp_path, "a1.q", f"{head} :- {_TRIANGLE}\n")
+        b = write(tmp_path, "a2.q", f"{head2} :- {_TRIANGLE}, Y > 0\n")
+        assert main(["equiv", a, b, "--domain", domain]) == 2, head2
+        assert capsys.readouterr() == ("", _REFUSAL)
+    a = write(tmp_path, "a1.q", f"q(X) :- {_TRIANGLE}\n")
+    b = write(tmp_path, "a2.q", f"q(X) :- {_TRIANGLE}, Y > 0\n")
+    assert main(["bagset-equiv", a, b]) == 2
+    assert capsys.readouterr() == ("", _REFUSAL)
+
+
 def test_quasilinear_command(tmp_path, capsys):
     a = write(tmp_path, "a.q", "q(X; max(Y)) :- p(X, Y)\n")
     b = write(tmp_path, "b.q", "q(U; max(V)) :- p(U, V)\n")
@@ -291,6 +339,30 @@ def test_check_decomposition_rejects_a_group_of_the_wrong_arity(
             f"constant(s), got {group!r}\n")
     assert main(["check-decomposition", a, b, "-d", d, "--group", ""]) == 0
     assert main(["check-decomposition", c, c, "-d", d, "--group", " 1 "]) == 0
+
+
+def test_check_decomposition_rejects_a_group_value_outside_the_domain(
+        tmp_path, capsys):
+    """A --group value that does not parse as one constant of the
+    domain, a rational over the integers among them, is a usage error
+    naming it, not an empty decomposition that verifies or a parse
+    error."""
+    a = write(tmp_path, "g1.q", "q(X; count()) :- e(X, Y)\n")
+    b = write(tmp_path, "g2.q", "q(X; count()) :- e(X, Y), Y > 0\n")
+    d = write(tmp_path, "g.facts", "e(1, 2).\ne(1, 0).\n")
+    for group, domain in (("1/2", "int"), ("1/0", "rat"), ("1/0", "int"),
+                          ("1 2", "rat"), ("X", "rat"), ("p", "int")):
+        assert main(["check-decomposition", a, b, "-d", d, "--domain",
+                     domain, "--group", group]) == 64, (group, domain)
+        assert capsys.readouterr() == ("", (
+            f"usage error: grouping value {group!r} is not a constant of "
+            f"the domain {domain!r}\n"))
+    for group, domain, sizes in (("1", "int", [1, 1]), ("1/2", "rat", [])):
+        assert main(["check-decomposition", a, b, "-d", d, "--domain",
+                     domain, "--group", group]) == 0
+        assert capsys.readouterr().out == (
+            f"decomposition into {len(sizes)} database(s), sizes {sizes}\n"
+            f"verified\n")
 
 
 def test_check_decomposition_rejects_heads_of_different_grouping_arity(

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from aggequiv.model import Comparison, Const, INTEGERS, RATIONALS, Var
+from aggequiv.model import (
+    Comparison, Const, INTEGERS, RATIONALS, Var, is_const,
+)
 from aggequiv.orderings import (
     CompleteOrdering, enumerate_complete_orderings, entails, is_reduced,
     is_satisfiable_order, pinned_assignment, place_next_variable,
@@ -14,7 +16,7 @@ from aggequiv.orderings import (
 )
 from helpers import (
     brute_force_weak_orders, filtered_complete_orderings, ordering_as_classes,
-    random_satisfying_assignment,
+    random_satisfying_assignment, reference_satisfiable_order,
 )
 
 F = Fraction
@@ -390,3 +392,26 @@ def test_a_term_in_two_classes_is_not_satisfiable():
         assert not is_satisfiable_order([[C(0)], [x, y], [C(2), y]], domain)
         assert is_satisfiable_order([[x, x], [y]], domain)
         assert is_satisfiable_order([[x], [C(1)], [y]], domain)
+
+
+def test_the_order_check_matches_its_three_pass_definition():
+    """Seeded random class lists, over both domains, with integral and
+    rational constants (equal ones in one class too), terms repeated
+    within and across classes, empty classes and empty lists."""
+    rng = random.Random(28)
+    pool = [x, y, z, C(0), C(1), C(1), C(2), C(4), C(F(1, 2)), C(F(-3, 2))]
+    for domain in (RATIONALS, INTEGERS):
+        seen = set()
+        for _ in range(4000):
+            classes = [[rng.choice(pool) for _ in range(rng.randint(0, 3))]
+                       for _ in range(rng.randint(0, 5))]
+            expected = reference_satisfiable_order(classes, domain)
+            assert is_satisfiable_order(classes, domain) == expected, (
+                classes, domain)
+            seen.add((expected, any(is_const(t) and t.value.denominator > 1
+                                    for cls in classes for t in cls)))
+        assert seen == {(False, False), (False, True), (True, False)} | (
+            {(True, True)} if domain == RATIONALS else set())
+        assert is_satisfiable_order([], domain)
+        assert is_satisfiable_order([[], [x]], domain)
+
