@@ -54,38 +54,44 @@ stands for them or no check can fail, so the first failure is kept:
   the same ones leaves the level's walk.  Equal bags can still disagree
   under two functions (max and min): differing heads are not skipped.
 
-Each stride keeps, per ordering, the sorted bags it decided valid and
-does not decide them again; a failing identity ends the stride, so the
-memo changes no counterexample.  A level is planned when reached:
-`_compile` holds each query's assignments to its terms that use uk, by
-index arithmetic built once per disjunct (`_program`), and settles the
-comparisons no strict ordering can change, each other one a pair of
-terms the ordering must put in that order, so preparing an ordering
-filters on term positions.  A level's orderings place uk into the
-previous level's (`orderings.place_next_variable`), and each is
-prepared from its parent's prepared assignments plus the level's own,
-a parent not yet prepared being prepared first; only level 0 starts
-from none.  An ordering whose uk stays above every term is its
+Each stride decides no identity twice, by two sets of sorted bags: one
+per decision of those whose sides are the same function of the same
+terms (`identity.holds_everywhere`), valid under every ordering, and one
+per ordering of those decided valid under it.  A failing identity ends
+the stride, so neither changes a counterexample.  A level is planned
+when reached: `_compile` holds each query's assignments to its terms
+that use uk, by index arithmetic built once per disjunct (`_program`),
+and settles the comparisons no strict ordering can change, each other
+one a pair of terms the ordering must put in that order, so preparing
+an ordering filters on term positions.  A level's orderings place uk
+into the previous level's (`orderings.place_next_variable`), and each
+is prepared from its parent's prepared assignments plus the level's
+own, a parent not yet prepared being prepared first; only level 0
+starts from none.  An ordering whose uk stays above every term is its
 parent's, memo included.
 
 Parallel scan: one loop (`_scan`) walks a decision's plan (`_plan`) in
-the global order, once per process.  With K workers and s = min(K,
-usable CPUs) strides, stride 0 walks the head, levels 0 and 1, whole
-(differing heads walk level n alone, so all of it when n <= 1, none
-otherwise), and from level 2 on stride i walks the units whose index
-within their level is i modulo s.  The caller runs stride 0, so a
-failure in the head, where most inequivalent pairs fail, involves no
-process.  As its walk first passes the head it sends the plan, pickled
-once, down a pipe to each of s - 1 worker processes, which skip the
-head and run the other strides, compiling the levels the plan lacks.
-The caller then reads their replies; the lowest (level, index) of the
-first failures wins, so the output is the one-worker output.  The
-workers, and `multiprocessing`, come with the first parallel decision
-that reaches them and are kept for later ones (`_workers`); at exit
-each is sent a stop and joined, and one whose caller died without a
-stop leaves at end of file.  They start by the default start method, so
-a program with threads can choose `spawn` or `forkserver`; a job
-carries the plan, so workers need no state inherited by fork.
+the global order, once per process.  A walk past the head that plans
+fewer than `_DISPATCH_UNITS` units (`plan_units`) costs less in the
+caller than the round trip, so the caller walks it all as the only
+stride and touches no process, pipe or lock.  Otherwise, with K workers
+and s = min(K, usable CPUs) strides, stride 0 walks the head, levels 0
+and 1, whole (differing heads walk level n alone, so all of it when
+n <= 1, none otherwise), and from level 2 on stride i walks the units
+whose index within their level is i modulo s.  The caller runs stride
+0, so a failure in the head, where most inequivalent pairs fail,
+involves no process.  As its walk first passes the head it sends the
+plan, pickled once, down a pipe to each of s - 1 worker processes,
+which skip the head and run the other strides, compiling the levels the
+plan lacks.  The caller then reads their replies; the lowest (level,
+index) of the first failures wins, so the output is the one-worker
+output.  The workers, and `multiprocessing`, come with the first
+parallel decision that reaches them and are kept for later ones
+(`_workers`); at exit each is sent a stop and joined, and one whose
+caller died without a stop leaves at end of file.  They start by the
+default start method, so a program with threads can choose `spawn` or
+`forkserver`; a job carries the plan, so workers need no state
+inherited by fork.
 
 Full equivalence reduces to N-equivalence at the pair's term size for
 the decomposable functions (count, sum, max, min, parity, top2) and for
@@ -97,6 +103,7 @@ from __future__ import annotations
 import atexit
 import contextlib
 import itertools
+import math
 import os
 import threading
 from dataclasses import dataclass, replace
@@ -109,8 +116,8 @@ from .model import (
     merged_predicates, term_size_pair, term_sort_key,
 )
 from .orderings import (
-    Assignment, CompleteOrdering, assign_tuple, enumerate_complete_orderings,
-    place_next_variable, satisfying_assignment,
+    Assignment, CompleteOrdering, assign_tuple, count_lex_leaders,
+    enumerate_complete_orderings, place_next_variable, satisfying_assignment,
 )
 # not called here: bench/tracing.py traces the comparison layer under the
 # name engine.entails, so it stays importable (and reads 0 calls)
@@ -279,7 +286,8 @@ def _collect_groups(prepared: list, mask: int) -> dict:
 
 def _pair_counterexample(plan: "_Plan", mask: int,
                          ordering: CompleteOrdering, prep1: list, prep2: list,
-                         memo: Optional[set] = None
+                         memo: Optional[set] = None,
+                         everywhere: Optional[set] = None
                          ) -> Optional[Counterexample]:
     """Check the unit (S, L), S the atoms in `mask`; None: no disagreement.
 
@@ -289,9 +297,10 @@ def _pair_counterexample(plan: "_Plan", mask: int,
     which group keys are visited.  Differing heads and one-sided groups
     are instantiated under the ordering's canonical satisfying
     assignment.  `memo`, when given, holds the sorted `(left, right)`
-    bags this ordering has decided valid, which are not decided again; a
-    failing identity ends the scan, so the counterexample does not
-    depend on the memo.
+    bags this ordering has decided valid, and `everywhere` those of the
+    decision that `identity.holds_everywhere` (valid under every
+    ordering); neither is decided again.  A failing identity ends the
+    scan, so the counterexample depends on neither.
     """
     q, q2, terms, rank = plan.q, plan.q2, plan.terms, plan.rank
     groups1 = _collect_groups(prep1, mask)
@@ -325,10 +334,16 @@ def _pair_counterexample(plan: "_Plan", mask: int,
     for key in sorted(keys1, key=by_rank):
         left, right = groups1[key], groups2[key]
         bags = (tuple(sorted(left)), tuple(sorted(right)))
-        if bags[0] == bags[1] or memo is not None and bags in memo:
+        if (everywhere is not None and bags in everywhere
+                or memo is not None and bags in memo):
+            continue
+        left, right = _as_terms(terms, left), _as_terms(terms, right)
+        if identity.holds_everywhere(func, left, right):
+            if everywhere is not None:
+                everywhere.add(bags)
             continue
         verdict = identity.decide(identity.OrderedIdentity.unchecked(
-            ordering, _as_terms(terms, left), _as_terms(terms, right), func))
+            ordering, left, right, func))
         if not verdict.valid:
             return _materialize(plan, mask, key, groups1, groups2,
                                 verdict.witness)
@@ -409,14 +424,18 @@ def _verify_counterexample(q: Query, q2: Query, ce: Counterexample):
 
 #: the head: the levels below this one (no fresh value and one)
 _HEAD_LEVELS = 2
+#: the fewest units planned past the head that are sent to the workers;
+#: a smaller walk costs less in the caller than the round trip
+_DISPATCH_UNITS = 40000
 
 
 def n_equivalent(q: Query, q2: Query, n: int, workers: int = 1) -> Verdict:
     """Do the queries agree on every database with at most `n` constants?
 
-    With `workers` > 1 the walk past the head is split into min(`workers`,
-    usable CPUs) strides, the caller's and those of worker processes that
-    outlive the decision; the output does not depend on `workers`.
+    With `workers` > 1 a walk past the head of at least `_DISPATCH_UNITS`
+    planned units is split into min(`workers`, usable CPUs) strides, the
+    caller's and those of worker processes that outlive the decision; the
+    output does not depend on `workers`.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -432,6 +451,28 @@ def n_equivalent(q: Query, q2: Query, n: int, workers: int = 1) -> Verdict:
     if hit is None:
         return Verdict(EQUIVALENT, n_used=n)
     return Verdict(NOT_EQUIVALENT, n_used=n, counterexample=hit[1])
+
+
+def plan_units(q: Query, q2: Query, n: int) -> list:
+    """Each level's `(subsets, orderings)` before any skip, without
+    walking: with matching heads the subsets of level k's atoms that use
+    each of u1..uk (inclusion-exclusion over those left unused), with
+    differing heads every subset of BASE at level n and none below; the
+    orderings are the lex-leaders of the constants and u1..uk."""
+    values = sorted(t.value for t in q.constants() | q2.constants())
+    arities, c = merged_predicates(q, q2).values(), len(values)
+    # the subsets of the atoms over m terms, for every m up to BASE's terms
+    every = [2 ** sum(m ** arity for arity in arities)
+             for m in range(c + n + 1)]
+    levels = []
+    for k, orderings in enumerate(count_lex_leaders(values, n, q.domain)):
+        if _same_head(q, q2):
+            subsets = sum((-1) ** j * math.comb(k, j) * every[c + k - j]
+                          for j in range(k + 1))
+        else:
+            subsets = every[c + n] if k == n else 0
+        levels.append((subsets, orderings))
+    return levels
 
 
 class _Plan(NamedTuple):
@@ -583,15 +624,15 @@ def _scan(plan: _Plan, offset: int = 0, workers: int = 1, dispatch=None):
     index within it), counterexample)`, or None.  Stride 0 walks the
     head whole and the others skip it; past it, each walks the units
     whose index in their level is its offset modulo `workers`, and
-    `dispatch`, if given, is called as the walk first passes it."""
-    states, built = [], -1
+    `dispatch`, if given, is called as the walk first passes it and
+    returns the strides the rest is walked in (1: this one alone)."""
+    states, built, everywhere = [], -1, set()
     for k in _walked_levels(plan):
         head = k < _HEAD_LEVELS
         if head and offset:
             continue  # the head is stride 0's
         if not head and dispatch is not None:
-            dispatch()
-            dispatch = None
+            workers, dispatch = dispatch(), None
         step = 1 if head else workers
         while built < k:
             built += 1
@@ -612,7 +653,7 @@ def _scan(plan: _Plan, offset: int = 0, workers: int = 1, dispatch=None):
                 if mask & idle or not _fires(differing, mask):
                     continue
                 ce = _pair_counterexample(plan, mask, state.ordering,
-                                          prep1, prep2, memo)
+                                          prep1, prep2, memo, everywhere)
                 if ce is not None:
                     return (k, unit), ce
             if not walk:
@@ -715,7 +756,9 @@ def _parallel_scan(plan: _Plan, strides: int):
     strides 1 to `strides` - 1 in the workers, or None.
 
     As stride 0 first passes the head, `dispatch` takes the workers and
-    sends them the plan, pickled once; before that no worker is touched.
+    sends them the plan, pickled once, if the walk past the head plans at
+    least `_DISPATCH_UNITS` units; before that, or else, no worker is
+    touched and stride 0 walks on alone.
     A worker's exception is raised here once every worker has replied.
     Workers with a dead one among them are dropped, never reused: the
     decision, being pure, reruns on fresh ones; a second break raises
@@ -724,6 +767,10 @@ def _parallel_scan(plan: _Plan, strides: int):
 
     def dispatch():
         nonlocal connections
+        planned = plan_units(plan.q, plan.q2, len(plan.terms) - plan.constants)
+        if sum(subsets * orderings for subsets, orderings
+               in planned[_HEAD_LEVELS:]) < _DISPATCH_UNITS:
+            return 1
         import pickle
         if connections is None:
             _pool_lock.acquire()
@@ -732,6 +779,7 @@ def _parallel_scan(plan: _Plan, strides: int):
         job = pickle.dumps(plan, pickle.HIGHEST_PROTOCOL)
         for connection in connections:
             connection.send_bytes(job)
+        return strides
     try:
         for retry in (False, True):
             try:

@@ -32,6 +32,10 @@ the constant 0 into L (`_zero_extensions`).  The identity fails on the
 first branch where the forms differ and are not both 0, with that
 branch's witness.
 
+Some identities need no ordering at all: `holds_everywhere` recognises
+two sides that are the same function of the same terms, which agree
+under every assignment.
+
 Every witness is pulled back to the identity's own terms and re-checked
 by direct evaluation before it is returned.  The reduction and the
 canonical assignment of an ordering are built once per ordering
@@ -168,6 +172,12 @@ def _form(function: AggregationFunction, bag,
     _, renaming = ordering.reduction
     if renaming:
         bag = [rename_tuple(renaming, tup) for tup in bag]
+    return _polynomial(function, bag)
+
+
+def _polynomial(function: AggregationFunction, bag) -> tuple:
+    """sum's, avg's or prod's value on a non-empty `bag` as `(constant,
+    powers)` in the bag's own terms."""
     product = function.name == "prod"
     constant = _ONE if product else _ZERO
     powers = Counter()
@@ -182,6 +192,25 @@ def _form(function: AggregationFunction, bag,
         n = len(bag)
         return constant / n, {t: Fraction(k, n) for t, k in powers.items()}
     return constant, powers
+
+
+def holds_everywhere(function: AggregationFunction, left, right) -> bool:
+    """Are the two sides the same function of the same terms, and so equal
+    under every assignment, whatever the ordering?  count: equal sizes;
+    parity: sizes of equal parity; the other shiftable functions: equal
+    supports; sum, avg and prod: the same polynomial in the terms as they
+    are, or for prod two sides whose constant part is 0.  Two empty sides
+    agree, one empty side does not."""
+    if not (left and right):
+        return not (left or right)
+    if function.name == "count":
+        return len(left) == len(right)
+    if function.name == "parity":
+        return len(left) % 2 == len(right) % 2
+    if function.shiftable:
+        return set(left) == set(right)
+    form, other = _polynomial(function, left), _polynomial(function, right)
+    return form == other or function.name == "prod" and form[0] == other[0] == 0
 
 
 def _first_difference(left, right):

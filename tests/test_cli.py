@@ -103,8 +103,9 @@ def test_a_pool_that_breaks_twice_is_an_internal_error(tmp_path, capsys,
                                                      monkeypatch):
     """The engine retries a decision once on fresh workers; a second
     break is reported, never turned into a verdict.  The pair's first
-    failure needs two fresh values, so the decision reaches the workers,
-    here two sets whose pipes are closed at the far end."""
+    failure needs two fresh values and every walk past the head is
+    dispatched, so the decision reaches the workers, here two sets whose
+    pipes are closed at the far end."""
     from aggequiv import engine
     built = []
 
@@ -116,6 +117,7 @@ def test_a_pool_that_breaks_twice_is_an_internal_error(tmp_path, capsys,
         built.append(strides)
         return [ClosedPipe()] * (strides - 1)
     monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "_DISPATCH_UNITS", 0)
     monkeypatch.setattr(engine, "_workers", dead_workers)
     a = write(tmp_path, "a.q", "q(; count()) :- p(X), p(Y), X < Y\n")
     b = write(tmp_path, "b.q", "q(; count()) :- p(X), p(Y), X != Y\n")

@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 import itertools
 import json
 import multiprocessing
@@ -10,6 +11,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +23,10 @@ from helpers import (
 )
 
 from aggequiv import engine, identity, oracle
-from aggequiv.model import Const, Database, INTEGERS, Var, term_size_pair
+from aggequiv.aggregation import FUNCTIONS
+from aggequiv.model import (
+    AggregateTerm, Const, Database, INTEGERS, Var, term_size_pair,
+)
 from aggequiv.orderings import CompleteOrdering
 from aggequiv.parsing import parse_query
 
@@ -810,6 +815,25 @@ def test_prod_counterexample_beside_a_pinned_integer_slot():
             Database(frozenset({("p", (F(2),))})), (), F(8), F(4))
 
 
+def test_a_verdict_that_needs_a_pinned_value_is_not_reused():
+    """Over the integers with the constants 0 and 2, the unit {p(u1)}
+    leaves prod {u1} = prod {u1, u1} under 0 < u1 < 2, valid only because
+    u1 is pinned to 1, and then the same bags under 2 < u1, where u1 = 3
+    fails them.  A set of valid bags shared across orderings would skip
+    the second and find no failure at N = 1 (and a later database at
+    N = 2)."""
+    q = parse_query("q(; prod(Y)) :- p(Y), Y < 2 | p(Y), Y > 2",
+                    domain=INTEGERS)
+    q2 = parse_query("q(; prod(Y)) :- p(Y), Y < 2 | p(Y), Y > 2"
+                     " | p(Y), Y > 0, Y != 2", domain=INTEGERS)
+    for n in (1, 2):
+        for workers in (1, 2):
+            verdict = engine.n_equivalent(q, q2, n, workers=workers)
+            verify_ce(q, q2, verdict)
+            assert verdict.counterexample == engine.Counterexample(
+                Database(frozenset({("p", (F(3),))})), (), F(3), F(9))
+
+
 @pytest.fixture
 def decided(monkeypatch):
     """The identities the scan decides: the argument of every
@@ -825,26 +849,114 @@ def decided(monkeypatch):
 
 
 def test_each_shape_is_checked_once(checked, decided):
-    """Units checked and identities decided on three equivalent pairs.  A
+    """Units checked and identities decided on four equivalent pairs.  A
     walk over every unit the idle and differing skips leave checks 11,108,
-    448 and 2,368 units.  The memo keeps one set of valid bags per
-    ordering; without it the grouped max pair decides 5,146 identities."""
+    448 and 2,368 units on the first three.  Their valid identities hold
+    under every ordering (`identity.holds_everywhere`), so none reaches a
+    decider; before that rule they took 258, 184 and 19 decider calls.
+    The last pair's valid identities hold only where u1 is pinned to 1,
+    between 0 and 2 over the integers, so the decider sees them once per
+    ordering: without the per-ordering memo it decides 408."""
     cases = [
         ("q(; top2(Y)) :- p(Y), r(Y)",
-         "q(; top2(Y)) :- p(Y), r(Y) | p(Y), r(Y), Y > 1", 5, 4156, 258),
-        ("q(; cntd(Y)) :- p(X, Y)", "q(; cntd(Y)) :- p(X, Y) | p(Y, Y)", 3,
-         426, 184),
+         "q(; top2(Y)) :- p(Y), r(Y) | p(Y), r(Y), Y > 1", "rat", 5, 4156,
+         0),
+        ("q(; cntd(Y)) :- p(X, Y)", "q(; cntd(Y)) :- p(X, Y) | p(Y, Y)",
+         "rat", 3, 426, 0),
         ("q(X; max(Y)) :- p(X, Y), !r(Y)",
-         "q(X; max(Y)) :- p(X, Y), !r(Y) | p(X, Y), p(Y, Y), !r(Y)", 3,
-         2314, 19),
+         "q(X; max(Y)) :- p(X, Y), !r(Y) | p(X, Y), p(Y, Y), !r(Y)", "rat",
+         3, 2314, 0),
+        ("q(; prod(Y)) :- p(Y), r(Y)",
+         "q(; prod(Y)) :- p(Y), r(Y) | p(Y), r(Y), Y > 0, Y < 2", INTEGERS,
+         3, 544, 24),
     ]
-    for text1, text2, n, units, decisions in cases:
+    for text1, text2, domain, n, units, decisions in cases:
         checked.clear()
         decided.clear()
-        verdict = engine.n_equivalent(parse_query(text1), parse_query(text2),
-                                      n)
+        verdict = engine.n_equivalent(parse_query(text1, domain=domain),
+                                      parse_query(text2, domain=domain), n)
         assert verdict.status == engine.EQUIVALENT
         assert (len(checked), len(decided)) == (units, decisions)
+
+
+def enumerated_units(plan):
+    """Each level's `(subsets, orderings)` as the walk builds them:
+    `_level_subsets` counted on the levels it walks (every level with
+    matching heads, level n alone with differing ones), `_extend`'s
+    orderings on every level."""
+    n, states, units = len(plan.terms) - plan.constants, [], []
+    for k in range(n + 1):
+        states = engine._extend(plan, states, k)
+        walked = plan.same_head or k == n
+        units.append((sum(1 for _ in engine._level_subsets(plan, k))
+                      if walked else 0, len(states)))
+    return units
+
+
+def test_planned_units_match_the_walk_on_every_benchmark_pair():
+    """`plan_units` counts each level's subsets and orderings as the walk
+    enumerates them, on every pair of the benchmark, at its N (the term
+    size for the front doors that pick it), plain queries with count
+    adjoined; the 50-atom chain, whose BASE is far too large to
+    enumerate, is left out."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", Path(__file__).resolve().parents[1] / "bench"
+        / "pairs.py")
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    counted = 0
+    for pair in itertools.chain(*pairs.WORKLOADS.values()):
+        q, q2 = (parse_query(pair[side], domain=pair["domain"])
+                 for side in "ab")
+        if q.aggregate is None:
+            adjoined = AggregateTerm(FUNCTIONS["count"], ())
+            q, q2 = (replace(query, aggregate=adjoined)
+                     for query in (q, q2))
+        n = pair["n"] if pair["n"] is not None else term_size_pair(q, q2)
+        if engine.base_size(q, q2, n) > 16:
+            continue
+        counted += 1
+        assert engine.plan_units(q, q2, n) == enumerated_units(
+            engine._plan(q, q2, n)), pair["id"]
+    assert counted == sum(map(len, pairs.WORKLOADS.values())) - 1
+
+
+def test_planned_units_match_the_walk_on_random_pairs():
+    """Seeded `random_shape_pair`s, both domains, matching and differing
+    heads: `plan_units` equals the walk's own counts on every level."""
+    rng = random.Random(12)
+    kinds = Counter()
+    for _ in range(150):
+        text1, text2, domain, n = random_shape_pair(rng)
+        q = parse_query(text1, domain=domain)
+        q2 = parse_query(text2, domain=domain)
+        plan = engine._plan(q, q2, n)
+        assert engine.plan_units(q, q2, n) == enumerated_units(plan), (
+            text1, text2, domain, n)
+        kinds[domain, plan.same_head] += 1
+    assert len(kinds) == 4 and min(kinds.values()) >= 10, kinds
+
+
+def test_planned_units_of_the_reference_pairs():
+    """The formula alone, on three pairs too large to enumerate quickly:
+    the units of levels 0 to N before any skip."""
+    cases = [
+        ("q(; top2(Y)) :- p(Y), r(Y)",
+         "q(; top2(Y)) :- p(Y), r(Y) | p(Y), r(Y), Y > 1", "rat", 6, 28432),
+        ("q(X; max(Y)) :- p(X, Y), !r(Y)",
+         "q(X; max(Y)) :- p(X, Y), !r(Y) | p(X, Y), p(Y, Y), !r(Y)", "rat",
+         4, 1036537),
+        ("q(; max(Y)) :- e(X, Y), X > 0, Y < 3",
+         "q(; max(Y)) :- e(X, Y), X > 0, Y < 3 | e(Y, Y), Y < 3", INTEGERS,
+         3, 300622768),
+    ]
+    for text1, text2, domain, n, units in cases:
+        plan = engine.plan_units(parse_query(text1, domain=domain),
+                                 parse_query(text2, domain=domain), n)
+        assert sum(subsets * orderings for subsets, orderings in plan) \
+            == units
+    # over the integers the room between 0 and 3 holds two of u1..u3
+    assert [orderings for _, orderings in plan] == [1, 3, 6, 9]
 
 
 def test_integer_vs_rational_domain_changes_the_verdict():
@@ -1048,8 +1160,8 @@ MAX_LT1 = ("q(; max(Y)) :- p(Y), Y < 1", "q(; max(Y)) :- p(Y), Y <= 0")
 MAX_LT1_CE = engine.Counterexample(
     Database(frozenset({("p", (F(1, 2),))})), (), F(1, 2), None)
 # the first failure needs two fresh values, so it lies past the head (the
-# levels of no and one fresh value) and a parallel decision reaches the
-# workers
+# levels of no and one fresh value); its walk past the head is small, so a
+# parallel decision reaches the workers only with `_DISPATCH_UNITS` at 0
 TWO_VALUES = ("q(; count()) :- p(X), p(Y), X < Y",
               "q(; count()) :- p(X), p(Y), X != Y")
 TWO_VALUES_CE = engine.Counterexample(
@@ -1100,6 +1212,7 @@ def test_the_caller_prepares_each_head_ordering_once(started, monkeypatch):
     prepares as many orderings as a one-worker decision does (15), none
     of the head's twice."""
     monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "_DISPATCH_UNITS", 0)
     prepared = []
     prepare = engine._prepare
 
@@ -1116,6 +1229,66 @@ def test_the_caller_prepares_each_head_ordering_once(started, monkeypatch):
     assert counts == [15, 15]
     assert len(started) == 1
     assert verdicts[0] == verdicts[1] and verdicts[0].equivalent
+
+
+def test_a_small_walk_past_the_head_stays_in_the_caller():
+    """`prod_one.n4` plans 24 units past the head, under
+    `_DISPATCH_UNITS`, so at two workers on two usable CPUs the caller
+    walks it all: it loads no `multiprocessing`, builds no workers, never
+    takes their lock, and decides as one worker does."""
+    code = f"""
+import sys
+from aggequiv import engine
+from aggequiv.parsing import parse_query
+class Refused:
+    def acquire(self, *args):
+        raise AssertionError("the workers' lock was taken")
+    __enter__ = acquire
+engine._pool_lock = Refused()
+engine._usable_cpus = lambda: 2
+q, q2 = map(parse_query, {PROD_ONE!r})
+planned = engine.plan_units(q, q2, 4)[engine._HEAD_LEVELS:]
+two = engine.n_equivalent(q, q2, 4, workers=2)
+print(sum(s * o for s, o in planned) < engine._DISPATCH_UNITS,
+      two == engine.n_equivalent(q, q2, 4), "multiprocessing" in sys.modules,
+      engine._pool)
+"""
+    done = run_fresh(code)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "True True False []\n", "")
+
+
+#: a pair whose first failure needs two fresh values and whose walk past
+#: the head plans 64,059 units at N = 4 (482 at N = 3)
+EDGES = ("q(; count()) :- e(X, Y), X < Y", "q(; count()) :- e(X, Y), X != Y")
+
+
+def test_a_large_walk_past_the_head_reaches_the_workers(started,
+                                                        monkeypatch):
+    """At N = 4 the walk past the head plans at least `_DISPATCH_UNITS`
+    units, so a two-worker decision asks for its workers once and
+    reports the one-worker counterexample; at N = 3 it plans fewer and
+    asks for none."""
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    asked = []
+    workers_of = engine._workers
+
+    def recording(strides):
+        asked.append(strides)
+        return workers_of(strides)
+    monkeypatch.setattr(engine, "_workers", recording)
+    q, q2 = map(parse_query, EDGES)
+    for n, dispatched in ((4, [2]), (3, [])):
+        planned = engine.plan_units(q, q2, n)[engine._HEAD_LEVELS:]
+        assert (sum(subsets * orderings for subsets, orderings in planned)
+                >= engine._DISPATCH_UNITS) == bool(dispatched)
+        asked.clear()
+        verdict = engine.n_equivalent(q, q2, n, workers=2)
+        assert asked == dispatched
+        assert verdict == engine.n_equivalent(q, q2, n)
+        assert verdict.counterexample == engine.Counterexample(
+            Database(frozenset({("e", (F(1), F(0)))})), (), None, 1)
+    assert len(started) == 1
 
 
 def test_one_usable_cpu_scans_in_process(no_process, scans, monkeypatch):
@@ -1138,6 +1311,7 @@ def test_differing_heads_keep_the_same_head_rule(started, monkeypatch):
     between the caller and one worker; either way the counterexample is
     the one-worker one."""
     monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "_DISPATCH_UNITS", 0)
     q = parse_query("q(; count()) :- p(X), b(X)")
     q2 = parse_query("q(; max(X)) :- p(X), b(X)")
     verdict = engine.n_equivalent(q, q2, 1, workers=2)
@@ -1158,6 +1332,7 @@ def test_workers_beyond_the_usable_cpus_start_no_more_processes(
     others, and two processes, no more, run strides 1 and 2.  It
     decides as one worker does."""
     monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(engine, "_DISPATCH_UNITS", 0)
     q, q2 = map(parse_query, TWO_VALUES)
     verdict = engine.n_equivalent(q, q2, 3, workers=10 ** 6)
     assert scans == [(0, 3, True)]
@@ -1172,6 +1347,7 @@ def test_two_fact_failure_is_found_in_the_pool(monkeypatch):
     Three CPUs are usable, whatever the host has, so three workers run
     three strides."""
     monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(engine, "_DISPATCH_UNITS", 0)
     asked = []
     workers_of = engine._workers
 
@@ -1194,6 +1370,7 @@ def test_broken_pool_is_replaced(started, monkeypatch):
     """Workers with a dead one among them are dropped, the dead one
     joined, and the decision runs on fresh ones."""
     monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "_DISPATCH_UNITS", 0)
     q, q2 = map(parse_query, TWO_VALUES)
     engine._workers(2)
     (dead, _), = engine._pool
@@ -1213,6 +1390,7 @@ def test_workers_that_die_twice_raise_a_runtime_error(started, monkeypatch):
     dies too the decision raises `BrokenWorkers`, a RuntimeError (the CLI
     reports it as an internal error), and no worker is left."""
     monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "_DISPATCH_UNITS", 0)
     scan = engine._scan
 
     def dying(plan, offset=0, workers=1, dispatch=None):
@@ -1234,6 +1412,7 @@ def test_a_worker_exception_is_raised_in_the_caller(started, monkeypatch):
     and is raised by the decision, never read as a verdict; the worker
     replied, so it is kept."""
     monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "_DISPATCH_UNITS", 0)
     scan = engine._scan
 
     def failing(plan, offset=0, workers=1, dispatch=None):
@@ -1253,6 +1432,7 @@ def test_dropped_workers_leave_no_process(started, monkeypatch):
     cleanly, no child process is left and no pipe is leaked (a leak
     warns, and a warning fails the test run)."""
     monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(engine, "_DISPATCH_UNITS", 0)
     q, q2 = map(parse_query, TWO_VALUES)
     verdict = engine.n_equivalent(q, q2, 4, workers=3)
     assert verdict.counterexample == TWO_VALUES_CE
@@ -1272,6 +1452,7 @@ def test_forked_child_builds_its_own_pool(monkeypatch):
     parent's; it builds its own and decides the same, and the parent's
     workers are left to the parent."""
     monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "_DISPATCH_UNITS", 0)
     q, q2 = map(parse_query, TWO_VALUES)
     assert engine.n_equivalent(q, q2, 4, workers=2).counterexample \
         == TWO_VALUES_CE
@@ -1340,6 +1521,7 @@ from aggequiv import engine
 from aggequiv.model import Database
 from aggequiv.parsing import parse_query
 engine._usable_cpus = lambda: 2
+engine._DISPATCH_UNITS = 0
 q, q2 = map(parse_query, {TWO_VALUES!r})
 verdict = engine.n_equivalent(q, q2, 4, workers=2)
 print(verdict.counterexample == engine.Counterexample(
@@ -1372,6 +1554,7 @@ print(loaded())
 from aggequiv import cli, engine
 print(loaded())
 engine._usable_cpus = lambda: 2
+engine._DISPATCH_UNITS = 0
 argv = ["nequiv", {str(a)!r}, {str(b)!r}, "--n", "2", "--json"]
 cli.main(argv)
 print(loaded())
@@ -1408,6 +1591,7 @@ import os
 from aggequiv import engine
 from aggequiv.parsing import parse_query
 engine._usable_cpus = lambda: 3
+engine._DISPATCH_UNITS = 0
 q, q2 = map(parse_query, {TWO_VALUES!r})
 engine.n_equivalent(q, q2, 4, workers=3)
 print([process.pid for process, _ in engine._pool], flush=True)

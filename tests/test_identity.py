@@ -14,7 +14,7 @@ from aggequiv.model import Comparison, Const, INTEGERS, RATIONALS, Var
 from aggequiv.orderings import CompleteOrdering, entails
 from helpers import (
     branch_only_decide_prod, canonical_decide_shiftable,
-    int_sum_identity_box_refutation, random_bag,
+    filtered_complete_orderings, int_sum_identity_box_refutation, random_bag,
     random_ordering, random_satisfying_assignment, sum_identity_valid_by_fm,
 )
 
@@ -531,3 +531,87 @@ def test_valid_verdicts_survive_random_assignments():
             else:
                 assert_witness_refutes(identity, verdict)
     assert survivors > 50
+
+
+def _everywhere_bags(rng, terms, func):
+    """Two bags over `terms`: both random, one a near miss of the other
+    (an item added, dropped or swapped), or the second the same function
+    of the same terms as the first: reordered, resized for count and
+    parity, other multiplicities of the support for the other shiftable
+    functions, 0 added for sum, 1 added for prod, every item repeated for
+    avg, and for prod any bag holding 0 against one that does."""
+    def bag(length):
+        if func.arity == 0:
+            return ((),) * length
+        return tuple((rng.choice(terms),) for _ in range(length))
+    left = bag(rng.randint(1, 4))
+    kind = rng.choice(["random", "near", "same", "same"])
+    if kind == "random":
+        right = bag(rng.randint(1, 4))
+    elif kind == "near":
+        items = list(left)
+        edit = rng.choice(["add", "drop", "swap"])
+        if edit != "add" and len(items) > 1:
+            items.pop(rng.randrange(len(items)))
+        if edit != "drop":
+            items += bag(1)
+        right = tuple(items)
+    else:
+        zero, one = Const(F(0)), Const(F(1))
+        name = func.name
+        if name == "count":
+            right = bag(len(left))
+        elif name == "parity":
+            right = bag(len(left) + rng.choice([-2, 0, 2]) if len(left) > 2
+                        else len(left) + rng.choice([0, 2]))
+        elif func.shiftable:
+            right = left + tuple(rng.choices(left, k=rng.randint(0, 3)))
+        elif name == "sum":
+            right = left + ((zero,),) * rng.randint(0, 2)
+        elif name == "avg":
+            right = left * rng.randint(1, 3)
+        elif (zero,) in left and rng.random() < 0.5:
+            right = bag(rng.randint(0, 3)) + ((zero,),)
+        else:
+            right = left + ((one,),) * rng.randint(0, 2)
+        right = tuple(rng.sample(right, len(right)))
+    return kind, left, right
+
+
+def test_identities_that_hold_everywhere_are_valid_under_every_ordering():
+    """Random identities over all ten functions, both domains, with
+    constants including 0 and 1 and duplicate items: wherever
+    `holds_everywhere` answers true, the decider answers valid under every
+    satisfiable ordering of the variables and constants the bags draw
+    from, merged classes and (over the integers) variables pinned between
+    two constants included."""
+    rng = random.Random(30)
+    names = list(FUNCTIONS)
+    seen = Counter()
+    for i in range(800):
+        func = FUNCTIONS[names[i % len(names)]]
+        domain = rng.choice([RATIONALS, INTEGERS])
+        variables = [x, y, z][:rng.randint(1, 3)]
+        constants = rng.choice([(), (0,), (1,), (0, 1), (0, 2), (-1, 1),
+                                (1, 3)])[:4 - len(variables)]
+        terms = variables + [C(value) for value in constants]
+        kind, left, right = _everywhere_bags(rng, terms, func)
+        holds = identity_module.holds_everywhere(func, left, right)
+        seen[func.name, holds] += 1
+        seen[kind, holds] += 1
+        if not holds:
+            continue
+        terms = set(terms).union(*left, *right)  # 0 or 1 may be added
+        for order in filtered_complete_orderings(terms, domain):
+            identity = OrderedIdentity(order, left, right, func)
+            assert decide(identity).valid, (func.name, str(order), left,
+                                            right)
+            seen["merged"] += not order.is_injective()
+            free = [order.class_bounds(k) for k in range(len(order.classes))
+                    if order.class_constant(k) is None]
+            seen["pinned"] += any(lo is not None and lo == hi
+                                  for lo, hi in free)
+    for name in names:
+        assert seen[name, True] > 15 and seen[name, False] > 10, (name, seen)
+    assert seen["same", True] > 300 and seen["near", False] > 100
+    assert seen["merged"] > 1000 and seen["pinned"] > 100, seen
