@@ -46,12 +46,13 @@ stands for them or no check can fail, so the first failure is kept:
 - Under one ordering, an atom in no prepared assignment of either query
   (say p(u1) when both read p(Y) only with Y = 1) is idle: S holding it
   has the groups of S without it, an earlier unit.
-- With matching heads, a unit can separate the queries only if some
-  prepared assignment that one query has more often than the other
-  fires on S (its positive atoms in S, its negated atoms not); so a
-  level is skipped where neither query has an assignment using uk or
-  both have the same ones so far, and an ordering where both prepare
-  the same ones leaves the level's walk.  Equal bags can still disagree
+- With matching heads, a unit can separate the queries only if an
+  assignment that the aggregate tells apart from the other query's
+  fires on S (its positive atoms in S, its negated atoms not), by the
+  rule per function of `_differing_masks`; so a level is skipped where
+  neither query has an assignment using uk or none is told apart so
+  far, before any ordering is built, and an ordering that prepares none
+  told apart leaves the level's walk.  Equal bags can still disagree
   under two functions (max and min): differing heads are not skipped.
 
 Each stride decides no identity twice, by two sets of sorted bags: one
@@ -375,15 +376,46 @@ def _same_head(q: Query, q2: Query) -> bool:
             and len(q.grouping) == len(q2.grouping))
 
 
-def _differing_masks(prep1: list, prep2: list) -> set:
-    """(positive, negated) masks of the prepared assignments that one
-    query prepares more often than the other."""
-    balance: dict = {}
-    for prepared in prep1:
-        balance[prepared] = balance.get(prepared, 0) + 1
-    for prepared in prep2:
-        balance[prepared] = balance.get(prepared, 0) - 1
-    return {prepared[:2] for prepared, surplus in balance.items() if surplus}
+def _differing_masks(plan: "_Plan", entries1: list, entries2: list) -> set:
+    """(positive, negated) masks of the `(before, prepared)` entries, one
+    list per query with matching heads, on which their values can
+    differ.  count and avg read the multiset of entries, parity that
+    multiset mod 2, sum and prod that of the entries whose item is not
+    the constant their monoid ignores (0, 1); max, min, top2, bot2 and
+    cntd read the set of items.  Except under count and avg an entry also
+    needs one of the other query's with its (positive, negated, key), or
+    its prepared where the set of items is read, and a subset of its
+    `before`: that one holds and fires wherever it does, so groups exist
+    on the same subsets."""
+    if entries1 == entries2:
+        return set()  # the same entries in the same order
+    if not entries1 or not entries2:  # nothing covers the other's entries
+        return {prepared[:2] for _, prepared in entries1 or entries2}
+    func = plan.q.aggregate.function
+    monoid = func.monoid
+    differing, width = set(), 4  # a set of items: cover by prepared
+    if func.name != "cntd" and not (monoid is not None and monoid.idempotent):
+        neutral, balance = plan.neutral, {}
+        for sign, entries in ((1, entries1), (-1, entries2)):
+            for entry in entries:
+                if entry[1][3] not in neutral:
+                    balance[entry] = balance.get(entry, 0) + sign
+        parity = func.name == "parity"
+        differing = {entry[1][:2] for entry, surplus in balance.items()
+                     if (surplus & 1 if parity else surplus)}
+        if func.name in ("count", "avg"):
+            return differing
+        width = 3  # cover by (positive, negated, key) alone
+    for mine, theirs in ((entries1, entries2), (entries2, entries1)):
+        cover: dict = {}
+        for before, prepared in theirs:
+            cover.setdefault(prepared[:width], set()).add(before)
+        for before, prepared in mine:
+            found = cover.get(prepared[:width], ())  # their `before`s
+            if () not in found and not any(set(pairs) <= set(before)
+                                           for pairs in found):
+                differing.add(prepared[:2])
+    return differing
 
 
 def _fires(masks, mask: int) -> bool:
@@ -477,9 +509,10 @@ def plan_units(q: Query, q2: Query, n: int) -> list:
 
 class _Plan(NamedTuple):
     """What every stride of a decision shares: BASE over `terms` (the
-    constants, then u1..un), both queries' `_program`, per atom its level
-    and weight and the largest arity (`weights`), and per level both
-    queries' `_compile`, filled as the walk goes."""
+    constants, then u1..un), the items `q`'s group monoid ignores (the
+    constant 0 under sum, 1 under prod), both queries' `_program`, per
+    atom its level and weight and the largest arity (`weights`), and per
+    level both queries' `_compile`, filled as the walk goes."""
     q: Query
     q2: Query
     terms: list
@@ -487,6 +520,7 @@ class _Plan(NamedTuple):
     base: list
     rank: list
     same_head: bool
+    neutral: frozenset
     programs: tuple
     weights: tuple
     compiled: list
@@ -510,8 +544,13 @@ def _plan(q: Query, q2: Query, n: int) -> _Plan:
             levels.append(max(max(combo, default=0) - constants + 1, 0))
             weights.append((1 << len(weights))
                            + sum(map(low.__getitem__, set(combo))))
+    func = q.aggregate.function
+    neutral = frozenset(
+        (i,) for i, t in enumerate(terms[:constants])
+        if func.monoid is not None and func.monoid.is_group
+        and func.tuple_map((t.value,)) == func.monoid.zero)
     return _Plan(q, q2, terms, constants, base, _ranks(terms),
-                 _same_head(q, q2),
+                 _same_head(q, q2), neutral,
                  tuple(_program(terms, constants, offsets, query)
                        for query in (q, q2)),
                  (levels, weights, max(predicates.values(), default=0)), [])
@@ -520,8 +559,9 @@ def _plan(q: Query, q2: Query, n: int) -> _Plan:
 def _walked_levels(plan: _Plan) -> Iterator[int]:
     """The levels the scan walks, each compiled first (with those before
     it): with differing heads level n, with matching heads each level but
-    those skipped whole (assignments of different levels differ, so the
-    multisets so far are equal when every level's are)."""
+    those skipped whole, where `_differing_masks` tells no assignment of
+    it or an earlier level apart (assignments of different levels have
+    different atoms, so each level is compared on its own)."""
     n = len(plan.terms) - plan.constants
     differ = False
     for k in range(n + 1):
@@ -530,7 +570,7 @@ def _walked_levels(plan: _Plan) -> Iterator[int]:
                                        for program in plan.programs))
         new1, new2 = plan.compiled[k]
         if plan.same_head:
-            differ = differ or sorted(new1) != sorted(new2)
+            differ = differ or bool(_differing_masks(plan, new1, new2))
             if differ and (new1 or new2):
                 yield k
         elif k == n:
@@ -589,8 +629,11 @@ def _prepare(plan: _Plan, state: _Ordering, k: int) -> tuple:
                   for side in (0, 1))
     for positive, negated, _, _ in new1 + new2:
         idle &= ~(positive | negated)
-    differing = (differing | _differing_masks(new1, new2) if plan.same_head
-                 else {(0, 0)})  # fires on every subset
+    if plan.same_head:  # each assignment prepared here holds: no `before`
+        differing = differing | _differing_masks(
+            plan, [((), p) for p in new1], [((), p) for p in new2])
+    else:
+        differing = {(0, 0)}  # fires on every subset
     state.prepared = (prep1 + new1, prep2 + new2, idle, differing, memo)
     state.position, state.parent = position, None
     return state.prepared

@@ -12,11 +12,12 @@ decider's value forms, build their witnesses by the library's rule;
 `filtered_complete_orderings`, for the pruned ordering generator and
 the lex-leaders of `place_next_variable`, keeps orders with the
 library's `is_satisfiable_order` and `entails`; and
-`reference_scan`, for the scan's level planning, skips and memo, and
-`subset_major_scan`, a verdict reference for the level walk, compile and
-prepare with the library's `_compile` and `_prepare_assignments` and
-check each unit with the library's `_pair_counterexample`, passing no
-memo.
+`reference_scan` and `reference_units`, for the scan's level planning,
+skips and memo, and `subset_major_scan`, a verdict reference for the
+level walk, compile and prepare with the library's `_compile` and
+`_prepare_assignments` and check each unit with the library's
+`_pair_counterexample`, passing no memo; their differing skip is
+`differing_masks`, the exact-multiset rule.
 """
 
 from __future__ import annotations
@@ -290,11 +291,22 @@ def compile_all(plan, side: int) -> list:
 
 def reference_scan(plan, offset: int, workers: int):
     """`engine._scan` without the lazy planning, the level skips, the
-    ordering drop or the memo: the stride `offset` of `workers` over the
-    plan's units in the order (level, subset, ordering), with only the
-    idle and differing unit skips, deciding every identity it meets, and
-    its first failing unit as `((level, unit index), counterexample)`,
-    or None.
+    ordering drop or the memo: the stride `offset` of `workers` over
+    `reference_units`, deciding every identity it meets, and its first
+    failing unit as `((level, unit index), counterexample)`, or None."""
+    for k, unit, mask, ordering, prep1, prep2 in reference_units(plan):
+        if unit % workers == offset:
+            ce = engine._pair_counterexample(
+                plan, mask, ordering, prep1, prep2)
+            if ce is not None:
+                return (k, unit), ce
+    return None
+
+
+def reference_units(plan):
+    """The plan's units in the order (level, subset, ordering), but for
+    those the idle and the exact-multiset differing skips leave out, as
+    `(level, unit index, mask, ordering, prep1, prep2)`.
 
     Level k holds the subsets of the atoms over the constants and
     u1..uk that use every one of u1..uk, under each strict order of the
@@ -328,16 +340,20 @@ def reference_scan(plan, offset: int, workers: int):
             mask = sum(bit[atom] for atom in subset)
             for position, (ordering, prep1, prep2, used, differing) in \
                     enumerate(walk):
-                unit = number * len(walk) + position
-                if (unit % workers != offset or mask & ~used
-                        or differing is not None
+                if not (mask & ~used or differing is not None
                         and not engine._fires(differing, mask)):
-                    continue
-                ce = engine._pair_counterexample(
-                    plan, mask, ordering, prep1, prep2)
-                if ce is not None:
-                    return (k, unit), ce
-    return None
+                    yield (k, number * len(walk) + position, mask, ordering,
+                           prep1, prep2)
+
+
+def differing_masks(prep1: list, prep2: list) -> set:
+    """(positive, negated) masks of the prepared assignments that one
+    query prepares more often than the other: the exact-multiset rule,
+    blind to the aggregate function, that the engine's function-aware
+    `_differing_masks` refines."""
+    balance = Counter(prep1)
+    balance.subtract(prep2)
+    return {prepared[:2] for prepared, surplus in balance.items() if surplus}
 
 
 def _prepare_all(plan, orderings, compiled1, compiled2) -> list:
@@ -349,7 +365,7 @@ def _prepare_all(plan, orderings, compiled1, compiled2) -> list:
         position = [ordering.position(t) for t in plan.terms]
         prep1 = engine._prepare_assignments(compiled1, position)
         prep2 = engine._prepare_assignments(compiled2, position)
-        differing = (engine._differing_masks(prep1, prep2)
+        differing = (differing_masks(prep1, prep2)
                      if plan.same_head else None)
         used = 0
         for positive, negated, _, _ in prep1 + prep2:

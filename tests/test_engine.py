@@ -18,8 +18,9 @@ from pathlib import Path
 import pytest
 
 from helpers import (
-    FUNCTION_NAMES, compile_all, filtered_complete_orderings, random_text,
-    reference_prepare, reference_scan, subset_major_scan,
+    FUNCTION_NAMES, compile_all, differing_masks, filtered_complete_orderings,
+    random_text, reference_prepare, reference_scan, reference_units,
+    subset_major_scan,
 )
 
 from aggequiv import engine, identity, oracle
@@ -784,7 +785,7 @@ def test_differential_skip_is_sound():
             position = [ordering.position(t) for t in terms]
             prep1 = engine._prepare_assignments(compiled1, position)
             prep2 = engine._prepare_assignments(compiled2, position)
-            differing = engine._differing_masks(prep1, prep2)
+            differing = differing_masks(prep1, prep2)
             for mask in range(2 ** len(base)):
                 subset = [atom for i, atom in enumerate(base)
                           if mask >> i & 1]
@@ -798,11 +799,76 @@ def test_differential_skip_is_sound():
     assert partly_skipped > 0 and skipped > partly_skipped
 
 
+def test_function_aware_skips_keep_every_failing_unit():
+    """Random pairs with matching heads over the nine grammar functions,
+    the constants 0 and 1 and duplicated disjuncts: no unit of a level
+    `_walked_levels` skips, and no unit under an ordering on which
+    `_differing_masks` has no mask firing, fails under the reference walk
+    (`reference_units`, with the exact-multiset skip).  The engine's
+    rule skips units that rule walks, at both places and for every
+    function but count and avg."""
+    rng = random.Random(31)
+
+    def random_disjunct(grouped, constants):
+        lits = ["p(Y)", "g(X)"] if grouped else ["p(Y)"]
+        if rng.random() < 0.3:
+            lits.append(rng.choice(["!b(Y)", "b(Y)"]))
+        if rng.random() < 0.25:
+            lits += ["p(Z)", rng.choice(["Y < Z", "Z < Y", "Z != 0"])]
+        if rng.random() < 0.7:
+            op = rng.choice(["<", ">", "!=", "=", "="])
+            lits.append(f"Y {op} {rng.choice(constants)}")
+        return ", ".join(lits)
+
+    def random_disjuncts(shared, grouped, constants):
+        # Y and Z swapped: the same atoms, with the other item
+        disjuncts = [d.translate(str.maketrans("YZ", "ZY"))
+                     if "Z" in d and rng.random() < 0.3 else d
+                     for d in shared]
+        disjuncts += [random_disjunct(grouped, constants)
+                      for _ in range(rng.randint(0, 1))]
+        # a copy of a disjunct adds each of its assignments once more
+        return disjuncts + [rng.choice(disjuncts)] * rng.randint(0, 2)
+
+    levels, units = Counter(), Counter()
+    for func in FUNCTION_NAMES * 40:
+        domain = rng.choice([INTEGERS, "rat"])
+        constants = rng.choice([("0",), ("1",), ("0", "1")])
+        agg = func + ("()" if func in ("count", "parity") else "(Y)")
+        grouped = rng.random() < 0.2
+        head = f"q({'X' if grouped else ''}; {agg}) :- "
+        shared = [random_disjunct(grouped, constants)
+                  for _ in range(rng.randint(1, 2))]
+        q, q2 = (parse_query(head + " | ".join(random_disjuncts(
+            shared, grouped, constants)), domain=domain) for _ in range(2))
+        plan = engine._plan(q, q2, 1 if grouped else rng.randint(1, 2))
+        walked = set(engine._walked_levels(plan))
+        masks = {}
+        for k, _, mask, ordering, prep1, prep2 in reference_units(plan):
+            if k in walked:
+                if (k, ordering) not in masks:
+                    masks[k, ordering] = engine._differing_masks(
+                        plan, [((), p) for p in prep1],
+                        [((), p) for p in prep2])
+                if engine._fires(masks[k, ordering], mask):
+                    continue
+                units[func] += 1
+            else:
+                levels[func] += 1
+            assert engine._pair_counterexample(
+                plan, mask, ordering, prep1, prep2) is None, (
+                str(q), str(q2), domain, k, str(ordering), mask)
+    refined = set(FUNCTION_NAMES) - {"count", "avg"}
+    assert set(levels) == set(units) == refined, (levels, units)
+
+
 def test_prod_counterexample_beside_a_pinned_integer_slot():
     """At N = 2 the first failure is prod {u1, u1, u1} = prod {u1, u1}
-    under 0 < u1 < 3 < u2, at u1 = 2.  The same bags were valid earlier
-    under 0 < u1 < u2 < 3, where u2 pins u1 to 1; a memo shared across
-    orderings would take that verdict and report a later database."""
+    under 0 < u1 < 3 < u2, at u1 = 2, at one and at two workers.  The
+    scan checks two units and fails on the second, before any unit whose
+    bags a memo shared across orderings could reuse, so this pins the
+    counterexample only: a shared memo is caught by
+    `test_a_verdict_that_needs_a_pinned_value_is_not_reused`."""
     q = parse_query("q(; prod(Y)) :- p(Y), Y < 3, Y != 0"
                     " | p(Y), Y > 0, Y != 3 | p(Y), Y < 3", domain=INTEGERS)
     q2 = parse_query("q(; prod(Y)) :- p(Y), Y != 3"
@@ -849,23 +915,26 @@ def decided(monkeypatch):
 
 
 def test_each_shape_is_checked_once(checked, decided):
-    """Units checked and identities decided on four equivalent pairs.  A
-    walk over every unit the idle and differing skips leave checks 11,108,
-    448 and 2,368 units on the first three.  Their valid identities hold
-    under every ordering (`identity.holds_everywhere`), so none reaches a
-    decider; before that rule they took 258, 184 and 19 decider calls.
-    The last pair's valid identities hold only where u1 is pinned to 1,
+    """Units checked and identities decided on four equivalent pairs.
+    top2 and cntd see only the set of items, and the extra disjunct's
+    assignments are each covered by the first's, so no level is walked:
+    they checked 4,156 and 426 units under the exact-multiset skip.  The
+    max pair's extra disjunct needs p(Y, Y), so its masks differ and a
+    cover needs the same masks: 1,869 units stay (2,314 before), whose
+    valid identities hold under every ordering
+    (`identity.holds_everywhere`), so none reaches a decider.  Under
+    prod the item u1 is not the constant 1, so the last pair walks as
+    before: its valid identities hold only where u1 is pinned to 1,
     between 0 and 2 over the integers, so the decider sees them once per
     ordering: without the per-ordering memo it decides 408."""
     cases = [
         ("q(; top2(Y)) :- p(Y), r(Y)",
-         "q(; top2(Y)) :- p(Y), r(Y) | p(Y), r(Y), Y > 1", "rat", 5, 4156,
-         0),
+         "q(; top2(Y)) :- p(Y), r(Y) | p(Y), r(Y), Y > 1", "rat", 5, 0, 0),
         ("q(; cntd(Y)) :- p(X, Y)", "q(; cntd(Y)) :- p(X, Y) | p(Y, Y)",
-         "rat", 3, 426, 0),
+         "rat", 3, 0, 0),
         ("q(X; max(Y)) :- p(X, Y), !r(Y)",
          "q(X; max(Y)) :- p(X, Y), !r(Y) | p(X, Y), p(Y, Y), !r(Y)", "rat",
-         3, 2314, 0),
+         3, 1869, 0),
         ("q(; prod(Y)) :- p(Y), r(Y)",
          "q(; prod(Y)) :- p(Y), r(Y) | p(Y), r(Y), Y > 0, Y < 2", INTEGERS,
          3, 544, 24),
@@ -1203,7 +1272,12 @@ def test_a_failure_in_the_head_never_waits_for_the_workers(no_process,
     assert [verdict.counterexample for verdict in verdicts] == [MAX_LT1_CE]
 
 
-PROD_ONE = ("q(; prod(Y)) :- p(Y)", "q(; prod(Y)) :- p(Y) | p(Y), Y = 1")
+# `prod_one.n4` with a second atom in the extra disjunct: its assignments
+# prepare a mask that no assignment of the first query has, so unlike
+# `prod_one.n4`, which is decided before any ordering is built, it walks
+# every level past level 0
+PROD_ONES = ("q(; prod(Y)) :- p(Y)",
+             "q(; prod(Y)) :- p(Y) | p(Y), p(Z), Y = 1")
 
 
 def test_the_caller_prepares_each_head_ordering_once(started, monkeypatch):
@@ -1220,7 +1294,7 @@ def test_the_caller_prepares_each_head_ordering_once(started, monkeypatch):
         prepared.append(k)
         return prepare(plan, state, k)
     monkeypatch.setattr(engine, "_prepare", counting)
-    q, q2 = map(parse_query, PROD_ONE)
+    q, q2 = map(parse_query, PROD_ONES)
     counts, verdicts = [], []
     for workers in (1, 2):
         prepared.clear()
@@ -1232,7 +1306,7 @@ def test_the_caller_prepares_each_head_ordering_once(started, monkeypatch):
 
 
 def test_a_small_walk_past_the_head_stays_in_the_caller():
-    """`prod_one.n4` plans 24 units past the head, under
+    """`PROD_ONES` at N = 4 plans 24 units past the head, under
     `_DISPATCH_UNITS`, so at two workers on two usable CPUs the caller
     walks it all: it loads no `multiprocessing`, builds no workers, never
     takes their lock, and decides as one worker does."""
@@ -1246,7 +1320,7 @@ class Refused:
     __enter__ = acquire
 engine._pool_lock = Refused()
 engine._usable_cpus = lambda: 2
-q, q2 = map(parse_query, {PROD_ONE!r})
+q, q2 = map(parse_query, {PROD_ONES!r})
 planned = engine.plan_units(q, q2, 4)[engine._HEAD_LEVELS:]
 two = engine.n_equivalent(q, q2, 4, workers=2)
 print(sum(s * o for s, o in planned) < engine._DISPATCH_UNITS,
