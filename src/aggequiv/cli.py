@@ -67,7 +67,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--force", action="store_true",
                        help="run even past the search-size guardrail")
         p.add_argument("--workers", type=int, default=1,
-                       help="partition the search across processes")
+                       help="accepted for earlier scripts; the search "
+                            "runs in this process whatever its value")
         p.add_argument("--save-counterexample", metavar="FILE",
                        help="write the counterexample database here")
 

@@ -52,14 +52,15 @@ stands for them or no check can fail, so the first failure is kept:
   rule per function of `_differing_masks`; so a level is skipped where
   neither query has an assignment using uk or none is told apart so
   far, before any ordering is built, and an ordering that prepares none
-  told apart leaves the level's walk.  Equal bags can still disagree
-  under two functions (max and min): differing heads are not skipped.
+  told apart, or passes the ordering drop below, leaves the level's
+  walk.  Equal bags can still disagree under two functions (max and
+  min): differing heads are not skipped.
 
-Each stride decides no identity twice, by two sets of sorted bags: one
+The walk decides no identity twice, by two sets of sorted bags: one
 per decision of those whose sides are the same function of the same
 terms (`identity.holds_everywhere`), valid under every ordering, and one
 per ordering of those decided valid under it.  A failing identity ends
-the stride, so neither changes a counterexample.  A level is planned
+the walk, so neither changes a counterexample.  A level is planned
 when reached: `_compile` holds each query's assignments to its terms
 that use uk, by index arithmetic built once per disjunct (`_program`),
 and settles the comparisons no strict ordering can change, each other
@@ -71,28 +72,26 @@ own, a parent not yet prepared being prepared first; only level 0
 starts from none.  An ordering whose uk stays above every term is its
 parent's, memo included.
 
-Parallel scan: one loop (`_scan`) walks a decision's plan (`_plan`) in
-the global order, once per process.  A walk past the head that plans
-fewer than `_DISPATCH_UNITS` units (`plan_units`) costs less in the
-caller than the round trip, so the caller walks it all as the only
-stride and touches no process, pipe or lock.  Otherwise, with K workers
-and s = min(K, usable CPUs) strides, stride 0 walks the head, levels 0
-and 1, whole (differing heads walk level n alone, so all of it when
-n <= 1, none otherwise), and from level 2 on stride i walks the units
-whose index within their level is i modulo s.  The caller runs stride
-0, so a failure in the head, where most inequivalent pairs fail,
-involves no process.  As its walk first passes the head it sends the
-plan, pickled once, down a pipe to each of s - 1 worker processes,
-which skip the head and run the other strides, compiling the levels the
-plan lacks.  The caller then reads their replies; the lowest (level,
-index) of the first failures wins, so the output is the one-worker
-output.  The workers, and `multiprocessing`, come with the first
-parallel decision that reaches them and are kept for later ones
-(`_workers`); at exit each is sent a stop and joined, and one whose
-caller died without a stop leaves at end of file.  They start by the
-default start method, so a program with threads can choose `spawn` or
-`forkserver`; a job carries the plan, so workers need no state
-inherited by fork.
+Ordering drop: as an ordering is prepared, `_agree_on_every_subset`
+asks, from its prepared assignments alone, whether the queries take the
+same value on every group of every subset under it; if so, no unit under
+it can fail and it leaves the walk.  An assignment fires on the subsets
+of its cube: those holding its positive atoms and none of its negated
+ones.  Under max, min, top2, bot2 and cntd a group's value is a function
+of its set of items, which the ordering keeps apart, so it is enough that
+each (key, item) fires on the same subsets on both sides: each cube of
+one side lies in the union of the other side's (Shannon expansion on an
+atom).  Under count, parity and sum a group's value sums a weight per
+firing assignment, a polynomial in the atoms with the weights for
+coefficients, and the sides agree where the difference is 0 (mod 2 for
+parity); a group of zeros, or of even size, still differs from none, so
+under sum and parity each key must also fire on the same subsets.  Then
+every group is on both sides or neither, and every identity holds under
+every assignment that satisfies the ordering, so the first failure is
+kept.  The orderings placed into a dropped one start from its agreeing
+assignments, so only their own level's assignments told apart can
+separate the queries.  avg, prod and differing heads stay on the walk.
+The walk runs in the calling process: `workers` changes nothing.
 
 Full equivalence reduces to N-equivalence at the pair's term size for
 the decomposable functions (count, sum, max, min, parity, top2) and for
@@ -101,12 +100,7 @@ prod over the rationals; avg and cntd are reported unsupported.
 
 from __future__ import annotations
 
-import atexit
-import contextlib
 import itertools
-import math
-import os
-import threading
 from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Optional
 
@@ -117,8 +111,8 @@ from .model import (
     merged_predicates, term_size_pair, term_sort_key,
 )
 from .orderings import (
-    Assignment, CompleteOrdering, assign_tuple, count_lex_leaders,
-    enumerate_complete_orderings, place_next_variable, satisfying_assignment,
+    Assignment, CompleteOrdering, assign_tuple, enumerate_complete_orderings,
+    place_next_variable, satisfying_assignment,
 )
 # not called here: bench/tracing.py traces the comparison layer under the
 # name engine.entails, so it stays importable (and reads 0 calls)
@@ -392,9 +386,8 @@ def _differing_masks(plan: "_Plan", entries1: list, entries2: list) -> set:
     if not entries1 or not entries2:  # nothing covers the other's entries
         return {prepared[:2] for _, prepared in entries1 or entries2}
     func = plan.q.aggregate.function
-    monoid = func.monoid
     differing, width = set(), 4  # a set of items: cover by prepared
-    if func.name != "cntd" and not (monoid is not None and monoid.idempotent):
+    if not _reads_a_set(func):
         neutral, balance = plan.neutral, {}
         for sign, entries in ((1, entries1), (-1, entries2)):
             for entry in entries:
@@ -418,10 +411,110 @@ def _differing_masks(plan: "_Plan", entries1: list, entries2: list) -> set:
     return differing
 
 
+def _reads_a_set(func) -> bool:
+    """Is a group's value under `func` a function of its set of items?
+    So are max, min, top2 and bot2 (idempotent monoids), and cntd."""
+    return func.name == "cntd" or (func.monoid is not None
+                                   and func.monoid.idempotent)
+
+
 def _fires(masks, mask: int) -> bool:
     """Does an assignment with one of `masks` fire on the subset `mask`?"""
     return any(positive & mask == positive and not negated & mask
                for positive, negated in masks)
+
+
+def _agree_on_every_subset(plan: "_Plan", prep1: list, prep2: list) -> bool:
+    """Do the queries, with matching heads, take the same value on every
+    group and every subset S, given their prepared assignments under one
+    ordering?  An assignment fires on the subsets of its cube: those
+    holding its positive atoms and none of its negated ones.  max, min,
+    top2, bot2 and cntd read the set of items, so each `(key, item)` must
+    fire on the same subsets (`_same_supports`); count, parity and sum
+    sum a weight per firing assignment (`_same_sums`), and a group of
+    zeros, or of even size, still differs from none, so under parity and
+    sum each key must fire on the same subsets too.  avg and prod are not
+    decided here."""
+    func = plan.q.aggregate.function
+    if _reads_a_set(func):
+        return _same_supports(prep1, prep2, True)
+    if func.name not in ("count", "parity", "sum"):
+        return False
+    return _same_sums(plan, prep1, prep2) and (
+        func.name == "count" or _same_supports(prep1, prep2, False))
+
+
+def _same_supports(prep1: list, prep2: list, items: bool) -> bool:
+    """Does each `(key, item)`, or each key when not `items`, fire on the
+    same subsets under both lists of prepared assignments?  Each cube of
+    one side must lie in the union of the other side's cubes with its
+    `(key, item)`."""
+    supports: tuple = ({}, {})
+    for cubes, prepared in zip(supports, (prep1, prep2)):
+        for positive, negated, key, item in prepared:
+            cubes.setdefault((key, item) if items else key, set()).add(
+                (positive, negated))
+    first, second = supports
+    if first.keys() != second.keys():
+        return False
+    return all(_covered(positive, negated, theirs)
+               for support in first
+               for mine, theirs in ((first[support], second[support]),
+                                    (second[support], first[support]))
+               for positive, negated in mine - theirs)
+
+
+def _covered(positive: int, negated: int, cubes) -> bool:
+    """Does one of `cubes`, as `(positive, negated)` masks, fire on each
+    subset of the cube (`positive`, `negated`)?  Shannon expansion: a
+    cube firing on all of it covers it, none firing on any of it leaves
+    it uncovered, and otherwise both halves of a split on an atom one of
+    them reads must be covered."""
+    live = []
+    for p, n in cubes:
+        if p & negated or n & positive:
+            continue  # fires on none of it
+        if not (p & ~positive or n & ~negated):
+            return True  # fires on all of it
+        live.append((p, n))
+    if not live:
+        return False
+    p, n = live[0]
+    free = (p | n) & ~(positive | negated)
+    atom = free & -free
+    return (_covered(positive | atom, negated, live)
+            and _covered(positive, negated | atom, live))
+
+
+def _same_sums(plan: "_Plan", prep1: list, prep2: list) -> bool:
+    """Does each key take the same count, parity or sum under both lists
+    of prepared assignments, on every subset?  A cube's indicator is the
+    polynomial in the atoms sum over T within its negated atoms of
+    (-1)^|T| x^(positive | T), so a key's value is a polynomial whose
+    coefficients are the items' weights: 1 under count and parity, under
+    sum the constant's value or the item's term itself.  The two sides
+    agree when their difference is 0 (mod 2 under parity)."""
+    func = plan.q.aggregate.function.name
+    difference: dict = {}
+    for sign, prepared in ((1, prep1), (-1, prep2)):
+        for positive, negated, key, item in prepared:
+            symbol, weight = None, sign
+            if func == "sum":
+                if item[0] < plan.constants:
+                    weight *= plan.terms[item[0]].value
+                else:
+                    symbol = item[0]
+            subset = negated
+            while True:
+                monomial = (key, symbol, positive | subset)
+                difference[monomial] = difference.get(monomial, 0) + (
+                    -weight if subset.bit_count() & 1 else weight)
+                if not subset:
+                    break
+                subset = (subset - 1) & negated
+    if func == "parity":
+        return not any(value % 2 for value in difference.values())
+    return not any(difference.values())
 
 
 def _value(q: Query, terms: list, bag: list, witness: Assignment):
@@ -454,20 +547,11 @@ def _verify_counterexample(q: Query, q2: Query, ce: Counterexample):
         raise AssertionError("counterexample does not separate the queries")
 
 
-#: the head: the levels below this one (no fresh value and one)
-_HEAD_LEVELS = 2
-#: the fewest units planned past the head that are sent to the workers;
-#: a smaller walk costs less in the caller than the round trip
-_DISPATCH_UNITS = 40000
-
-
 def n_equivalent(q: Query, q2: Query, n: int, workers: int = 1) -> Verdict:
     """Do the queries agree on every database with at most `n` constants?
 
-    With `workers` > 1 a walk past the head of at least `_DISPATCH_UNITS`
-    planned units is split into min(`workers`, usable CPUs) strides, the
-    caller's and those of worker processes that outlive the decision; the
-    output does not depend on `workers`.
+    `workers` must be at least 1 and changes nothing: the walk runs in
+    the calling process (see the module docstring's ordering drop).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -477,42 +561,19 @@ def n_equivalent(q: Query, q2: Query, n: int, workers: int = 1) -> Verdict:
         raise ValueError("queries range over different domains")
     if q.aggregate is None or q2.aggregate is None:
         raise ValueError("n_equivalent expects aggregate queries")
-    plan = _plan(q, q2, n)
-    strides = 1 if workers == 1 else min(workers, _usable_cpus())
-    hit = _scan(plan) if strides == 1 else _parallel_scan(plan, strides)
+    hit = _scan(_plan(q, q2, n))
     if hit is None:
         return Verdict(EQUIVALENT, n_used=n)
     return Verdict(NOT_EQUIVALENT, n_used=n, counterexample=hit[1])
 
 
-def plan_units(q: Query, q2: Query, n: int) -> list:
-    """Each level's `(subsets, orderings)` before any skip, without
-    walking: with matching heads the subsets of level k's atoms that use
-    each of u1..uk (inclusion-exclusion over those left unused), with
-    differing heads every subset of BASE at level n and none below; the
-    orderings are the lex-leaders of the constants and u1..uk."""
-    values = sorted(t.value for t in q.constants() | q2.constants())
-    arities, c = merged_predicates(q, q2).values(), len(values)
-    # the subsets of the atoms over m terms, for every m up to BASE's terms
-    every = [2 ** sum(m ** arity for arity in arities)
-             for m in range(c + n + 1)]
-    levels = []
-    for k, orderings in enumerate(count_lex_leaders(values, n, q.domain)):
-        if _same_head(q, q2):
-            subsets = sum((-1) ** j * math.comb(k, j) * every[c + k - j]
-                          for j in range(k + 1))
-        else:
-            subsets = every[c + n] if k == n else 0
-        levels.append((subsets, orderings))
-    return levels
-
-
 class _Plan(NamedTuple):
-    """What every stride of a decision shares: BASE over `terms` (the
-    constants, then u1..un), the items `q`'s group monoid ignores (the
-    constant 0 under sum, 1 under prod), both queries' `_program`, per
-    atom its level and weight and the largest arity (`weights`), and per
-    level both queries' `_compile`, filled as the walk goes."""
+    """What a decision's walk reads: BASE over `terms` (the constants,
+    then u1..un), the items `q`'s group monoid ignores (the constant 0
+    under sum, 1 under prod), both queries' `_program`, per atom its
+    level and weight and the largest arity (`weights`), and per level
+    both queries' `_compile` and, with matching heads, the masks
+    `_differing_masks` tells apart in them, filled as the walk goes."""
     q: Query
     q2: Query
     terms: list
@@ -566,11 +627,13 @@ def _walked_levels(plan: _Plan) -> Iterator[int]:
     differ = False
     for k in range(n + 1):
         if len(plan.compiled) == k:
-            plan.compiled.append(tuple(_compile(plan, program, k)
-                                       for program in plan.programs))
-        new1, new2 = plan.compiled[k]
+            new1, new2 = (tuple(_compile(plan, program, k))
+                          for program in plan.programs)
+            plan.compiled.append((new1, new2, _differing_masks(
+                plan, new1, new2) if plan.same_head else None))
+        new1, new2, masks = plan.compiled[k]
         if plan.same_head:
-            differ = differ or bool(_differing_masks(plan, new1, new2))
+            differ = differ or bool(masks)
             if differ and (new1 or new2):
                 yield k
         elif k == n:
@@ -581,7 +644,8 @@ class _Ordering:
     """An ordering of a level: the gap its last variable took, its parent
     until prepared, then each term's `position` and `prepared`: both
     queries' prepared assignments, the mask of the atoms neither reads,
-    the masks they disagree on ({(0, 0)} for differing heads), the memo."""
+    the masks they disagree on ({(0, 0)} for differing heads, none once
+    `_agree_on_every_subset` holds), the memo."""
     __slots__ = ("ordering", "gap", "parent", "prepared", "position")
 
     def __init__(self, ordering: CompleteOrdering, gap: int, parent):
@@ -629,12 +693,19 @@ def _prepare(plan: _Plan, state: _Ordering, k: int) -> tuple:
                   for side in (0, 1))
     for positive, negated, _, _ in new1 + new2:
         idle &= ~(positive | negated)
-    if plan.same_head:  # each assignment prepared here holds: no `before`
-        differing = differing | _differing_masks(
-            plan, [((), p) for p in new1], [((), p) for p in new2])
-    else:
+    prep1, prep2 = prep1 + new1, prep2 + new2
+    if not plan.same_head:
         differing = {(0, 0)}  # fires on every subset
-    state.prepared = (prep1 + new1, prep2 + new2, idle, differing, memo)
+    else:
+        # each assignment prepared here holds: no `before`; level 0's are
+        # its compiled ones, compared as the level was compiled
+        differing = differing | (plan.compiled[0][2] if parent is None
+                                 else _differing_masks(
+                                     plan, [((), p) for p in new1],
+                                     [((), p) for p in new2]))
+        if differing and _agree_on_every_subset(plan, prep1, prep2):
+            differing = set()  # no unit under it can fail
+    state.prepared = (prep1, prep2, idle, differing, memo)
     state.position, state.parent = position, None
     return state.prepared
 
@@ -662,21 +733,11 @@ def _level_subsets(plan: _Plan, k: int) -> Iterator[int]:
         yield from map(every_atom.__and__, summed)
 
 
-def _scan(plan: _Plan, offset: int = 0, workers: int = 1, dispatch=None):
-    """Stride `offset` of `workers`: its first failing unit as `((level,
-    index within it), counterexample)`, or None.  Stride 0 walks the
-    head whole and the others skip it; past it, each walks the units
-    whose index in their level is its offset modulo `workers`, and
-    `dispatch`, if given, is called as the walk first passes it and
-    returns the strides the rest is walked in (1: this one alone)."""
+def _scan(plan: _Plan):
+    """The walk's first failing unit as `((level, index within it),
+    counterexample)`, or None."""
     states, built, everywhere = [], -1, set()
     for k in _walked_levels(plan):
-        head = k < _HEAD_LEVELS
-        if head and offset:
-            continue  # the head is stride 0's
-        if not head and dispatch is not None:
-            workers, dispatch = dispatch(), None
-        step = 1 if head else workers
         while built < k:
             built += 1
             states = _extend(plan, states, built)
@@ -684,13 +745,10 @@ def _scan(plan: _Plan, offset: int = 0, workers: int = 1, dispatch=None):
         for first, mask in zip(itertools.count(0, len(states)),
                                _level_subsets(plan, k)):
             for position, state in walk:
-                unit = first + position
-                if unit % step != offset:
-                    continue
                 prep1, prep2, idle, differing, memo = (
                     state.prepared or _prepare(plan, state, k))
                 if not differing:
-                    # both queries collect the same bags on every subset
+                    # both queries take the same values on every subset
                     walk = [entry for entry in walk if entry[1] is not state]
                     continue
                 if mask & idle or not _fires(differing, mask):
@@ -698,156 +756,10 @@ def _scan(plan: _Plan, offset: int = 0, workers: int = 1, dispatch=None):
                 ce = _pair_counterexample(plan, mask, state.ordering,
                                           prep1, prep2, memo, everywhere)
                 if ce is not None:
-                    return (k, unit), ce
+                    return (k, first + position), ce
             if not walk:
                 break  # no ordering of this level can separate the queries
     return None
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-class BrokenWorkers(RuntimeError):
-    """A worker process died during a decision, and again on fresh
-    workers."""
-
-
-# The process's workers, one (process, connection) per stride after the
-# caller's: built by the first parallel decision that has units past the
-# head, kept for later ones, rebuilt after a fork or for another stride
-# count, and stopped at exit.  The lock keeps two threads from sharing
-# them mid-decision.
-_pool_lock = threading.Lock()
-_pool_key: Optional[tuple] = None  # (pid, strides) of _pool
-_pool: list = []
-
-
-def _work(connection, callers_end, offset: int, strides: int) -> None:
-    """A worker: scan stride `offset` of `strides` of each plan received,
-    compiling the levels the caller has not, and send back its first
-    failure or the exception it raised, until a stop (None) arrives, or
-    end of file when the caller died without sending one.  Interrupts
-    are the caller's to handle: it kills a worker it leaves mid-job."""
-    import signal
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # a copy of the caller's end of the pipe, held here, would keep end of
-    # file from ever arriving
-    callers_end.close()
-    with contextlib.suppress(EOFError):
-        while (plan := connection.recv()) is not None:
-            try:
-                reply = _scan(plan, offset, strides), None
-            except Exception as exc:
-                reply = None, exc
-            connection.send(reply)
-
-
-def _workers(strides: int) -> list:
-    """This process's connections to the workers of strides 1 to
-    `strides` - 1."""
-    global _pool_key
-    key = (os.getpid(), strides)
-    if _pool_key != key:
-        _drop_pool()
-        # imported here: only a decision that reaches the workers uses it
-        import multiprocessing
-        _pool_key = key  # a worker is dropped with the others once started
-        for offset in range(1, strides):
-            mine, theirs = multiprocessing.Pipe()
-            process = multiprocessing.Process(
-                target=_work, args=(theirs, mine, offset, strides))
-            process.start()
-            theirs.close()
-            _pool.append((process, mine))
-        # registered after multiprocessing's own exit handler, which joins
-        # every child, so the workers get their stop first; unregistering
-        # first keeps one registration
-        atexit.unregister(_drop_pool)
-        atexit.register(_drop_pool)
-    return [connection for _, connection in _pool]
-
-
-def _drop_pool(stop: bool = True) -> None:
-    """Forget the workers.  Those this process started are sent a stop,
-    or killed when they may be mid-job (`stop` false), and joined; a
-    forked child closes its copies of its parent's connections and takes
-    the parent's workers off the children that multiprocessing's exit
-    handler joins, which only their parent may do."""
-    global _pool, _pool_key
-    own = _pool_key is not None and _pool_key[0] == os.getpid()
-    for process, connection in _pool:
-        if own:
-            if stop:
-                with contextlib.suppress(OSError):
-                    connection.send(None)
-            else:
-                process.kill()
-            process.join()
-        else:
-            import multiprocessing.process  # loaded with the workers
-            multiprocessing.process._children.discard(process)
-        connection.close()
-    _pool, _pool_key = [], None
-
-
-def _parallel_scan(plan: _Plan, strides: int):
-    """The lowest-index failure of the walk: stride 0 in the caller,
-    strides 1 to `strides` - 1 in the workers, or None.
-
-    As stride 0 first passes the head, `dispatch` takes the workers and
-    sends them the plan, pickled once, if the walk past the head plans at
-    least `_DISPATCH_UNITS` units; before that, or else, no worker is
-    touched and stride 0 walks on alone.
-    A worker's exception is raised here once every worker has replied.
-    Workers with a dead one among them are dropped, never reused: the
-    decision, being pure, reruns on fresh ones; a second break raises
-    `BrokenWorkers`."""
-    connections = None  # the workers', once dispatched
-
-    def dispatch():
-        nonlocal connections
-        planned = plan_units(plan.q, plan.q2, len(plan.terms) - plan.constants)
-        if sum(subsets * orderings for subsets, orderings
-               in planned[_HEAD_LEVELS:]) < _DISPATCH_UNITS:
-            return 1
-        import pickle
-        if connections is None:
-            _pool_lock.acquire()
-            connections = ()  # a failure from here on drops them
-        connections = _workers(strides)
-        job = pickle.dumps(plan, pickle.HIGHEST_PROTOCOL)
-        for connection in connections:
-            connection.send_bytes(job)
-        return strides
-    try:
-        for retry in (False, True):
-            try:
-                hits = [_scan(plan, 0, strides, dispatch)]
-                if connections is None:
-                    return hits[0]  # no worker was involved
-                replies = [connection.recv() for connection in connections]
-                break
-            except (EOFError, ConnectionError) as exc:  # from the pipes
-                _drop_pool(stop=False)
-                if retry:
-                    raise BrokenWorkers("a worker process died") from exc
-            except BaseException:
-                if connections is not None:
-                    _drop_pool(stop=False)  # the workers may be mid-job
-                raise
-    finally:
-        if connections is not None:
-            _pool_lock.release()
-    for hit, error in replies:
-        if error is not None:
-            raise error
-        hits.append(hit)
-    # the lowest global index wins, so scheduling cannot change the output
-    return min(filter(None, hits), key=lambda hit: hit[0], default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -252,21 +252,6 @@ def _placements(classes: list, v: Term, first_gap: int, merge: bool,
         del classes[gap]
 
 
-def count_lex_leaders(values: list, n: int, domain: str) -> list:
-    """How many orderings `place_next_variable` builds for k = 0..n
-    variables over constants of the increasing `values`: the ways to
-    share k variables out among the gaps, over the integers at most the
-    room between its anchors to a gap between two."""
-    rooms = [n] * (len(values) + 1)
-    if domain == INTEGERS:
-        rooms[1:-1] = [min(n, int(b - a) - 1)
-                       for a, b in zip(values, values[1:])]
-    ways = [1] + [0] * n  # ways[k]: k variables in the gaps so far
-    for room in rooms:
-        ways = [sum(ways[max(0, k - room):k + 1]) for k in range(n + 1)]
-    return ways
-
-
 def place_next_variable(ordering: CompleteOrdering, placed: int,
                         first_gap: int) -> Iterator[tuple]:
     """The lex-leaders one variable at a time: in the strict `ordering`,

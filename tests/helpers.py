@@ -13,11 +13,11 @@ decider's value forms, build their witnesses by the library's rule;
 the lex-leaders of `place_next_variable`, keeps orders with the
 library's `is_satisfiable_order` and `entails`; and
 `reference_scan` and `reference_units`, for the scan's level planning,
-skips and memo, and `subset_major_scan`, a verdict reference for the
-level walk, compile and prepare with the library's `_compile` and
-`_prepare_assignments` and check each unit with the library's
-`_pair_counterexample`, passing no memo; their differing skip is
-`differing_masks`, the exact-multiset rule.
+skips, ordering drop and memo, and `subset_major_scan`, a verdict
+reference for the level walk, compile and prepare with the library's
+`_compile` and `_prepare_assignments` and check each unit with the
+library's `_pair_counterexample`, passing no memo; their differing skip
+is `differing_masks`, the exact-multiset rule.
 """
 
 from __future__ import annotations
@@ -289,17 +289,15 @@ def compile_all(plan, side: int) -> list:
             for c in engine._compile(plan, plan.programs[side], k)]
 
 
-def reference_scan(plan, offset: int, workers: int):
+def reference_scan(plan):
     """`engine._scan` without the lazy planning, the level skips, the
-    ordering drop or the memo: the stride `offset` of `workers` over
-    `reference_units`, deciding every identity it meets, and its first
-    failing unit as `((level, unit index), counterexample)`, or None."""
+    ordering drop or the memo: the first failing unit of
+    `reference_units`, deciding every identity it meets, as `((level,
+    unit index), counterexample)`, or None."""
     for k, unit, mask, ordering, prep1, prep2 in reference_units(plan):
-        if unit % workers == offset:
-            ce = engine._pair_counterexample(
-                plan, mask, ordering, prep1, prep2)
-            if ce is not None:
-                return (k, unit), ce
+        ce = engine._pair_counterexample(plan, mask, ordering, prep1, prep2)
+        if ce is not None:
+            return (k, unit), ce
     return None
 
 

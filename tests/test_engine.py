@@ -1,17 +1,12 @@
-import gc
-import importlib.util
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import random
-import signal
 import subprocess
 import sys
-import threading
-import time
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,9 +19,8 @@ from helpers import (
 )
 
 from aggequiv import engine, identity, oracle
-from aggequiv.aggregation import FUNCTIONS
 from aggequiv.model import (
-    AggregateTerm, Const, Database, INTEGERS, Var, term_size_pair,
+    Const, Database, INTEGERS, Var, merged_predicates, term_size_pair,
 )
 from aggequiv.orderings import CompleteOrdering
 from aggequiv.parsing import parse_query
@@ -386,13 +380,6 @@ def test_first_counterexample_is_the_first_canonical_failure():
             Database(frozenset({("e", (F(1), F(2)))})), (), 1, None)
 
 
-def first_failure(scan, plan, workers):
-    """The lowest-index failing unit over every stride of `scan`."""
-    hits = [hit for hit in (scan(plan, offset, workers)
-                            for offset in range(workers)) if hit]
-    return min(hits, key=lambda hit: hit[0], default=None)
-
-
 _SHAPES = {  # head, positive literals, other literals, compared variables
     "unary": ("q(; {agg}) :- ", ["p(Y)"], ["!b(Y)", "b(Y)"], ["Y"]),
     "binary": ("q(; {agg}) :- ", ["e(X, Y)"],
@@ -400,22 +387,40 @@ _SHAPES = {  # head, positive literals, other literals, compared variables
     "grouped": ("q(X; {agg}) :- ", ["e(X, Y)", "g(X), p(Y)"],
                 ["!b(Y)", "b(X)"], ["X", "Y"]),
 }
+#: the wider shapes: a predicate repeated in one disjunct, and a second
+#: unary atom on another variable
+_WIDE_SHAPES = {
+    "repeated": ("q(X; {agg}) :- ", ["p(X, Y)", "p(X, Y), p(Y, Y)"],
+                 ["!r(Y)", "r(X)", "!p(Y, X)"], ["X", "Y"]),
+    "two_unary": ("q(; {agg}) :- ", ["p(Y)", "p(Y), p(Z)"],
+                  ["!b(Y)", "b(Y)", "b(Z)"], ["Y", "Z"]),
+}
+#: per shape, the atom a disjunct is split on: D against D, a | D, !a
+_SPLIT = {"unary": "b(Y)", "binary": "b(Y)", "grouped": "b(X)",
+          "repeated": "r(Y)", "two_unary": "b(Y)"}
 
 
-def random_shape_pair(rng):
+def random_shape_pair(rng, wide=False):
     """A random pair `(text1, text2, domain, n)` whose BASE at N = n has
     at most 10 atoms: unary, binary or grouped queries sharing some
     disjuncts, with negation and comparisons with constants, matching or
-    differing heads, both domains and n <= 3."""
+    differing heads, both domains and n <= 3.  `wide` adds the shapes of
+    `_WIDE_SHAPES`, comparisons between two variables, second queries
+    that split one of the first query's disjuncts on an atom and its
+    negation, and BASE up to 14 atoms."""
+    shapes = {**_SHAPES, **_WIDE_SHAPES} if wide else _SHAPES
+
     def query(kind, func, disjuncts):
         agg = func + ("()" if func in ("count", "parity") else "(Y)")
-        return _SHAPES[kind][0].format(agg=agg) + " | ".join(disjuncts)
+        return shapes[kind][0].format(agg=agg) + " | ".join(disjuncts)
 
     def disjunct(kind, constants):
-        _, positive, extra, variables = _SHAPES[kind]
+        _, positive, extra, variables = shapes[kind]
         lits = [rng.choice(positive)]
         if rng.random() < 0.4:
             lits.append(rng.choice(extra))
+        # only variables of a positive literal (all are uppercase letters)
+        variables = [v for v in variables if v in "".join(lits)]
         for _ in range(rng.choice((0, 1, 1, 2)) if constants else 0):
             op = rng.choice(["<", "<=", ">", ">=", "!=", "="])
             lits.append(f"{rng.choice(variables)} {op} "
@@ -423,10 +428,14 @@ def random_shape_pair(rng):
         if len(constants) > 1 and rng.random() < 0.4:
             # a run between the outer constants
             lits += [f"Y > {constants[0]}", f"Y < {constants[-1]}"]
+        if wide and len(variables) > 1 and rng.random() < 0.3:
+            first, second = rng.sample(variables, 2)
+            op = rng.choice(["<", "<=", ">", ">=", "!=", "="])
+            lits.append(f"{first} {op} {second}")
         return ", ".join(lits)
 
     while True:
-        kind = rng.choice(list(_SHAPES))
+        kind = rng.choice(list(shapes))
         domain = rng.choice([INTEGERS, "rat"])
         func = rng.choice(FUNCTION_NAMES)
         func2 = rng.choice(FUNCTION_NAMES) if rng.random() < 0.4 else func
@@ -449,23 +458,35 @@ def random_shape_pair(rng):
 
         def extra():
             return rng.choice(shared + [disjunct(kind, constants)])
-        text1 = query(kind, func, shared + [extra()] * rng.randint(0, 1))
-        text2 = query(kind, func2, shared + [extra()] * rng.randint(0, 2))
+        disjuncts = shared + [extra()] * rng.randint(0, 1)
+        text1 = query(kind, func, disjuncts)
+        if wide and rng.random() < 0.3:
+            # the first query's disjuncts, one of them split in two on an
+            # atom, so that both hold the same databases, and maybe two
+            # more copies of one
+            split = disjuncts.pop(rng.randrange(len(disjuncts)))
+            text2 = query(kind, func2, disjuncts + [
+                f"{split}, {_SPLIT[kind]}", f"{split}, !{_SPLIT[kind]}"]
+                + [rng.choice(shared)] * rng.choice((0, 0, 2)))
+        else:
+            text2 = query(kind, func2,
+                          shared + [extra()] * rng.randint(0, 2))
         q = parse_query(text1, domain=domain)
         q2 = parse_query(text2, domain=domain)
+        bound = 14 if wide else 10
         n = rng.randint(1, 3)
-        while n > 1 and engine.base_size(q, q2, n) > 10:
+        while n > 1 and engine.base_size(q, q2, n) > bound:
             n -= 1
-        if engine.base_size(q, q2, n) <= 10:
+        if engine.base_size(q, q2, n) <= bound:
             return text1, text2, domain, n
 
 
 def test_level_walk_keeps_the_first_failing_unit():
     """Random pairs (`random_shape_pair`): the scan, which plans each
-    level when it reaches it, skips levels and keeps a memo, finds the
-    same first failing unit (level, index and counterexample) as the
-    reference walk over every unit of every level, over one and two
-    strides, and a decision on two pool workers reports it too."""
+    level when it reaches it, skips levels, drops orderings and keeps a
+    memo, finds the same first failing unit (level, index and
+    counterexample) as the reference walk over every unit of every
+    level, and a decision at 1, 2 or 3 workers reports it too."""
     rng = random.Random(1996)
     outcomes = Counter()
     for _ in range(200):
@@ -473,12 +494,11 @@ def test_level_walk_keeps_the_first_failing_unit():
         q = parse_query(text1, domain=domain)
         q2 = parse_query(text2, domain=domain)
         plan = engine._plan(q, q2, n)
-        for workers in (1, 2):
-            expected = first_failure(reference_scan, plan, workers)
-            assert first_failure(engine._scan, plan, workers) == expected, (
-                text1, text2, domain, n, workers)
-        verdict = engine.n_equivalent(q, q2, n, workers=2)
-        assert verdict.counterexample == (expected and expected[1])
+        expected = reference_scan(plan)
+        assert engine._scan(plan) == expected, (text1, text2, domain, n)
+        for workers in (1, 2, 3):
+            verdict = engine.n_equivalent(q, q2, n, workers=workers)
+            assert verdict.counterexample == (expected and expected[1])
         outcomes[plan.same_head, expected is None] += 1
     # (same head, equivalent): differing heads almost always fail
     assert min(outcomes[True, True], outcomes[True, False],
@@ -536,25 +556,33 @@ def test_counterexamples_use_the_fewest_fresh_values():
 
 @pytest.mark.parametrize("seed", [9, 10])
 def test_equivalent_verdicts_survive_the_oracle(seed):
-    """Random pairs with matching heads (`random_shape_pair`): for every
-    `equivalent` verdict at N = n, the concrete brute-force search finds
-    no separating database over any n values of the default pool."""
+    """Random pairs with matching heads (`random_shape_pair`, wide): for
+    every `equivalent` verdict at N = n, the concrete brute-force search
+    finds no separating database over any n values of the default pool.
+    n is lowered until that search meets at most 2,048 databases, over
+    every pool; some BASEs still hold more than 10 atoms."""
     rng = random.Random(seed)
-    draws = equivalent = 0
+    draws = equivalent = wide = 0
     while draws < 75:
-        text1, text2, domain, n = random_shape_pair(rng)
+        text1, text2, domain, n = random_shape_pair(rng, wide=True)
         q = parse_query(text1, domain=domain)
         q2 = parse_query(text2, domain=domain)
         if not engine._same_head(q, q2):
             continue
         draws += 1
+        pool = oracle.default_pool(q, q2)
+        arities = merged_predicates(q, q2).values()
+        while n > 1 and math.comb(len(pool), n) * 2 ** sum(
+                n ** arity for arity in arities) > 2048:
+            n -= 1
+        wide += engine.base_size(q, q2, n) > 10
         if engine.n_equivalent(q, q2, n).status != engine.EQUIVALENT:
             continue
         equivalent += 1
-        for values in itertools.combinations(oracle.default_pool(q, q2), n):
+        for values in itertools.combinations(pool, n):
             assert oracle.brute_force_check(q, q2, pool=values) is None, (
                 text1, text2, domain, n, values)
-    assert equivalent >= 20
+    assert equivalent >= 20 and wide >= 5
 
 
 @pytest.mark.xfail(strict=True, reason="differing heads are compared on "
@@ -569,9 +597,9 @@ def test_differing_heads_are_separated_off_the_canonical_instance():
 def test_level_walk_keeps_the_first_failing_unit_at_ten_fresh_variables():
     """The levels place u1..uk in index order, though u10 sorts before u2
     by name.  At N = 9 and N = 10 over the integers the scan finds the
-    reference walk's first failing unit, over one and two strides, and at
-    N = 10 the counterexample holds p(1) and p(2) alone: two values in
-    (0, 3), on u1 and u2 at level 2."""
+    reference walk's first failing unit, and at N = 10 the counterexample
+    holds p(1) and p(2) alone: two values in (0, 3), on u1 and u2 at
+    level 2."""
     run = "p(Y), Y > 0, Y < 3, p(Z), Z > 0, Z < 3, Z < Y"
     pairs = [
         (f"q(; max(Y)) :- {run}", f"q(; max(Y)) :- {run}, p(W), W > 3"),
@@ -585,11 +613,9 @@ def test_level_walk_keeps_the_first_failing_unit_at_ten_fresh_variables():
         q2 = parse_query(text2, domain=INTEGERS)
         for n in (9, 10):
             plan = engine._plan(q, q2, n)
-            for workers in (1, 2):
-                expected = first_failure(reference_scan, plan, workers)
-                assert expected is not None
-                assert first_failure(engine._scan, plan, workers) == \
-                    expected, (text1, text2, n, workers)
+            expected = reference_scan(plan)
+            assert expected is not None
+            assert engine._scan(plan) == expected, (text1, text2, n)
     q = parse_query(pairs[0][0], domain=INTEGERS)
     q2 = parse_query(pairs[0][1], domain=INTEGERS)
     verdict = engine.n_equivalent(q, q2, 10, workers=2)
@@ -661,13 +687,10 @@ def test_idle_atoms_keep_verdicts_exact(checked):
 
 
 def test_units_where_no_prepared_assignment_differs_are_not_checked(
-        checked, monkeypatch):
+        checked):
     """Both queries compile to the same assignments, so they prepare the
-    same ones under every ordering: the walk has no level, no unit is
-    checked, and a two-worker decision never asks for workers."""
-    def no_workers(strides):
-        raise AssertionError("workers were asked for")
-    monkeypatch.setattr(engine, "_workers", no_workers)
+    same ones under every ordering: the walk has no level and no unit is
+    checked, at any worker count."""
     reflexive = "q(X; sum(Y)) :- p(X, Y), Y > 3 | p(Y, X), !b(X)"
     pairs = [
         (reflexive, reflexive, 2),
@@ -677,7 +700,7 @@ def test_units_where_no_prepared_assignment_differs_are_not_checked(
     for text1, text2, n in pairs:
         q, q2 = parse_query(text1), parse_query(text2)
         assert list(engine._walked_levels(engine._plan(q, q2, n))) == []
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             verdict = engine.n_equivalent(q, q2, n, workers=workers)
             assert verdict.status == engine.EQUIVALENT
     assert checked == []
@@ -704,15 +727,13 @@ def test_scan_stops_once_every_ordering_is_dropped(checked, monkeypatch):
         q2 = parse_query("q(; count()) :- p(X)", domain=domain)
         plan = engine._plan(q, q2, 4)
         assert list(engine._walked_levels(plan)) == [1, 2, 3, 4]
-        for workers in (1, 2):
-            verdict = engine.n_equivalent(q, q2, 4, workers=workers)
-            assert verdict.status == engine.EQUIVALENT
+        verdict = engine.n_equivalent(q, q2, 4)
+        assert verdict.status == engine.EQUIVALENT
         assert checked == []
         walked.clear()
-        # patched here only, so no worker process is forked with it
         with monkeypatch.context() as patch:
             patch.setattr(engine, "_level_subsets", counting)
-            assert engine._scan(plan, 0, 1) is None
+            assert engine._scan(plan) is None
         assert len(walked) == 4
 
 
@@ -862,6 +883,92 @@ def test_function_aware_skips_keep_every_failing_unit():
     assert set(levels) == set(units) == refined, (levels, units)
 
 
+def test_the_ordering_drop_per_function(checked):
+    """Pairs at N = 2, the verdict and the units checked.  The second
+    query splits p(Y) on b(Y) and !b(Y): the ordering drop decides it
+    under max (a cube cover, by Shannon expansion on b), count and sum
+    (the negated atom's polynomial 1 - b) and, with two more copies,
+    parity (mod 2), so no unit is checked; avg and prod walk 10 units.
+    Under sum, the constants 1 and 2 as items on one side and three 1s
+    on the same atoms on the other agree by the constants' values.  The
+    other pairs are refuted: a negated atom narrows a cube, a group of
+    zeros or of even size differs from no group, and under sum the
+    constant 1 is no neutral item."""
+    twice = "p(Y), p(Z), Y = 1, Z = 2"
+    cases = [
+        ("max(Y)", "p(Y)", "p(Y), b(Y) | p(Y), !b(Y)", True, 0),
+        ("max(Y)", "p(Y)", "p(Y), !b(Y)", False, 2),
+        ("count()", "p(Y)", "p(Y), b(Y) | p(Y), !b(Y)", True, 0),
+        ("parity()", "p(Y)", "p(Y), b(Y) | p(Y), !b(Y) | p(Y) | p(Y)",
+         True, 0),
+        ("parity()", "p(Y) | p(Y)", "p(Y), b(Y) | p(Y), b(Y)", False, 1),
+        ("sum(Y)", "p(Y)", "p(Y), Y != 0", False, 1),
+        ("sum(Y)", f"{twice} | p(Y), p(Z), Y = 2, Z = 1",
+         f"{twice} | {twice} | {twice}", True, 0),
+        ("sum(Y)", "p(Y), Y = 1", "p(Y), Y = 1 | p(Y), Y = 1", False, 1),
+        ("sum(Y)", "p(Y)", "p(Y), b(Y) | p(Y), !b(Y)", True, 0),
+        ("avg(Y)", "p(Y)", "p(Y), b(Y) | p(Y), !b(Y)", True, 10),
+        ("prod(Y)", "p(Y)", "p(Y), b(Y) | p(Y), !b(Y)", True, 10),
+    ]
+    for agg, body1, body2, equivalent, units in cases:
+        q = parse_query(f"q(; {agg}) :- {body1}")
+        q2 = parse_query(f"q(; {agg}) :- {body2}")
+        checked.clear()
+        verdict = engine.n_equivalent(q, q2, 2)
+        assert (verdict.equivalent, len(checked)) == (equivalent, units), (
+            agg, body1, body2)
+        if not equivalent:
+            verify_ce(q, q2, verdict)
+
+
+def test_no_dropped_ordering_has_a_failing_unit():
+    """Random pairs with matching heads (`random_shape_pair`, wide, BASE
+    of at most 10 atoms): every ordering the scan drops, by the
+    differing masks or by `_agree_on_every_subset`, has no failing unit
+    under the reference walk (`reference_units`).  The latter drops
+    orderings under the set functions and under count, parity and sum,
+    with units the reference walk checks."""
+    rng = random.Random(1602)
+    dropped_by_test = Counter()
+    pairs = 0
+    while pairs < 150:
+        text1, text2, domain, n = random_shape_pair(rng, wide=True)
+        q = parse_query(text1, domain=domain)
+        q2 = parse_query(text2, domain=domain)
+        if not engine._same_head(q, q2):
+            continue
+        while n > 1 and engine.base_size(q, q2, n) > 10:
+            n -= 1
+        if engine.base_size(q, q2, n) > 10:
+            continue
+        pairs += 1
+        plan = engine._plan(q, q2, n)
+        dropped, by_test = set(), set()
+        for k in engine._walked_levels(plan):
+            states = []
+            for level in range(k + 1):
+                states = engine._extend(plan, states, level)
+            for state in states:
+                prep1, prep2, _, differing, _ = (
+                    state.prepared or engine._prepare(plan, state, k))
+                if not differing:
+                    dropped.add((k, state.ordering))
+                    if engine._differing_masks(
+                            plan, [((), p) for p in prep1],
+                            [((), p) for p in prep2]):
+                        by_test.add((k, state.ordering))
+        func = q.aggregate.function.name
+        for k, _, mask, ordering, prep1, prep2 in reference_units(plan):
+            if (k, ordering) in dropped:
+                assert engine._pair_counterexample(
+                    plan, mask, ordering, prep1, prep2) is None, (
+                    text1, text2, domain, n, k, str(ordering), mask)
+                if (k, ordering) in by_test:
+                    dropped_by_test[func] += 1
+    assert set(dropped_by_test) >= {"max", "min", "top2", "cntd", "count",
+                                    "parity", "sum"}, dropped_by_test
+
+
 def test_prod_counterexample_beside_a_pinned_integer_slot():
     """At N = 2 the first failure is prod {u1, u1, u1} = prod {u1, u1}
     under 0 < u1 < 3 < u2, at u1 = 2, at one and at two workers.  The
@@ -919,14 +1026,16 @@ def test_each_shape_is_checked_once(checked, decided):
     top2 and cntd see only the set of items, and the extra disjunct's
     assignments are each covered by the first's, so no level is walked:
     they checked 4,156 and 426 units under the exact-multiset skip.  The
-    max pair's extra disjunct needs p(Y, Y), so its masks differ and a
-    cover needs the same masks: 1,869 units stay (2,314 before), whose
-    valid identities hold under every ordering
-    (`identity.holds_everywhere`), so none reaches a decider.  Under
-    prod the item u1 is not the constant 1, so the last pair walks as
-    before: its valid identities hold only where u1 is pinned to 1,
-    between 0 and 2 over the integers, so the decider sees them once per
-    ordering: without the per-ordering memo it decides 408."""
+    max pair's extra disjunct needs p(Y, Y), so its masks differ from
+    every mask of the first query and its levels are walked, but under
+    each ordering its cubes lie in the union of the first query's with
+    the same (key, item), so the ordering drop leaves no ordering to
+    walk: it checked 2,314 units under the exact-multiset skip and 1,869
+    with a cover by equal masks.  prod is not decided by the ordering
+    drop, so the last pair walks as before: its valid identities hold
+    only where u1 is pinned to 1, between 0 and 2 over the integers, so
+    the decider sees them once per ordering: without the per-ordering
+    memo it decides 408."""
     cases = [
         ("q(; top2(Y)) :- p(Y), r(Y)",
          "q(; top2(Y)) :- p(Y), r(Y) | p(Y), r(Y), Y > 1", "rat", 5, 0, 0),
@@ -934,7 +1043,7 @@ def test_each_shape_is_checked_once(checked, decided):
          "rat", 3, 0, 0),
         ("q(X; max(Y)) :- p(X, Y), !r(Y)",
          "q(X; max(Y)) :- p(X, Y), !r(Y) | p(X, Y), p(Y, Y), !r(Y)", "rat",
-         3, 1869, 0),
+         3, 0, 0),
         ("q(; prod(Y)) :- p(Y), r(Y)",
          "q(; prod(Y)) :- p(Y), r(Y) | p(Y), r(Y), Y > 0, Y < 2", INTEGERS,
          3, 544, 24),
@@ -946,86 +1055,6 @@ def test_each_shape_is_checked_once(checked, decided):
                                       parse_query(text2, domain=domain), n)
         assert verdict.status == engine.EQUIVALENT
         assert (len(checked), len(decided)) == (units, decisions)
-
-
-def enumerated_units(plan):
-    """Each level's `(subsets, orderings)` as the walk builds them:
-    `_level_subsets` counted on the levels it walks (every level with
-    matching heads, level n alone with differing ones), `_extend`'s
-    orderings on every level."""
-    n, states, units = len(plan.terms) - plan.constants, [], []
-    for k in range(n + 1):
-        states = engine._extend(plan, states, k)
-        walked = plan.same_head or k == n
-        units.append((sum(1 for _ in engine._level_subsets(plan, k))
-                      if walked else 0, len(states)))
-    return units
-
-
-def test_planned_units_match_the_walk_on_every_benchmark_pair():
-    """`plan_units` counts each level's subsets and orderings as the walk
-    enumerates them, on every pair of the benchmark, at its N (the term
-    size for the front doors that pick it), plain queries with count
-    adjoined; the 50-atom chain, whose BASE is far too large to
-    enumerate, is left out."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_pairs", Path(__file__).resolve().parents[1] / "bench"
-        / "pairs.py")
-    pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(pairs)
-    counted = 0
-    for pair in itertools.chain(*pairs.WORKLOADS.values()):
-        q, q2 = (parse_query(pair[side], domain=pair["domain"])
-                 for side in "ab")
-        if q.aggregate is None:
-            adjoined = AggregateTerm(FUNCTIONS["count"], ())
-            q, q2 = (replace(query, aggregate=adjoined)
-                     for query in (q, q2))
-        n = pair["n"] if pair["n"] is not None else term_size_pair(q, q2)
-        if engine.base_size(q, q2, n) > 16:
-            continue
-        counted += 1
-        assert engine.plan_units(q, q2, n) == enumerated_units(
-            engine._plan(q, q2, n)), pair["id"]
-    assert counted == sum(map(len, pairs.WORKLOADS.values())) - 1
-
-
-def test_planned_units_match_the_walk_on_random_pairs():
-    """Seeded `random_shape_pair`s, both domains, matching and differing
-    heads: `plan_units` equals the walk's own counts on every level."""
-    rng = random.Random(12)
-    kinds = Counter()
-    for _ in range(150):
-        text1, text2, domain, n = random_shape_pair(rng)
-        q = parse_query(text1, domain=domain)
-        q2 = parse_query(text2, domain=domain)
-        plan = engine._plan(q, q2, n)
-        assert engine.plan_units(q, q2, n) == enumerated_units(plan), (
-            text1, text2, domain, n)
-        kinds[domain, plan.same_head] += 1
-    assert len(kinds) == 4 and min(kinds.values()) >= 10, kinds
-
-
-def test_planned_units_of_the_reference_pairs():
-    """The formula alone, on three pairs too large to enumerate quickly:
-    the units of levels 0 to N before any skip."""
-    cases = [
-        ("q(; top2(Y)) :- p(Y), r(Y)",
-         "q(; top2(Y)) :- p(Y), r(Y) | p(Y), r(Y), Y > 1", "rat", 6, 28432),
-        ("q(X; max(Y)) :- p(X, Y), !r(Y)",
-         "q(X; max(Y)) :- p(X, Y), !r(Y) | p(X, Y), p(Y, Y), !r(Y)", "rat",
-         4, 1036537),
-        ("q(; max(Y)) :- e(X, Y), X > 0, Y < 3",
-         "q(; max(Y)) :- e(X, Y), X > 0, Y < 3 | e(Y, Y), Y < 3", INTEGERS,
-         3, 300622768),
-    ]
-    for text1, text2, domain, n, units in cases:
-        plan = engine.plan_units(parse_query(text1, domain=domain),
-                                 parse_query(text2, domain=domain), n)
-        assert sum(subsets * orderings for subsets, orderings in plan) \
-            == units
-    # over the integers the room between 0 and 3 holds two of u1..u3
-    assert [orderings for _, orderings in plan] == [1, 3, 6, 9]
 
 
 def test_integer_vs_rational_domain_changes_the_verdict():
@@ -1141,8 +1170,7 @@ def test_workers_must_be_positive():
 def test_verdicts_do_not_depend_on_workers():
     """Seeded random pairs over all nine functions, both domains,
     negation and comparisons, some with differing functions, decided at
-    1, 2 and 3 workers: every verdict is the same.  Each worker count
-    decides all pairs in a row, so its workers are built once."""
+    1, 2 and 3 workers: every verdict is the same."""
     rng = random.Random(7)
     pairs = []
     for _ in range(60):
@@ -1161,58 +1189,28 @@ def test_verdicts_do_not_depend_on_workers():
 
 
 @pytest.fixture
-def started(monkeypatch):
-    """The processes started during the test, recorded as they start.
-    The workers of earlier decisions are dropped before the test, so its
-    decisions build their own, and after it, so none built under its
-    patches outlives it."""
-    engine._drop_pool()
-    processes = []
-    start = multiprocessing.process.BaseProcess.start
-
-    def recording(process):
-        processes.append(process)
-        start(process)
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
-                        recording)
-    yield processes
-    engine._drop_pool()
-
-
-@pytest.fixture
 def no_process(monkeypatch):
-    """Starting a process fails the test.  The workers of earlier
-    decisions are dropped first, so a decision that reaches the workers
-    has to start its own."""
-    engine._drop_pool()
-
+    """Starting a process fails the test."""
     def refuse(process):
-        raise AssertionError("a worker process was started")
+        raise AssertionError("a process was started")
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
 
 
 @pytest.fixture
 def scans(monkeypatch):
-    """The (offset, workers, whether a dispatch hook is passed) of each
-    `_scan` the caller runs; a forked worker records its own in its own
-    copy of the list."""
+    """The plans of the `_scan` calls in this process."""
     calls = []
     scan = engine._scan
 
-    def recording(plan, offset=0, workers=1, dispatch=None):
-        calls.append((offset, workers, dispatch is not None))
-        return scan(plan, offset, workers, dispatch)
+    def recording(plan):
+        calls.append(plan)
+        return scan(plan)
     monkeypatch.setattr(engine, "_scan", recording)
     return calls
 
 
-# a worker forked by the engine runs the test's patched engine functions;
-# one started from a fresh interpreter (spawn, forkserver) does not
-FORKED_WORKERS = multiprocessing.get_all_start_methods()[0] == "fork"
-
-
 def test_nothing_to_check_starts_no_process(no_process):
-    """A decision with no unit to check starts no worker."""
+    """A decision with no unit to check starts no process."""
     reflexive = "q(X; sum(Y)) :- p(X, Y), Y > 3 | p(Y, X), !b(X)"
     pairs = [
         (reflexive, reflexive, 2),
@@ -1228,20 +1226,20 @@ def test_nothing_to_check_starts_no_process(no_process):
 MAX_LT1 = ("q(; max(Y)) :- p(Y), Y < 1", "q(; max(Y)) :- p(Y), Y <= 0")
 MAX_LT1_CE = engine.Counterexample(
     Database(frozenset({("p", (F(1, 2),))})), (), F(1, 2), None)
-# the first failure needs two fresh values, so it lies past the head (the
-# levels of no and one fresh value); its walk past the head is small, so a
-# parallel decision reaches the workers only with `_DISPATCH_UNITS` at 0
+# the first failure needs two fresh values, so it lies at level 2
 TWO_VALUES = ("q(; count()) :- p(X), p(Y), X < Y",
               "q(; count()) :- p(X), p(Y), X != Y")
 TWO_VALUES_CE = engine.Counterexample(
     Database(frozenset({("p", (F(0),)), ("p", (F(1),))})), (), 1, 2)
+#: a pair whose first failure needs two fresh values and whose levels 2
+#: to 4 hold 64,059 units at N = 4
+EDGES = ("q(; count()) :- e(X, Y), X < Y", "q(; count()) :- e(X, Y), X != Y")
 
 
-def test_one_fact_failure_starts_no_process(no_process, monkeypatch):
-    """The first failure has one fact and one fresh value, so the caller
-    finds it in the head and a parallel decision starts no worker; nor
-    does a failure with one fresh value and two facts."""
-    monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
+def test_one_fact_failure_starts_no_process(no_process):
+    """The first failure has one fact and one fresh value, and a decision
+    at 2 or 3 workers reports it and starts no process; nor does a
+    failure with one fresh value and two facts."""
     q, q2 = map(parse_query, MAX_LT1)
     for workers in (2, 3):
         verdict = engine.n_equivalent(q, q2, 5, workers=workers)
@@ -1253,25 +1251,6 @@ def test_one_fact_failure_starts_no_process(no_process, monkeypatch):
             {("b", (F(0),)), ("p", (F(0),))})), (), None, 1)
 
 
-def test_a_failure_in_the_head_never_waits_for_the_workers(no_process,
-                                                           monkeypatch):
-    """The workers' lock is held elsewhere, yet a two-worker decision
-    whose first failure lies in the head returns: the head is walked
-    without the workers, so it takes no lock and starts no process."""
-    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
-    q, q2 = map(parse_query, MAX_LT1)
-    verdicts = []
-    decision = threading.Thread(target=lambda: verdicts.append(
-        engine.n_equivalent(q, q2, 5, workers=2)), daemon=True)
-    with engine._pool_lock:
-        decision.start()
-        decision.join(timeout=60)
-        waiting = decision.is_alive()
-    decision.join(timeout=60)
-    assert not waiting
-    assert [verdict.counterexample for verdict in verdicts] == [MAX_LT1_CE]
-
-
 # `prod_one.n4` with a second atom in the extra disjunct: its assignments
 # prepare a mask that no assignment of the first query has, so unlike
 # `prod_one.n4`, which is decided before any ordering is built, it walks
@@ -1280,13 +1259,10 @@ PROD_ONES = ("q(; prod(Y)) :- p(Y)",
              "q(; prod(Y)) :- p(Y) | p(Y), p(Z), Y = 1")
 
 
-def test_the_caller_prepares_each_head_ordering_once(started, monkeypatch):
-    """A two-worker decision that reaches the workers walks the head and
-    its own stride of the later levels in one pass, so the caller
-    prepares as many orderings as a one-worker decision does (15), none
-    of the head's twice."""
-    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(engine, "_DISPATCH_UNITS", 0)
+def test_the_caller_prepares_each_head_ordering_once(no_process,
+                                                     monkeypatch):
+    """A decision prepares each of the 15 orderings it walks once, at 1,
+    2 or 3 workers alike, and starts no process."""
     prepared = []
     prepare = engine._prepare
 
@@ -1296,277 +1272,89 @@ def test_the_caller_prepares_each_head_ordering_once(started, monkeypatch):
     monkeypatch.setattr(engine, "_prepare", counting)
     q, q2 = map(parse_query, PROD_ONES)
     counts, verdicts = [], []
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         prepared.clear()
         verdicts.append(engine.n_equivalent(q, q2, 4, workers=workers))
         counts.append(len(prepared))
-    assert counts == [15, 15]
-    assert len(started) == 1
-    assert verdicts[0] == verdicts[1] and verdicts[0].equivalent
+    assert counts == [15, 15, 15]
+    assert verdicts[0] == verdicts[1] == verdicts[2]
+    assert verdicts[0].equivalent
 
 
 def test_a_small_walk_past_the_head_stays_in_the_caller():
-    """`PROD_ONES` at N = 4 plans 24 units past the head, under
-    `_DISPATCH_UNITS`, so at two workers on two usable CPUs the caller
-    walks it all: it loads no `multiprocessing`, builds no workers, never
-    takes their lock, and decides as one worker does."""
+    """`PROD_ONES` at N = 4 walks levels 2 to 4 too: at two workers the
+    calling process walks them, loads no `multiprocessing`, and decides
+    as one worker does."""
     code = f"""
 import sys
 from aggequiv import engine
 from aggequiv.parsing import parse_query
-class Refused:
-    def acquire(self, *args):
-        raise AssertionError("the workers' lock was taken")
-    __enter__ = acquire
-engine._pool_lock = Refused()
-engine._usable_cpus = lambda: 2
 q, q2 = map(parse_query, {PROD_ONES!r})
-planned = engine.plan_units(q, q2, 4)[engine._HEAD_LEVELS:]
 two = engine.n_equivalent(q, q2, 4, workers=2)
-print(sum(s * o for s, o in planned) < engine._DISPATCH_UNITS,
-      two == engine.n_equivalent(q, q2, 4), "multiprocessing" in sys.modules,
-      engine._pool)
+print(two == engine.n_equivalent(q, q2, 4), "multiprocessing" in sys.modules)
 """
     done = run_fresh(code)
     assert (done.returncode, done.stdout, done.stderr) == (
-        0, "True True False []\n", "")
-
-
-#: a pair whose first failure needs two fresh values and whose walk past
-#: the head plans 64,059 units at N = 4 (482 at N = 3)
-EDGES = ("q(; count()) :- e(X, Y), X < Y", "q(; count()) :- e(X, Y), X != Y")
-
-
-def test_a_large_walk_past_the_head_reaches_the_workers(started,
-                                                        monkeypatch):
-    """At N = 4 the walk past the head plans at least `_DISPATCH_UNITS`
-    units, so a two-worker decision asks for its workers once and
-    reports the one-worker counterexample; at N = 3 it plans fewer and
-    asks for none."""
-    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
-    asked = []
-    workers_of = engine._workers
-
-    def recording(strides):
-        asked.append(strides)
-        return workers_of(strides)
-    monkeypatch.setattr(engine, "_workers", recording)
-    q, q2 = map(parse_query, EDGES)
-    for n, dispatched in ((4, [2]), (3, [])):
-        planned = engine.plan_units(q, q2, n)[engine._HEAD_LEVELS:]
-        assert (sum(subsets * orderings for subsets, orderings in planned)
-                >= engine._DISPATCH_UNITS) == bool(dispatched)
-        asked.clear()
-        verdict = engine.n_equivalent(q, q2, n, workers=2)
-        assert asked == dispatched
-        assert verdict == engine.n_equivalent(q, q2, n)
-        assert verdict.counterexample == engine.Counterexample(
-            Database(frozenset({("e", (F(1), F(0)))})), (), None, 1)
-    assert len(started) == 1
-
-
-def test_one_usable_cpu_scans_in_process(no_process, scans, monkeypatch):
-    """With one usable CPU a parallel decision runs one stride: the
-    caller scans every level itself, head included, and starts no
-    process."""
-    monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
-    q, q2 = map(parse_query, TWO_VALUES)
-    for workers in (2, 10 ** 6):
-        scans.clear()
-        verdict = engine.n_equivalent(q, q2, 4, workers=workers)
-        assert scans == [(0, 1, False)]
-        assert verdict.counterexample == TWO_VALUES_CE
-
-
-def test_differing_heads_keep_the_same_head_rule(started, monkeypatch):
-    """Differing heads walk level N alone.  With two workers the caller
-    walks levels 0 and 1, so at N = 1 it finds the failure on {b(0),
-    p(0)} itself and starts no process, and at N = 2 level 2 is split
-    between the caller and one worker; either way the counterexample is
-    the one-worker one."""
-    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(engine, "_DISPATCH_UNITS", 0)
-    q = parse_query("q(; count()) :- p(X), b(X)")
-    q2 = parse_query("q(; max(X)) :- p(X), b(X)")
-    verdict = engine.n_equivalent(q, q2, 1, workers=2)
-    assert started == []
-    assert verdict.counterexample == engine.Counterexample(Database(
-        frozenset({("b", (F(0),)), ("p", (F(0),))})), (), 1, F(0))
-    assert verdict == engine.n_equivalent(q, q2, 1)
-    verdict = engine.n_equivalent(q, q2, 2, workers=2)
-    assert len(started) == 1
-    assert verdict == engine.n_equivalent(q, q2, 2)
+        0, "True False\n", "")
 
 
 def test_workers_beyond_the_usable_cpus_start_no_more_processes(
-        started, scans, monkeypatch):
-    """A decision asking for a million workers on three usable CPUs runs
-    three strides: the caller scans stride 0, the head whole and its
-    share of the levels after it, in one walk that dispatches the
-    others, and two processes, no more, run strides 1 and 2.  It
-    decides as one worker does."""
-    monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(engine, "_DISPATCH_UNITS", 0)
+        no_process, scans):
+    """A decision asking for a million workers runs one scan, in the
+    calling process, starts no process and decides as one worker does:
+    on `TWO_VALUES` at N = 3, and on `EDGES` at N = 4, whose levels past
+    the first two hold 64,059 units."""
+    for pair, n in ((TWO_VALUES, 3), (EDGES, 4)):
+        q, q2 = map(parse_query, pair)
+        one = engine.n_equivalent(q, q2, n)
+        scans.clear()
+        verdict = engine.n_equivalent(q, q2, n, workers=10 ** 6)
+        assert len(scans) == 1
+        assert verdict == one
+    assert verdict.counterexample == engine.Counterexample(
+        Database(frozenset({("e", (F(1), F(0)))})), (), None, 1)
     q, q2 = map(parse_query, TWO_VALUES)
-    verdict = engine.n_equivalent(q, q2, 3, workers=10 ** 6)
-    assert scans == [(0, 3, True)]
-    assert len(started) == 2
-    assert verdict.counterexample == TWO_VALUES_CE
-    assert verdict == engine.n_equivalent(q, q2, 3)
+    assert engine.n_equivalent(q, q2, 3).counterexample == TWO_VALUES_CE
 
 
-def test_two_fact_failure_is_found_in_the_pool(monkeypatch):
-    """No unit of the head fails, so the strides after the head run in
-    the caller and the workers and report the one-worker counterexample.
-    Three CPUs are usable, whatever the host has, so three workers run
-    three strides."""
-    monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(engine, "_DISPATCH_UNITS", 0)
-    asked = []
-    workers_of = engine._workers
+def test_differing_heads_keep_the_same_head_rule():
+    """Differing heads walk level N alone: at N = 1 the failure is on
+    {b(0), p(0)}, and at N = 1 and N = 2 a decision at 1, 2 or 3 workers
+    reports the same counterexample."""
+    q = parse_query("q(; count()) :- p(X), b(X)")
+    q2 = parse_query("q(; max(X)) :- p(X), b(X)")
+    assert engine.n_equivalent(q, q2, 1).counterexample == \
+        engine.Counterexample(Database(frozenset(
+            {("b", (F(0),)), ("p", (F(0),))})), (), 1, F(0))
+    for n in (1, 2):
+        verdicts = [engine.n_equivalent(q, q2, n, workers=workers)
+                    for workers in (1, 2, 3)]
+        assert verdicts[0] == verdicts[1] == verdicts[2]
+        verify_ce(q, q2, verdicts[0])
 
-    def recording(strides):
-        asked.append(strides)
-        return workers_of(strides)
-    monkeypatch.setattr(engine, "_workers", recording)
+
+def test_two_fact_failure_is_found_past_the_head():
+    """No unit of levels 0 and 1 fails, so the first failure lies at
+    level 2, and a decision at 1, 2 or 3 workers reports the same
+    counterexample at N = 2 and N = 4."""
     q, q2 = map(parse_query, TWO_VALUES)
-    for workers in (2, 3):
-        for n in (2, 4):
-            assert engine.n_equivalent(q, q2, n).counterexample \
-                == TWO_VALUES_CE
-            asked.clear()
+    for n in (2, 4):
+        for workers in (1, 2, 3):
             verdict = engine.n_equivalent(q, q2, n, workers=workers)
             assert verdict.counterexample == TWO_VALUES_CE
-            assert asked == [workers]
-
-
-def test_broken_pool_is_replaced(started, monkeypatch):
-    """Workers with a dead one among them are dropped, the dead one
-    joined, and the decision runs on fresh ones."""
-    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(engine, "_DISPATCH_UNITS", 0)
-    q, q2 = map(parse_query, TWO_VALUES)
-    engine._workers(2)
-    (dead, _), = engine._pool
-    dead.kill()
-    dead.join(timeout=60)
-    assert dead.exitcode is not None
-    verdict = engine.n_equivalent(q, q2, 4, workers=2)
-    assert verdict == engine.n_equivalent(q, q2, 4)
-    assert verdict.counterexample == TWO_VALUES_CE
-    (fresh, _), = engine._pool
-    assert started == [dead, fresh] and fresh.is_alive()
-
-
-@pytest.mark.skipif(not FORKED_WORKERS, reason="needs forked workers")
-def test_workers_that_die_twice_raise_a_runtime_error(started, monkeypatch):
-    """A worker that dies mid-job is replaced once; when the fresh one
-    dies too the decision raises `BrokenWorkers`, a RuntimeError (the CLI
-    reports it as an internal error), and no worker is left."""
-    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(engine, "_DISPATCH_UNITS", 0)
-    scan = engine._scan
-
-    def dying(plan, offset=0, workers=1, dispatch=None):
-        if offset:
-            os._exit(1)
-        return scan(plan, offset, workers, dispatch)
-    monkeypatch.setattr(engine, "_scan", dying)
-    q, q2 = map(parse_query, TWO_VALUES)
-    with pytest.raises(engine.BrokenWorkers) as raised:
-        engine.n_equivalent(q, q2, 4, workers=2)
-    assert isinstance(raised.value, RuntimeError)
-    assert len(started) == 2
-    assert engine._pool == [] and multiprocessing.active_children() == []
-
-
-@pytest.mark.skipif(not FORKED_WORKERS, reason="needs forked workers")
-def test_a_worker_exception_is_raised_in_the_caller(started, monkeypatch):
-    """An exception in a worker's stride comes back with its own type
-    and is raised by the decision, never read as a verdict; the worker
-    replied, so it is kept."""
-    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(engine, "_DISPATCH_UNITS", 0)
-    scan = engine._scan
-
-    def failing(plan, offset=0, workers=1, dispatch=None):
-        if offset:
-            raise LookupError(f"stride {offset} of {workers}")
-        return scan(plan, offset, workers, dispatch)
-    monkeypatch.setattr(engine, "_scan", failing)
-    q, q2 = map(parse_query, TWO_VALUES)
-    for _ in range(2):
-        with pytest.raises(LookupError, match="stride 1 of 2"):
-            engine.n_equivalent(q, q2, 4, workers=2)
-    assert len(started) == 1 and started[0].is_alive()
-
-
-def test_dropped_workers_leave_no_process(started, monkeypatch):
-    """Dropping the workers sends each a stop and joins it: each exits
-    cleanly, no child process is left and no pipe is leaked (a leak
-    warns, and a warning fails the test run)."""
-    monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(engine, "_DISPATCH_UNITS", 0)
-    q, q2 = map(parse_query, TWO_VALUES)
-    verdict = engine.n_equivalent(q, q2, 4, workers=3)
-    assert verdict.counterexample == TWO_VALUES_CE
-    assert len(started) == 2
-    assert sorted(multiprocessing.active_children(), key=id) == \
-        sorted(started, key=id)
-    engine._drop_pool()
-    assert multiprocessing.active_children() == []
-    assert [process.exitcode for process in started] == [0, 0]
-    started.clear()
-    gc.collect()
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_builds_its_own_pool(monkeypatch):
-    """A child forked while the parent holds workers cannot use the
-    parent's; it builds its own and decides the same, and the parent's
-    workers are left to the parent."""
-    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(engine, "_DISPATCH_UNITS", 0)
-    q, q2 = map(parse_query, TWO_VALUES)
-    assert engine.n_equivalent(q, q2, 4, workers=2).counterexample \
-        == TWO_VALUES_CE
-    pool = engine._pool
-    pid = os.fork()
-    if pid == 0:  # the child never returns into the test runner
-        code = 1
-        try:
-            verdict = engine.n_equivalent(q, q2, 4, workers=2)
-            own = engine._pool and engine._pool is not pool
-            engine._drop_pool()
-            code = 0 if own and verdict.counterexample == TWO_VALUES_CE else 3
-        finally:
-            os._exit(code)
-    deadline = time.monotonic() + 120
-    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
-        if time.monotonic() > deadline:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child did not finish")
-        time.sleep(0.02)
-    assert os.waitstatus_to_exitcode(status[1]) == 0
-    assert engine._pool is pool
-    assert engine.n_equivalent(q, q2, 4, workers=2).counterexample \
-        == TWO_VALUES_CE
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_exits_quietly():
     """A child forked after a two-worker decision exits through
-    `sys.exit` with status 0 and prints nothing: multiprocessing's exit
-    handler in the child does not try to join the parent's workers, and
-    the parent still decides with them afterwards."""
+    `sys.exit` with status 0 and prints nothing, and the parent decides
+    the same afterwards."""
     code = f"""
 import os, sys
 from fractions import Fraction as F
 from aggequiv import engine
 from aggequiv.model import Database
 from aggequiv.parsing import parse_query
-engine._usable_cpus = lambda: 2
 q, q2 = map(parse_query, {TWO_VALUES!r})
 expected = engine.Counterexample(
     Database(frozenset({{("p", (F(0),)), ("p", (F(1),))}})), (), 1, 2)
@@ -1582,39 +1370,10 @@ print(os.waitstatus_to_exitcode(status),
     assert (done.returncode, done.stdout, done.stderr) == (0, "0 True\n", "")
 
 
-def test_parallel_decision_under_spawn():
-    """Workers started from a fresh interpreter (spawn, and forkserver
-    where there is one) get everything a stride needs from its job."""
-    methods = [m for m in ("spawn", "forkserver")
-               if m in multiprocessing.get_all_start_methods()]
-    code = f"""
-import multiprocessing, sys
-multiprocessing.set_start_method(sys.argv[1])
-from fractions import Fraction as F
-from aggequiv import engine
-from aggequiv.model import Database
-from aggequiv.parsing import parse_query
-engine._usable_cpus = lambda: 2
-engine._DISPATCH_UNITS = 0
-q, q2 = map(parse_query, {TWO_VALUES!r})
-verdict = engine.n_equivalent(q, q2, 4, workers=2)
-print(verdict.counterexample == engine.Counterexample(
-    Database(frozenset({{("p", (F(0),)), ("p", (F(1),))}})), (), 1, 2),
-    len(multiprocessing.active_children()))
-"""
-    for method in methods:
-        done = run_fresh(code, method)
-        assert (done.returncode, done.stdout, done.stderr) == (
-            0, "True 1\n", ""), method
-
-
 def test_start_up_leaves_the_pool_machinery_unloaded(tmp_path):
-    """Importing the package and deciding with one worker load neither
-    `concurrent` nor `multiprocessing`; a two-worker decision in the
-    same interpreter loads `multiprocessing` alone and starts a worker.
-    At exit the worker is stopped: the interpreter exits 0, prints
-    nothing after its last line and nothing to stderr, and leaves no
-    process behind."""
+    """Importing the package and deciding at one worker or at two load
+    neither `concurrent` nor `multiprocessing`, and print the same
+    output; the interpreter exits 0 and prints nothing to stderr."""
     a, b = tmp_path / "a.q", tmp_path / "b.q"
     a.write_text(TWO_VALUES[0] + "\n")
     b.write_text(TWO_VALUES[1] + "\n")
@@ -1625,55 +1384,23 @@ def loaded():
                   & {{"concurrent", "multiprocessing"}})
 import aggequiv
 print(loaded())
-from aggequiv import cli, engine
+from aggequiv import cli
 print(loaded())
-engine._usable_cpus = lambda: 2
-engine._DISPATCH_UNITS = 0
 argv = ["nequiv", {str(a)!r}, {str(b)!r}, "--n", "2", "--json"]
 cli.main(argv)
 print(loaded())
 cli.main(argv + ["--workers", "2"])
 print(loaded())
-import multiprocessing
-print([process.pid for process in multiprocessing.active_children()])
 """
     done = run_fresh(code)
     assert (done.returncode, done.stderr) == (0, "")
     lines = done.stdout.splitlines()
-    assert lines[:2] == ["[]", "[]"]
-    assert lines[3] == "[]"
-    assert lines[5] == "['multiprocessing']"
+    assert len(lines) == 6
+    assert lines[0] == lines[1] == lines[3] == lines[5] == "[]"
     one, two = (json.loads(line) for line in (lines[2], lines[4]))
     assert one["counterexample"] == {
         "facts": ["p(0).", "p(1)."], "grouping": [], "values": ["1", "2"]}
     assert two["counterexample"] == one["counterexample"]
-    pids = json.loads(lines[6])
-    assert len(lines) == 7 and len(pids) == 1
-    for pid in pids:  # joined by the interpreter before it exited
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)
-
-
-def test_workers_of_a_caller_that_dies_leave_quietly():
-    """A caller that dies without stopping its workers (here by
-    `os._exit`) leaves no process behind: each worker reads end of file
-    and exits without a word.  The workers hold the interpreter's stdout
-    and stderr until they exit, so the run returns only once every one
-    has exited, and a worker left waiting would time it out."""
-    code = f"""
-import os
-from aggequiv import engine
-from aggequiv.parsing import parse_query
-engine._usable_cpus = lambda: 3
-engine._DISPATCH_UNITS = 0
-q, q2 = map(parse_query, {TWO_VALUES!r})
-engine.n_equivalent(q, q2, 4, workers=3)
-print([process.pid for process, _ in engine._pool], flush=True)
-os._exit(0)
-"""
-    done = run_fresh(code)
-    assert (done.returncode, done.stderr) == (0, "")
-    assert len(json.loads(done.stdout)) == 2
 
 
 def run_fresh(code, *args):
