@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -6,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -1298,23 +1300,62 @@ print(two == engine.n_equivalent(q, q2, 4), "multiprocessing" in sys.modules)
         0, "True False\n", "")
 
 
+def test_a_large_walk_past_the_head_reaches_the_workers(no_process, scans):
+    """`EDGES` holds 64,059 units past levels 0 and 1 at N = 4 (482 at
+    N = 3).  A two-worker decision walks them in one scan in the calling
+    process, starts no process, and reports the one-worker
+    counterexample at both sizes."""
+    q, q2 = map(parse_query, EDGES)
+    for n in (4, 3):
+        one = engine.n_equivalent(q, q2, n)
+        scans.clear()
+        verdict = engine.n_equivalent(q, q2, n, workers=2)
+        assert len(scans) == 1
+        assert verdict == one
+        assert verdict.counterexample == engine.Counterexample(
+            Database(frozenset({("e", (F(1), F(0)))})), (), None, 1)
+
+
+def test_one_usable_cpu_scans_in_process(no_process, scans, monkeypatch):
+    """With one usable CPU a decision at 2 or a million workers runs one
+    scan in the calling process, starts no process and reports the
+    one-worker counterexample."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    q, q2 = map(parse_query, TWO_VALUES)
+    for workers in (2, 10 ** 6):
+        scans.clear()
+        verdict = engine.n_equivalent(q, q2, 4, workers=workers)
+        assert len(scans) == 1
+        assert verdict.counterexample == TWO_VALUES_CE
+
+
 def test_workers_beyond_the_usable_cpus_start_no_more_processes(
         no_process, scans):
     """A decision asking for a million workers runs one scan, in the
-    calling process, starts no process and decides as one worker does:
-    on `TWO_VALUES` at N = 3, and on `EDGES` at N = 4, whose levels past
-    the first two hold 64,059 units."""
-    for pair, n in ((TWO_VALUES, 3), (EDGES, 4)):
-        q, q2 = map(parse_query, pair)
-        one = engine.n_equivalent(q, q2, n)
-        scans.clear()
-        verdict = engine.n_equivalent(q, q2, n, workers=10 ** 6)
-        assert len(scans) == 1
-        assert verdict == one
-    assert verdict.counterexample == engine.Counterexample(
-        Database(frozenset({("e", (F(1), F(0)))})), (), None, 1)
+    calling process, starts no process and decides as one worker
+    does."""
     q, q2 = map(parse_query, TWO_VALUES)
-    assert engine.n_equivalent(q, q2, 3).counterexample == TWO_VALUES_CE
+    one = engine.n_equivalent(q, q2, 3)
+    scans.clear()
+    verdict = engine.n_equivalent(q, q2, 3, workers=10 ** 6)
+    assert len(scans) == 1
+    assert verdict.counterexample == TWO_VALUES_CE
+    assert verdict == one
+
+
+def test_dropped_workers_leave_no_process():
+    """A three-worker decision leaves no child process and no thread
+    behind, and leaks no pipe (a leak warns, and a warning fails the
+    test run)."""
+    threads = set(threading.enumerate())
+    q, q2 = map(parse_query, TWO_VALUES)
+    verdict = engine.n_equivalent(q, q2, 4, workers=3)
+    assert verdict.counterexample == TWO_VALUES_CE
+    assert multiprocessing.active_children() == []
+    assert set(threading.enumerate()) == threads
+    gc.collect()
 
 
 def test_differing_heads_keep_the_same_head_rule():
