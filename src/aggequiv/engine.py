@@ -47,51 +47,51 @@ stands for them or no check can fail, so the first failure is kept:
   (say p(u1) when both read p(Y) only with Y = 1) is idle: S holding it
   has the groups of S without it, an earlier unit.
 - With matching heads, a unit can separate the queries only if an
-  assignment that the aggregate tells apart from the other query's
-  fires on S (its positive atoms in S, its negated atoms not), by the
-  rule per function of `_differing_masks`; so a level is skipped where
-  neither query has an assignment using uk or none is told apart so
-  far, before any ordering is built, and an ordering that prepares none
-  told apart, or passes the ordering drop below, leaves the level's
-  walk.  Equal bags can still disagree under two functions (max and
-  min): differing heads are not skipped.
+  assignment one query holds more often than the other fires on S (its
+  positive atoms in S, its negated atoms not; `_differing_masks`).
+- With matching heads, a level is skipped before any ordering is built,
+  and an ordering leaves its level's walk as it is prepared, where the
+  agreement rule below holds: on the compiled assignments of the level
+  and every earlier one, or on the ordering's prepared assignments.
+  Equal bags can still disagree under two functions (max and min):
+  differing heads are not skipped.
 
-The walk decides no identity twice, by two sets of sorted bags: one
-per decision of those whose sides are the same function of the same
-terms (`identity.holds_everywhere`), valid under every ordering, and one
-per ordering of those decided valid under it.  A failing identity ends
-the walk, so neither changes a counterexample.  A level is planned
-when reached: `_compile` holds each query's assignments to its terms
-that use uk, by index arithmetic built once per disjunct (`_program`),
-and settles the comparisons no strict ordering can change, each other
-one a pair of terms the ordering must put in that order, so preparing
-an ordering filters on term positions.  A level's orderings place uk
-into the previous level's (`orderings.place_next_variable`), and each
-is prepared from its parent's prepared assignments plus the level's
-own, a parent not yet prepared being prepared first; only level 0
-starts from none.  An ordering whose uk stays above every term is its
-parent's, memo included.
-
-Ordering drop: as an ordering is prepared, `_agree_on_every_subset`
-asks, from its prepared assignments alone, whether the queries take the
-same value on every group of every subset under it; if so, no unit under
-it can fail and it leaves the walk.  An assignment fires on the subsets
-of its cube: those holding its positive atoms and none of its negated
-ones.  Under max, min, top2, bot2 and cntd a group's value is a function
-of its set of items, which the ordering keeps apart, so it is enough that
+Agreement (`_agree_on_every_subset`): do the queries take the same value
+on every group of every subset?  An assignment fires on the subsets of
+its cube: those holding its positive atoms and none of its negated ones.
+Under max, min, top2, bot2 and cntd a group's value is a function of its
+set of items, which a strict ordering keeps apart, so it is enough that
 each (key, item) fires on the same subsets on both sides: each cube of
 one side lies in the union of the other side's (Shannon expansion on an
-atom).  Under count, parity and sum a group's value sums a weight per
-firing assignment, a polynomial in the atoms with the weights for
-coefficients, and the sides agree where the difference is 0 (mod 2 for
-parity); a group of zeros, or of even size, still differs from none, so
-under sum and parity each key must also fire on the same subsets.  Then
-every group is on both sides or neither, and every identity holds under
-every assignment that satisfies the ordering, so the first failure is
-kept.  The orderings placed into a dropped one start from its agreeing
-assignments, so only their own level's assignments told apart can
-separate the queries.  avg, prod and differing heads stay on the walk.
-The walk runs in the calling process: `workers` changes nothing.
+atom).  Under count, parity, sum and prod each key must fire on the same
+subsets, and per item symbol a group counts a weight per firing
+assignment (under prod, the item's power): a polynomial in the atoms,
+and the sides agree where the difference is 0 (mod 2 for parity).  Under
+an ordering over the integers an item is first renamed by its reduction,
+so a variable pinned to 1 weighs nothing under prod.  A compiled
+assignment's `before` pairs join its cube as literals, read as free
+booleans, so agreement there holds under every ordering; a group's value
+adds up over the assignments of the levels, so each level is compared on
+its own.  Then every group is on both sides or neither, and every
+identity holds under every assignment that satisfies the ordering, so
+the first failure is kept.  The orderings placed into a dropped one
+start from its agreeing assignments, so only their own level's
+assignments told apart can separate the queries.  avg stays on the walk:
+a common factor per key does not add up over the levels.
+
+The walk decides no identity whose sides are the same function of the
+same terms (`identity.holds_everywhere`) twice: one set of sorted bags
+per decision holds them.  A level is planned when reached: `_compile`
+holds each query's assignments to its terms that use uk, by index
+arithmetic built once per disjunct (`_program`), and settles the
+comparisons no strict ordering can change, each other one a pair of
+terms the ordering must put in that order, so preparing an ordering
+filters on term positions.  A level's orderings place uk into the
+previous level's (`orderings.place_next_variable`), and each is prepared
+from its parent's prepared assignments plus the level's own, a parent
+not yet prepared being prepared first; only level 0 starts from none.
+An ordering whose uk stays above every term is its parent's.  The walk
+runs in the calling process: `workers` changes nothing.
 
 Full equivalence reduces to N-equivalence at the pair's term size for
 the decomposable functions (count, sum, max, min, parity, top2) and for
@@ -107,7 +107,7 @@ from typing import Iterator, NamedTuple, Optional
 from . import identity, oracle
 from .aggregation import FUNCTIONS, apply
 from .model import (
-    AggregateTerm, Database, Query, RATIONALS, Var,
+    AggregateTerm, Database, INTEGERS, Query, RATIONALS, Var, is_const,
     merged_predicates, term_size_pair, term_sort_key,
 )
 from .orderings import (
@@ -214,22 +214,25 @@ def _program(terms: list, constants: int, offsets: dict, q: Query) -> list:
     return program
 
 
-def _compile(plan: "_Plan", program: list, k: int) -> list:
+def _compile(plan: "_Plan", program: list, k: int) -> tuple:
     """The assignments of a query's variables (its `_program`) to the
     terms of level k, the constants and u1..uk, that use uk (at level 0,
-    to the constants), as `(before, prepared)`; those failing a
-    comparison no ordering can change, or needing an atom both present
-    and absent, are left out.
+    to the constants), as a list of `(before, prepared)` and the list of
+    their cubes; those failing a comparison no ordering can change, or
+    needing an atom both present and absent, are left out.
 
     `prepared` is `(positive, negated, key, item)`: the atoms as bitmasks
     over BASE, group key and aggregate item as term indexes.  `before`
     holds the pairs (a, b) an ordering must put a before b; the other
     comparisons are settled: a term against itself, two constants (their
-    indexes are in value order), = or != between distinct terms.
+    indexes are in value order), = or != between distinct terms.  A cube
+    is `prepared` with one literal bit per pair of `before`, above BASE,
+    among its positive atoms: it fires where the assignment holds and
+    fires, reading each literal as a free boolean.
     """
     constants, top = plan.constants, plan.constants + k
     tail = tuple(range(constants))
-    compiled = []
+    compiled, cubes = [], []
     for variables, atoms, comparisons, key, item in program:
         for values in itertools.product(range(top), repeat=variables):
             if k and top - 1 not in values:
@@ -253,10 +256,16 @@ def _compile(plan: "_Plan", program: list, k: int) -> list:
                     else:
                         negated |= 1 << at
                 if not positive & negated:
-                    compiled.append((tuple(sorted(before)), (
-                        positive, negated, tuple([row[o] for o in key]),
-                        tuple([row[o] for o in item]))))
-    return compiled
+                    prepared = (positive, negated,
+                                tuple([row[o] for o in key]),
+                                tuple([row[o] for o in item]))
+                    compiled.append((tuple(sorted(before)), prepared))
+                    for a, b in before:  # a literal bit each, above BASE
+                        positive |= 1 << (len(plan.base)
+                                          + a * len(plan.terms) + b)
+                    cubes.append((positive, *prepared[1:]) if before
+                                 else prepared)
+    return compiled, cubes
 
 
 def _prepare_assignments(compiled: list, position: list) -> list:
@@ -281,7 +290,6 @@ def _collect_groups(prepared: list, mask: int) -> dict:
 
 def _pair_counterexample(plan: "_Plan", mask: int,
                          ordering: CompleteOrdering, prep1: list, prep2: list,
-                         memo: Optional[set] = None,
                          everywhere: Optional[set] = None
                          ) -> Optional[Counterexample]:
     """Check the unit (S, L), S the atoms in `mask`; None: no disagreement.
@@ -291,11 +299,10 @@ def _pair_counterexample(plan: "_Plan", mask: int,
     `plan.rank` is each base term's place in `term_sort_key` order, by
     which group keys are visited.  Differing heads and one-sided groups
     are instantiated under the ordering's canonical satisfying
-    assignment.  `memo`, when given, holds the sorted `(left, right)`
-    bags this ordering has decided valid, and `everywhere` those of the
-    decision that `identity.holds_everywhere` (valid under every
-    ordering); neither is decided again.  A failing identity ends the
-    scan, so the counterexample depends on neither.
+    assignment.  `everywhere`, when given, holds the sorted `(left,
+    right)` bags of the decision that `identity.holds_everywhere` (valid
+    under every ordering), which are not decided again.  A failing
+    identity ends the scan, so the counterexample does not depend on it.
     """
     q, q2, terms, rank = plan.q, plan.q2, plan.terms, plan.rank
     groups1 = _collect_groups(prep1, mask)
@@ -329,8 +336,7 @@ def _pair_counterexample(plan: "_Plan", mask: int,
     for key in sorted(keys1, key=by_rank):
         left, right = groups1[key], groups2[key]
         bags = (tuple(sorted(left)), tuple(sorted(right)))
-        if (everywhere is not None and bags in everywhere
-                or memo is not None and bags in memo):
+        if everywhere is not None and bags in everywhere:
             continue
         left, right = _as_terms(terms, left), _as_terms(terms, right)
         if identity.holds_everywhere(func, left, right):
@@ -342,8 +348,6 @@ def _pair_counterexample(plan: "_Plan", mask: int,
         if not verdict.valid:
             return _materialize(plan, mask, key, groups1, groups2,
                                 verdict.witness)
-        if memo is not None:
-            memo.add(bags)
     return None
 
 
@@ -370,52 +374,17 @@ def _same_head(q: Query, q2: Query) -> bool:
             and len(q.grouping) == len(q2.grouping))
 
 
-def _differing_masks(plan: "_Plan", entries1: list, entries2: list) -> set:
-    """(positive, negated) masks of the `(before, prepared)` entries, one
-    list per query with matching heads, on which their values can
-    differ.  count and avg read the multiset of entries, parity that
-    multiset mod 2, sum and prod that of the entries whose item is not
-    the constant their monoid ignores (0, 1); max, min, top2, bot2 and
-    cntd read the set of items.  Except under count and avg an entry also
-    needs one of the other query's with its (positive, negated, key), or
-    its prepared where the set of items is read, and a subset of its
-    `before`: that one holds and fires wherever it does, so groups exist
-    on the same subsets."""
-    if entries1 == entries2:
-        return set()  # the same entries in the same order
-    if not entries1 or not entries2:  # nothing covers the other's entries
-        return {prepared[:2] for _, prepared in entries1 or entries2}
-    func = plan.q.aggregate.function
-    differing, width = set(), 4  # a set of items: cover by prepared
-    if not _reads_a_set(func):
-        neutral, balance = plan.neutral, {}
-        for sign, entries in ((1, entries1), (-1, entries2)):
-            for entry in entries:
-                if entry[1][3] not in neutral:
-                    balance[entry] = balance.get(entry, 0) + sign
-        parity = func.name == "parity"
-        differing = {entry[1][:2] for entry, surplus in balance.items()
-                     if (surplus & 1 if parity else surplus)}
-        if func.name in ("count", "avg"):
-            return differing
-        width = 3  # cover by (positive, negated, key) alone
-    for mine, theirs in ((entries1, entries2), (entries2, entries1)):
-        cover: dict = {}
-        for before, prepared in theirs:
-            cover.setdefault(prepared[:width], set()).add(before)
-        for before, prepared in mine:
-            found = cover.get(prepared[:width], ())  # their `before`s
-            if () not in found and not any(set(pairs) <= set(before)
-                                           for pairs in found):
-                differing.add(prepared[:2])
-    return differing
-
-
-def _reads_a_set(func) -> bool:
-    """Is a group's value under `func` a function of its set of items?
-    So are max, min, top2 and bot2 (idempotent monoids), and cntd."""
-    return func.name == "cntd" or (func.monoid is not None
-                                   and func.monoid.idempotent)
+def _differing_masks(prep1: list, prep2: list) -> set:
+    """(positive, negated) masks of the assignments, prepared or compiled
+    cubes, that one query holds more often than the other: a subset on
+    which none of them fires gives both queries the same groups."""
+    if prep1 == prep2:
+        return set()  # the same assignments in the same order
+    balance: dict = {}
+    for sign, prepared in ((1, prep1), (-1, prep2)):
+        for entry in prepared:
+            balance[entry] = balance.get(entry, 0) + sign
+    return {entry[:2] for entry, surplus in balance.items() if surplus}
 
 
 def _fires(masks, mask: int) -> bool:
@@ -424,44 +393,44 @@ def _fires(masks, mask: int) -> bool:
                for positive, negated in masks)
 
 
-def _agree_on_every_subset(plan: "_Plan", prep1: list, prep2: list) -> bool:
+def _agree_on_every_subset(plan: "_Plan", prep1: list, prep2: list,
+                           ordering: Optional[CompleteOrdering] = None
+                           ) -> bool:
     """Do the queries, with matching heads, take the same value on every
-    group and every subset S, given their prepared assignments under one
-    ordering?  An assignment fires on the subsets of its cube: those
-    holding its positive atoms and none of its negated ones.  max, min,
-    top2, bot2 and cntd read the set of items, so each `(key, item)` must
-    fire on the same subsets (`_same_supports`); count, parity and sum
-    sum a weight per firing assignment (`_same_sums`), and a group of
-    zeros, or of even size, still differs from none, so under parity and
-    sum each key must fire on the same subsets too.  avg and prod are not
-    decided here."""
+    group and every subset S, given their assignments prepared under
+    `ordering`, or compiled cubes when it is None?  An assignment fires on
+    the subsets of its cube: those holding its positive atoms and none of
+    its negated ones.  max, min, top2, bot2 and cntd read the set of
+    items, so each `(key, item)` must fire on the same subsets
+    (`_same_supports`); under count, parity, sum and prod each key must
+    (a group of zeros, ones or of even size still differs from none),
+    and then each group's value must be the same polynomial
+    (`_same_sums`).  avg is not decided here."""
     func = plan.q.aggregate.function
-    if _reads_a_set(func):
-        return _same_supports(prep1, prep2, True)
-    if func.name not in ("count", "parity", "sum"):
-        return False
-    return _same_sums(plan, prep1, prep2) and (
-        func.name == "count" or _same_supports(prep1, prep2, False))
+    if func.name == "cntd" or func.monoid and func.monoid.idempotent:
+        return _same_supports(prep1, prep2, True)  # a set of items
+    return (func.name != "avg" and _same_supports(prep1, prep2, False)
+            and _same_sums(plan, prep1, prep2, ordering))
 
 
 def _same_supports(prep1: list, prep2: list, items: bool) -> bool:
     """Does each `(key, item)`, or each key when not `items`, fire on the
     same subsets under both lists of prepared assignments?  Each cube of
-    one side must lie in the union of the other side's cubes with its
-    `(key, item)`."""
-    supports: tuple = ({}, {})
-    for cubes, prepared in zip(supports, (prep1, prep2)):
-        for positive, negated, key, item in prepared:
-            cubes.setdefault((key, item) if items else key, set()).add(
-                (positive, negated))
-    first, second = supports
-    if first.keys() != second.keys():
-        return False
-    return all(_covered(positive, negated, theirs)
-               for support in first
-               for mine, theirs in ((first[support], second[support]),
-                                    (second[support], first[support]))
-               for positive, negated in mine - theirs)
+    one side that the other lacks must lie in the union of the other
+    side's cubes with its `(key, item)`."""
+    first, second = set(prep1), set(prep2)
+    for mine, theirs in ((first, second), (second, first)):
+        missing = mine - theirs
+        if missing:
+            cubes: dict = {}
+            for positive, negated, key, item in theirs:
+                cubes.setdefault((key, item) if items else key, []).append(
+                    (positive, negated))
+            for positive, negated, key, item in missing:
+                if not _covered(positive, negated, cubes.get(
+                        (key, item) if items else key, ())):
+                    return False
+    return True
 
 
 def _covered(positive: int, negated: int, cubes) -> bool:
@@ -486,24 +455,35 @@ def _covered(positive: int, negated: int, cubes) -> bool:
             and _covered(positive, negated | atom, live))
 
 
-def _same_sums(plan: "_Plan", prep1: list, prep2: list) -> bool:
-    """Does each key take the same count, parity or sum under both lists
-    of prepared assignments, on every subset?  A cube's indicator is the
-    polynomial in the atoms sum over T within its negated atoms of
-    (-1)^|T| x^(positive | T), so a key's value is a polynomial whose
-    coefficients are the items' weights: 1 under count and parity, under
-    sum the constant's value or the item's term itself.  The two sides
-    agree when their difference is 0 (mod 2 under parity)."""
+def _same_sums(plan: "_Plan", prep1: list, prep2: list,
+               ordering: Optional[CompleteOrdering]) -> bool:
+    """Does each key take the same count, parity, sum or prod under both
+    lists of assignments, prepared under `ordering` or compiled (None),
+    on every subset?  A cube's indicator is the polynomial in the atoms
+    sum over T within its negated atoms of (-1)^|T| x^(positive | T), so
+    a key's value is a polynomial whose coefficients are the items'
+    weights, per symbol: 1 under count and parity; under sum the item's
+    value, a constant's or the term itself as a symbol; under prod the
+    item's class as a symbol, counting its power.  Over the integers an
+    item is first renamed by the ordering's reduction, so a variable
+    pinned to a value weighs as that constant.  An item of 0 under sum,
+    or of 1 under prod, weighs nothing.  The two sides agree when their
+    difference is 0 (mod 2 under parity)."""
     func = plan.q.aggregate.function.name
+    renaming = (ordering.reduction[1] if ordering is not None
+                and ordering.domain == INTEGERS else {})
     difference: dict = {}
     for sign, prepared in ((1, prep1), (-1, prep2)):
         for positive, negated, key, item in prepared:
             symbol, weight = None, sign
-            if func == "sum":
-                if item[0] < plan.constants:
-                    weight *= plan.terms[item[0]].value
-                else:
-                    symbol = item[0]
+            if func in ("sum", "prod"):
+                symbol = plan.terms[item[0]]
+                symbol = renaming.get(symbol, symbol)
+                if is_const(symbol):
+                    if symbol.value == (0 if func == "sum" else 1):
+                        continue  # the item the monoid ignores
+                    if func == "sum":
+                        symbol, weight = None, sign * symbol.value
             subset = negated
             while True:
                 monomial = (key, symbol, positive | subset)
@@ -569,11 +549,12 @@ def n_equivalent(q: Query, q2: Query, n: int, workers: int = 1) -> Verdict:
 
 class _Plan(NamedTuple):
     """What a decision's walk reads: BASE over `terms` (the constants,
-    then u1..un), the items `q`'s group monoid ignores (the constant 0
-    under sum, 1 under prod), both queries' `_program`, per atom its
-    level and weight and the largest arity (`weights`), and per level
-    both queries' `_compile` and, with matching heads, the masks
-    `_differing_masks` tells apart in them, filled as the walk goes."""
+    then u1..un), both queries' `_program`, per atom its level and weight
+    and the largest arity (`weights`), and per level both queries'
+    `_compile` and, with matching heads, the masks of the compiled cubes
+    one query holds more often than the other (`_differing_masks`), none
+    where `_agree_on_every_subset` holds on them, filled as the walk
+    goes."""
     q: Query
     q2: Query
     terms: list
@@ -581,7 +562,6 @@ class _Plan(NamedTuple):
     base: list
     rank: list
     same_head: bool
-    neutral: frozenset
     programs: tuple
     weights: tuple
     compiled: list
@@ -605,13 +585,8 @@ def _plan(q: Query, q2: Query, n: int) -> _Plan:
             levels.append(max(max(combo, default=0) - constants + 1, 0))
             weights.append((1 << len(weights))
                            + sum(map(low.__getitem__, set(combo))))
-    func = q.aggregate.function
-    neutral = frozenset(
-        (i,) for i, t in enumerate(terms[:constants])
-        if func.monoid is not None and func.monoid.is_group
-        and func.tuple_map((t.value,)) == func.monoid.zero)
     return _Plan(q, q2, terms, constants, base, _ranks(terms),
-                 _same_head(q, q2), neutral,
+                 _same_head(q, q2),
                  tuple(_program(terms, constants, offsets, query)
                        for query in (q, q2)),
                  (levels, weights, max(predicates.values(), default=0)), [])
@@ -620,17 +595,24 @@ def _plan(q: Query, q2: Query, n: int) -> _Plan:
 def _walked_levels(plan: _Plan) -> Iterator[int]:
     """The levels the scan walks, each compiled first (with those before
     it): with differing heads level n, with matching heads each level but
-    those skipped whole, where `_differing_masks` tells no assignment of
-    it or an earlier level apart (assignments of different levels have
-    different atoms, so each level is compared on its own)."""
+    those skipped whole, where the queries agree on every subset under
+    every ordering on the compiled cubes of it and of every earlier
+    level.  Each level is compared on its own: assignments of different
+    levels have different atoms, and a group's value, as a set of items,
+    a support or a polynomial, adds up over them."""
     n = len(plan.terms) - plan.constants
     differ = False
     for k in range(n + 1):
         if len(plan.compiled) == k:
-            new1, new2 = (tuple(_compile(plan, program, k))
-                          for program in plan.programs)
-            plan.compiled.append((new1, new2, _differing_masks(
-                plan, new1, new2) if plan.same_head else None))
+            (new1, cubes1), (new2, cubes2) = (_compile(plan, program, k)
+                                              for program in plan.programs)
+            masks = None
+            if plan.same_head:
+                masks = set()
+                if new1 != new2 and not _agree_on_every_subset(
+                        plan, cubes1, cubes2):
+                    masks = _differing_masks(cubes1, cubes2)
+            plan.compiled.append((new1, new2, masks))
         new1, new2, masks = plan.compiled[k]
         if plan.same_head:
             differ = differ or bool(masks)
@@ -645,7 +627,7 @@ class _Ordering:
     until prepared, then each term's `position` and `prepared`: both
     queries' prepared assignments, the mask of the atoms neither reads,
     the masks they disagree on ({(0, 0)} for differing heads, none once
-    `_agree_on_every_subset` holds), the memo."""
+    `_agree_on_every_subset` holds)."""
     __slots__ = ("ordering", "gap", "parent", "prepared", "position")
 
     def __init__(self, ordering: CompleteOrdering, gap: int, parent):
@@ -676,14 +658,11 @@ def _prepare(plan: _Plan, state: _Ordering, k: int) -> tuple:
     from none."""
     parent = state.parent
     if parent is None:
-        prep1, prep2, idle, differing, memo = (
-            [], [], (1 << len(plan.base)) - 1, set(), set())
+        prep1, prep2, idle = [], [], (1 << len(plan.base)) - 1
         position = [state.ordering.position(t) for t in plan.terms]
     else:
-        prep1, prep2, idle, differing, memo = (
+        prep1, prep2, idle, differing = (
             parent.prepared or _prepare(plan, parent, k - 1))
-        if state.ordering is not parent.ordering:
-            memo = set()
         placed, gap = plan.constants + k - 1, state.gap
         position = parent.position
         if gap < placed:  # uk moves down, and the terms it passes move up
@@ -696,16 +675,14 @@ def _prepare(plan: _Plan, state: _Ordering, k: int) -> tuple:
     prep1, prep2 = prep1 + new1, prep2 + new2
     if not plan.same_head:
         differing = {(0, 0)}  # fires on every subset
+    elif parent is None:  # level 0's cubes, decided as they were compiled
+        differing = plan.compiled[0][2]
     else:
-        # each assignment prepared here holds: no `before`; level 0's are
-        # its compiled ones, compared as the level was compiled
-        differing = differing | (plan.compiled[0][2] if parent is None
-                                 else _differing_masks(
-                                     plan, [((), p) for p in new1],
-                                     [((), p) for p in new2]))
-        if differing and _agree_on_every_subset(plan, prep1, prep2):
+        differing = differing | _differing_masks(new1, new2)
+        if differing and _agree_on_every_subset(plan, prep1, prep2,
+                                                state.ordering):
             differing = set()  # no unit under it can fail
-    state.prepared = (prep1, prep2, idle, differing, memo)
+    state.prepared = (prep1, prep2, idle, differing)
     state.position, state.parent = position, None
     return state.prepared
 
@@ -745,7 +722,7 @@ def _scan(plan: _Plan):
         for first, mask in zip(itertools.count(0, len(states)),
                                _level_subsets(plan, k)):
             for position, state in walk:
-                prep1, prep2, idle, differing, memo = (
+                prep1, prep2, idle, differing = (
                     state.prepared or _prepare(plan, state, k))
                 if not differing:
                     # both queries take the same values on every subset
@@ -754,7 +731,7 @@ def _scan(plan: _Plan):
                 if mask & idle or not _fires(differing, mask):
                     continue
                 ce = _pair_counterexample(plan, mask, state.ordering,
-                                          prep1, prep2, memo, everywhere)
+                                          prep1, prep2, everywhere)
                 if ce is not None:
                     return (k, first + position), ce
             if not walk:

@@ -13,11 +13,12 @@ decider's value forms, build their witnesses by the library's rule;
 the lex-leaders of `place_next_variable`, keeps orders with the
 library's `is_satisfiable_order` and `entails`; and
 `reference_scan` and `reference_units`, for the scan's level planning,
-skips, ordering drop and memo, and `subset_major_scan`, a verdict
+level skips and ordering drop, and `subset_major_scan`, a verdict
 reference for the level walk, compile and prepare with the library's
 `_compile` and `_prepare_assignments` and check each unit with the
-library's `_pair_counterexample`, passing no memo; their differing skip
-is `differing_masks`, the exact-multiset rule.
+library's `_pair_counterexample`; their differing skip is
+`differing_masks`, the exact-multiset rule, and they neither skip a
+level nor drop an ordering by the agreement rule.
 """
 
 from __future__ import annotations
@@ -278,7 +279,7 @@ def reference_prepare(q, ordering: CompleteOrdering, terms, atom_bit) -> list:
 
 
 # ---------------------------------------------------------------------------
-# The (S, L) walk without the level planning, the skips or the memo
+# The (S, L) walk without the level planning or the agreement skips
 # ---------------------------------------------------------------------------
 
 def compile_all(plan, side: int) -> list:
@@ -286,14 +287,14 @@ def compile_all(plan, side: int) -> list:
     base term, compiled level by level."""
     n = len(plan.terms) - plan.constants
     return [c for k in range(n + 1)
-            for c in engine._compile(plan, plan.programs[side], k)]
+            for c in engine._compile(plan, plan.programs[side], k)[0]]
 
 
 def reference_scan(plan):
-    """`engine._scan` without the lazy planning, the level skips, the
-    ordering drop or the memo: the first failing unit of
-    `reference_units`, deciding every identity it meets, as `((level,
-    unit index), counterexample)`, or None."""
+    """`engine._scan` without the lazy planning, the level skips or the
+    ordering drop: the first failing unit of `reference_units`, deciding
+    every identity it meets, as `((level, unit index), counterexample)`,
+    or None."""
     for k, unit, mask, ordering, prep1, prep2 in reference_units(plan):
         ce = engine._pair_counterexample(plan, mask, ordering, prep1, prep2)
         if ce is not None:
@@ -320,7 +321,7 @@ def reference_units(plan):
     for k in range(n + 1) if plan.same_head else [n]:
         compiled1, compiled2 = (
             [c for j in range(k + 1)
-             for c in engine._compile(plan, program, j)]
+             for c in engine._compile(plan, program, j)[0]]
             for program in plan.programs)
         orderings = []
         for order in _injective_interleavings(constants, fresh[:k]):
@@ -347,8 +348,8 @@ def reference_units(plan):
 def differing_masks(prep1: list, prep2: list) -> set:
     """(positive, negated) masks of the prepared assignments that one
     query prepares more often than the other: the exact-multiset rule,
-    blind to the aggregate function, that the engine's function-aware
-    `_differing_masks` refines."""
+    blind to the aggregate function, written apart from the engine's
+    `_differing_masks`."""
     balance = Counter(prep1)
     balance.subtract(prep2)
     return {prepared[:2] for prepared, surplus in balance.items() if surplus}
@@ -375,9 +376,9 @@ def _prepare_all(plan, orderings, compiled1, compiled2) -> list:
 def subset_major_scan(plan):
     """The first failing unit of the walk over every subset of BASE (by
     size) and, per subset, every lex-leader ordering of all base terms,
-    with only the idle and differing unit skips and no memo, as
-    `(unit index, counterexample)`, or None.  Its counterexample can
-    differ from the level walk's, never its verdict."""
+    with only the idle and differing unit skips, as `(unit index,
+    counterexample)`, or None.  Its counterexample can differ from the
+    level walk's, never its verdict."""
     walk = _prepare_all(plan, filtered_complete_orderings(
         plan.terms, plan.q.domain, injective_only=True),
         compile_all(plan, 0), compile_all(plan, 1))

@@ -141,7 +141,7 @@ def test_compiled_preparation_matches_reference():
         plan = engine._plan(q, q, n)
         terms = plan.terms
         atom_bit = {atom: 1 << i for i, atom in enumerate(plan.base)}
-        levels = [engine._compile(plan, plan.programs[0], k)
+        levels = [engine._compile(plan, plan.programs[0], k)[0]
                   for k in range(n + 1)]
         for ordering in filtered_complete_orderings(terms, domain,
                                                     injective_only=True):
@@ -409,7 +409,9 @@ def random_shape_pair(rng, wide=False):
     differing heads, both domains and n <= 3.  `wide` adds the shapes of
     `_WIDE_SHAPES`, comparisons between two variables, second queries
     that split one of the first query's disjuncts on an atom and its
-    negation, and BASE up to 14 atoms."""
+    negation, unary avg, cntd and prod pairs over the integers with the
+    constants 0 and 2, between which a variable is pinned to 1, and BASE
+    up to 14 atoms."""
     shapes = {**_SHAPES, **_WIDE_SHAPES} if wide else _SHAPES
 
     def query(kind, func, disjuncts):
@@ -454,6 +456,11 @@ def random_shape_pair(rng, wide=False):
             # prod {Y} = prod {Y, Y} holds at Y = 1 only
             kind, domain, constants = "unary", INTEGERS, ("0", "3")
             func = func2 = "prod"
+            if wide and rng.random() < 0.5:
+                # between 0 and 2 an integer variable is pinned to 1, which
+                # prod ignores
+                constants = ("0", "2")
+                func = func2 = rng.choice(["avg", "cntd", "prod"])
         # shared disjuncts keep the first failure late or absent
         shared = [disjunct(kind, constants)
                   for _ in range(rng.randint(1, 2))]
@@ -485,10 +492,10 @@ def random_shape_pair(rng, wide=False):
 
 def test_level_walk_keeps_the_first_failing_unit():
     """Random pairs (`random_shape_pair`): the scan, which plans each
-    level when it reaches it, skips levels, drops orderings and keeps a
-    memo, finds the same first failing unit (level, index and
-    counterexample) as the reference walk over every unit of every
-    level, and a decision at 1, 2 or 3 workers reports it too."""
+    level when it reaches it, skips levels and drops orderings, finds
+    the same first failing unit (level, index and counterexample) as
+    the reference walk over every unit of every level, and a decision
+    at 1, 2 or 3 workers reports it too."""
     rng = random.Random(1996)
     outcomes = Counter()
     for _ in range(200):
@@ -822,14 +829,33 @@ def test_differential_skip_is_sound():
     assert partly_skipped > 0 and skipped > partly_skipped
 
 
+def dropped_orderings(plan) -> set:
+    """`(level, ordering)` of each ordering the scan drops, at each level
+    it walks: prepared, it has no masks left to differ on."""
+    dropped = set()
+    for k in engine._walked_levels(plan):
+        states = []
+        for level in range(k + 1):
+            states = engine._extend(plan, states, level)
+        for state in states:
+            if not (state.prepared or engine._prepare(plan, state, k))[3]:
+                dropped.add((k, state.ordering))
+    return dropped
+
+
 def test_function_aware_skips_keep_every_failing_unit():
     """Random pairs with matching heads over the nine grammar functions,
-    the constants 0 and 1 and duplicated disjuncts: no unit of a level
-    `_walked_levels` skips, and no unit under an ordering on which
-    `_differing_masks` has no mask firing, fails under the reference walk
-    (`reference_units`, with the exact-multiset skip).  The engine's
-    rule skips units that rule walks, at both places and for every
-    function but count and avg."""
+    the constants 0 and 1 and duplicated disjuncts, and fixed pairs:
+    no unit of a level `_walked_levels` skips, and no unit under an
+    ordering the scan drops, fails under the reference walk
+    (`reference_units`, with the exact-multiset skip).  Both skip units
+    that walk checks, under every function but avg.  The fixed pairs:
+    over the integers, a variable pinned to 1 between 0 and 2, which
+    prod ignores, and one pinned to 2 between 1 and 3, which it does
+    not; top2 with a second disjunct that needs Y > 1, whose cubes the
+    first's cover with its literal free; and splits on b(Y) and !b(Y),
+    which agree on every level, or under each ordering once a
+    comparison sets them apart from a third disjunct."""
     rng = random.Random(31)
 
     def random_disjunct(grouped, constants):
@@ -853,7 +879,7 @@ def test_function_aware_skips_keep_every_failing_unit():
         # a copy of a disjunct adds each of its assignments once more
         return disjuncts + [rng.choice(disjuncts)] * rng.randint(0, 2)
 
-    levels, units = Counter(), Counter()
+    pairs = []
     for func in FUNCTION_NAMES * 40:
         domain = rng.choice([INTEGERS, "rat"])
         constants = rng.choice([("0",), ("1",), ("0", "1")])
@@ -862,35 +888,49 @@ def test_function_aware_skips_keep_every_failing_unit():
         head = f"q({'X' if grouped else ''}; {agg}) :- "
         shared = [random_disjunct(grouped, constants)
                   for _ in range(rng.randint(1, 2))]
-        q, q2 = (parse_query(head + " | ".join(random_disjuncts(
-            shared, grouped, constants)), domain=domain) for _ in range(2))
-        plan = engine._plan(q, q2, 1 if grouped else rng.randint(1, 2))
+        pairs.append([head + " | ".join(random_disjuncts(
+            shared, grouped, constants)) for _ in range(2)] + [
+            domain, 1 if grouped else rng.randint(1, 2)])
+    split = "p(Y), Y > 0, b(Y) | p(Y), Y > 0, !b(Y)"
+    for func in FUNCTION_NAMES:
+        agg = func + ("()" if func in ("count", "parity") else "(Y)")
+        pairs += [[f"q(; {agg}) :- p(Y)",
+                   f"q(; {agg}) :- p(Y), b(Y) | p(Y), !b(Y)", "rat", 2],
+                  [f"q(; {agg}) :- p(Y), Y != 0",
+                   f"q(; {agg}) :- {split} | p(Y), Y < 0", "rat", 2]]
+    for low, high in (("0", "2"), ("1", "3")):
+        pairs.append(["q(; prod(Y)) :- p(Y)", "q(; prod(Y)) :- p(Y) | "
+                      f"p(Y), Y > {low}, Y < {high}", INTEGERS, 2])
+    pairs.append(["q(; top2(Y)) :- p(Y), r(Y)",
+                  "q(; top2(Y)) :- p(Y), r(Y) | p(Y), r(Y), Y > 1", "rat", 2])
+    levels, units = Counter(), Counter()
+    for text1, text2, domain, n in pairs:
+        q = parse_query(text1, domain=domain)
+        q2 = parse_query(text2, domain=domain)
+        func = q.aggregate.function.name
+        plan = engine._plan(q, q2, n)
         walked = set(engine._walked_levels(plan))
-        masks = {}
+        dropped = dropped_orderings(plan)
         for k, _, mask, ordering, prep1, prep2 in reference_units(plan):
-            if k in walked:
-                if (k, ordering) not in masks:
-                    masks[k, ordering] = engine._differing_masks(
-                        plan, [((), p) for p in prep1],
-                        [((), p) for p in prep2])
-                if engine._fires(masks[k, ordering], mask):
-                    continue
+            if k not in walked:
+                levels[func] += 1
+            elif (k, ordering) in dropped:
                 units[func] += 1
             else:
-                levels[func] += 1
+                continue
             assert engine._pair_counterexample(
                 plan, mask, ordering, prep1, prep2) is None, (
-                str(q), str(q2), domain, k, str(ordering), mask)
-    refined = set(FUNCTION_NAMES) - {"count", "avg"}
+                text1, text2, domain, k, str(ordering), mask)
+    refined = set(FUNCTION_NAMES) - {"avg"}
     assert set(levels) == set(units) == refined, (levels, units)
 
 
 def test_the_ordering_drop_per_function(checked):
     """Pairs at N = 2, the verdict and the units checked.  The second
     query splits p(Y) on b(Y) and !b(Y): the ordering drop decides it
-    under max (a cube cover, by Shannon expansion on b), count and sum
-    (the negated atom's polynomial 1 - b) and, with two more copies,
-    parity (mod 2), so no unit is checked; avg and prod walk 10 units.
+    under max (a cube cover, by Shannon expansion on b), count, sum and
+    prod (the negated atom's polynomial 1 - b) and, with two more
+    copies, parity (mod 2), so no unit is checked; avg walks 10 units.
     Under sum, the constants 1 and 2 as items on one side and three 1s
     on the same atoms on the other agree by the constants' values.  The
     other pairs are refuted: a negated atom narrows a cube, a group of
@@ -910,7 +950,7 @@ def test_the_ordering_drop_per_function(checked):
         ("sum(Y)", "p(Y), Y = 1", "p(Y), Y = 1 | p(Y), Y = 1", False, 1),
         ("sum(Y)", "p(Y)", "p(Y), b(Y) | p(Y), !b(Y)", True, 0),
         ("avg(Y)", "p(Y)", "p(Y), b(Y) | p(Y), !b(Y)", True, 10),
-        ("prod(Y)", "p(Y)", "p(Y), b(Y) | p(Y), !b(Y)", True, 10),
+        ("prod(Y)", "p(Y)", "p(Y), b(Y) | p(Y), !b(Y)", True, 0),
     ]
     for agg, body1, body2, equivalent, units in cases:
         q = parse_query(f"q(; {agg}) :- {body1}")
@@ -925,13 +965,14 @@ def test_the_ordering_drop_per_function(checked):
 
 def test_no_dropped_ordering_has_a_failing_unit():
     """Random pairs with matching heads (`random_shape_pair`, wide, BASE
-    of at most 10 atoms): every ordering the scan drops, by the
-    differing masks or by `_agree_on_every_subset`, has no failing unit
-    under the reference walk (`reference_units`).  The latter drops
-    orderings under the set functions and under count, parity and sum,
-    with units the reference walk checks."""
+    of at most 10 atoms): no ordering of a level the scan skips, and no
+    ordering it drops at a level it walks, has a failing unit under the
+    reference walk (`reference_units`).  That walk checks units of
+    skipped levels under every function but avg, and of dropped
+    orderings under prod over the integers, where a variable pinned to 1
+    adds an item prod ignores."""
     rng = random.Random(1602)
-    dropped_by_test = Counter()
+    dropped_units = Counter()
     pairs = 0
     while pairs < 150:
         text1, text2, domain, n = random_shape_pair(rng, wide=True)
@@ -945,38 +986,24 @@ def test_no_dropped_ordering_has_a_failing_unit():
             continue
         pairs += 1
         plan = engine._plan(q, q2, n)
-        dropped, by_test = set(), set()
-        for k in engine._walked_levels(plan):
-            states = []
-            for level in range(k + 1):
-                states = engine._extend(plan, states, level)
-            for state in states:
-                prep1, prep2, _, differing, _ = (
-                    state.prepared or engine._prepare(plan, state, k))
-                if not differing:
-                    dropped.add((k, state.ordering))
-                    if engine._differing_masks(
-                            plan, [((), p) for p in prep1],
-                            [((), p) for p in prep2]):
-                        by_test.add((k, state.ordering))
-        func = q.aggregate.function.name
+        walked = set(engine._walked_levels(plan))
+        dropped = dropped_orderings(plan)
         for k, _, mask, ordering, prep1, prep2 in reference_units(plan):
-            if (k, ordering) in dropped:
+            if k not in walked or (k, ordering) in dropped:
                 assert engine._pair_counterexample(
                     plan, mask, ordering, prep1, prep2) is None, (
                     text1, text2, domain, n, k, str(ordering), mask)
-                if (k, ordering) in by_test:
-                    dropped_by_test[func] += 1
-    assert set(dropped_by_test) >= {"max", "min", "top2", "cntd", "count",
-                                    "parity", "sum"}, dropped_by_test
+                dropped_units[q.aggregate.function.name, k in walked] += 1
+    assert {func for func, _ in dropped_units} == set(FUNCTION_NAMES) - {
+        "avg"} and dropped_units["prod", True], dropped_units
 
 
 def test_prod_counterexample_beside_a_pinned_integer_slot():
     """At N = 2 the first failure is prod {u1, u1, u1} = prod {u1, u1}
     under 0 < u1 < 3 < u2, at u1 = 2, at one and at two workers.  The
-    scan checks two units and fails on the second, before any unit whose
-    bags a memo shared across orderings could reuse, so this pins the
-    counterexample only: a shared memo is caught by
+    scan checks two units and fails on the second, before it meets the
+    same bags under another ordering, so this pins the counterexample
+    only: a verdict reused across orderings is caught by
     `test_a_verdict_that_needs_a_pinned_value_is_not_reused`."""
     q = parse_query("q(; prod(Y)) :- p(Y), Y < 3, Y != 0"
                     " | p(Y), Y > 0, Y != 3 | p(Y), Y < 3", domain=INTEGERS)
@@ -994,9 +1021,10 @@ def test_a_verdict_that_needs_a_pinned_value_is_not_reused():
     """Over the integers with the constants 0 and 2, the unit {p(u1)}
     leaves prod {u1} = prod {u1, u1} under 0 < u1 < 2, valid only because
     u1 is pinned to 1, and then the same bags under 2 < u1, where u1 = 3
-    fails them.  A set of valid bags shared across orderings would skip
-    the second and find no failure at N = 1 (and a later database at
-    N = 2)."""
+    fails them.  The ordering drop drops the first ordering, whose
+    reduction makes u1 the constant 1, and keeps the second.  Reading u1
+    as 1 under the second too, or reusing the first's verdict there,
+    would find no failure at N = 1 (and a later database at N = 2)."""
     q = parse_query("q(; prod(Y)) :- p(Y), Y < 2 | p(Y), Y > 2",
                     domain=INTEGERS)
     q2 = parse_query("q(; prod(Y)) :- p(Y), Y < 2 | p(Y), Y > 2"
@@ -1025,19 +1053,17 @@ def decided(monkeypatch):
 
 def test_each_shape_is_checked_once(checked, decided):
     """Units checked and identities decided on four equivalent pairs.
-    top2 and cntd see only the set of items, and the extra disjunct's
-    assignments are each covered by the first's, so no level is walked:
-    they checked 4,156 and 426 units under the exact-multiset skip.  The
-    max pair's extra disjunct needs p(Y, Y), so its masks differ from
-    every mask of the first query and its levels are walked, but under
-    each ordering its cubes lie in the union of the first query's with
-    the same (key, item), so the ordering drop leaves no ordering to
-    walk: it checked 2,314 units under the exact-multiset skip and 1,869
-    with a cover by equal masks.  prod is not decided by the ordering
-    drop, so the last pair walks as before: its valid identities hold
-    only where u1 is pinned to 1, between 0 and 2 over the integers, so
-    the decider sees them once per ordering: without the per-ordering
-    memo it decides 408."""
+    Under top2, cntd and max each compiled cube of the extra disjunct,
+    with a literal for the order it needs (Y > 1 under top2), lies in the
+    union of the first query's with the same (key, item), so no level is
+    walked: they checked 4,156, 426 and 2,314 units under the
+    exact-multiset skip.  The prod pair's extra disjunct needs
+    0 < Y < 2, so its compiled cubes hold literals the first query's
+    lack and its levels are walked, but under each ordering where it
+    holds, Y is pinned to 1 over the integers, which prod ignores, so the
+    ordering drop leaves no ordering to walk: it checked 544 units and
+    decided 24 identities with a per-ordering memo of valid bags, 408
+    without."""
     cases = [
         ("q(; top2(Y)) :- p(Y), r(Y)",
          "q(; top2(Y)) :- p(Y), r(Y) | p(Y), r(Y), Y > 1", "rat", 5, 0, 0),
@@ -1048,7 +1074,7 @@ def test_each_shape_is_checked_once(checked, decided):
          3, 0, 0),
         ("q(; prod(Y)) :- p(Y), r(Y)",
          "q(; prod(Y)) :- p(Y), r(Y) | p(Y), r(Y), Y > 0, Y < 2", INTEGERS,
-         3, 544, 24),
+         3, 0, 0),
     ]
     for text1, text2, domain, n, units, decisions in cases:
         checked.clear()
@@ -1253,12 +1279,12 @@ def test_one_fact_failure_starts_no_process(no_process):
             {("b", (F(0),)), ("p", (F(0),))})), (), None, 1)
 
 
-# `prod_one.n4` with a second atom in the extra disjunct: its assignments
-# prepare a mask that no assignment of the first query has, so unlike
-# `prod_one.n4`, which is decided before any ordering is built, it walks
-# every level past level 0
-PROD_ONES = ("q(; prod(Y)) :- p(Y)",
-             "q(; prod(Y)) :- p(Y) | p(Y), p(Z), Y = 1")
+# avg of every p value, once and twice: the ordering drop does not decide
+# avg, and each assignment of the first query is held twice by the
+# second, so at N = 4 it walks every level, under 1 + 2 + 3 + 4 + 5
+# orderings
+AVG_TWICE = ("q(; avg(Y)) :- p(Y), Y != 1 | p(Y), Y = 1",
+             "q(; avg(Y)) :- p(Y) | p(Y)")
 
 
 def test_the_caller_prepares_each_head_ordering_once(no_process,
@@ -1272,7 +1298,7 @@ def test_the_caller_prepares_each_head_ordering_once(no_process,
         prepared.append(k)
         return prepare(plan, state, k)
     monkeypatch.setattr(engine, "_prepare", counting)
-    q, q2 = map(parse_query, PROD_ONES)
+    q, q2 = map(parse_query, AVG_TWICE)
     counts, verdicts = [], []
     for workers in (1, 2, 3):
         prepared.clear()
@@ -1284,14 +1310,14 @@ def test_the_caller_prepares_each_head_ordering_once(no_process,
 
 
 def test_a_small_walk_past_the_head_stays_in_the_caller():
-    """`PROD_ONES` at N = 4 walks levels 2 to 4 too: at two workers the
+    """`AVG_TWICE` at N = 4 walks levels 0 to 4: at two workers the
     calling process walks them, loads no `multiprocessing`, and decides
     as one worker does."""
     code = f"""
 import sys
 from aggequiv import engine
 from aggequiv.parsing import parse_query
-q, q2 = map(parse_query, {PROD_ONES!r})
+q, q2 = map(parse_query, {AVG_TWICE!r})
 two = engine.n_equivalent(q, q2, 4, workers=2)
 print(two == engine.n_equivalent(q, q2, 4), "multiprocessing" in sys.modules)
 """
