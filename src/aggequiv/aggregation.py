@@ -17,7 +17,7 @@ both slots) never leaves this module because query groups are nonempty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
@@ -30,21 +30,95 @@ class EmptyBagError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# Immutable values
+# ---------------------------------------------------------------------------
+
+class Value:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields, in order, in `_fields`, declares the
+    same names as `__slots__` unless a cached property needs an instance
+    dict, and stores them from its own `__init__`, with their tuple as
+    `_key`, through `_init` (or directly, as `model` does for speed).
+    Equality, hash, `repr` and pickling read that tuple, as those of a
+    frozen dataclass read the fields, but no method is generated when a
+    class is defined.  Values of different classes are never equal, and
+    assigning or deleting an attribute raises
+    `dataclasses.FrozenInstanceError`.
+    """
+
+    __slots__ = ("_key",)
+    _fields: tuple = ()
+
+    def _init(self, *values):
+        object.__setattr__(self, "_key", values)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self._fields, self._key))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class OrderedValue(Value):
+    """A value ordered by its field tuple against values of its class."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key < other._key
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key <= other._key
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key > other._key
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key >= other._key
+        return NotImplemented
+
+
+# ---------------------------------------------------------------------------
 # Monoids
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Monoid:
+class Monoid(Value):
     """An abelian monoid: commutative associative `plus` with neutral `zero`.
 
     `inverse` is present exactly for groups.  `idempotent` marks a + a = a.
     """
 
-    name: str
-    plus: Callable
-    zero: object
-    idempotent: bool = False
-    inverse: Optional[Callable] = None
+    __slots__ = _fields = ("name", "plus", "zero", "idempotent", "inverse")
+
+    def __init__(self, name: str, plus: Callable, zero: object,
+                 idempotent: bool = False, inverse: Optional[Callable] = None):
+        self._init(name, plus, zero, idempotent, inverse)
 
     @property
     def is_group(self) -> bool:
@@ -97,8 +171,7 @@ BOT2_MONOID = Monoid("two least distinct rationals", _two_plus(False),
 # Aggregation function descriptors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AggregationFunction:
+class AggregationFunction(Value):
     """Descriptor bundling a function's arity and abstract properties.
 
     `tuple_map` sends a bag element (a k-tuple) into the monoid; it is
@@ -109,14 +182,16 @@ class AggregationFunction:
     distinct values.
     """
 
-    name: str
-    arity: int
-    monoid: Optional[Monoid] = None
-    tuple_map: Optional[Callable] = None
-    shiftable: bool = False
-    singleton_determining: bool = True
-    decomposable: bool = False
-    prod_special: bool = False
+    __slots__ = _fields = (
+        "name", "arity", "monoid", "tuple_map", "shiftable",
+        "singleton_determining", "decomposable", "prod_special")
+
+    def __init__(self, name: str, arity: int, monoid: Optional[Monoid] = None,
+                 tuple_map: Optional[Callable] = None, shiftable: bool = False,
+                 singleton_determining: bool = True,
+                 decomposable: bool = False, prod_special: bool = False):
+        self._init(name, arity, monoid, tuple_map, shiftable,
+                   singleton_determining, decomposable, prod_special)
 
     def __repr__(self):
         return f"AggregationFunction({self.name!r})"

@@ -24,7 +24,6 @@ from .parsing import (
     ArityRegistry, ParseError, format_database, format_fact, parse_database,
     parse_queries, parse_term,
 )
-from .quasilinear import equivalent_quasilinear
 
 USAGE_EXIT = 64
 MAX_BASE = 24
@@ -207,6 +206,9 @@ def _cmd_pairwise(args) -> int:
     started = time.monotonic()
     (q, q2), _ = _load(args.queries, args.domain, 2)
     if args.command == "quasilinear":
+        # loaded here, so that no search command loads quasilinear,
+        # normalize or constraints
+        from .quasilinear import equivalent_quasilinear
         verdict = equivalent_quasilinear(q, q2)
     elif args.command == "nequiv":
         _guardrail(q, q2, args.n, args)

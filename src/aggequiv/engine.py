@@ -101,11 +101,11 @@ prod over the rationals; avg and cntd are reported unsupported.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple, Optional
+from dataclasses import replace
+from typing import Iterator, Optional
 
 from . import identity, oracle
-from .aggregation import FUNCTIONS, apply
+from .aggregation import FUNCTIONS, Value, apply
 from .model import (
     AggregateTerm, Database, INTEGERS, Query, RATIONALS, Var, is_const,
     merged_predicates, term_size_pair, term_sort_key,
@@ -122,20 +122,21 @@ EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
 UNSUPPORTED = "unsupported"
 
-@dataclass(frozen=True)
-class Counterexample:
-    database: Database
-    group: tuple
-    left_value: object
-    right_value: object
+class Counterexample(Value):
+    __slots__ = _fields = ("database", "group", "left_value", "right_value")
+
+    def __init__(self, database: Database, group: tuple, left_value: object,
+                 right_value: object):
+        self._init(database, group, left_value, right_value)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    counterexample: Optional[Counterexample] = None
-    n_used: Optional[int] = None
-    reason: Optional[str] = None
+class Verdict(Value):
+    __slots__ = _fields = ("status", "counterexample", "n_used", "reason")
+
+    def __init__(self, status: str,
+                 counterexample: Optional[Counterexample] = None,
+                 n_used: Optional[int] = None, reason: Optional[str] = None):
+        self._init(status, counterexample, n_used, reason)
 
     @property
     def equivalent(self) -> bool:
@@ -547,7 +548,7 @@ def n_equivalent(q: Query, q2: Query, n: int, workers: int = 1) -> Verdict:
     return Verdict(NOT_EQUIVALENT, n_used=n, counterexample=hit[1])
 
 
-class _Plan(NamedTuple):
+class _Plan:
     """What a decision's walk reads: BASE over `terms` (the constants,
     then u1..un), both queries' `_program`, per atom its level and weight
     and the largest arity (`weights`), and per level both queries'
@@ -555,16 +556,12 @@ class _Plan(NamedTuple):
     one query holds more often than the other (`_differing_masks`), none
     where `_agree_on_every_subset` holds on them, filled as the walk
     goes."""
-    q: Query
-    q2: Query
-    terms: list
-    constants: int
-    base: list
-    rank: list
-    same_head: bool
-    programs: tuple
-    weights: tuple
-    compiled: list
+    __slots__ = ("q", "q2", "terms", "constants", "base", "rank",
+                 "same_head", "programs", "weights", "compiled")
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            setattr(self, name, value)
 
 
 def _plan(q: Query, q2: Query, n: int) -> _Plan:

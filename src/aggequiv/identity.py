@@ -46,12 +46,11 @@ every identity decided on it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Optional
 
-from .aggregation import AggregationFunction, apply
+from .aggregation import AggregationFunction, Value, apply
 from .model import Const, is_const, term_sort_key
 from .orderings import (
     Assignment, CompleteOrdering, assign_tuple, is_satisfiable_order,
@@ -59,41 +58,40 @@ from .orderings import (
 )
 
 
-@dataclass(frozen=True)
-class OrderedIdentity:
-    ordering: CompleteOrdering
-    left: tuple    # bag of k-tuples of terms, multiplicity by repetition
-    right: tuple
-    function: AggregationFunction
+class OrderedIdentity(Value):
+    __slots__ = _fields = ("ordering", "left", "right", "function")
 
-    def __post_init__(self):
-        terms = self.ordering.terms()
-        for bag in (self.left, self.right):
+    def __init__(self, ordering: CompleteOrdering, left: tuple, right: tuple,
+                 function: AggregationFunction):
+        # each side is a bag of k-tuples of terms, multiplicity by repetition
+        terms = ordering.terms()
+        for bag in (left, right):
             for tup in bag:
-                if len(tup) != self.function.arity:
+                if len(tup) != function.arity:
                     raise ValueError(
-                        f"{self.function.name} expects "
-                        f"{self.function.arity}-tuples, got {tup!r}")
+                        f"{function.name} expects "
+                        f"{function.arity}-tuples, got {tup!r}")
                 for t in tup:
                     if t not in terms:
                         raise KeyError(f"bag term {t} not in the ordering")
+        self._init(ordering, left, right, function)
 
     @classmethod
     def unchecked(cls, ordering: CompleteOrdering, left: tuple, right: tuple,
                   function: AggregationFunction) -> "OrderedIdentity":
-        """The identity without `__post_init__`'s checks, for a caller that
+        """The identity without `__init__`'s checks, for a caller that
         builds both bags from the ordering's own terms in tuples of the
         function's arity."""
         ident = object.__new__(cls)
-        vars(ident).update(ordering=ordering, left=left, right=right,
-                           function=function)
+        ident._init(ordering, left, right, function)
         return ident
 
 
-@dataclass(frozen=True)
-class IdentityVerdict:
-    valid: bool
-    witness: Optional[Assignment] = None
+class IdentityVerdict(Value):
+    __slots__ = _fields = ("valid", "witness")
+
+    def __init__(self, valid: bool, witness: Optional[Assignment] = None):
+        self._init(valid, witness)
 
 
 def instantiate_bag(assignment: Assignment, bag) -> list:

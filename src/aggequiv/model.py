@@ -10,11 +10,11 @@ integer domain only admit constants with denominator 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .aggregation import AggregationFunction
+from .aggregation import AggregationFunction, OrderedValue, Value
 
 INTEGERS = "int"
 RATIONALS = "rat"
@@ -33,6 +33,13 @@ _OP_EVAL = {
 }
 
 
+#: stores a field from `__init__`, past the values' frozen `__setattr__`.
+#: Terms and query parts are the values built most often, dozens per
+#: parsed query, so each class here stores its fields itself, in about
+#: half the time `Value._init`'s loop takes
+_set = object.__setattr__
+
+
 class ValidationError(ValueError):
     """A structurally well-formed query that violates an invariant."""
 
@@ -41,21 +48,25 @@ class ValidationError(ValueError):
 # Terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class Var:
-    name: str
+class Var(OrderedValue):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "_key", (name,))
+        _set(self, "name", name)
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True, order=True)
-class Const:
-    value: Fraction
+class Const(OrderedValue):
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, value: Fraction):
+        if not isinstance(value, Fraction):
+            value = Fraction(value)
+        _set(self, "_key", (value,))
+        _set(self, "value", value)
 
     def __str__(self):
         v = self.value
@@ -84,11 +95,14 @@ def is_const(t: Term) -> bool:
 # Atoms, comparisons, conditions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Atom:
-    predicate: str
-    args: tuple
-    positive: bool = True
+class Atom(Value):
+    __slots__ = _fields = ("predicate", "args", "positive")
+
+    def __init__(self, predicate: str, args: tuple, positive: bool = True):
+        _set(self, "_key", (predicate, args, positive))
+        _set(self, "predicate", predicate)
+        _set(self, "args", args)
+        _set(self, "positive", positive)
 
     def variables(self):
         return [a for a in self.args if is_var(a)]
@@ -98,15 +112,16 @@ class Atom:
         return body if self.positive else "!" + body
 
 
-@dataclass(frozen=True)
-class Comparison:
-    lhs: Term
-    op: str
-    rhs: Term
+class Comparison(Value):
+    __slots__ = _fields = ("lhs", "op", "rhs")
 
-    def __post_init__(self):
-        if self.op not in COMPARISON_OPS:
-            raise ValueError(f"bad comparison operator {self.op!r}")
+    def __init__(self, lhs: Term, op: str, rhs: Term):
+        if op not in COMPARISON_OPS:
+            raise ValueError(f"bad comparison operator {op!r}")
+        _set(self, "_key", (lhs, op, rhs))
+        _set(self, "lhs", lhs)
+        _set(self, "op", op)
+        _set(self, "rhs", rhs)
 
     def holds(self, a: Fraction, b: Fraction) -> bool:
         return _OP_EVAL[self.op](a, b)
@@ -121,12 +136,15 @@ class Comparison:
         return f"{self.lhs} {self.op} {self.rhs}"
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(Value):
     """One disjunct: a conjunction of literals."""
 
-    atoms: tuple = ()
-    comparisons: tuple = ()
+    __slots__ = _fields = ("atoms", "comparisons")
+
+    def __init__(self, atoms: tuple = (), comparisons: tuple = ()):
+        _set(self, "_key", (atoms, comparisons))
+        _set(self, "atoms", atoms)
+        _set(self, "comparisons", comparisons)
 
     def positive_atoms(self):
         return [a for a in self.atoms if a.positive]
@@ -184,10 +202,14 @@ class Condition:
 # Queries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AggregateTerm:
-    function: AggregationFunction
-    args: tuple  # tuple of Term, length == function.arity
+class AggregateTerm(Value):
+    __slots__ = _fields = ("function", "args")
+
+    def __init__(self, function: AggregationFunction, args: tuple):
+        # args: tuple of Term, length == function.arity
+        _set(self, "_key", (function, args))
+        _set(self, "function", function)
+        _set(self, "args", args)
 
     def __str__(self):
         return f"{self.function.name}({', '.join(str(a) for a in self.args)})"
@@ -315,11 +337,13 @@ def merged_predicates(q: Query, q2: Query) -> dict:
 # Databases
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Database:
+class Database(Value):
     """A finite set of ground positive atoms, stored as (pred, values)."""
 
-    facts: frozenset = field(default_factory=frozenset)
+    __slots__ = _fields = ("facts",)
+
+    def __init__(self, facts: frozenset = frozenset()):
+        self._init(facts)
 
     @staticmethod
     def of(facts: Iterable) -> "Database":

@@ -20,7 +20,8 @@ from dataclasses import replace
 
 from .constraints import ComparisonSystem
 from .model import (
-    Atom, Comparison, Condition, Const, Query, is_const, is_var, term_sort_key,
+    AggregateTerm, Atom, Comparison, Condition, Const, Query, is_const, is_var,
+    term_sort_key,
 )
 from .orderings import rename_tuple
 
@@ -105,8 +106,8 @@ def reduce_query(q: Query) -> Query:
         if conjunctive:
             grouping = rename_tuple(subst, grouping)
             if aggregate is not None:
-                aggregate = replace(aggregate,
-                                    args=rename_tuple(subst, aggregate.args))
+                aggregate = AggregateTerm(aggregate.function,
+                                          rename_tuple(subst, aggregate.args))
         new_disjuncts.append(_substitute_condition(subst, cond))
 
     return replace(q, grouping=grouping, aggregate=aggregate,

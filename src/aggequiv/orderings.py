@@ -15,11 +15,11 @@ integer slot is pinned to that value (`class_bounds` reports lo == hi).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Iterator, Optional
 
+from .aggregation import Value
 from .model import (
     INTEGERS, Comparison, Const, Term, is_const, is_var, term_sort_key,
 )
@@ -31,21 +31,22 @@ Assignment = dict
 _NO_RENAMING = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class CompleteOrdering:
-    """Equivalence classes of terms in strictly increasing order."""
+class CompleteOrdering(Value):
+    """Equivalence classes of terms in strictly increasing order.
 
-    classes: tuple  # tuple of tuples of Term, each inner tuple sorted
-    domain: str
+    No `__slots__`: the cached properties live in the instance dict, and
+    neither compare nor pickle."""
+
+    _fields = ("classes", "domain")
+
+    def __init__(self, classes: tuple, domain: str):
+        # classes: tuple of tuples of Term, each inner tuple sorted
+        self._init(classes, domain)
 
     @staticmethod
     def of(classes: Iterable, domain: str) -> "CompleteOrdering":
         canon = tuple(tuple(sorted(c, key=term_sort_key)) for c in classes)
         return CompleteOrdering(canon, domain)
-
-    def __reduce__(self):
-        # the cached properties are rebuilt on demand, never pickled
-        return CompleteOrdering, (self.classes, self.domain)
 
     def terms(self):
         """The ordering's terms, as a read-only set-like view."""

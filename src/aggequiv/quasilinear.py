@@ -18,15 +18,17 @@ are checked concretely, and only a verified disagreement is reported.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
 from . import oracle
+from .aggregation import Value
 from .constraints import ComparisonSystem
 from .engine import Counterexample, EQUIVALENT, NOT_EQUIVALENT, UNSUPPORTED, Verdict
 from .model import (
-    Condition, Database, Query, RATIONALS, is_const, is_var, term_sort_key,
+    Comparison, Condition, Database, Query, RATIONALS, is_const, is_var,
+    term_sort_key,
 )
 from .normalize import reduce_query
 from .orderings import (
@@ -35,11 +37,13 @@ from .orderings import (
 )
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(Value):
     """A variable substitution from one query into another."""
 
-    substitution: dict
+    __slots__ = _fields = ("substitution",)
+
+    def __init__(self, substitution: dict):
+        self._init(substitution)
 
     def term(self, t):
         return self.substitution.get(t, t)
@@ -153,8 +157,8 @@ def _is_isomorphism(theta: Homomorphism, q: Query, q2: Query,
             (cond2, cond, theta.inverse(), q2.domain)):
         system = ComparisonSystem(source.comparisons, domain)
         for c in target.comparisons:
-            mapped = replace(c, lhs=mapping.term(c.lhs),
-                             rhs=mapping.term(c.rhs))
+            mapped = Comparison(mapping.term(c.lhs), c.op,
+                                mapping.term(c.rhs))
             if not system.entails(mapped):
                 return False
     return True

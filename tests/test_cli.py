@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -511,3 +512,20 @@ def test_main_is_reentrant(tmp_path, capsys, monkeypatch):
                                fresh.stderr), argv
     assert [code for code, _, _ in answers] == [64, 1, 1, 1]
     assert answers[0][2].startswith("usage: aggequiv nequiv")
+
+
+def test_readme_library_snippet_runs_as_written():
+    """README's "Library" snippet, run as written in a fresh interpreter,
+    gives the value its comment states on each commented line."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Library\n")[1]
+    snippet = section.split("```python\n")[1].split("```")[0]
+    claims = [line.split("#") for line in snippet.splitlines() if "#" in line]
+    assert len(claims) == 2
+    shown = "".join(f"print(repr({expr.strip()}))\n" for expr, _ in claims)
+    env = dict(os.environ, PYTHONPATH=str(Path(aggequiv.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", snippet + shown], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert [ast.literal_eval(line) for line in done.stdout.splitlines()] == [
+        ast.literal_eval(comment.strip()) for _, comment in claims]

@@ -1437,37 +1437,102 @@ print(os.waitstatus_to_exitcode(status),
     assert (done.returncode, done.stdout, done.stderr) == (0, "0 True\n", "")
 
 
-def test_start_up_leaves_the_pool_machinery_unloaded(tmp_path):
-    """Importing the package and deciding at one worker or at two load
-    neither `concurrent` nor `multiprocessing`, and print the same
-    output; the interpreter exits 0 and prints nothing to stderr."""
+#: modules that no search command loads: the quasilinear route and the
+#: pool machinery that went with the worker processes
+ROUTE_MODULES = ("aggequiv.quasilinear", "aggequiv.normalize",
+                 "aggequiv.constraints", "multiprocessing", "concurrent")
+
+
+def test_search_commands_leave_the_quasilinear_route_unloaded(tmp_path):
+    """Importing `aggequiv.cli` and deciding `nequiv` at one worker or at
+    two load none of `ROUTE_MODULES`; a `quasilinear` decision that
+    follows loads the route and prints what a fresh process prints."""
     a, b = tmp_path / "a.q", tmp_path / "b.q"
     a.write_text(TWO_VALUES[0] + "\n")
     b.write_text(TWO_VALUES[1] + "\n")
+    c, d = tmp_path / "c.q", tmp_path / "d.q"
+    c.write_text("q(X; max(Y)) :- p(X, Y)\n")
+    d.write_text("q(X; max(Y)) :- p(X, Y), !b(X)\n")
+    route = ["quasilinear", str(c), str(d)]
     code = f"""
 import sys
 def loaded():
-    return sorted({{name.split(".")[0] for name in sys.modules}}
-                  & {{"concurrent", "multiprocessing"}})
-import aggequiv
-print(loaded())
-from aggequiv import cli
-print(loaded())
+    print(sorted(name for name in {ROUTE_MODULES!r}
+                 if any(m == name or m.startswith(name + ".")
+                        for m in sys.modules)))
+import aggequiv.cli
+loaded()
 argv = ["nequiv", {str(a)!r}, {str(b)!r}, "--n", "2", "--json"]
-cli.main(argv)
-print(loaded())
-cli.main(argv + ["--workers", "2"])
-print(loaded())
+aggequiv.cli.main(argv)
+loaded()
+aggequiv.cli.main(argv + ["--workers", "2"])
+loaded()
+print(aggequiv.cli.main({route!r}))
+loaded()
 """
     done = run_fresh(code)
     assert (done.returncode, done.stderr) == (0, "")
     lines = done.stdout.splitlines()
-    assert len(lines) == 6
-    assert lines[0] == lines[1] == lines[3] == lines[5] == "[]"
-    one, two = (json.loads(line) for line in (lines[2], lines[4]))
+    assert lines[:1] + lines[2:3] + lines[4:5] == ["[]"] * 3
+    one, two = (json.loads(line) for line in (lines[1], lines[3]))
     assert one["counterexample"] == {
         "facts": ["p(0).", "p(1)."], "grouping": [], "values": ["1", "2"]}
     assert two["counterexample"] == one["counterexample"]
+    assert lines[-1] == str(sorted(ROUTE_MODULES[:3]))
+    fresh = run_fresh("import sys; from aggequiv.cli import main; "
+                      "sys.exit(main(sys.argv[1:]))", *route)
+    assert (fresh.returncode, fresh.stderr) == (1, "")
+    assert "\n".join(lines[5:-1]) + "\n" == fresh.stdout + "1\n"
+
+
+#: `aggequiv.__all__` before the exports were loaded on first use
+EXPORTS = [
+    "AggregationFunction", "Atom", "Comparison", "CompleteOrdering",
+    "Condition", "Const", "Counterexample", "Database", "FUNCTIONS",
+    "Homomorphism", "IdentityVerdict", "Monoid", "OrderedIdentity", "Query",
+    "Var", "Verdict", "aggregation", "apply", "apply_shifting",
+    "bagset_equivalent", "brute_force_check", "build_base",
+    "build_decomposition", "constraints", "decide", "engine", "entails",
+    "enumerate_complete_orderings", "equivalent", "equivalent_quasilinear",
+    "eval_concrete", "extend_database", "find_isomorphism",
+    "format_database", "format_query", "identity",
+    "inclusion_exclusion_check", "is_quasilinear", "locally_equivalent",
+    "model", "n_equivalent", "normalize", "oracle", "orderings",
+    "parse_database", "parse_queries", "parse_query", "parsing",
+    "quasilinear", "reduce_query", "satisfying_assignment", "term_size",
+    "term_size_pair", "verify_decomposition", "witness_pair",
+]
+
+
+def test_every_export_resolves_on_first_use():
+    """`import aggequiv` loads no submodule; every name of `__all__`, the
+    same list as before, resolves on first use, by attribute and by
+    `from aggequiv import *` alike, a submodule's name to the submodule."""
+    code = f"""
+import sys, types
+import aggequiv
+print(sorted(m for m in sys.modules if m.startswith("aggequiv.")))
+print(aggequiv.__all__ == {EXPORTS!r})
+star = {{}}
+exec("from aggequiv import *", star)
+del star["__builtins__"]
+print(sorted(star) == aggequiv.__all__)
+for name in aggequiv.__all__:
+    value = getattr(aggequiv, name)
+    assert star[name] is value, name
+    module = sys.modules.get("aggequiv." + name)
+    assert value is module or not isinstance(value, types.ModuleType), name
+print(set(aggequiv.__all__) <= set(dir(aggequiv)))
+try:
+    aggequiv.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    done = run_fresh(code)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == [
+        "[]", "True", "True", "True",
+        "module 'aggequiv' has no attribute 'no_such_name'"]
 
 
 def run_fresh(code, *args):
