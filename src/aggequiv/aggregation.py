@@ -37,9 +37,10 @@ class Value:
     """Base of the package's immutable value types.
 
     A subclass names its fields, in order, in `_fields`, declares the
-    same names as `__slots__` unless a cached property needs an instance
-    dict, and stores them from its own `__init__`, with their tuple as
-    `_key`, through `_init` (or directly, as `model` does for speed).
+    same names as `__slots__` (plus one per view it keeps) unless a
+    cached property needs an instance dict, and stores them from its own
+    `__init__`, with their tuple as `_key`, through `_init` or, for the
+    values built most often, one `_set` per field.
     Equality, hash, `repr` and pickling read that tuple, as those of a
     frozen dataclass read the fields, but no method is generated when a
     class is defined.  Values of different classes are never equal, and
@@ -76,6 +77,11 @@ class Value:
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+#: stores a field from `__init__`, past the values' frozen `__setattr__`,
+#: in about half the time `Value._init`'s loop takes
+_set = object.__setattr__
 
 
 class OrderedValue(Value):

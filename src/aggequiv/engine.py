@@ -105,7 +105,7 @@ from dataclasses import replace
 from typing import Iterator, Optional
 
 from . import identity, oracle
-from .aggregation import FUNCTIONS, Value, apply
+from .aggregation import FUNCTIONS, Value, _set, apply
 from .model import (
     AggregateTerm, Database, INTEGERS, Query, RATIONALS, Var, is_const,
     merged_predicates, term_size_pair, term_sort_key,
@@ -127,7 +127,11 @@ class Counterexample(Value):
 
     def __init__(self, database: Database, group: tuple, left_value: object,
                  right_value: object):
-        self._init(database, group, left_value, right_value)
+        _set(self, "_key", (database, group, left_value, right_value))
+        _set(self, "database", database)
+        _set(self, "group", group)
+        _set(self, "left_value", left_value)
+        _set(self, "right_value", right_value)
 
 
 class Verdict(Value):
@@ -136,7 +140,11 @@ class Verdict(Value):
     def __init__(self, status: str,
                  counterexample: Optional[Counterexample] = None,
                  n_used: Optional[int] = None, reason: Optional[str] = None):
-        self._init(status, counterexample, n_used, reason)
+        _set(self, "_key", (status, counterexample, n_used, reason))
+        _set(self, "status", status)
+        _set(self, "counterexample", counterexample)
+        _set(self, "n_used", n_used)
+        _set(self, "reason", reason)
 
     @property
     def equivalent(self) -> bool:
@@ -147,15 +155,11 @@ class Verdict(Value):
 # BASE
 # ---------------------------------------------------------------------------
 
-def fresh_variables(n: int) -> list:
-    # lowercase names cannot collide with parsed query variables
-    return [Var(f"u{i}") for i in range(1, n + 1)]
-
-
 def _base_terms(q: Query, q2: Query, n: int) -> list:
-    """The query constants in order, then n fresh variables."""
+    """The query constants in order, then n fresh variables u1..un, whose
+    lowercase names cannot collide with parsed query variables."""
     constants = sorted(q.constants() | q2.constants(), key=term_sort_key)
-    return constants + fresh_variables(n)
+    return constants + [Var(f"u{i}") for i in range(1, n + 1)]
 
 
 def base_size(q: Query, q2: Query, n: int) -> int:
@@ -550,14 +554,13 @@ def n_equivalent(q: Query, q2: Query, n: int, workers: int = 1) -> Verdict:
 
 class _Plan:
     """What a decision's walk reads: BASE over `terms` (the constants,
-    then u1..un), both queries' `_program`, per atom its level and weight
-    and the largest arity (`weights`), and per level both queries'
-    `_compile` and, with matching heads, the masks of the compiled cubes
-    one query holds more often than the other (`_differing_masks`), none
-    where `_agree_on_every_subset` holds on them, filled as the walk
-    goes."""
-    __slots__ = ("q", "q2", "terms", "constants", "base", "rank",
-                 "same_head", "programs", "weights", "compiled")
+    then u1..un) and its `predicates`, both queries' `_program`, and per
+    level both queries' `_compile` and, with matching heads, the masks of
+    the compiled cubes one query holds more often than the other
+    (`_differing_masks`), none where `_agree_on_every_subset` holds on
+    them, filled as the walk goes."""
+    __slots__ = ("q", "q2", "terms", "constants", "base", "predicates",
+                 "rank", "same_head", "programs", "compiled")
 
     def __init__(self, *values):
         for name, value in zip(self.__slots__, values):
@@ -570,23 +573,10 @@ def _plan(q: Query, q2: Query, n: int) -> _Plan:
     names, constants = sorted(predicates), len(terms) - n
     offsets = dict(zip(names, itertools.accumulate(
         (len(terms) ** predicates[pred] for pred in names), initial=0)))
-    # per atom of BASE, its level (that of the last fresh variable in it, 0
-    # for none) and its weight: its bit plus, above the atom bits, one
-    # count field per fresh variable it mentions
-    field = len(base).bit_length() + 1
-    low = [0] * constants + [1 << (len(base) + field * j) for j in range(n)]
-    levels, weights = [], []
-    for pred in names:
-        for combo in itertools.product(range(len(terms)),
-                                       repeat=predicates[pred]):
-            levels.append(max(max(combo, default=0) - constants + 1, 0))
-            weights.append((1 << len(weights))
-                           + sum(map(low.__getitem__, set(combo))))
-    return _Plan(q, q2, terms, constants, base, _ranks(terms),
+    return _Plan(q, q2, terms, constants, base, predicates, _ranks(terms),
                  _same_head(q, q2),
                  tuple(_program(terms, constants, offsets, query)
-                       for query in (q, q2)),
-                 (levels, weights, max(predicates.values(), default=0)), [])
+                       for query in (q, q2)), [])
 
 
 def _walked_levels(plan: _Plan) -> Iterator[int]:
@@ -688,16 +678,26 @@ def _level_subsets(plan: _Plan, k: int) -> Iterator[int]:
     """The subsets of level k, smallest first, as masks over BASE: with
     matching heads those of BASE_k (the atoms over the constants and
     u1..uk) that use each of u1..uk, with differing heads every subset of
-    BASE.  A subset's weight holds its mask in its low bits; a count stays
-    below its field's top bit, which adding `add` sets in the used ones."""
-    levels, weights, widest = plan.weights
-    weights = list(itertools.compress(weights, map(k.__ge__, levels)))
-    fresh, field = k if plan.same_head else 0, len(plan.base).bit_length() + 1
-    low = sum(1 << (len(plan.base) + field * j) for j in range(fresh))
+    BASE.  An atom's weight is its bit plus, above the atom bits, one
+    count field per fresh variable it mentions, and a subset's the sum of
+    its atoms'; a count stays below its field's top bit, which adding
+    `add` sets in the used ones.  Only a walked level builds them."""
+    atoms, predicates = len(plan.base), plan.predicates
+    fresh, field = k if plan.same_head else 0, atoms.bit_length() + 1
+    count = [0] * plan.constants + [1 << (atoms + field * j)
+                                    for j in range(k)]
+    combos = itertools.chain.from_iterable(
+        itertools.product(range(len(plan.terms)), repeat=predicates[pred])
+        for pred in sorted(predicates))
+    weights = [(1 << bit) + sum(map(count.__getitem__, set(combo)))
+               for bit, combo in enumerate(combos)
+               if max(combo, default=-1) < len(count)]  # an atom of BASE_k
+    low = sum(count[plan.constants:plan.constants + fresh])
     tops = low << (field - 1)  # the top bit of each field
     add = tops - low
-    every_atom = (1 << len(plan.base)) - 1
-    smallest = -(-fresh // (widest or 1))  # atoms needed to use them all
+    every_atom = (1 << atoms) - 1
+    # the atoms needed to use every fresh variable
+    smallest = -(-fresh // (max(predicates.values(), default=0) or 1))
     for size in range(smallest, len(weights) + 1):
         summed = map(sum, itertools.combinations(weights, size))
         if tops:  # keep the subsets that use every fresh variable

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .aggregation import AggregationFunction, OrderedValue, Value
+from .aggregation import AggregationFunction, OrderedValue, Value, _set
 
 INTEGERS = "int"
 RATIONALS = "rat"
@@ -31,13 +31,6 @@ _OP_EVAL = {
     "!=": lambda a, b: a != b,
     "=": lambda a, b: a == b,
 }
-
-
-#: stores a field from `__init__`, past the values' frozen `__setattr__`.
-#: Terms and query parts are the values built most often, dozens per
-#: parsed query, so each class here stores its fields itself, in about
-#: half the time `Value._init`'s loop takes
-_set = object.__setattr__
 
 
 class ValidationError(ValueError):
@@ -139,12 +132,14 @@ class Comparison(Value):
 class Condition(Value):
     """One disjunct: a conjunction of literals."""
 
-    __slots__ = _fields = ("atoms", "comparisons")
+    _fields = ("atoms", "comparisons")
+    __slots__ = _fields + ("_views",)
 
     def __init__(self, atoms: tuple = (), comparisons: tuple = ()):
         _set(self, "_key", (atoms, comparisons))
         _set(self, "atoms", atoms)
         _set(self, "comparisons", comparisons)
+        _set(self, "_views", None)
 
     def positive_atoms(self):
         return [a for a in self.atoms if a.positive]
@@ -152,45 +147,38 @@ class Condition(Value):
     def negated_atoms(self):
         return [a for a in self.atoms if not a.positive]
 
-    def variables(self) -> set:
-        out = set()
-        for a in self.atoms:
-            out.update(a.variables())
-        for c in self.comparisons:
-            out.update(c.variables())
-        return out
+    def _terms(self) -> tuple:
+        """(variables, constants) of the atoms and comparisons, as
+        frozensets, computed on first use."""
+        if self._views is None:
+            terms = {t for a in self.atoms for t in a.args}
+            terms.update(t for c in self.comparisons for t in (c.lhs, c.rhs))
+            variables = frozenset(t for t in terms if is_var(t))
+            _set(self, "_views", (variables, frozenset(terms - variables)))
+        return self._views
 
-    def constants(self) -> set:
-        out = set()
-        for a in self.atoms:
-            out.update(t for t in a.args if is_const(t))
-        for c in self.comparisons:
-            out.update(t for t in c.terms() if is_const(t))
-        return out
+    def variables(self) -> frozenset:
+        return self._terms()[0]
+
+    def constants(self) -> frozenset:
+        return self._terms()[1]
 
     def is_safe(self) -> bool:
         """Every variable occurs in a positive atom or is `=`-linked to one."""
         return not self.unsafe_variables()
 
-    def unsafe_variables(self) -> set:
-        safe = set()
-        for a in self.positive_atoms():
-            safe.update(a.variables())
+    def unsafe_variables(self) -> frozenset:
+        safe = {t for a in self.atoms if a.positive for t in a.args}
         # propagate through chains of = comparisons between variables
-        changed = True
+        links = [(c.lhs, c.rhs) for c in self.comparisons
+                 if c.op == "=" and is_var(c.lhs) and is_var(c.rhs)]
+        changed = bool(links)
         while changed:
             changed = False
-            for c in self.comparisons:
-                if c.op != "=":
-                    continue
-                l, r = c.lhs, c.rhs
-                if is_var(l) and is_var(r):
-                    if l in safe and r not in safe:
-                        safe.add(r)
-                        changed = True
-                    elif r in safe and l not in safe:
-                        safe.add(l)
-                        changed = True
+            for pair in links:
+                if (pair[0] in safe) != (pair[1] in safe):
+                    safe.update(pair)
+                    changed = True
         return self.variables() - safe
 
     def __str__(self):
@@ -245,19 +233,30 @@ class Query:
             return set()
         return {t for t in self.aggregate.args if is_var(t)}
 
-    def variables(self) -> set:
-        out = set()
-        for d in self.disjuncts:
-            out.update(d.variables())
-        return out
+    #: `variables()` and `constants()`, computed on first use.  Not a
+    #: field: it neither compares nor prints, and `dataclasses.replace`
+    #: builds a query without it
+    _views = None
 
-    def constants(self) -> set:
-        out = {t for t in self.grouping if is_const(t)}
-        if self.aggregate is not None:
-            out.update(t for t in self.aggregate.args if is_const(t))
-        for d in self.disjuncts:
-            out.update(d.constants())
-        return out
+    def _terms(self) -> tuple:
+        if self._views is None:
+            variables = frozenset().union(
+                *(d.variables() for d in self.disjuncts))
+            constants = {t for t in self.grouping if is_const(t)}
+            if self.aggregate is not None:
+                constants.update(t for t in self.aggregate.args
+                                 if is_const(t))
+            constants.update(*(d.constants() for d in self.disjuncts))
+            _set(self, "_views", (variables, frozenset(constants)))
+        return self._views
+
+    def variables(self) -> frozenset:
+        """The disjuncts' variables, computed once."""
+        return self._terms()[0]
+
+    def constants(self) -> frozenset:
+        """The constants of the head and the disjuncts, computed once."""
+        return self._terms()[1]
 
     def predicates(self) -> dict:
         """predicate name -> arity, over all disjuncts."""
@@ -276,17 +275,20 @@ class Query:
 
     def validate(self) -> "Query":
         """Check head discipline, safety, and domain constraints."""
-        for t in self.constants():
-            if self.domain == INTEGERS and t.value.denominator != 1:
-                raise ValidationError(
-                    f"constant {t} is not an integer but the query ranges over integers")
-        head_vars = self.grouping_variables() | self.aggregation_variables()
-        if self.aggregate is not None:
-            overlap = self.grouping_variables() & self.aggregation_variables()
-            if overlap:
-                names = ", ".join(sorted(v.name for v in overlap))
-                raise ValidationError(
-                    f"grouping variable(s) {names} occur in the aggregate term")
+        if self.domain == INTEGERS:
+            for t in self.constants():
+                if t.value.denominator != 1:
+                    raise ValidationError(
+                        f"constant {t} is not an integer but the query "
+                        f"ranges over integers")
+        grouping = self.grouping_variables()
+        aggregated = self.aggregation_variables()
+        overlap = grouping & aggregated
+        if overlap:
+            names = ", ".join(sorted(v.name for v in overlap))
+            raise ValidationError(
+                f"grouping variable(s) {names} occur in the aggregate term")
+        head_vars = grouping | aggregated
         for i, d in enumerate(self.disjuncts, 1):
             # a head variable absent from the disjunct surfaces as a safety
             # violation: it occurs in no positive atom of that disjunct
@@ -343,7 +345,8 @@ class Database(Value):
     __slots__ = _fields = ("facts",)
 
     def __init__(self, facts: frozenset = frozenset()):
-        self._init(facts)
+        _set(self, "_key", (facts,))
+        _set(self, "facts", facts)
 
     @staticmethod
     def of(facts: Iterable) -> "Database":

@@ -19,7 +19,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Iterator, Optional
 
-from .aggregation import Value
+from .aggregation import Value, _set
 from .model import (
     INTEGERS, Comparison, Const, Term, is_const, is_var, term_sort_key,
 )
@@ -41,7 +41,9 @@ class CompleteOrdering(Value):
 
     def __init__(self, classes: tuple, domain: str):
         # classes: tuple of tuples of Term, each inner tuple sorted
-        self._init(classes, domain)
+        _set(self, "_key", (classes, domain))
+        _set(self, "classes", classes)
+        _set(self, "domain", domain)
 
     @staticmethod
     def of(classes: Iterable, domain: str) -> "CompleteOrdering":

@@ -22,8 +22,8 @@ from typing import Optional
 
 from .aggregation import FUNCTIONS, GRAMMAR_FUNCTIONS
 from .model import (
-    INTEGERS, RATIONALS, AggregateTerm, Atom, Comparison, Condition, Const,
-    Database, Query, Var, is_const,
+    COMPARISON_OPS, INTEGERS, RATIONALS, AggregateTerm, Atom, Comparison,
+    Condition, Const, Database, Query, Var, is_const,
 )
 
 
@@ -34,202 +34,205 @@ class ParseError(ValueError):
         self.column = column
 
 
+def _error(message: str, text: str, offset: int) -> ParseError:
+    """A ParseError at `offset` of `text`, as its line and column: only
+    an error reads them, so no token keeps them."""
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
+
+
 class ArityRegistry:
     """Predicate arities, fixed at first occurrence within a run."""
 
     def __init__(self):
         self._arities: dict[str, int] = {}
 
-    def check(self, predicate: str, arity: int, line=0, column=0):
-        known = self._arities.setdefault(predicate, arity)
-        if known != arity:
-            raise ParseError(
-                f"predicate {predicate} used with arity {arity}, "
-                f"previously {known}", line, column)
+    def setdefault(self, predicate: str, arity: int) -> int:
+        """`predicate`'s arity, fixed to `arity` at its first use."""
+        return self._arities.setdefault(predicate, arity)
 
 
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+|\#[^\n]*)
+    \s+|\#[^\n]*
   | (?P<number>-?\d+)
   | (?P<ident>[a-z][A-Za-z0-9_]*)
   | (?P<var>[A-Z_][A-Za-z0-9_]*)
   | (?P<punct>:-|<=|>=|!=|[(),;|!.<>=/])
+  | (?P<bad>.)
 """, re.VERBOSE)
 
 
-def _tokenize(text: str):
+def _tokenize(text: str) -> list:
+    """`text`'s tokens as `(kind, value, offset)`, then an `eof` one, in
+    one scan; whitespace and comments match no group and are skipped.  A
+    punctuation token's kind is its value, so one comparison tells any
+    token apart."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        if kind != "ws":
-            tokens.append((kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(("eof", "", line, col))
+        if kind is not None:
+            value = m.group()
+            if kind == "bad":
+                raise _error(f"unexpected character {value!r}", text,
+                             m.start())
+            tokens.append((value if kind == "punct" else kind, value,
+                           m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over `_tokenize`'s list: `pos` indexes the next
+    token, and a rule reads `tokens[pos]` itself."""
+
     def __init__(self, text: str, domain: str, registry: ArityRegistry,
                  what: str = "query"):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.domain = domain
         self.registry = registry
         self.what = what  # what the text holds, for error messages
 
-    # -- token plumbing ------------------------------------------------------
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
+    def expect(self, kind: str) -> str:
+        """The next token's value, consumed; it must be of `kind`."""
+        token = self.tokens[self.pos]
+        if token[0] != kind:
+            self.error(f"expected {kind!r}, found {token[1] or token[0]!r}")
         self.pos += 1
-        return tok
+        return token[1]
 
-    def at(self, kind, value=None) -> bool:
-        k, v, _, _ = self.peek()
-        return k == kind and (value is None or v == value)
-
-    def expect(self, kind, value=None):
-        k, v, line, col = self.peek()
-        if k != kind or (value is not None and v != value):
-            want = value if value is not None else kind
-            raise ParseError(f"expected {want!r}, found {v or k!r}", line, col)
-        return self.next()
-
-    def error(self, message):
-        _, v, line, col = self.peek()
-        raise ParseError(message, line, col)
+    def error(self, message: str, offset: Optional[int] = None):
+        """Raise a ParseError at `offset`, by default the next token's."""
+        if offset is None:
+            offset = self.tokens[self.pos][2]
+        raise _error(message, self.text, offset)
 
     # -- grammar -------------------------------------------------------------
 
     def number(self) -> Fraction:
-        _, num, line, col = self.expect("number")
-        value = Fraction(int(num))
-        if self.at("punct", "/"):
-            self.next()
-            _, den, dline, dcol = self.expect("number")
-            if int(den) == 0:
-                raise ParseError("zero denominator", dline, dcol)
-            value = Fraction(int(num), int(den))
+        offset = self.tokens[self.pos][2]
+        num = int(self.expect("number"))
+        value = Fraction(num)
+        if self.tokens[self.pos][0] == "/":
+            self.pos += 1
+            denominator = self.tokens[self.pos][2]
+            den = int(self.expect("number"))
+            if den == 0:
+                self.error("zero denominator", denominator)
+            value = Fraction(num, den)
         if self.domain == INTEGERS and value.denominator != 1:
-            raise ParseError(f"rational constant {value} in an "
-                             f"integer-domain {self.what}", line, col)
+            self.error(f"rational constant {value} in an "
+                       f"integer-domain {self.what}", offset)
         return value
 
     def term(self):
-        if self.at("var"):
-            return Var(self.next()[1])
-        if self.at("number"):
+        kind, value, _ = self.tokens[self.pos]
+        if kind == "var":
+            self.pos += 1
+            return Var(value)
+        if kind == "number":
             return Const(self.number())
         self.error("expected a term (variable or number)")
 
     def term_list(self):
-        terms = []
-        if self.at("punct", ")") or self.at("punct", ";"):
-            return tuple(terms)
-        terms.append(self.term())
-        while self.at("punct", ","):
-            self.next()
+        if self.tokens[self.pos][0] in (")", ";"):
+            return ()
+        terms = [self.term()]
+        while self.tokens[self.pos][0] == ",":
+            self.pos += 1
             terms.append(self.term())
         return tuple(terms)
 
     def atom(self, positive: bool) -> Atom:
-        kind, name, line, col = self.expect("ident")
-        self.expect("punct", "(")
+        offset = self.tokens[self.pos][2]
+        name = self.expect("ident")
+        self.expect("(")
         args = self.term_list()
-        self.expect("punct", ")")
-        self.registry.check(name, len(args), line, col)
+        self.expect(")")
+        known = self.registry.setdefault(name, len(args))
+        if known != len(args):
+            self.error(f"predicate {name} used with arity {len(args)}, "
+                       f"previously {known}", offset)
         return Atom(name, args, positive)
 
     def literal(self):
-        if self.at("punct", "!"):
-            self.next()
+        kind = self.tokens[self.pos][0]
+        if kind == "!":
+            self.pos += 1
             return self.atom(positive=False)
-        if self.at("ident"):
+        if kind == "ident":
             return self.atom(positive=True)
         lhs = self.term()
-        k, op, line, col = self.peek()
-        if k == "punct" and op in ("<", "<=", ">", ">=", "!=", "="):
-            self.next()
-        else:
-            raise ParseError("expected a comparison operator", line, col)
-        rhs = self.term()
-        return Comparison(lhs, op, rhs)
+        op = self.tokens[self.pos][0]
+        if op not in COMPARISON_OPS:
+            self.error("expected a comparison operator")
+        self.pos += 1
+        return Comparison(lhs, op, self.term())
 
     def disjunct(self) -> Condition:
         atoms, comparisons = [], []
-        lit = self.literal()
-        (atoms if isinstance(lit, Atom) else comparisons).append(lit)
-        while self.at("punct", ","):
-            self.next()
+        while True:
             lit = self.literal()
             (atoms if isinstance(lit, Atom) else comparisons).append(lit)
-        return Condition(tuple(atoms), tuple(comparisons))
+            if self.tokens[self.pos][0] != ",":
+                return Condition(tuple(atoms), tuple(comparisons))
+            self.pos += 1
 
     def aggregate(self) -> AggregateTerm:
-        kind, name, line, col = self.expect("ident")
+        offset = self.tokens[self.pos][2]
+        name = self.expect("ident")
         if name not in GRAMMAR_FUNCTIONS:
-            raise ParseError(f"unknown aggregation function {name!r}", line, col)
+            self.error(f"unknown aggregation function {name!r}", offset)
         func = FUNCTIONS[name]
-        self.expect("punct", "(")
+        self.expect("(")
         args = self.term_list()
-        self.expect("punct", ")")
+        self.expect(")")
         if len(args) != func.arity:
-            raise ParseError(
-                f"{name} takes {func.arity} argument(s), got {len(args)}",
-                line, col)
+            self.error(f"{name} takes {func.arity} argument(s), "
+                       f"got {len(args)}", offset)
         return AggregateTerm(func, args)
 
     def query(self) -> Query:
-        _, name, _, _ = self.expect("ident")
-        self.expect("punct", "(")
+        name = self.expect("ident")
+        self.expect("(")
         grouping = self.term_list()
         aggregate = None
-        if self.at("punct", ";"):
-            self.next()
+        if self.tokens[self.pos][0] == ";":
+            self.pos += 1
             aggregate = self.aggregate()
-        self.expect("punct", ")")
-        self.expect("punct", ":-")
+        self.expect(")")
+        self.expect(":-")
         disjuncts = [self.disjunct()]
-        while self.at("punct", "|"):
-            self.next()
+        while self.tokens[self.pos][0] == "|":
+            self.pos += 1
             disjuncts.append(self.disjunct())
-        if self.at("punct", "."):
-            self.next()
+        if self.tokens[self.pos][0] == ".":
+            self.pos += 1
         return Query(name, grouping, aggregate, tuple(disjuncts),
                      self.domain).validate()
 
     def query_file(self):
         queries = [self.query()]
-        while not self.at("eof"):
+        while self.tokens[self.pos][0] != "eof":
             queries.append(self.query())
         return queries
 
     def database(self) -> Database:
         facts = set()
-        while not self.at("eof"):
-            _, _, line, col = self.peek()
+        while self.tokens[self.pos][0] != "eof":
+            offset = self.tokens[self.pos][2]
             fact = self.atom(positive=True)
-            self.expect("punct", ".")
+            self.expect(".")
             bad = [a for a in fact.args if not is_const(a)]
             if bad:
-                raise ParseError(f"database fact with variable {bad[0]}", line, col)
+                self.error(f"database fact with variable {bad[0]}", offset)
             facts.add((fact.predicate, tuple(a.value for a in fact.args)))
         return Database(frozenset(facts))
+
+    def end(self, what: str):
+        if self.tokens[self.pos][0] != "eof":
+            self.error(f"trailing input after {what}")
 
 
 def parse_query(text: str, domain: str = RATIONALS,
@@ -237,8 +240,7 @@ def parse_query(text: str, domain: str = RATIONALS,
     """Parse exactly one query declaration."""
     parser = _Parser(text, domain, registry or ArityRegistry())
     q = parser.query()
-    if not parser.at("eof"):
-        parser.error("trailing input after query")
+    parser.end("query")
     return q
 
 
@@ -259,8 +261,7 @@ def parse_term(text: str):
     """Parse a single term; used by the ordered-identity front end."""
     parser = _Parser(text, RATIONALS, ArityRegistry())
     t = parser.term()
-    if not parser.at("eof"):
-        parser.error("trailing input after term")
+    parser.end("term")
     return t
 
 

@@ -29,11 +29,35 @@ from collections import Counter
 from fractions import Fraction
 
 from aggequiv import engine
-from aggequiv.model import Const, INTEGERS, Var, is_const, is_var, term_sort_key
+from aggequiv.model import (
+    Const, INTEGERS, Query, Var, is_const, is_var, term_sort_key,
+)
 from aggequiv.orderings import (
     CompleteOrdering, entails, is_satisfiable_order, rename_tuple,
     satisfying_assignment, witness_pair_at,
 )
+
+
+# ---------------------------------------------------------------------------
+# Views of conditions and queries, recomputed
+# ---------------------------------------------------------------------------
+
+def reference_views(value) -> tuple:
+    """`(variables, constants)` of a `Condition` or a `Query` as sets,
+    recomputed from its fields on every call: a condition's are those of
+    its atoms' arguments and its comparisons' operands, a query's
+    variables those of its disjuncts and its constants also those of its
+    head."""
+    if isinstance(value, Query):
+        views = [reference_views(d) for d in value.disjuncts]
+        head = value.grouping + (value.aggregate.args
+                                 if value.aggregate is not None else ())
+        return (set().union(*(variables for variables, _ in views)),
+                {t for t in head if is_const(t)}.union(
+                    *(constants for _, constants in views)))
+    terms = [t for a in value.atoms for t in a.args]
+    terms += [t for c in value.comparisons for t in (c.lhs, c.rhs)]
+    return {t for t in terms if is_var(t)}, {t for t in terms if is_const(t)}
 
 
 # ---------------------------------------------------------------------------

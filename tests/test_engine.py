@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import json
@@ -17,13 +18,14 @@ import pytest
 from helpers import (
     FUNCTION_NAMES, compile_all, differing_masks, filtered_complete_orderings,
     random_text, reference_prepare, reference_scan, reference_units,
-    subset_major_scan,
+    reference_views, subset_major_scan,
 )
 
 from aggequiv import engine, identity, oracle
 from aggequiv.model import (
     Const, Database, INTEGERS, Var, merged_predicates, term_size_pair,
 )
+from aggequiv.normalize import reduce_query
 from aggequiv.orderings import CompleteOrdering
 from aggequiv.parsing import parse_query
 
@@ -488,6 +490,66 @@ def random_shape_pair(rng, wide=False):
             n -= 1
         if engine.base_size(q, q2, n) <= bound:
             return text1, text2, domain, n
+
+
+def test_cached_views_equal_a_recomputation():
+    """`variables()` and `constants()` of a Condition and of a Query are
+    computed on first use and kept.  On seeded wide `random_shape_pair`
+    draws, their `reduce_query` outputs and `dataclasses.replace`d
+    queries, every condition's and query's views equal
+    `helpers.reference_views`, on the first call and the next, and a
+    replaced query does not keep the views of the one it came from.  The
+    views are frozensets and the cache is no field anyone can assign, so
+    no caller can change a kept view."""
+    rng = random.Random(35)
+    for _ in range(150):
+        text1, text2, domain, _ = random_shape_pair(rng, wide=True)
+        for text in (text1, text2):
+            q = parse_query(text, domain=domain)
+            q.variables(), q.constants()  # kept before the replacements
+            queries = [q, reduce_query(q), dataclasses.replace(
+                q, grouping=q.grouping + (Const(F(7, 2)),)),
+                dataclasses.replace(q, disjuncts=q.disjuncts[:1])]
+            for query in queries:
+                for value in (query, *query.disjuncts):
+                    expected = reference_views(value)
+                    for _ in range(2):
+                        views = (value.variables(), value.constants())
+                        assert views == expected
+                        assert all(type(view) is frozenset for view in views)
+    assert Const(F(7, 2)) in queries[2].constants()
+    assert Const(F(7, 2)) not in q.constants()
+    for value in (q, q.disjuncts[0]):
+        with pytest.raises(AttributeError):
+            value.variables().add(Var("Z"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value._views = None
+
+
+def test_nullary_atoms_belong_to_every_level():
+    """An atom without arguments, like p(), uses no fresh variable, so it
+    is an atom of every level, level 0 included, also when the pair has
+    no constants: under count `p()` and `p() | p()` differ on {p()}.  The
+    scan finds `reference_scan`'s first failing unit, and the verdicts
+    match the brute-force oracle.  Pairs without atoms have one empty
+    subset at level 0 and are decided on the empty database."""
+    pairs = [("q(; count()) :- p()", "q(; count()) :- p() | p()"),
+             ("q(; sum(Y)) :- p(), e(Y)",
+              "q(; sum(Y)) :- p(), e(Y) | e(Y), !p()"),
+             ("q(; count()) :- p(), !b()", "q(; count()) :- p()"),
+             ("q(; count()) :- 1 < 2", "q(; count()) :- 1 < 2 | 1 < 2"),
+             ("q(1; count()) :- 1 < 2", "q(2; count()) :- 1 < 2")]
+    for text1, text2 in pairs:
+        q, q2 = parse_query(text1), parse_query(text2)
+        for n in range(3):
+            hit = engine._scan(engine._plan(q, q2, n))
+            assert hit == reference_scan(engine._plan(q, q2, n))
+            found = oracle.brute_force_check(q, q2, pool=range(n))
+            assert (hit is None) == (found is None), (text1, text2, n)
+    verdict = engine.n_equivalent(*map(parse_query, pairs[0]), 0)
+    assert verdict.counterexample.database == Database.of([("p", ())])
+    assert (verdict.counterexample.left_value,
+            verdict.counterexample.right_value) == (1, 2)
 
 
 def test_level_walk_keeps_the_first_failing_unit():

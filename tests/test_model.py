@@ -11,7 +11,7 @@ from aggequiv.normalize import reduce_query
 from aggequiv.oracle import eval_concrete
 from aggequiv.parsing import (
     ArityRegistry, ParseError, format_database, format_query, parse_database,
-    parse_queries, parse_query,
+    parse_queries, parse_query, parse_term,
 )
 
 F = Fraction
@@ -83,6 +83,62 @@ def test_unknown_function_and_syntax_errors():
         parse_query("q(; sum()) :- p(Y)")
     with pytest.raises(ParseError, match="takes 0 argument"):
         parse_query("q(; count(Y)) :- p(Y)")
+
+
+#: (parser, text, domain) -> (message, line, column) of the ParseError,
+#: over multi-line input with comments: a position is that of the token
+#: the error names, counted from 1 past newlines and comments
+PARSE_ERRORS = [
+    ("query", "# a comment\nq(X; sum(Y)) :- p(X, Y),\n   Y > 3 $ 4\n",
+     RATIONALS, ("unexpected character '$'", 3, 10)),
+    ("query", "q(X; sum(Y)) :- p(X, Y), Y >= -1\n\n\n   ?", RATIONALS,
+     ("unexpected character '?'", 4, 4)),
+    ("query", "q(X; sum(Y)) :- p(X, Y), Y < 1/2\r\n  | p(X, Y), Y < 0 @\n",
+     RATIONALS, ("unexpected character '@'", 2, 20)),
+    ("query", "q(X; sum(Y)) :- p(X, Y) # trailing\n  | p(X Y)\n", RATIONALS,
+     ("expected ')', found 'Y'", 2, 9)),
+    ("query", "q(X) :- p(X), !\n\tb(X\n", RATIONALS,
+     ("expected ')', found 'eof'", 3, 1)),
+    ("query", "", RATIONALS, ("expected 'ident', found 'eof'", 1, 1)),
+    ("query", "q(X; sum(Y))\n  :- p(X, Y), Y > \n  # c\n  , 3\n", RATIONALS,
+     ("expected a term (variable or number)", 4, 3)),
+    ("query", "q(X; sum(Y)) :- p(X, Y), Y > 3 |\n", RATIONALS,
+     ("expected a term (variable or number)", 2, 1)),
+    ("query", "q(X; count()) :- p(X),\n  # c\n  X 3\n", RATIONALS,
+     ("expected a comparison operator", 3, 5)),
+    ("query", "q(X; count()) :- p(X),\n  X < 3/0\n", RATIONALS,
+     ("zero denominator", 2, 9)),
+    ("query", "q(X; count()) :- p(X),\n  # c\n  X < 3/2\n", INTEGERS,
+     ("rational constant 3/2 in an integer-domain query", 3, 7)),
+    ("database", "p(1, 2).\n# c\np(3/2, 1).\n", INTEGERS,
+     ("rational constant 3/2 in an integer-domain database", 3, 3)),
+    ("query", "q(X;\n  medianx(Y)) :- p(X, Y)\n", RATIONALS,
+     ("unknown aggregation function 'medianx'", 2, 3)),
+    ("query", "q(X; sum(Y, X)) :- p(X, Y)\n", RATIONALS,
+     ("sum takes 1 argument(s), got 2", 1, 6)),
+    ("query", "q(X; sum(Y)) :- p(X, Y) |\n  # c\n  p(X, Y, Y)\n", RATIONALS,
+     ("predicate p used with arity 3, previously 2", 3, 3)),
+    ("database", "p(1, 2).\n  # c\n  p(X, 1).\n", RATIONALS,
+     ("database fact with variable X", 3, 3)),
+    ("database", "p(1, 2) p(2, 3).", RATIONALS,
+     ("expected '.', found 'p'", 1, 9)),
+    ("one query", "q(X; sum(Y)) :- p(X, Y).\n  # c\n  extra\n", RATIONALS,
+     ("trailing input after query", 3, 3)),
+    ("term", "3/", RATIONALS, ("expected 'number', found 'eof'", 1, 3)),
+    ("term", "X Y", RATIONALS, ("trailing input after term", 1, 3)),
+]
+
+
+@pytest.mark.parametrize("parser, text, domain, expected", PARSE_ERRORS)
+def test_parse_error_positions(parser, text, domain, expected):
+    parse = {"query": parse_queries, "one query": parse_query,
+             "database": parse_database,
+             "term": lambda text, domain: parse_term(text)}[parser]
+    with pytest.raises(ParseError) as err:
+        parse(text, domain)
+    message, line, column = expected
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"{line}:{column}: {message}"
 
 
 def test_integer_domain_rejects_rationals():
