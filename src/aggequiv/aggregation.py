@@ -203,8 +203,8 @@ class AggregationFunction(Value):
         return f"AggregationFunction({self.name!r})"
 
     def __reduce__(self):
-        # descriptors are singletons; pickle them by registry name so the
-        # callables inside never cross process boundaries
+        # pickled by registry name: the lambdas a descriptor holds do not
+        # pickle, and unpickling must return the registry's singleton
         return (_registered_function, (self.name,))
 
 

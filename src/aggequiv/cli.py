@@ -212,7 +212,7 @@ def _cmd_pairwise(args) -> int:
         verdict = equivalent_quasilinear(q, q2)
     elif args.command == "nequiv":
         _guardrail(q, q2, args.n, args)
-        verdict = engine.n_equivalent(q, q2, args.n, workers=args.workers)
+        verdict = engine.n_equivalent(q, q2, args.n)
     else:
         # equiv's unsupported routes search nothing, so pass no guardrail
         verdict = (engine.unsupported_verdict(q, q2)
@@ -222,7 +222,7 @@ def _cmd_pairwise(args) -> int:
             decide = {"equiv": engine.equivalent,
                       "local-equiv": engine.locally_equivalent,
                       "bagset-equiv": engine.bagset_equivalent}[args.command]
-            verdict = decide(q, q2, workers=args.workers)
+            verdict = decide(q, q2)
     return _report_verdict(verdict, args, started)
 
 

@@ -90,8 +90,7 @@ filters on term positions.  A level's orderings place uk into the
 previous level's (`orderings.place_next_variable`), and each is prepared
 from its parent's prepared assignments plus the level's own, a parent
 not yet prepared being prepared first; only level 0 starts from none.
-An ordering whose uk stays above every term is its parent's.  The walk
-runs in the calling process: `workers` changes nothing.
+An ordering whose uk stays above every term is its parent's.
 
 Full equivalence reduces to N-equivalence at the pair's term size for
 the decomposable functions (count, sum, max, min, parity, top2) and for
@@ -532,16 +531,10 @@ def _verify_counterexample(q: Query, q2: Query, ce: Counterexample):
         raise AssertionError("counterexample does not separate the queries")
 
 
-def n_equivalent(q: Query, q2: Query, n: int, workers: int = 1) -> Verdict:
-    """Do the queries agree on every database with at most `n` constants?
-
-    `workers` must be at least 1 and changes nothing: the walk runs in
-    the calling process (see the module docstring's ordering drop).
-    """
+def n_equivalent(q: Query, q2: Query, n: int) -> Verdict:
+    """Do the queries agree on every database with at most `n` constants?"""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     if q.domain != q2.domain:
         raise ValueError("queries range over different domains")
     if q.aggregate is None or q2.aggregate is None:
@@ -740,9 +733,9 @@ def _scan(plan: _Plan):
 # Local and full equivalence
 # ---------------------------------------------------------------------------
 
-def locally_equivalent(q: Query, q2: Query, workers: int = 1) -> Verdict:
+def locally_equivalent(q: Query, q2: Query) -> Verdict:
     """N-equivalence at the pair's term size."""
-    return n_equivalent(q, q2, term_size_pair(q, q2), workers=workers)
+    return n_equivalent(q, q2, term_size_pair(q, q2))
 
 
 def unsupported_verdict(q: Query, q2: Query) -> Optional[Verdict]:
@@ -763,13 +756,13 @@ def unsupported_verdict(q: Query, q2: Query) -> Optional[Verdict]:
         f"bounded equivalence (nequiv) remains available"))
 
 
-def equivalent(q: Query, q2: Query, workers: int = 1) -> Verdict:
+def equivalent(q: Query, q2: Query) -> Verdict:
     """Full equivalence, via the reduction to local equivalence: sound
     and complete for the decomposable functions and for prod over the
     rationals; `unsupported_verdict` reports the rest."""
     verdict = unsupported_verdict(q, q2)
     if verdict is None:
-        verdict = locally_equivalent(q, q2, workers=workers)
+        verdict = locally_equivalent(q, q2)
         # the reduction needs matching heads; a local counterexample
         # still disproves equivalence outright
         if verdict.status != NOT_EQUIVALENT and not _same_head(q, q2):
@@ -779,11 +772,11 @@ def equivalent(q: Query, q2: Query, workers: int = 1) -> Verdict:
     return verdict
 
 
-def bagset_equivalent(q: Query, q2: Query, workers: int = 1) -> Verdict:
+def bagset_equivalent(q: Query, q2: Query) -> Verdict:
     """Bag-set equivalence of two non-aggregate queries: equivalence of
     the queries with count adjoined to their heads."""
     if q.aggregate is not None or q2.aggregate is not None:
         raise ValueError("bagset_equivalent expects non-aggregate queries")
     counted = AggregateTerm(FUNCTIONS["count"], ())
     return equivalent(replace(q, aggregate=counted),
-                      replace(q2, aggregate=counted), workers=workers)
+                      replace(q2, aggregate=counted))

@@ -39,17 +39,24 @@ def test_equiv_exit_codes(tmp_path, capsys):
 
 
 def test_nequiv_counterexample(count_pair, capsys, tmp_path):
+    """`--workers 2` is accepted and changes nothing: the same stdout,
+    timings aside, and nothing on stderr."""
     a, b = count_pair
     save = str(tmp_path / "ce.facts")
-    code = main(["nequiv", a, b, "--n", "2", "--json",
-                 "--save-counterexample", save])
-    assert code == 1
+    argv = ["nequiv", a, b, "--n", "2", "--json", "--save-counterexample",
+            save]
+    assert main(argv) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "not_equivalent"
     assert payload["counterexample"]["facts"] == ["p(0)."]
     assert payload["counterexample"]["values"] == ["1", "2"]
     with open(save) as saved:
         assert saved.read().strip() == "p(0)."
+    assert main(argv + ["--workers", "2"]) == 1
+    out, err = capsys.readouterr()
+    two = json.loads(out)
+    del payload["timings"], two["timings"]
+    assert (two, err) == (payload, "")
 
 
 def test_a_failed_save_reports_only_its_error(count_pair, capsys, tmp_path):
@@ -100,9 +107,13 @@ def test_internal_error_is_not_a_verdict(count_pair, capsys, monkeypatch):
     assert "internal error" in capsys.readouterr().err
 
 
-def test_usage_errors():
+def test_usage_errors(count_pair, capsys):
     assert main(["nequiv"]) == 64
     assert main(["unknown-command"]) == 64
+    capsys.readouterr()
+    assert main(["nequiv", *count_pair, "--n", "1", "--workers", "0"]) == 64
+    assert capsys.readouterr() == (
+        "", "usage error: --workers must be at least 1\n")
 
 
 def test_usage_error_on_wrong_declaration_count(tmp_path):

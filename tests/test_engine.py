@@ -1,14 +1,11 @@
 import dataclasses
-import gc
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import random
 import subprocess
 import sys
-import threading
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -303,18 +300,16 @@ def test_head_mismatch():
     assert left != right
     # grouping arity mismatch
     q3 = parse_query("q(X; count()) :- p(X)")
-    sequential = engine.n_equivalent(q, q3, 1)
-    assert sequential.status == engine.NOT_EQUIVALENT
-    assert engine.n_equivalent(q, q3, 1, workers=2) == sequential
+    assert engine.n_equivalent(q, q3, 1).status == engine.NOT_EQUIVALENT
     assert engine.equivalent(q, q3).status in (engine.NOT_EQUIVALENT,
                                                engine.UNSUPPORTED)
 
 
 def test_head_mismatch_counterexamples_are_pinned():
     """Differing heads are compared on the ordering's canonical instance;
-    the first disagreement found is fixed, whatever the worker count.  No
-    unit stands for another there: min and parity agree on {p(u1)} (at
-    u1 = 0) but not on {p(u2)}, whose renaming onto u1 is {p(u1)}."""
+    the first disagreement found is fixed.  No unit stands for another
+    there: min and parity agree on {p(u1)} (at u1 = 0) but not on
+    {p(u2)}, whose renaming onto u1 is {p(u1)}."""
     cases = [
         ("q(; count()) :- p(X)", "q(; sum(Y)) :- p(Y)", "rat", 2,
          {("p", (F(0),))}, (), 1, F(0)),
@@ -328,17 +323,16 @@ def test_head_mismatch_counterexamples_are_pinned():
     for text1, text2, domain, n, facts, group, left, right in cases:
         q = parse_query(text1, domain=domain)
         q2 = parse_query(text2, domain=domain)
-        for workers in (1, 2):
-            verdict = engine.n_equivalent(q, q2, n, workers=workers)
-            verify_ce(q, q2, verdict)
-            assert verdict.counterexample == engine.Counterexample(
-                Database(frozenset(facts)), group, left, right)
+        verdict = engine.n_equivalent(q, q2, n)
+        verify_ce(q, q2, verdict)
+        assert verdict.counterexample == engine.Counterexample(
+            Database(frozenset(facts)), group, left, right)
 
 
 def test_early_counterexamples_are_pinned():
     """The first counterexample of pairs with many orderings and an early
     hit, fixed across the lex-leader ordering filter and the idle-atom
-    skip, whatever the worker count."""
+    skip."""
     p, b, e = "p", "b", "e"
     cases = [
         ("q(; max(Y)) :- p(Y), Y < 1", "q(; max(Y)) :- p(Y), Y <= 0",
@@ -363,11 +357,10 @@ def test_early_counterexamples_are_pinned():
     for text1, text2, domain, n, facts, group, left, right in cases:
         q = parse_query(text1, domain=domain)
         q2 = parse_query(text2, domain=domain)
-        for workers in (1, 2):
-            verdict = engine.n_equivalent(q, q2, n, workers=workers)
-            verify_ce(q, q2, verdict)
-            assert verdict.counterexample == engine.Counterexample(
-                Database(frozenset(facts)), group, left, right)
+        verdict = engine.n_equivalent(q, q2, n)
+        verify_ce(q, q2, verdict)
+        assert verdict.counterexample == engine.Counterexample(
+            Database(frozenset(facts)), group, left, right)
 
 
 def test_first_counterexample_is_the_first_canonical_failure():
@@ -377,11 +370,10 @@ def test_first_counterexample_is_the_first_canonical_failure():
     q = parse_query("q(; count()) :- e(X, Y), Y < X, X < 0"
                     " | e(X, Y), 0 < X, X < Y | e(X, X)")
     q2 = parse_query("q(; count()) :- e(X, X)")
-    for workers in (1, 2):
-        verdict = engine.n_equivalent(q, q2, 2, workers=workers)
-        verify_ce(q, q2, verdict)
-        assert verdict.counterexample == engine.Counterexample(
-            Database(frozenset({("e", (F(1), F(2)))})), (), 1, None)
+    verdict = engine.n_equivalent(q, q2, 2)
+    verify_ce(q, q2, verdict)
+    assert verdict.counterexample == engine.Counterexample(
+        Database(frozenset({("e", (F(1), F(2)))})), (), 1, None)
 
 
 _SHAPES = {  # head, positive literals, other literals, compared variables
@@ -532,13 +524,18 @@ def test_nullary_atoms_belong_to_every_level():
     no constants: under count `p()` and `p() | p()` differ on {p()}.  The
     scan finds `reference_scan`'s first failing unit, and the verdicts
     match the brute-force oracle.  Pairs without atoms have one empty
-    subset at level 0 and are decided on the empty database."""
+    subset at level 0 and are decided on the empty database, with
+    matching heads or not: count and parity agree there on one
+    assignment, and not on two (1 against 0)."""
     pairs = [("q(; count()) :- p()", "q(; count()) :- p() | p()"),
              ("q(; sum(Y)) :- p(), e(Y)",
               "q(; sum(Y)) :- p(), e(Y) | e(Y), !p()"),
              ("q(; count()) :- p(), !b()", "q(; count()) :- p()"),
              ("q(; count()) :- 1 < 2", "q(; count()) :- 1 < 2 | 1 < 2"),
-             ("q(1; count()) :- 1 < 2", "q(2; count()) :- 1 < 2")]
+             ("q(1; count()) :- 1 < 2", "q(2; count()) :- 1 < 2"),
+             ("q(; count()) :- 1 < 2", "q(; parity()) :- 1 < 2"),
+             ("q(; count()) :- 1 < 2", "q(; parity()) :- 1 < 2 | 1 < 2"),
+             ("q(; count()) :- 1 < 2", "q(1; count()) :- 1 < 2")]
     for text1, text2 in pairs:
         q, q2 = parse_query(text1), parse_query(text2)
         for n in range(3):
@@ -546,34 +543,38 @@ def test_nullary_atoms_belong_to_every_level():
             assert hit == reference_scan(engine._plan(q, q2, n))
             found = oracle.brute_force_check(q, q2, pool=range(n))
             assert (hit is None) == (found is None), (text1, text2, n)
-    verdict = engine.n_equivalent(*map(parse_query, pairs[0]), 0)
-    assert verdict.counterexample.database == Database.of([("p", ())])
-    assert (verdict.counterexample.left_value,
-            verdict.counterexample.right_value) == (1, 2)
+    for pair, facts, values in ((pairs[0], [("p", ())], (1, 2)),
+                                (pairs[6], [], (1, 0))):
+        ce = engine.n_equivalent(*map(parse_query, pair), 0).counterexample
+        assert (ce.database, (ce.left_value, ce.right_value)) == (
+            Database.of(facts), values)
 
 
 def test_level_walk_keeps_the_first_failing_unit():
-    """Random pairs (`random_shape_pair`): the scan, which plans each
+    """Random pairs (`random_shape_pair`), 200 plain draws and 300 wide
+    ones whose BASE has at most 12 atoms: the scan, which plans each
     level when it reaches it, skips levels and drops orderings, finds
     the same first failing unit (level, index and counterexample) as
-    the reference walk over every unit of every level, and a decision
-    at 1, 2 or 3 workers reports it too."""
-    rng = random.Random(1996)
-    outcomes = Counter()
-    for _ in range(200):
-        text1, text2, domain, n = random_shape_pair(rng)
-        q = parse_query(text1, domain=domain)
-        q2 = parse_query(text2, domain=domain)
-        plan = engine._plan(q, q2, n)
-        expected = reference_scan(plan)
-        assert engine._scan(plan) == expected, (text1, text2, domain, n)
-        for workers in (1, 2, 3):
-            verdict = engine.n_equivalent(q, q2, n, workers=workers)
+    the reference walk over every unit of every level, and the decision
+    reports it too."""
+    for wide, draws, seed in ((False, 200, 1996), (True, 300, 2024)):
+        rng = random.Random(seed)
+        outcomes = Counter()
+        while outcomes.total() < draws:
+            text1, text2, domain, n = random_shape_pair(rng, wide)
+            q = parse_query(text1, domain=domain)
+            q2 = parse_query(text2, domain=domain)
+            if engine.base_size(q, q2, n) > 12:
+                continue
+            plan = engine._plan(q, q2, n)
+            expected = reference_scan(plan)
+            assert engine._scan(plan) == expected, (text1, text2, domain, n)
+            verdict = engine.n_equivalent(q, q2, n)
             assert verdict.counterexample == (expected and expected[1])
-        outcomes[plan.same_head, expected is None] += 1
-    # (same head, equivalent): differing heads almost always fail
-    assert min(outcomes[True, True], outcomes[True, False],
-               outcomes[False, False]) >= 10, outcomes
+            outcomes[plan.same_head, expected is None] += 1
+        # (same head, equivalent): differing heads almost always fail
+        assert min(outcomes[True, True], outcomes[True, False],
+                   outcomes[False, False]) >= 10, outcomes
 
 
 def test_level_walk_and_subset_major_walk_agree_on_every_verdict():
@@ -689,7 +690,7 @@ def test_level_walk_keeps_the_first_failing_unit_at_ten_fresh_variables():
             assert engine._scan(plan) == expected, (text1, text2, n)
     q = parse_query(pairs[0][0], domain=INTEGERS)
     q2 = parse_query(pairs[0][1], domain=INTEGERS)
-    verdict = engine.n_equivalent(q, q2, 10, workers=2)
+    verdict = engine.n_equivalent(q, q2, 10)
     assert verdict.counterexample == engine.Counterexample(
         Database.of([("p", [1]), ("p", [2])]), (), 2, None)
 
@@ -761,7 +762,7 @@ def test_units_where_no_prepared_assignment_differs_are_not_checked(
         checked):
     """Both queries compile to the same assignments, so they prepare the
     same ones under every ordering: the walk has no level and no unit is
-    checked, at any worker count."""
+    checked."""
     reflexive = "q(X; sum(Y)) :- p(X, Y), Y > 3 | p(Y, X), !b(X)"
     pairs = [
         (reflexive, reflexive, 2),
@@ -771,9 +772,7 @@ def test_units_where_no_prepared_assignment_differs_are_not_checked(
     for text1, text2, n in pairs:
         q, q2 = parse_query(text1), parse_query(text2)
         assert list(engine._walked_levels(engine._plan(q, q2, n))) == []
-        for workers in (1, 2, 3):
-            verdict = engine.n_equivalent(q, q2, n, workers=workers)
-            assert verdict.status == engine.EQUIVALENT
+        assert engine.n_equivalent(q, q2, n).status == engine.EQUIVALENT
     assert checked == []
 
 
@@ -833,7 +832,7 @@ def test_early_hit_prepares_only_the_orderings_it_checks(monkeypatch):
     assert len(plan.compiled) == 1
     monkeypatch.undo()
     verify_ce(q, q2, verdict)
-    assert verdict == engine.n_equivalent(q, q2, 4, workers=2)
+    assert verdict == engine.n_equivalent(q, q2, 4)
 
 
 def test_differential_skip_is_sound():
@@ -1062,21 +1061,20 @@ def test_no_dropped_ordering_has_a_failing_unit():
 
 def test_prod_counterexample_beside_a_pinned_integer_slot():
     """At N = 2 the first failure is prod {u1, u1, u1} = prod {u1, u1}
-    under 0 < u1 < 3 < u2, at u1 = 2, at one and at two workers.  The
-    scan checks two units and fails on the second, before it meets the
-    same bags under another ordering, so this pins the counterexample
-    only: a verdict reused across orderings is caught by
+    under 0 < u1 < 3 < u2, at u1 = 2.  The scan checks two units and
+    fails on the second, before it meets the same bags under another
+    ordering, so this pins the counterexample only: a verdict reused
+    across orderings is caught by
     `test_a_verdict_that_needs_a_pinned_value_is_not_reused`."""
     q = parse_query("q(; prod(Y)) :- p(Y), Y < 3, Y != 0"
                     " | p(Y), Y > 0, Y != 3 | p(Y), Y < 3", domain=INTEGERS)
     q2 = parse_query("q(; prod(Y)) :- p(Y), Y != 3"
                      " | p(Y), p(Z), Y != 0, Y > 0, Z < 3 | p(Y), Y < 0, Y < 3",
                      domain=INTEGERS)
-    for workers in (1, 2):
-        verdict = engine.n_equivalent(q, q2, 2, workers=workers)
-        verify_ce(q, q2, verdict)
-        assert verdict.counterexample == engine.Counterexample(
-            Database(frozenset({("p", (F(2),))})), (), F(8), F(4))
+    verdict = engine.n_equivalent(q, q2, 2)
+    verify_ce(q, q2, verdict)
+    assert verdict.counterexample == engine.Counterexample(
+        Database(frozenset({("p", (F(2),))})), (), F(8), F(4))
 
 
 def test_a_verdict_that_needs_a_pinned_value_is_not_reused():
@@ -1092,11 +1090,10 @@ def test_a_verdict_that_needs_a_pinned_value_is_not_reused():
     q2 = parse_query("q(; prod(Y)) :- p(Y), Y < 2 | p(Y), Y > 2"
                      " | p(Y), Y > 0, Y != 2", domain=INTEGERS)
     for n in (1, 2):
-        for workers in (1, 2):
-            verdict = engine.n_equivalent(q, q2, n, workers=workers)
-            verify_ce(q, q2, verdict)
-            assert verdict.counterexample == engine.Counterexample(
-                Database(frozenset({("p", (F(3),))})), (), F(3), F(9))
+        verdict = engine.n_equivalent(q, q2, n)
+        verify_ce(q, q2, verdict)
+        assert verdict.counterexample == engine.Counterexample(
+            Database(frozenset({("p", (F(3),))})), (), F(3), F(9))
 
 
 @pytest.fixture
@@ -1233,89 +1230,6 @@ def test_randomized_cross_validation_with_brute_force():
             assert oracle.brute_force_check(q, q2, pool=pool) is None
 
 
-def test_workers_match_sequential():
-    q = parse_query("q(; count()) :- p(X), !b(X)")
-    q2 = parse_query("q(; count()) :- p(X)")
-    sequential = engine.n_equivalent(q, q2, 1)
-    parallel = engine.n_equivalent(q, q2, 1, workers=2)
-    assert sequential == parallel
-    same = engine.n_equivalent(q, q, 1, workers=2)
-    assert same.status == engine.EQUIVALENT
-
-
-def test_workers_must_be_positive():
-    q = parse_query("q(; count()) :- p(X)")
-    plain = parse_query("q() :- p(X)")
-    for workers in (0, -3):
-        for decide in (lambda: engine.n_equivalent(q, q, 1, workers=workers),
-                       lambda: engine.equivalent(q, q, workers=workers),
-                       lambda: engine.locally_equivalent(q, q,
-                                                         workers=workers),
-                       lambda: engine.bagset_equivalent(plain, plain,
-                                                        workers=workers)):
-            with pytest.raises(ValueError, match="workers"):
-                decide()
-
-
-def test_verdicts_do_not_depend_on_workers():
-    """Seeded random pairs over all nine functions, both domains,
-    negation and comparisons, some with differing functions, decided at
-    1, 2 and 3 workers: every verdict is the same."""
-    rng = random.Random(7)
-    pairs = []
-    for _ in range(60):
-        func = rng.choice(FUNCTION_NAMES)
-        func2 = func if rng.random() < 0.7 else rng.choice(FUNCTION_NAMES)
-        domain = rng.choice([INTEGERS, "rat"])
-        q = parse_query(random_text(rng, func), domain=domain)
-        q2 = parse_query(random_text(rng, func2), domain=domain)
-        pairs.append((q, q2, min(term_size_pair(q, q2), 2)))
-    verdicts = {workers: [engine.n_equivalent(q, q2, n, workers=workers)
-                          for q, q2, n in pairs]
-                for workers in (1, 2, 3)}
-    assert verdicts[2] == verdicts[1]
-    assert verdicts[3] == verdicts[1]
-    assert 0 < sum(v.status == engine.EQUIVALENT for v in verdicts[1]) < 60
-
-
-@pytest.fixture
-def no_process(monkeypatch):
-    """Starting a process fails the test."""
-    def refuse(process):
-        raise AssertionError("a process was started")
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
-
-
-@pytest.fixture
-def scans(monkeypatch):
-    """The plans of the `_scan` calls in this process."""
-    calls = []
-    scan = engine._scan
-
-    def recording(plan):
-        calls.append(plan)
-        return scan(plan)
-    monkeypatch.setattr(engine, "_scan", recording)
-    return calls
-
-
-def test_nothing_to_check_starts_no_process(no_process):
-    """A decision with no unit to check starts no process."""
-    reflexive = "q(X; sum(Y)) :- p(X, Y), Y > 3 | p(Y, X), !b(X)"
-    pairs = [
-        (reflexive, reflexive, 2),
-        ("q(; count()) :- p(X)",
-         "q(; count()) :- p(X), X != 0 | p(X), X = 0", 4),
-    ]
-    for text1, text2, n in pairs:
-        q, q2 = parse_query(text1), parse_query(text2)
-        verdict = engine.n_equivalent(q, q2, n, workers=2)
-        assert verdict.status == engine.EQUIVALENT
-
-
-MAX_LT1 = ("q(; max(Y)) :- p(Y), Y < 1", "q(; max(Y)) :- p(Y), Y <= 0")
-MAX_LT1_CE = engine.Counterexample(
-    Database(frozenset({("p", (F(1, 2),))})), (), F(1, 2), None)
 # the first failure needs two fresh values, so it lies at level 2
 TWO_VALUES = ("q(; count()) :- p(X), p(Y), X < Y",
               "q(; count()) :- p(X), p(Y), X != Y")
@@ -1324,23 +1238,6 @@ TWO_VALUES_CE = engine.Counterexample(
 #: a pair whose first failure needs two fresh values and whose levels 2
 #: to 4 hold 64,059 units at N = 4
 EDGES = ("q(; count()) :- e(X, Y), X < Y", "q(; count()) :- e(X, Y), X != Y")
-
-
-def test_one_fact_failure_starts_no_process(no_process):
-    """The first failure has one fact and one fresh value, and a decision
-    at 2 or 3 workers reports it and starts no process; nor does a
-    failure with one fresh value and two facts."""
-    q, q2 = map(parse_query, MAX_LT1)
-    for workers in (2, 3):
-        verdict = engine.n_equivalent(q, q2, 5, workers=workers)
-        assert verdict.counterexample == MAX_LT1_CE
-    q, q2 = parse_query("q(; count()) :- p(X), !b(X)"), parse_query(
-        "q(; count()) :- p(X)")
-    assert engine.n_equivalent(q, q2, 4, workers=2).counterexample == \
-        engine.Counterexample(Database(frozenset(
-            {("b", (F(0),)), ("p", (F(0),))})), (), None, 1)
-
-
 # avg of every p value, once and twice: the ordering drop does not decide
 # avg, and each assignment of the first query is held twice by the
 # second, so at N = 4 it walks every level, under 1 + 2 + 3 + 4 + 5
@@ -1349,10 +1246,9 @@ AVG_TWICE = ("q(; avg(Y)) :- p(Y), Y != 1 | p(Y), Y = 1",
              "q(; avg(Y)) :- p(Y) | p(Y)")
 
 
-def test_the_caller_prepares_each_head_ordering_once(no_process,
-                                                     monkeypatch):
-    """A decision prepares each of the 15 orderings it walks once, at 1,
-    2 or 3 workers alike, and starts no process."""
+def test_a_decision_prepares_each_ordering_once(monkeypatch):
+    """`AVG_TWICE` at N = 4 is equivalent, and its decision prepares each
+    of the 15 orderings it walks once."""
     prepared = []
     prepare = engine._prepare
 
@@ -1361,142 +1257,39 @@ def test_the_caller_prepares_each_head_ordering_once(no_process,
         return prepare(plan, state, k)
     monkeypatch.setattr(engine, "_prepare", counting)
     q, q2 = map(parse_query, AVG_TWICE)
-    counts, verdicts = [], []
-    for workers in (1, 2, 3):
-        prepared.clear()
-        verdicts.append(engine.n_equivalent(q, q2, 4, workers=workers))
-        counts.append(len(prepared))
-    assert counts == [15, 15, 15]
-    assert verdicts[0] == verdicts[1] == verdicts[2]
-    assert verdicts[0].equivalent
+    assert engine.n_equivalent(q, q2, 4).equivalent
+    assert len(prepared) == 15
 
 
-def test_a_small_walk_past_the_head_stays_in_the_caller():
-    """`AVG_TWICE` at N = 4 walks levels 0 to 4: at two workers the
-    calling process walks them, loads no `multiprocessing`, and decides
-    as one worker does."""
-    code = f"""
-import sys
-from aggequiv import engine
-from aggequiv.parsing import parse_query
-q, q2 = map(parse_query, {AVG_TWICE!r})
-two = engine.n_equivalent(q, q2, 4, workers=2)
-print(two == engine.n_equivalent(q, q2, 4), "multiprocessing" in sys.modules)
-"""
-    done = run_fresh(code)
-    assert (done.returncode, done.stdout, done.stderr) == (
-        0, "True False\n", "")
-
-
-def test_a_large_walk_past_the_head_reaches_the_workers(no_process, scans):
+def test_a_large_walk_finds_its_first_failure_at_level_two():
     """`EDGES` holds 64,059 units past levels 0 and 1 at N = 4 (482 at
-    N = 3).  A two-worker decision walks them in one scan in the calling
-    process, starts no process, and reports the one-worker
-    counterexample at both sizes."""
+    N = 3), and its first failure is {e(1, 0)} at both sizes."""
     q, q2 = map(parse_query, EDGES)
-    for n in (4, 3):
-        one = engine.n_equivalent(q, q2, n)
-        scans.clear()
-        verdict = engine.n_equivalent(q, q2, n, workers=2)
-        assert len(scans) == 1
-        assert verdict == one
-        assert verdict.counterexample == engine.Counterexample(
-            Database(frozenset({("e", (F(1), F(0)))})), (), None, 1)
-
-
-def test_one_usable_cpu_scans_in_process(no_process, scans, monkeypatch):
-    """With one usable CPU a decision at 2 or a million workers runs one
-    scan in the calling process, starts no process and reports the
-    one-worker counterexample."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    if hasattr(os, "sched_getaffinity"):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    q, q2 = map(parse_query, TWO_VALUES)
-    for workers in (2, 10 ** 6):
-        scans.clear()
-        verdict = engine.n_equivalent(q, q2, 4, workers=workers)
-        assert len(scans) == 1
-        assert verdict.counterexample == TWO_VALUES_CE
-
-
-def test_workers_beyond_the_usable_cpus_start_no_more_processes(
-        no_process, scans):
-    """A decision asking for a million workers runs one scan, in the
-    calling process, starts no process and decides as one worker
-    does."""
-    q, q2 = map(parse_query, TWO_VALUES)
-    one = engine.n_equivalent(q, q2, 3)
-    scans.clear()
-    verdict = engine.n_equivalent(q, q2, 3, workers=10 ** 6)
-    assert len(scans) == 1
-    assert verdict.counterexample == TWO_VALUES_CE
-    assert verdict == one
-
-
-def test_dropped_workers_leave_no_process():
-    """A three-worker decision leaves no child process and no thread
-    behind, and leaks no pipe (a leak warns, and a warning fails the
-    test run)."""
-    threads = set(threading.enumerate())
-    q, q2 = map(parse_query, TWO_VALUES)
-    verdict = engine.n_equivalent(q, q2, 4, workers=3)
-    assert verdict.counterexample == TWO_VALUES_CE
-    assert multiprocessing.active_children() == []
-    assert set(threading.enumerate()) == threads
-    gc.collect()
+    for n in (3, 4):
+        assert engine.n_equivalent(q, q2, n).counterexample == \
+            engine.Counterexample(
+                Database(frozenset({("e", (F(1), F(0)))})), (), None, 1)
 
 
 def test_differing_heads_keep_the_same_head_rule():
     """Differing heads walk level N alone: at N = 1 the failure is on
-    {b(0), p(0)}, and at N = 1 and N = 2 a decision at 1, 2 or 3 workers
-    reports the same counterexample."""
+    {b(0), p(0)}, and the counterexamples at N = 1 and N = 2 separate the
+    queries."""
     q = parse_query("q(; count()) :- p(X), b(X)")
     q2 = parse_query("q(; max(X)) :- p(X), b(X)")
-    assert engine.n_equivalent(q, q2, 1).counterexample == \
-        engine.Counterexample(Database(frozenset(
-            {("b", (F(0),)), ("p", (F(0),))})), (), 1, F(0))
-    for n in (1, 2):
-        verdicts = [engine.n_equivalent(q, q2, n, workers=workers)
-                    for workers in (1, 2, 3)]
-        assert verdicts[0] == verdicts[1] == verdicts[2]
-        verify_ce(q, q2, verdicts[0])
+    verdict = engine.n_equivalent(q, q2, 1)
+    assert verdict.counterexample == engine.Counterexample(Database(
+        frozenset({("b", (F(0),)), ("p", (F(0),))})), (), 1, F(0))
+    verify_ce(q, q2, verdict)
+    verify_ce(q, q2, engine.n_equivalent(q, q2, 2))
 
 
 def test_two_fact_failure_is_found_past_the_head():
     """No unit of levels 0 and 1 fails, so the first failure lies at
-    level 2, and a decision at 1, 2 or 3 workers reports the same
-    counterexample at N = 2 and N = 4."""
+    level 2, and it is the same at N = 2, 3 and 4."""
     q, q2 = map(parse_query, TWO_VALUES)
-    for n in (2, 4):
-        for workers in (1, 2, 3):
-            verdict = engine.n_equivalent(q, q2, n, workers=workers)
-            assert verdict.counterexample == TWO_VALUES_CE
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_exits_quietly():
-    """A child forked after a two-worker decision exits through
-    `sys.exit` with status 0 and prints nothing, and the parent decides
-    the same afterwards."""
-    code = f"""
-import os, sys
-from fractions import Fraction as F
-from aggequiv import engine
-from aggequiv.model import Database
-from aggequiv.parsing import parse_query
-q, q2 = map(parse_query, {TWO_VALUES!r})
-expected = engine.Counterexample(
-    Database(frozenset({{("p", (F(0),)), ("p", (F(1),))}})), (), 1, 2)
-assert engine.n_equivalent(q, q2, 4, workers=2).counterexample == expected
-pid = os.fork()
-if pid == 0:
-    sys.exit(0)
-_, status = os.waitpid(pid, 0)
-print(os.waitstatus_to_exitcode(status),
-      engine.n_equivalent(q, q2, 4, workers=2).counterexample == expected)
-"""
-    done = run_fresh(code)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "0 True\n", "")
+    for n in (2, 3, 4):
+        assert engine.n_equivalent(q, q2, n).counterexample == TWO_VALUES_CE
 
 
 #: modules that no search command loads: the quasilinear route and the
